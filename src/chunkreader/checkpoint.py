@@ -68,11 +68,24 @@ def save_checkpoint(model: ChunkReaderModel, path) -> None:
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{what} is not UTF-8") from None
+
+
+def _int(text: str, what: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise CheckpointError(f"{what} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _read_line(fh: io.BufferedReader) -> str:
     raw = fh.readline()
     if not raw.endswith(b"\n"):
         raise CheckpointError("truncated header")
-    return raw[:-1].decode("utf-8")
+    return _decode(raw[:-1], "header")
 
 
 def load_checkpoint(path) -> ChunkReaderModel:
@@ -82,7 +95,7 @@ def load_checkpoint(path) -> ChunkReaderModel:
         head = _read_line(fh).split(" ")
         if len(head) != 2 or head[0] != "manifest_bytes":
             raise CheckpointError("missing manifest_bytes header")
-        manifest_len = int(head[1])
+        manifest_len = _int(head[1], "manifest_bytes")
         manifest = fh.read(manifest_len)
         if len(manifest) != manifest_len:
             raise CheckpointError("truncated manifest")
@@ -92,7 +105,7 @@ def load_checkpoint(path) -> ChunkReaderModel:
         ne_tags: tuple[str, ...] = ()
         trie_patterns: list[tuple[int, tuple[str, ...]]] = []
         params: list[tuple[str, tuple[int, ...]]] = []
-        for line in manifest.decode("utf-8").splitlines():
+        for line in _decode(manifest, "manifest").splitlines():
             fields = line.split(" ")
             key = fields[0]
             if key == "pos_tags":
@@ -102,11 +115,11 @@ def load_checkpoint(path) -> ChunkReaderModel:
             elif key == "trie_pattern":
                 if len(fields) < 3:
                     raise CheckpointError(f"malformed trie pattern line: {line!r}")
-                trie_patterns.append((int(fields[1]), tuple(fields[2:])))
+                trie_patterns.append((_int(fields[1], "trie pattern count"), tuple(fields[2:])))
             elif key == "param":
                 if len(fields) < 3:
                     raise CheckpointError(f"malformed param line: {line!r}")
-                params.append((fields[1], tuple(int(d) for d in fields[2:])))
+                params.append((fields[1], tuple(_int(d, f"{fields[1]} shape") for d in fields[2:])))
             else:
                 scalars[key] = " ".join(fields[1:])
 
@@ -119,21 +132,25 @@ def load_checkpoint(path) -> ChunkReaderModel:
             raise CheckpointError(f"unsupported precision {scalars['precision']}")
 
         config = ModelConfig(
-            hidden_size=int(scalars["hidden_size"]),
-            embedding_dim=int(scalars["embedding_dim"]),
+            hidden_size=_int(scalars["hidden_size"], "hidden_size"),
+            embedding_dim=_int(scalars["embedding_dim"], "embedding_dim"),
             pos_tags=pos_tags,
             ne_tags=ne_tags,
             candidate_mode=scalars.get("candidate_mode", "window"),
-            max_chunk_len=int(scalars.get("max_chunk_len", 10)),
+            max_chunk_len=_int(scalars.get("max_chunk_len", "10"), "max_chunk_len"),
             scoring=scalars.get("scoring", "dot"),
             normalize_attention=scalars.get("normalize_attention", "0") == "1",
         )
-        trie = None
-        if config.candidate_mode == "trie":
-            trie = PosPatternTrie(int(scalars.get("trie_depth_cap", config.max_chunk_len)))
-            for count, pattern in trie_patterns:
-                trie.insert(pattern, count)
-        model = ChunkReaderModel(config, trie)
+        depth_cap = _int(scalars.get("trie_depth_cap", str(config.max_chunk_len)), "trie_depth_cap")
+        try:
+            trie = None
+            if config.candidate_mode == "trie":
+                trie = PosPatternTrie(depth_cap)
+                for count, pattern in trie_patterns:
+                    trie.insert(pattern, count)
+            model = ChunkReaderModel(config, trie)
+        except ValueError as exc:  # settings no model accepts
+            raise CheckpointError(f"invalid model settings: {exc}") from None
 
         expected = model.parameters()
         if [n for n, _ in params] != list(expected):

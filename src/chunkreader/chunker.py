@@ -12,7 +12,7 @@ that list index <-> span is a fixed mapping everywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .corpus import AnnotatedToken, Example
@@ -32,16 +32,10 @@ DEFAULT_MAX_CHUNK_LEN = 10
 
 @dataclass(frozen=True, order=True)
 class CandidateChunk:
-    """Span of passage tokens, 1-based inclusive on both ends.
-
-    `source` records which strategy produced the chunk and is excluded
-    from equality, so a trie hit and a window hit on the same span compare
-    equal (recall and gold lookup only care about the span).
-    """
+    """Span of passage tokens, 1-based inclusive on both ends."""
 
     start: int
     end: int
-    source: str = field(default="window", compare=False)
 
     def __post_init__(self):
         if self.start < 1 or self.end < self.start:
@@ -139,7 +133,7 @@ def trie_candidates(passage: Sequence[AnnotatedToken], trie: PosPatternTrie) -> 
             if node is None:
                 break
             if node.terminal:
-                found.append(CandidateChunk(s + 1, j + 1, source="trie"))
+                found.append(CandidateChunk(s + 1, j + 1))
     return found
 
 
@@ -151,7 +145,7 @@ def enumerate_candidates(passage_length: int, max_len: int = DEFAULT_MAX_CHUNK_L
     for start in range(1, passage_length + 1):
         last = min(start + max_len - 1, passage_length)
         for end in range(start, last + 1):
-            out.append(CandidateChunk(start, end, source="window"))
+            out.append(CandidateChunk(start, end))
     return out
 
 

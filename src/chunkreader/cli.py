@@ -23,7 +23,14 @@ import numpy as np
 from . import numerics as nm
 from .checkpoint import CheckpointError, load_checkpoint
 from .chunker import build_pos_trie, candidate_recall, enumerate_candidates, generate_candidates
-from .corpus import DataError, Featurizer, build_tag_inventories, load_dataset, load_embeddings
+from .corpus import (
+    DataError,
+    Featurizer,
+    build_tag_inventories,
+    detokenize,
+    load_dataset,
+    load_embeddings,
+)
 from .evaluator import breakdown_by_answer_length, breakdown_by_head_word, evaluate
 from .model import ChunkReaderModel, ModelConfig, nll_loss
 from .trainer import load_train_config, train
@@ -184,6 +191,7 @@ def cmd_train(args) -> int:
         )
     except ValueError as exc:  # e.g. every example filtered out
         raise DataError(str(exc)) from None
+    print("train stats: " + " ".join(f"{k}={v}" for k, v in result.stats.items()), file=sys.stderr)
     print(
         f"finished: {result.epochs_run} epochs, best dev EM {result.best_em:.4f} "
         f"(F1 {result.best_f1:.4f}) at epoch {result.best_epoch}"
@@ -197,16 +205,12 @@ def cmd_predict(args) -> int:
     loaded, fz = _load_featurized_world(args.data, args.embeddings, model)
     with open(args.out, "w", encoding="utf-8") as fh:
         for ex in loaded.examples:
-            candidates = model.candidates_for(ex.passage)
-            if not candidates:
-                raise DataError(f"no candidates generated for example {ex.id!r}")
-            scored = model.forward(fz.passage_matrix(ex), fz.question_matrix(ex), candidates)
+            scored = model.score_example(ex, fz)
             best = scored.best_index()
             span = scored.candidates[best]
-            answer = " ".join(t.surface for t in ex.passage[span.start - 1 : span.end])
             fh.write(json.dumps({
                 "id": ex.id,
-                "answer": answer,
+                "answer": detokenize(ex.passage[span.start - 1 : span.end]),
                 "start": span.start,
                 "end": span.end,
                 "probability": float(scored.probabilities.data[best]),
@@ -248,12 +252,7 @@ def cmd_evaluate(args) -> int:
         _require_file(args.checkpoint, "checkpoint")
         model = load_checkpoint(args.checkpoint)
         _, fz = _load_featurized_world(args.data, args.embeddings, model)
-        try:
-            predictions = {
-                ex.id: model.predict_example(ex, fz).text for ex in loaded.examples
-            }
-        except ValueError as exc:  # zero candidates for some passage
-            raise DataError(str(exc)) from None
+        predictions = {ex.id: model.predict_example(ex, fz).text for ex in loaded.examples}
     else:
         raise UsageError("evaluate needs --predictions, or --checkpoint with --embeddings")
     try:

@@ -28,7 +28,6 @@ __all__ = [
     "load_dataset",
     "load_embeddings",
     "build_tag_inventories",
-    "featurize",
     "detokenize",
 ]
 
@@ -106,6 +105,12 @@ def _squeeze(text: str) -> str:
 _TOKEN_KEYS = ("surface", "lemma", "pos", "ne", "offset")
 
 
+def _json_int(value, line_no: int, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"line {line_no}: {what} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_token(obj, line_no: int, where: str) -> AnnotatedToken:
     if not isinstance(obj, dict):
         raise DataError(f"line {line_no}: {where} token is not an object")
@@ -117,7 +122,7 @@ def _parse_token(obj, line_no: int, where: str) -> AnnotatedToken:
         lemma=str(obj["lemma"]),
         pos=str(obj["pos"]),
         ne=str(obj["ne"]),
-        char_offset=int(obj["offset"]),
+        char_offset=_json_int(obj["offset"], line_no, f"{where} token offset"),
     )
 
 
@@ -125,6 +130,10 @@ def _validate_example(
     ex_id: str, passage, question, raw_answers, line_no: int
 ) -> Example | str:
     """Content checks; returns the Example or a rejection reason string."""
+    if not passage:
+        return "empty passage"
+    if not question:
+        return "empty question"
     for tok in passage + question:
         if not tok.surface:
             return "empty token surface"
@@ -143,10 +152,11 @@ def _validate_example(
 def load_dataset(path) -> LoadResult:
     """Read examples from a JSONL file, one object per line.
 
-    Schema violations (bad JSON, missing keys, wrong types) raise DataError
-    citing the line. Content violations (span out of range, span text not
-    matching the tokens, empty surfaces) drop the record and log the reason
-    in LoadResult.dropped instead of failing the whole load.
+    Schema violations (bad JSON, missing keys, wrong types, including a
+    non-integer span bound or token offset) raise DataError citing the
+    line. Content violations (empty passage or question, span out of range,
+    span text not matching the tokens, empty surfaces) drop the record and
+    log the reason in LoadResult.dropped instead of failing the whole load.
     """
     examples: list[Example] = []
     dropped: list[tuple[int, str]] = []
@@ -174,7 +184,11 @@ def load_dataset(path) -> LoadResult:
             for a in obj["answers"]:
                 if not isinstance(a, dict) or not {"start", "end", "text"} <= a.keys():
                     raise DataError(f"line {line_no}: answer missing start/end/text")
-                raw_answers.append((int(a["start"]), int(a["end"]), str(a["text"])))
+                raw_answers.append((
+                    _json_int(a["start"], line_no, "answer start"),
+                    _json_int(a["end"], line_no, "answer end"),
+                    str(a["text"]),
+                ))
             got = _validate_example(str(obj["id"]), passage, question, raw_answers, line_no)
             if isinstance(got, str):
                 dropped.append((line_no, got))
@@ -249,27 +263,15 @@ def build_tag_inventories(examples: Iterable[Example]) -> tuple[tuple[str, ...],
     return tuple(sorted(pos_tags)), tuple(sorted(ne_tags))
 
 
-def featurize(
-    token: AnnotatedToken,
-    question: Sequence[AnnotatedToken],
-    table: EmbeddingTable,
-    pos_tags: Sequence[str],
-    ne_tags: Sequence[str],
-) -> np.ndarray:
-    """Six-part input vector for one passage token.
-
-    Layout, in order: [embedding | POS one-hot | NE one-hot | surface-match
-    | lemma-match | capitalized]. Surface match is exact and case
-    sensitive; lemma match is case insensitive; capitalized means the first
-    character is an uppercase letter. A tag outside the inventory leaves
-    its one-hot block all zero.
-    """
-    fz = Featurizer(table, pos_tags, ne_tags)
-    return fz.passage_token(token, question)
-
-
 class Featurizer:
-    """Precomputed tag index maps for repeated featurization calls."""
+    """Per-word input vectors, with tag index maps precomputed.
+
+    Layout of a word's row, in order: [embedding | POS one-hot | NE one-hot
+    | surface-match | lemma-match | capitalized]. Surface match against the
+    question is exact and case sensitive; lemma match is case insensitive;
+    capitalized means the first character is an uppercase letter. A tag
+    outside the inventory leaves its one-hot block all zero.
+    """
 
     def __init__(
         self,
@@ -297,15 +299,6 @@ class Featurizer:
         out[base] = 1.0 if s_match else 0.0
         out[base + 1] = 1.0 if l_match else 0.0
         out[base + 2] = 1.0 if token.surface[:1].isupper() else 0.0
-
-    def passage_token(
-        self, token: AnnotatedToken, question: Sequence[AnnotatedToken]
-    ) -> np.ndarray:
-        out = np.zeros(self.width)
-        surfaces = {q.surface for q in question}
-        lemmas = {q.lemma.lower() for q in question}
-        self._fill(out, token, token.surface in surfaces, token.lemma.lower() in lemmas)
-        return out
 
     def passage_matrix(self, ex: Example) -> np.ndarray:
         """(|passage|, width) feature matrix for one example's passage."""

@@ -24,7 +24,7 @@ import numpy as np
 from . import numerics as nm
 from .numerics import Tensor
 
-__all__ = ["GruCell", "BiGruEncoder", "gru_step", "encode_sequence"]
+__all__ = ["GruCell", "BiGruEncoder"]
 
 _CELL_FIELDS = ("W_r", "W_u", "W", "U_r", "U_u", "U")
 
@@ -55,30 +55,16 @@ class GruCell:
         return nm.matmul(X, self.W_r), nm.matmul(X, self.W_u), nm.matmul(X, self.W)
 
     def step_from_proj(
-        self, xr: Tensor, xu: Tensor, xc: Tensor, h: Tensor, return_gates: bool = False
-    ):
+        self, xr: Tensor, xu: Tensor, xc: Tensor, h: Tensor
+    ) -> tuple[Tensor, Tensor, Tensor]:
+        """One transition from state h, given the three projections of the
+        input; returns the new state and the reset and update gates."""
         r = nm.sigmoid(nm.add(xr, nm.matmul(h, self.U_r)))
         u = nm.sigmoid(nm.add(xu, nm.matmul(h, self.U_u)))
         hbar = nm.tanh(nm.add(xc, nm.matmul(nm.mul(r, h), self.U)))
         # (1-u)*h + u*hbar, written as h + u*(hbar - h)
         h_new = nm.add(h, nm.mul(u, nm.add(hbar, nm.scale(h, -1.0))))
-        if return_gates:
-            return h_new, r, u
-        return h_new
-
-    def step(self, x: Tensor, h: Tensor, return_gates: bool = False):
-        """One transition from state h under input x."""
-        xr = nm.matmul(x, self.W_r)
-        xu = nm.matmul(x, self.W_u)
-        xc = nm.matmul(x, self.W)
-        return self.step_from_proj(xr, xu, xc, h, return_gates)
-
-
-def gru_step(cell: GruCell, x_t, h_prev, return_gates: bool = False):
-    """Functional form of one cell transition; accepts arrays or tensors."""
-    x = x_t if isinstance(x_t, Tensor) else nm.tensor(x_t)
-    h = h_prev if isinstance(h_prev, Tensor) else nm.tensor(h_prev)
-    return cell.step(x, h, return_gates)
+        return h_new, r, u
 
 
 class BiGruEncoder:
@@ -111,38 +97,21 @@ class BiGruEncoder:
         if not 1 <= length <= T:
             raise ValueError(f"length {length} out of range for {T} input rows")
 
-        zero_row = nm.zeros(self.hidden_size)
-
-        fr, fu, fc = self.forward_cell.input_projections(X)
-        h = nm.zeros(self.hidden_size)
-        fwd_rows: list[Tensor] = []
-        for t in range(T):
-            if t < length:
-                h = self.forward_cell.step_from_proj(
-                    nm.row(fr, t), nm.row(fu, t), nm.row(fc, t), h
-                )
-                fwd_rows.append(h)
-            else:
-                fwd_rows.append(zero_row)
-
-        br, bu, bc = self.backward_cell.input_projections(X)
-        h = nm.zeros(self.hidden_size)
-        bwd_rows: list[Tensor | None] = [None] * T
-        for t in range(T - 1, -1, -1):
-            if t < length:
-                h = self.backward_cell.step_from_proj(
-                    nm.row(br, t), nm.row(bu, t), nm.row(bc, t), h
-                )
-                bwd_rows[t] = h
-            else:
-                bwd_rows[t] = zero_row
-
+        fwd_rows = self._run(self.forward_cell, X, range(length))
+        bwd_rows = self._run(self.backward_cell, X, range(length - 1, -1, -1))
         F = nm.stack_rows(fwd_rows)
         B = nm.stack_rows(bwd_rows)
         return F, B, nm.concat(F, B)
 
-
-def encode_sequence(enc: BiGruEncoder, inputs, length: int | None = None):
-    """Functional form of BiGruEncoder.encode; accepts an array or tensor."""
-    X = inputs if isinstance(inputs, Tensor) else nm.tensor(np.asarray(inputs))
-    return enc.encode(X, length)
+    def _run(self, cell: GruCell, X: Tensor, positions: range) -> list[Tensor]:
+        """Step `cell` from a zero state over the rows of X at `positions`,
+        in that order; returns one state per row of X, a zero row wherever
+        the cell did not step."""
+        zero_row = nm.zeros(self.hidden_size)
+        rows = [zero_row] * X.data.shape[0]
+        xr, xu, xc = cell.input_projections(X)
+        h = nm.zeros(self.hidden_size)
+        for t in positions:
+            h, _, _ = cell.step_from_proj(nm.row(xr, t), nm.row(xu, t), nm.row(xc, t), h)
+            rows[t] = h
+        return rows

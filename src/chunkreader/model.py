@@ -15,14 +15,14 @@ exists behind a flag for ablation, as does cosine instead of dot scoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import numerics as nm
 from .chunker import CandidateChunk, PosPatternTrie, generate_candidates
-from .corpus import AnswerSpan, Example, Featurizer, detokenize
+from .corpus import AnswerSpan, DataError, Example, Featurizer, detokenize
 from .encoder import BiGruEncoder
 from .numerics import Tensor
 
@@ -31,12 +31,10 @@ __all__ = [
     "ChunkReaderModel",
     "ChunkScoreSet",
     "attend",
-    "attention_pass",
     "chunk_repr",
     "question_repr",
     "score_chunks",
     "nll_loss",
-    "predict",
 ]
 
 
@@ -106,18 +104,15 @@ def attend(passage_states: Tensor, question_states: Tensor, normalize: bool = Fa
     return nm.concat(passage_states, pooled)  # (T, 4d)
 
 
-def attention_pass(model: "ChunkReaderModel", fused: Tensor, length: int | None = None):
-    """Second bi-GRU over the fused passage-question sequence."""
-    return model.attention_encoder.encode(fused, length)
-
-
-def chunk_repr(fwd_states: Tensor, bwd_states: Tensor, start: int, end: int) -> Tensor:
-    """Representation of one chunk: forward state at its first word plus
-    backward state at its last word, concatenated. 1-based inclusive."""
-    T = fwd_states.data.shape[0]
-    if not 1 <= start <= end <= T:
-        raise IndexError(f"chunk [{start}, {end}] out of range for {T} positions")
-    return nm.concat(nm.row(fwd_states, start - 1), nm.row(bwd_states, end - 1))
+def chunk_repr(
+    fwd_states: Tensor, bwd_states: Tensor, candidates: Sequence[CandidateChunk]
+) -> Tensor:
+    """One row per candidate: the forward state at its first word
+    concatenated with the backward state at its last word. A candidate
+    reaching past the state rows raises IndexError."""
+    starts = [c.start - 1 for c in candidates]
+    ends = [c.end - 1 for c in candidates]
+    return nm.concat(nm.gather_rows(fwd_states, starts), nm.gather_rows(bwd_states, ends))
 
 
 def question_repr(fwd_states: Tensor, bwd_states: Tensor, length: int | None = None) -> Tensor:
@@ -162,13 +157,13 @@ def score_chunks(
     return ChunkScoreSet(list(candidates), nm.softmax(scores))
 
 
-def nll_loss(score_set: ChunkScoreSet, gold) -> Tensor:
+def nll_loss(score_set: ChunkScoreSet, gold: CandidateChunk) -> Tensor:
     """Negative log probability of the gold span's candidate.
 
     The gold span must be present in the candidate list; training filters
     out examples whose gold cannot be generated, so absence here is a bug.
     """
-    target = (gold.start, gold.end) if hasattr(gold, "start") else (gold[0], gold[1])
+    target = (gold.start, gold.end)
     idx = None
     for i, c in enumerate(score_set.candidates):
         if (c.start, c.end) == target:
@@ -185,6 +180,10 @@ class ChunkReaderModel:
     def __init__(self, config: ModelConfig, trie: PosPatternTrie | None = None):
         if config.candidate_mode not in ("window", "trie"):
             raise ValueError(f"unknown candidate mode: {config.candidate_mode!r}")
+        if config.scoring not in ("dot", "cosine"):
+            raise ValueError(f"unknown scoring: {config.scoring!r}")
+        if config.max_chunk_len < 1:
+            raise ValueError(f"max_chunk_len must be >= 1, got {config.max_chunk_len}")
         if config.candidate_mode == "trie" and trie is None:
             raise ValueError("trie candidate mode needs a built trie")
         self.config = config
@@ -192,7 +191,6 @@ class ChunkReaderModel:
         d = config.hidden_size
         self.shared_encoder = BiGruEncoder(config.input_width, d, "shared")
         self.attention_encoder = BiGruEncoder(4 * d, d, "attention")
-        self.featurizer: Featurizer | None = None  # attached when a table is loaded
 
     def parameters(self) -> dict[str, Tensor]:
         out = dict(self.shared_encoder.parameters())
@@ -245,26 +243,20 @@ class ChunkReaderModel:
         fused = attend(passage_ctx, question_ctx, self.config.normalize_attention)
         g_fwd, g_bwd, _ = self.attention_encoder.encode(fused, passage_len)
 
-        starts = [c.start - 1 for c in candidates]
-        ends = [c.end - 1 for c in candidates]
-        reps = nm.concat(nm.gather_rows(g_fwd, starts), nm.gather_rows(g_bwd, ends))
+        reps = chunk_repr(g_fwd, g_bwd, candidates)
         qrep = question_repr(q_fwd, q_bwd, question_len)
         return score_chunks(reps, qrep, candidates, self.config.scoring)
 
-    def predict_example(self, ex: Example, featurizer: Featurizer | None = None) -> AnswerSpan:
-        """Highest-probability candidate span for one example."""
-        fz = featurizer or self.featurizer
-        if fz is None:
-            raise ValueError("no featurizer attached to the model")
+    def score_example(self, ex: Example, featurizer: Featurizer) -> ChunkScoreSet:
+        """Rank the candidates of one full-length example; an example that
+        yields no candidates raises DataError naming it."""
         candidates = self.candidates_for(ex.passage)
         if not candidates:
-            raise ValueError(f"no candidates generated for example {ex.id!r}")
-        scored = self.forward(fz.passage_matrix(ex), fz.question_matrix(ex), candidates)
+            raise DataError(f"no candidates generated for example {ex.id!r}")
+        return self.forward(featurizer.passage_matrix(ex), featurizer.question_matrix(ex), candidates)
+
+    def predict_example(self, ex: Example, featurizer: Featurizer) -> AnswerSpan:
+        """Highest-probability candidate span for one example."""
+        scored = self.score_example(ex, featurizer)
         best = scored.candidates[scored.best_index()]
-        text = detokenize(ex.passage[best.start - 1 : best.end])
-        return AnswerSpan(best.start, best.end, text)
-
-
-def predict(model: ChunkReaderModel, example: Example, featurizer: Featurizer | None = None) -> AnswerSpan:
-    """Functional form of ChunkReaderModel.predict_example."""
-    return model.predict_example(example, featurizer)
+        return AnswerSpan(best.start, best.end, detokenize(ex.passage[best.start - 1 : best.end]))

@@ -7,12 +7,16 @@ With no active tape the same ops are plain numpy computations, which is
 how inference runs. Gradient accumulation order is fixed by tape order,
 so identical inputs give bit-identical results.
 
-A tape and the tensors recorded on it belong to a single worker. Distinct
-tapes are independent and may run in parallel.
+The stack of active tapes is per thread: an op records on the innermost
+tape its own thread entered, so threads that each enter their own tape
+may run at the same time without seeing one another's ops. A tape and
+the tensors recorded on it still belong to one thread; two threads that
+run backward into the same parameter race on its `grad`.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,10 +33,8 @@ __all__ = [
     "matmul",
     "add",
     "mul",
-    "elementwise",
     "sigmoid",
     "tanh",
-    "activation",
     "concat",
     "softmax",
     "dropout",
@@ -48,7 +50,6 @@ __all__ = [
     "transpose",
     "broadcast_scalar",
     "finite_difference_errors",
-    "finite_difference_check",
 ]
 
 
@@ -74,9 +75,6 @@ class SeededRng:
 
     def permutation(self, n: int):
         return self._gen.permutation(n)
-
-    def choice(self, seq):
-        return seq[int(self._gen.integers(0, len(seq)))]
 
 
 class Tensor:
@@ -122,7 +120,14 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
-_tape_stack: list["Tape"] = []
+class _TapeStack(threading.local):
+    """Active tapes, innermost last; each thread sees only its own list."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_tape_stack = _TapeStack()
 
 
 class Tape:
@@ -138,11 +143,11 @@ class Tape:
         self._replayed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack.append(self)
+        _tape_stack.tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        popped = _tape_stack.pop()
+        popped = _tape_stack.tapes.pop()
         if popped is not self:
             raise RuntimeError("tape stack corrupted")
         return False
@@ -169,7 +174,8 @@ class Tape:
 
 
 def _active_tape() -> Tape | None:
-    return _tape_stack[-1] if _tape_stack else None
+    tapes = _tape_stack.tapes
+    return tapes[-1] if tapes else None
 
 
 def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
@@ -256,15 +262,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), backward_fn)
 
 
-def elementwise(a: Tensor, b: Tensor, kind: str) -> Tensor:
-    """Same-shape pointwise op, kind in {"add", "mul"}."""
-    if kind == "add":
-        return add(a, b)
-    if kind == "mul":
-        return mul(a, b)
-    raise ValueError(f"unknown elementwise kind: {kind!r}")
-
-
 def sigmoid(a: Tensor) -> Tensor:
     """Logistic function, computed without overflow for large |x|."""
     x = a.data
@@ -287,15 +284,6 @@ def tanh(a: Tensor) -> Tensor:
         accumulate(a, g * (1.0 - y * y))
 
     return record(out, (a,), backward_fn)
-
-
-def activation(a: Tensor, kind: str) -> Tensor:
-    """Pointwise nonlinearity, kind in {"sigmoid", "tanh"}."""
-    if kind == "sigmoid":
-        return sigmoid(a)
-    if kind == "tanh":
-        return tanh(a)
-    raise ValueError(f"unknown activation kind: {kind!r}")
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -533,11 +521,3 @@ def finite_difference_errors(
         errors.append(worst)
     return errors
 
-
-def finite_difference_check(
-    f: Callable[[], Tensor], params: Sequence[Tensor], step: float
-) -> float:
-    """Max over all parameter coordinates of the relative error between
-    taped gradients and central finite differences."""
-    errors = finite_difference_errors(f, params, step)
-    return max(errors) if errors else 0.0

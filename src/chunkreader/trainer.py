@@ -339,7 +339,7 @@ class TrainResult:
     stats: dict = field(default_factory=dict)
 
 
-def _batch_loss(model, batch: Batch, config, rng, training=True) -> Tensor:
+def _batch_loss(model, batch: Batch, config, rng) -> Tensor:
     losses = []
     for i, pe in enumerate(batch.items):
         scored = model.forward(
@@ -348,9 +348,9 @@ def _batch_loss(model, batch: Batch, config, rng, training=True) -> Tensor:
             pe.candidates,
             passage_len=pe.passage_len,
             question_len=pe.question_len,
-            dropout_rate=config.dropout_rate if training else 0.0,
+            dropout_rate=config.dropout_rate,
             rng=rng,
-            training=training,
+            training=True,
         )
         losses.append(nll_loss(scored, pe.candidates[pe.gold_index]))
     return nm.scale(reduce(nm.add, losses), 1.0 / len(losses))
@@ -417,10 +417,10 @@ def train(
         for batch in batches:
             model.zero_grads()
             with nm.Tape() as tape:
-                loss = _batch_loss(model, batch, config, rng, training=True)
+                loss = _batch_loss(model, batch, config, rng)
                 tape.backward(loss)
             loss_sum += float(loss.data) * len(batch)
-            grads = {k: (p.grad if p.grad is not None else None) for k, p in params.items()}
+            grads = {k: p.grad for k, p in params.items()}
             clip_gradients([g for g in grads.values() if g is not None], config.clip_norm)
             adam_step(params, grads, state, config.learning_rate)
         mean_loss = loss_sum / len(prepared)

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import chunkreader.numerics as nm
-from chunkreader.chunker import PosPatternTrie, enumerate_candidates, trie_candidates
+from chunkreader.chunker import CandidateChunk, PosPatternTrie, enumerate_candidates, trie_candidates
 from chunkreader.corpus import Featurizer, build_tag_inventories
-from chunkreader.encoder import BiGruEncoder, GruCell, gru_step
+from chunkreader.encoder import BiGruEncoder, GruCell
 from chunkreader.evaluator import exact_match, f1_score
 from chunkreader.model import (
     ChunkReaderModel,
@@ -164,7 +164,9 @@ def test_gate_model_invariants():
     ranking probabilities sum to 1 +- 1e-9; GRU gates lie strictly inside
     (0, 1); zero-initial-state encodings satisfy max |h| <= 1; a chunk
     representation ignores state rows outside its span ends; argmax ties
-    resolve to the earliest (start, end) candidate."""
+    resolve to the earliest (start, end) candidate. The gates are the ones
+    the cell's step returns, and chunk representations come from the same
+    chunk_repr that model.forward calls."""
     rng = np.random.default_rng(2024)
 
     for _ in range(100):
@@ -176,8 +178,9 @@ def test_gate_model_invariants():
     for _ in range(100):
         for p in cell.parameters().values():
             p.data[...] = rng.normal(scale=0.8, size=p.data.shape)
-        _, r, u = gru_step(cell, rng.normal(scale=0.8, size=5), rng.normal(scale=0.8, size=4),
-                           return_gates=True)
+        x = nm.tensor(rng.normal(scale=0.8, size=5))
+        h = nm.tensor(rng.normal(scale=0.8, size=4))
+        _, r, u = cell.step_from_proj(*cell.input_projections(x), h)
         for gate in (r, u):
             assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
@@ -195,13 +198,14 @@ def test_gate_model_invariants():
         end = int(rng.integers(start + 2, T + 1))
         F = rng.normal(size=(T, 3))
         B = rng.normal(size=(T, 3))
-        before = chunk_repr(nm.tensor(F), nm.tensor(B), start, end).data.copy()
+        chunk = [CandidateChunk(start, end)]
+        before = chunk_repr(nm.tensor(F), nm.tensor(B), chunk).data.copy()
         F2, B2 = F.copy(), B.copy()
         rows = [i for i in range(T) if i != start - 1]
         F2[rng.choice(rows)] += rng.normal(size=3)
         rows = [i for i in range(T) if i != end - 1]
         B2[rng.choice(rows)] += rng.normal(size=3)
-        after = chunk_repr(nm.tensor(F2), nm.tensor(B2), start, end).data
+        after = chunk_repr(nm.tensor(F2), nm.tensor(B2), chunk).data
         assert np.array_equal(before, after)
 
     for _ in range(100):

@@ -109,6 +109,31 @@ def test_manifest_shape_mismatch_rejected(tmp_path):
         ckpt.load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # edits inside the manifest keep its byte count, so the declared
+        # manifest length still holds
+        (b"manifest_bytes ", b"manifest_bytes x", "manifest_bytes"),
+        (b"manifest_bytes ", b"manifest_bytes -", "manifest_bytes"),
+        (b"hidden_size 3", b"hidden_size x", "hidden_size"),
+        (b"hidden_size 3", b"hidden_size 0", "hidden_size"),
+        (b"candidate_mode window", b"candidate_mode wibble", "candidate mode"),
+        (b"scoring dot", b"scoring dit", "scoring"),
+        (b"max_chunk_len 10", b"max_chunk_len 00", "max_chunk_len"),
+        (b"precision float64", b"precision \xff\xfeat64", "UTF-8"),
+    ],
+)
+def test_malformed_manifest_raises_checkpoint_error(tmp_path, old, new, message):
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(seeded_model(seed=9), path)
+    raw = path.read_bytes()
+    assert old in raw
+    path.write_bytes(raw.replace(old, new, 1))
+    with pytest.raises(ckpt.CheckpointError, match=message):
+        ckpt.load_checkpoint(path)
+
+
 def test_inventories_roundtrip_exactly(tmp_path):
     m = seeded_model(seed=8)
     path = tmp_path / "model.ckpt"

@@ -236,8 +236,8 @@ def test_generate_candidates_dispatch():
         chunker.generate_candidates(passage, "parse")
 
 
-def test_chunk_equality_ignores_source():
-    assert CandidateChunk(1, 2, "trie") == CandidateChunk(1, 2, "window")
+def test_chunk_equality_validation_and_length():
+    assert CandidateChunk(1, 2) == CandidateChunk(1, 2)
     assert CandidateChunk(1, 2) != CandidateChunk(1, 3)
     with pytest.raises(ValueError):
         CandidateChunk(2, 1)

@@ -107,6 +107,26 @@ def test_train_writes_checkpoint_and_log(world):
         float(cols[1])
 
 
+def test_train_prints_stats_line(world, tmp_path, capsys, no_seed_env):
+    paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
+    assert cli.main(train_args(paths)) == 0
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("train stats: ")]
+    assert len(lines) == 1
+    stats = dict(item.split("=") for item in lines[0][len("train stats: "):].split(" "))
+    assert set(stats) == {
+        "train_examples", "dropped_by_truncation", "dropped_by_candidate_filter", "trainable",
+    }
+    counts = {k: int(v) for k, v in stats.items()}
+    assert counts["train_examples"] == 8
+    assert counts["train_examples"] == (
+        counts["dropped_by_truncation"] + counts["dropped_by_candidate_filter"] + counts["trainable"]
+    )
+    # the persisted log carries none of it: same bytes as the fixture's run
+    with open(paths["log"], "rb") as fh, open(world["log"], "rb") as ref:
+        assert fh.read() == ref.read()
+
+
 def test_train_missing_dataset_exits_two_naming_path(world, capsys, tmp_path, no_seed_env):
     paths = dict(world, train=str(tmp_path / "absent.jsonl"))
     assert cli.main(train_args(paths)) == 2
@@ -259,6 +279,66 @@ def test_predict_missing_checkpoint_exits_two(world, tmp_path, capsys):
     args = predict_args(dict(world, checkpoint=str(tmp_path / "no.ckpt")), str(tmp_path / "p.jsonl"))
     assert cli.main(args) == 2
     assert "no.ckpt" in capsys.readouterr().err
+
+
+def _corrupt_first_dev_record(world, tmp_path, corrupt):
+    with open(world["dev"], encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    corrupt(records[0])
+    path = tmp_path / "dev.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return dict(world, dev=str(path)), records[0]["id"]
+
+
+def _set_start(rec):
+    rec["answers"][0]["start"] = "two"
+
+
+def _null_offset(rec):
+    rec["passage"][0]["offset"] = None
+
+
+@pytest.mark.parametrize("corrupt", [_set_start, _null_offset])
+def test_predict_malformed_data_exits_two_with_one_line(world, tmp_path, capsys, corrupt):
+    paths, _ = _corrupt_first_dev_record(world, tmp_path, corrupt)
+    assert cli.main(predict_args(paths, str(tmp_path / "p.jsonl"))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 1:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("side", ["passage", "question"])
+def test_predict_skips_empty_passage_or_question(world, tmp_path, capsys, side):
+    # no answers either, so no span check can drop the record first
+    paths, dropped_id = _corrupt_first_dev_record(
+        world, tmp_path, lambda rec: rec.update({side: [], "answers": []})
+    )
+    out = str(tmp_path / "p.jsonl")
+    assert cli.main(predict_args(paths, out)) == 0
+    capsys.readouterr()
+    with open(out, encoding="utf-8") as fh:
+        ids = [json.loads(line)["id"] for line in fh]
+    assert ids == [ex.id for ex in world["dev_examples"] if ex.id != dropped_id]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"manifest_bytes ", b"manifest_bytes x"),
+        (b"hidden_size 4", b"hidden_size x"),
+        (b"candidate_mode window", b"candidate_mode wibble"),
+        (b"precision float64", b"precision \xff\xfeat64"),
+    ],
+)
+def test_predict_malformed_checkpoint_exits_two_with_one_line(world, tmp_path, capsys, old, new):
+    with open(world["checkpoint"], "rb") as fh:
+        raw = fh.read()
+    assert old in raw
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(raw.replace(old, new, 1))
+    args = predict_args(dict(world, checkpoint=str(path)), str(tmp_path / "p.jsonl"))
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

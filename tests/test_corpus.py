@@ -19,6 +19,12 @@ from helpers import (
 )
 
 
+def passage_row(token, question, table, pos_tags, ne_tags):
+    """Feature row of `token` as the only passage word facing `question`."""
+    ex = corpus.Example("q", (token,), tuple(question), ())
+    return corpus.Featurizer(table, pos_tags, ne_tags).passage_matrix(ex)[0]
+
+
 # ---------------------------------------------------------------------------
 # load_dataset
 
@@ -112,6 +118,45 @@ def test_load_rejects_empty_surface(tmp_path):
     assert got.examples == [] and "empty token surface" in got.dropped[0][1]
 
 
+def _set_answer_start(rec, value):
+    rec["answers"][0]["start"] = value
+
+
+def _set_passage_offset(rec, value):
+    rec["passage"][0]["offset"] = value
+
+
+@pytest.mark.parametrize(
+    "corrupt, value",
+    [
+        (_set_answer_start, "one"),
+        (_set_answer_start, 1.5),
+        (_set_answer_start, None),
+        (_set_passage_offset, None),
+        (_set_passage_offset, "0"),
+    ],
+)
+def test_load_non_integer_field_cites_line(tmp_path, corrupt, value):
+    good = example_dict(make_example("q0", ["a", "b"], ["q"], [(1, 1)]))
+    bad = example_dict(make_example("q1", ["a", "b"], ["q"], [(1, 1)]))
+    corrupt(bad, value)
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(corpus.DataError, match="line 2.*must be an integer"):
+        corpus.load_dataset(path)
+
+
+@pytest.mark.parametrize("side", ["passage", "question"])
+def test_load_drops_empty_passage_or_question(tmp_path, side):
+    rec = example_dict(make_example("q1", ["a", "b"], ["q"], []))
+    rec[side] = []
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    got = corpus.load_dataset(path)
+    assert got.examples == []
+    assert got.dropped == [(1, f"empty {side}")]
+
+
 def test_load_skips_blank_lines(tmp_path):
     ex = make_example("q1", ["a"], ["q"], [(1, 1)])
     path = tmp_path / "data.jsonl"
@@ -191,7 +236,7 @@ def test_featurize_layout_and_width():
     pos_tags, ne_tags = ("NN", "NNP"), ("LOC", "O")
     question = make_tokens(["Brexit", "when"])
     tok = make_token("Brexit", pos="NNP", ne="O")
-    vec = corpus.featurize(tok, question, table, pos_tags, ne_tags)
+    vec = passage_row(tok, question, table, pos_tags, ne_tags)
     assert vec.shape == (4 + 2 + 2 + 3,)
     assert np.allclose(vec[:4], table.lookup("Brexit"))  # lowercase fallback hit
     assert list(vec[4:6]) == [0.0, 1.0]  # POS one-hot at NNP
@@ -201,7 +246,7 @@ def test_featurize_layout_and_width():
 
 def test_featurize_no_match_oov_all_zero_bits():
     table = corpus.EmbeddingTable(4, {})
-    vec = corpus.featurize(
+    vec = passage_row(
         make_token("unknownword", pos="NN", ne="O"),
         make_tokens(["what", "else"]),
         table,
@@ -214,7 +259,7 @@ def test_featurize_no_match_oov_all_zero_bits():
 
 def test_featurize_unseen_tag_zero_block():
     table = corpus.EmbeddingTable(2, {})
-    vec = corpus.featurize(
+    vec = passage_row(
         make_token("x", pos="UNSEEN", ne="ALSO-UNSEEN"),
         make_tokens(["q"]),
         table,
@@ -228,7 +273,7 @@ def test_featurize_unseen_tag_zero_block():
 def test_featurize_surface_match_case_sensitive_lemma_not():
     table = corpus.EmbeddingTable(2, {})
     question = make_tokens(["CAT"])  # lemma "cat"
-    vec = corpus.featurize(make_token("cat"), question, table, ("NN",), ("O",))
+    vec = passage_row(make_token("cat"), question, table, ("NN",), ("O",))
     surface_bit, lemma_bit = vec[-3], vec[-2]
     assert surface_bit == 0.0  # "cat" != "CAT"
     assert lemma_bit == 1.0
@@ -244,12 +289,14 @@ def test_question_matrix_match_bits_fixed():
 
 
 def test_passage_matrix_agrees_with_featurize():
+    # each row depends only on its own word and the question, so it equals
+    # the row that word gets as a one-word passage
     table = toy_embedding_table(["cat", "sat"], dim=4)
     ex = make_example("q1", ["The", "cat", "sat"], ["cat"], [(2, 2)])
     fz = corpus.Featurizer(table, ("NN",), ("O",))
     pm = fz.passage_matrix(ex)
     for i, tok in enumerate(ex.passage):
-        vec = corpus.featurize(tok, ex.question, table, ("NN",), ("O",))
+        vec = passage_row(tok, ex.question, table, ("NN",), ("O",))
         assert np.array_equal(pm[i], vec)
 
 
@@ -264,9 +311,8 @@ _words = st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu")), min_
 def test_property_feature_width_constant(passage, question):
     table = corpus.EmbeddingTable(4, {})
     fz = corpus.Featurizer(table, ("NN", "VB"), ("O",))
-    q = make_tokens(question)
-    widths = {fz.passage_token(make_token(w), q).shape for w in passage}
-    assert widths == {(fz.width,)}
+    ex = corpus.Example("q", make_tokens(passage), make_tokens(question), ())
+    assert fz.passage_matrix(ex).shape == (len(passage), fz.width)
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,12 +323,11 @@ def test_property_feature_width_constant(passage, question):
 )
 def test_property_surface_match_order_invariant(question, word, seed):
     table = corpus.EmbeddingTable(2, {})
-    fz = corpus.Featurizer(table, ("NN",), ("O",))
     tok = make_token(word)
     rng = np.random.default_rng(seed)
     shuffled = [question[i] for i in rng.permutation(len(question))]
-    v1 = fz.passage_token(tok, make_tokens(question))
-    v2 = fz.passage_token(tok, make_tokens(shuffled))
+    v1 = passage_row(tok, make_tokens(question), table, ("NN",), ("O",))
+    v2 = passage_row(tok, make_tokens(shuffled), table, ("NN",), ("O",))
     assert v1[-3] == v2[-3] and v1[-2] == v2[-2]
 
 

@@ -16,6 +16,14 @@ def seeded_cell(n_in, d, name="cell", seed=0, scale=0.4):
     return cell
 
 
+def step(cell, x, h):
+    """One transition through the cell's own code path: project the input,
+    then step. Returns (new state, reset gate, update gate)."""
+    x = x if isinstance(x, nm.Tensor) else nm.tensor(x)
+    h = h if isinstance(h, nm.Tensor) else nm.tensor(h)
+    return cell.step_from_proj(*cell.input_projections(x), h)
+
+
 def seeded_encoder(n_in, d, name="enc", seed=0, scale=0.4):
     enc = encoder.BiGruEncoder(n_in, d, name)
     rng = np.random.default_rng(seed)
@@ -33,24 +41,24 @@ def test_zero_weights_halve_the_state():
     # so the new state is exactly half the old one
     cell = encoder.GruCell(3, 4, "z")
     v = np.array([1.0, -2.0, 0.5, 4.0])
-    h = encoder.gru_step(cell, np.zeros(3), v)
+    h, _, _ = step(cell, np.zeros(3), v)
     assert np.array_equal(h.data, 0.5 * v)
 
 
 def test_zero_weights_zero_state_is_fixed_point():
     cell = encoder.GruCell(3, 4, "z")
-    h = encoder.gru_step(cell, np.array([5.0, -3.0, 2.0]), np.zeros(4))
+    h, _, _ = step(cell, np.array([5.0, -3.0, 2.0]), np.zeros(4))
     assert np.array_equal(h.data, np.zeros(4))
 
 
 def test_step_shapes_and_dim_mismatch():
     cell = seeded_cell(3, 4)
-    h = encoder.gru_step(cell, np.ones(3), np.zeros(4))
-    assert h.shape == (4,)
+    h, r, u = step(cell, np.ones(3), np.zeros(4))
+    assert h.shape == r.shape == u.shape == (4,)
     with pytest.raises(nm.ShapeError):
-        encoder.gru_step(cell, np.ones(5), np.zeros(4))
+        step(cell, np.ones(5), np.zeros(4))
     with pytest.raises(nm.ShapeError):
-        encoder.gru_step(cell, np.ones(3), np.zeros(2))
+        step(cell, np.ones(3), np.zeros(2))
 
 
 def test_cell_parameter_catalog():
@@ -71,9 +79,9 @@ def test_step_gradients_match_finite_differences():
     params = list(cell.parameters().values())
 
     def build():
-        return nm.total(cell.step(x, h0))
+        return nm.total(step(cell, x, h0)[0])
 
-    err = nm.finite_difference_check(build, params, step=1e-6)
+    err = max(nm.finite_difference_errors(build, params, 1e-6))
     assert err < 1e-5
 
 
@@ -83,20 +91,22 @@ def test_step_gradient_flows_to_input_and_state():
     h0 = nm.parameter(np.random.default_rng(2).normal(scale=0.5, size=4))
 
     def build():
-        return nm.total(cell.step(x, h0))
+        return nm.total(step(cell, x, h0)[0])
 
-    err = nm.finite_difference_check(build, [x, h0], step=1e-6)
+    err = max(nm.finite_difference_errors(build, [x, h0], 1e-6))
     assert err < 1e-5
 
 
 def test_step_from_proj_matches_step():
+    # projecting a whole block and stepping on one row of the projections
+    # must agree with projecting that row alone
     cell = seeded_cell(3, 4, seed=3)
     X = nm.tensor(np.random.default_rng(4).normal(size=(2, 3)))
     h = nm.tensor(np.zeros(4))
     xr, xu, xc = cell.input_projections(X)
-    via_proj = cell.step_from_proj(nm.row(xr, 0), nm.row(xu, 0), nm.row(xc, 0), h)
-    direct = cell.step(nm.row(X, 0), h)
-    assert np.allclose(via_proj.data, direct.data)
+    via_block, _, _ = cell.step_from_proj(nm.row(xr, 0), nm.row(xu, 0), nm.row(xc, 0), h)
+    direct, _, _ = step(cell, nm.row(X, 0), h)
+    assert np.allclose(via_block.data, direct.data)
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,13 +121,13 @@ def test_property_gates_stay_in_unit_interval(seed, d):
         p.data[...] = rng.normal(scale=2.0, size=p.data.shape)
     x = rng.normal(scale=3.0, size=3)
     h = rng.normal(size=d)
-    _, r, u = encoder.gru_step(cell, x, h, return_gates=True)
+    _, r, u = step(cell, x, h)
     assert np.all(r.data >= 0) and np.all(r.data <= 1)
     assert np.all(u.data >= 0) and np.all(u.data <= 1)
 
     for p in cell.parameters().values():
         p.data[...] = rng.normal(scale=0.3, size=p.data.shape)
-    _, r, u = encoder.gru_step(cell, rng.normal(size=3), rng.normal(size=d), return_gates=True)
+    _, r, u = step(cell, rng.normal(size=3), rng.normal(size=d))
     assert np.all(r.data > 0) and np.all(r.data < 1)
     assert np.all(u.data > 0) and np.all(u.data < 1)
 
@@ -132,7 +142,7 @@ def test_property_states_bounded_from_zero_init(seed, T):
     for p in enc.parameters().values():
         p.data[...] = rng.normal(scale=2.5, size=p.data.shape)
     X = rng.normal(scale=4.0, size=(T, 3))
-    F, B, C = encoder.encode_sequence(enc, X)
+    F, B, C = enc.encode(nm.tensor(X))
     assert np.max(np.abs(C.data)) <= 1.0
 
 
@@ -143,7 +153,7 @@ def test_property_states_bounded_from_zero_init(seed, T):
 def test_encode_shapes_and_concat_layout():
     enc = seeded_encoder(3, 4, seed=5)
     X = np.random.default_rng(6).normal(size=(5, 3))
-    F, B, C = encoder.encode_sequence(enc, X)
+    F, B, C = enc.encode(nm.tensor(X))
     assert F.shape == (5, 4) and B.shape == (5, 4) and C.shape == (5, 8)
     assert np.array_equal(C.data[:, :4], F.data)
     assert np.array_equal(C.data[:, 4:], B.data)
@@ -152,9 +162,9 @@ def test_encode_shapes_and_concat_layout():
 def test_encode_single_position():
     enc = seeded_encoder(3, 4, seed=7)
     x = np.random.default_rng(8).normal(size=(1, 3))
-    F, B, _ = encoder.encode_sequence(enc, x)
-    fwd_direct = encoder.gru_step(enc.forward_cell, x[0], np.zeros(4))
-    bwd_direct = encoder.gru_step(enc.backward_cell, x[0], np.zeros(4))
+    F, B, _ = enc.encode(nm.tensor(x))
+    fwd_direct, _, _ = step(enc.forward_cell, x[0], np.zeros(4))
+    bwd_direct, _, _ = step(enc.backward_cell, x[0], np.zeros(4))
     assert np.allclose(F.data[0], fwd_direct.data)
     assert np.allclose(B.data[0], bwd_direct.data)
 
@@ -175,8 +185,8 @@ def test_encode_reversal_swaps_directions():
     ):
         q.data[...] = p.data
     X = np.random.default_rng(10).normal(size=(6, 3))
-    F, B, _ = encoder.encode_sequence(enc, X)
-    F2, B2, _ = encoder.encode_sequence(twin, X[::-1])
+    F, B, _ = enc.encode(nm.tensor(X))
+    F2, B2, _ = twin.encode(nm.tensor(X[::-1]))
     assert np.allclose(F.data, B2.data[::-1], atol=1e-12)
     assert np.allclose(B.data, F2.data[::-1], atol=1e-12)
 
@@ -184,12 +194,12 @@ def test_encode_reversal_swaps_directions():
 def test_encode_rejects_empty_and_bad_length():
     enc = seeded_encoder(3, 4)
     with pytest.raises(ValueError):
-        encoder.encode_sequence(enc, np.zeros((0, 3)))
+        enc.encode(nm.tensor(np.zeros((0, 3))))
     X = np.zeros((4, 3))
     with pytest.raises(ValueError):
-        encoder.encode_sequence(enc, X, length=0)
+        enc.encode(nm.tensor(X), length=0)
     with pytest.raises(ValueError):
-        encoder.encode_sequence(enc, X, length=5)
+        enc.encode(nm.tensor(X), length=5)
 
 
 def test_padding_rows_are_zero_and_inert():
@@ -197,8 +207,8 @@ def test_padding_rows_are_zero_and_inert():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(3, 3))
     padded = np.vstack([X, rng.normal(size=(2, 3))])  # junk in the pad rows
-    F, B, C = encoder.encode_sequence(enc, nm.tensor(padded), length=3)
-    Fu, Bu, Cu = encoder.encode_sequence(enc, nm.tensor(X))
+    F, B, C = enc.encode(nm.tensor(padded), length=3)
+    Fu, Bu, Cu = enc.encode(nm.tensor(X))
     assert np.allclose(F.data[:3], Fu.data)
     assert np.allclose(B.data[:3], Bu.data)
     assert np.array_equal(C.data[3:], np.zeros((2, 8)))
@@ -208,7 +218,7 @@ def test_encode_deterministic_bitwise():
     def run():
         enc = seeded_encoder(3, 4, seed=13)
         X = np.random.default_rng(14).normal(size=(7, 3))
-        _, _, C = encoder.encode_sequence(enc, X)
+        _, _, C = enc.encode(nm.tensor(X))
         return C.data.tobytes()
 
     assert run() == run()
@@ -223,7 +233,7 @@ def test_encode_gradients_match_finite_differences():
         _, _, C = enc.encode(X)
         return nm.total(C)
 
-    err = nm.finite_difference_check(build, params, step=1e-6)
+    err = max(nm.finite_difference_errors(build, params, 1e-6))
     assert err < 1e-5
 
 
@@ -236,5 +246,5 @@ def test_encode_gradients_with_padding():
         _, _, C = enc.encode(X, length=3)
         return nm.total(C)
 
-    err = nm.finite_difference_check(build, params, step=1e-6)
+    err = max(nm.finite_difference_errors(build, params, 1e-6))
     assert err < 1e-5

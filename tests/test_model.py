@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chunkreader import model as M, numerics as nm
 from chunkreader.chunker import CandidateChunk, PosPatternTrie
-from chunkreader.corpus import Featurizer
+from chunkreader.corpus import DataError, Featurizer
 from helpers import make_example, toy_embedding_table
 
 
@@ -83,7 +83,7 @@ def test_attend_gradients_match_finite_differences():
     def build():
         return nm.total(M.attend(hp, hq))
 
-    assert nm.finite_difference_check(build, [hp, hq], 1e-6) < 1e-5
+    assert max(nm.finite_difference_errors(build, [hp, hq], 1e-6)) < 1e-5
 
 
 def test_attend_normalized_gradients():
@@ -94,7 +94,7 @@ def test_attend_normalized_gradients():
     def build():
         return nm.total(M.attend(hp, hq, normalize=True))
 
-    assert nm.finite_difference_check(build, [hp, hq], 1e-6) < 1e-5
+    assert max(nm.finite_difference_errors(build, [hp, hq], 1e-6)) < 1e-5
 
 
 def test_attend_shape_errors():
@@ -111,14 +111,14 @@ def test_attend_shape_errors():
 def test_attention_pass_single_row():
     m = toy_model(d=3)
     fused = nm.tensor(np.random.default_rng(4).normal(size=(1, 12)))
-    gf, gb, gc = M.attention_pass(m, fused)
+    gf, gb, gc = m.attention_encoder.encode(fused)
     assert gf.shape == (1, 3) and gb.shape == (1, 3) and gc.shape == (1, 6)
 
 
 def test_attention_pass_zero_weights_collapse():
     m = M.ChunkReaderModel(toy_config(d=3))  # unseeded: all weights zero
     fused = nm.tensor(np.random.default_rng(5).normal(size=(4, 12)))
-    _, _, gc = M.attention_pass(m, fused)
+    _, _, gc = m.attention_encoder.encode(fused)
     assert np.array_equal(gc.data, np.zeros((4, 6)))
 
 
@@ -126,18 +126,17 @@ def test_chunk_repr_single_and_full():
     rng = np.random.default_rng(6)
     F = nm.tensor(rng.normal(size=(5, 3)))
     B = nm.tensor(rng.normal(size=(5, 3)))
-    single = M.chunk_repr(F, B, 2, 2)
-    assert np.array_equal(single.data, np.concatenate([F.data[1], B.data[1]]))
-    full = M.chunk_repr(F, B, 1, 5)
-    assert np.array_equal(full.data, np.concatenate([F.data[0], B.data[4]]))
+    reps = M.chunk_repr(F, B, [CandidateChunk(2, 2), CandidateChunk(1, 5)])
+    assert reps.shape == (2, 6)
+    assert np.array_equal(reps.data[0], np.concatenate([F.data[1], B.data[1]]))
+    assert np.array_equal(reps.data[1], np.concatenate([F.data[0], B.data[4]]))
 
 
 def test_chunk_repr_shared_start_differs_only_backward():
     rng = np.random.default_rng(7)
     F = nm.tensor(rng.normal(size=(5, 3)))
     B = nm.tensor(rng.normal(size=(5, 3)))
-    a = M.chunk_repr(F, B, 2, 3).data
-    b = M.chunk_repr(F, B, 2, 5).data
+    a, b = M.chunk_repr(F, B, [CandidateChunk(2, 3), CandidateChunk(2, 5)]).data
     assert np.array_equal(a[:3], b[:3])
     assert not np.array_equal(a[3:], b[3:])
 
@@ -145,9 +144,9 @@ def test_chunk_repr_shared_start_differs_only_backward():
 def test_chunk_repr_bounds():
     F = nm.tensor(np.zeros((3, 2)))
     B = nm.tensor(np.zeros((3, 2)))
-    for bad in [(0, 1), (1, 4), (3, 2)]:
+    for bad in [(1, 4), (4, 4), (3, 5)]:
         with pytest.raises(IndexError):
-            M.chunk_repr(F, B, *bad)
+            M.chunk_repr(F, B, [CandidateChunk(1, 1), CandidateChunk(*bad)])
 
 
 def test_chunk_repr_locality():
@@ -156,11 +155,12 @@ def test_chunk_repr_locality():
     rng = np.random.default_rng(8)
     F = rng.normal(size=(6, 3))
     B = rng.normal(size=(6, 3))
-    before = M.chunk_repr(nm.tensor(F), nm.tensor(B), 2, 5).data.copy()
+    chunk = [CandidateChunk(2, 5)]
+    before = M.chunk_repr(nm.tensor(F), nm.tensor(B), chunk).data.copy()
     F2, B2 = F.copy(), B.copy()
     F2[2:5] = rng.normal(size=(3, 3))  # forward rows strictly after start
     B2[1:4] = rng.normal(size=(3, 3))  # backward rows strictly before end
-    after = M.chunk_repr(nm.tensor(F2), nm.tensor(B2), 2, 5).data
+    after = M.chunk_repr(nm.tensor(F2), nm.tensor(B2), chunk).data
     assert np.array_equal(before, after)
 
 
@@ -249,16 +249,16 @@ def test_cosine_scoring_gradients():
 
     def build():
         scored = M.score_chunks(reps, q, cands, scoring="cosine")
-        return M.nll_loss(scored, (2, 2))
+        return M.nll_loss(scored, CandidateChunk(2, 2))
 
-    assert nm.finite_difference_check(build, [reps, q], 1e-6) < 1e-5
+    assert max(nm.finite_difference_errors(build, [reps, q], 1e-6)) < 1e-5
 
 
 def test_nll_singleton_is_zero():
     scored = M.score_chunks(
         nm.tensor(np.ones((1, 4))), nm.tensor(np.ones(4)), [CandidateChunk(3, 4)]
     )
-    assert M.nll_loss(scored, (3, 4)).item() == pytest.approx(0.0, abs=1e-15)
+    assert M.nll_loss(scored, CandidateChunk(3, 4)).item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_nll_even_pair_is_ln2():
@@ -267,7 +267,7 @@ def test_nll_even_pair_is_ln2():
         nm.tensor(np.ones(4)),
         [CandidateChunk(1, 1), CandidateChunk(2, 2)],
     )
-    assert M.nll_loss(scored, (1, 1)).item() == pytest.approx(np.log(2.0), abs=1e-12)
+    assert M.nll_loss(scored, CandidateChunk(1, 1)).item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_nll_gold_missing_raises():
@@ -275,7 +275,7 @@ def test_nll_gold_missing_raises():
         nm.tensor(np.ones((1, 4))), nm.tensor(np.ones(4)), [CandidateChunk(1, 1)]
     )
     with pytest.raises(LookupError):
-        M.nll_loss(scored, (2, 3))
+        M.nll_loss(scored, CandidateChunk(2, 3))
 
 
 def test_nll_gradients_five_candidates():
@@ -285,9 +285,9 @@ def test_nll_gradients_five_candidates():
     cands = [CandidateChunk(i + 1, i + 1) for i in range(5)]
 
     def build():
-        return M.nll_loss(M.score_chunks(reps, q, cands), (3, 3))
+        return M.nll_loss(M.score_chunks(reps, q, cands), CandidateChunk(3, 3))
 
-    assert nm.finite_difference_check(build, [reps, q], 1e-6) < 1e-4
+    assert max(nm.finite_difference_errors(build, [reps, q], 1e-6)) < 1e-4
 
 
 @settings(max_examples=100, deadline=None)
@@ -396,8 +396,7 @@ def test_predict_single_candidate():
     ex, table = example_fixture()
     m = M.ChunkReaderModel(toy_config(max_chunk_len=1))
     seed_params(m, 3)
-    m.featurizer = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
-    span = m.predict_example(ex)
+    span = m.predict_example(ex, Featurizer(table, m.config.pos_tags, m.config.ne_tags))
     assert span.start == span.end
     assert 1 <= span.start <= len(ex.passage)
 
@@ -405,8 +404,7 @@ def test_predict_single_candidate():
 def test_predict_tie_breaks_to_earliest_span():
     ex, table = example_fixture()
     m = M.ChunkReaderModel(toy_config())  # zero weights: every score equal
-    m.featurizer = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
-    span = m.predict_example(ex)
+    span = m.predict_example(ex, Featurizer(table, m.config.pos_tags, m.config.ne_tags))
     assert (span.start, span.end) == (1, 1)
 
 
@@ -414,17 +412,18 @@ def test_predict_no_candidates_names_example():
     ex, table = example_fixture()
     empty_trie = PosPatternTrie()
     m = M.ChunkReaderModel(toy_config(candidate_mode="trie"), trie=empty_trie)
-    m.featurizer = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
-    with pytest.raises(ValueError, match="ex1"):
-        m.predict_example(ex)
+    fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
+    with pytest.raises(DataError, match="ex1"):
+        m.predict_example(ex, fz)
+    with pytest.raises(DataError, match="ex1"):
+        m.score_example(ex, fz)
 
 
 def test_predict_is_argmax_consistent():
     ex, table = example_fixture()
     m = toy_model(seed=4)
     fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
-    m.featurizer = fz
-    span = m.predict_example(ex)
+    span = m.predict_example(ex, fz)
     scored = m.forward(fz.passage_matrix(ex), fz.question_matrix(ex), m.candidates_for(ex.passage))
     best = scored.probabilities.data[scored.best_index()]
     assert np.all(best >= scored.probabilities.data - 1e-15)
@@ -435,11 +434,15 @@ def test_predict_is_argmax_consistent():
     assert span.text == " ".join(t.surface for t in ex.passage[span.start - 1 : span.end])
 
 
-def test_predict_functional_wrapper():
+def test_score_example_is_forward_on_full_example():
     ex, table = example_fixture()
     m = toy_model(seed=5)
     fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
-    assert M.predict(m, ex, fz) == m.predict_example(ex, fz)
+    cands = m.candidates_for(ex.passage)
+    scored = m.score_example(ex, fz)
+    direct = m.forward(fz.passage_matrix(ex), fz.question_matrix(ex), cands)
+    assert scored.candidates == cands
+    assert np.array_equal(scored.probabilities.data, direct.probabilities.data)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +469,9 @@ def test_end_to_end_gradients_all_parameters():
     params = list(m.parameters().values())
 
     def build():
-        return loss_for_example(m, fz, ex, (1, 1))
+        return loss_for_example(m, fz, ex, CandidateChunk(1, 1))
 
-    err = nm.finite_difference_check(build, params, 1e-5)
+    err = max(nm.finite_difference_errors(build, params, 1e-5))
     assert err < 1e-4
 
 
@@ -483,9 +486,9 @@ def test_end_to_end_gradients_trie_mode():
     params = list(m.parameters().values())
 
     def build():
-        return loss_for_example(m, fz, ex, (1, 1))
+        return loss_for_example(m, fz, ex, CandidateChunk(1, 1))
 
-    err = nm.finite_difference_check(build, params, 1e-5)
+    err = max(nm.finite_difference_errors(build, params, 1e-5))
     assert err < 1e-4
 
 
@@ -494,6 +497,10 @@ def test_model_config_validation():
         M.ChunkReaderModel(toy_config(candidate_mode="trie"))  # no trie given
     with pytest.raises(ValueError):
         M.ChunkReaderModel(toy_config(candidate_mode="nonsense"))
+    with pytest.raises(ValueError, match="scoring"):
+        M.ChunkReaderModel(toy_config(scoring="euclid"))
+    with pytest.raises(ValueError, match="max_chunk_len"):
+        M.ChunkReaderModel(toy_config(max_chunk_len=0))
 
 
 def test_parameter_catalog_covers_both_encoders():

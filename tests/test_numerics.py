@@ -1,5 +1,8 @@
 """Autodiff core: op-level gradient checks, tape semantics, rng determinism."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ FD_STEP = 1e-6
 
 
 def check_grads(build, params, tol=GRAD_TOL, step=FD_STEP):
-    err = nm.finite_difference_check(build, params, step)
+    err = max(nm.finite_difference_errors(build, params, step))
     assert err < tol, f"max relative gradient error {err:.3e} >= {tol}"
 
 
@@ -63,28 +66,11 @@ def test_add_mul_grads():
     check_grads(lambda: nm.total(nm.mul(a, b)), [a, b])
 
 
-def test_elementwise_dispatch():
-    a = nm.tensor([1.0, 2.0])
-    b = nm.tensor([3.0, 4.0])
-    assert np.allclose(nm.elementwise(a, b, "add").data, [4.0, 6.0])
-    assert np.allclose(nm.elementwise(a, b, "mul").data, [3.0, 8.0])
-    with pytest.raises(ValueError):
-        nm.elementwise(a, b, "sub")
-
-
 def test_sigmoid_tanh_grads():
     rng = np.random.default_rng(5)
     a = nm.parameter(rng.normal(size=(2, 4)))
     check_grads(lambda: nm.total(nm.sigmoid(a)), [a])
     check_grads(lambda: nm.total(nm.tanh(a)), [a])
-
-
-def test_activation_dispatch():
-    a = nm.tensor([0.0])
-    assert nm.activation(a, "sigmoid").data[0] == pytest.approx(0.5)
-    assert nm.activation(a, "tanh").data[0] == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        nm.activation(a, "relu")
 
 
 def test_sigmoid_extreme_inputs_stay_finite():
@@ -316,6 +302,56 @@ def test_backward_determinism_bitwise():
     assert run() == run()
 
 
+def test_threads_record_on_their_own_tapes():
+    # four threads (more than the cores of a small box), each inside its own
+    # tape, stepped in lockstep by a barrier so every op of one thread lands
+    # between ops of the others; a short switch interval adds preemption
+    # inside the steps. Each tape must hold exactly its own thread's nodes
+    # and every gradient must come out exact.
+    inputs = {
+        "a": np.array([1.0, -2.0, 0.5]),
+        "b": np.array([4.0, 0.25]),
+        "c": np.array([-8.0]),
+        "d": np.array([0.125, 3.0, -1.0, 2.0]),
+    }
+    barrier = threading.Barrier(len(inputs), timeout=30)
+    results = {}
+    errors = []
+
+    def worker(name, values):
+        try:
+            w = nm.parameter(values)
+            with nm.Tape() as tape:
+                barrier.wait()
+                sq = nm.mul(w, w)
+                barrier.wait()
+                loss = nm.total(nm.scale(sq, 3.0))
+                barrier.wait()
+                tape.backward(loss)
+                barrier.wait()
+            results[name] = (len(tape), w.grad)
+        except BaseException as exc:  # reported by the main thread
+            errors.append((name, exc))
+            barrier.abort()
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=item) for item in inputs.items()]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for name, values in inputs.items():
+        n_nodes, grad = results[name]
+        assert n_nodes == 3  # mul, scale, total
+        assert grad is not None and np.array_equal(grad, 6.0 * values)
+
+
 # ---------------------------------------------------------------------------
 # rng determinism
 
@@ -355,7 +391,7 @@ def test_property_random_affine_chain_grads(seed, rows, inner, cols):
     def build():
         return nm.total(nm.tanh(nm.matmul(w, u)))
 
-    err = nm.finite_difference_check(build, [w, u], FD_STEP)
+    err = max(nm.finite_difference_errors(build, [w, u], FD_STEP))
     assert err < 1e-6
 
 

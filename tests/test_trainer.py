@@ -358,7 +358,7 @@ def test_train_loss_decreases_on_fixed_batch():
     for _ in range(11):
         model.zero_grads()
         with nm.Tape() as tape:
-            loss = tr._batch_loss(model, batch, cfg, rng, training=True)
+            loss = tr._batch_loss(model, batch, cfg, rng)
             tape.backward(loss)
         losses.append(float(loss.data))
         grads = {k: p.grad for k, p in params.items()}
