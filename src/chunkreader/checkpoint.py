@@ -123,29 +123,38 @@ def load_checkpoint(path) -> ChunkReaderModel:
             else:
                 scalars[key] = " ".join(fields[1:])
 
-        for required in ("format_version", "precision", "hidden_size", "embedding_dim"):
-            if required not in scalars:
-                raise CheckpointError(f"manifest missing {required}")
+        required = [
+            "format_version", "precision", "hidden_size", "embedding_dim",
+            "candidate_mode", "max_chunk_len", "scoring", "normalize_attention",
+        ]
+        if scalars.get("candidate_mode") == "trie":
+            required.append("trie_depth_cap")
+        for key in required:
+            if key not in scalars:
+                raise CheckpointError(f"manifest missing {key}")
         if scalars["format_version"] != "1":
             raise CheckpointError(f"unsupported format version {scalars['format_version']}")
         if scalars["precision"] != "float64":
             raise CheckpointError(f"unsupported precision {scalars['precision']}")
+        if scalars["normalize_attention"] not in ("0", "1"):
+            raise CheckpointError(
+                f"normalize_attention must be 0 or 1, got {scalars['normalize_attention']!r}"
+            )
 
         config = ModelConfig(
             hidden_size=_int(scalars["hidden_size"], "hidden_size"),
             embedding_dim=_int(scalars["embedding_dim"], "embedding_dim"),
             pos_tags=pos_tags,
             ne_tags=ne_tags,
-            candidate_mode=scalars.get("candidate_mode", "window"),
-            max_chunk_len=_int(scalars.get("max_chunk_len", "10"), "max_chunk_len"),
-            scoring=scalars.get("scoring", "dot"),
-            normalize_attention=scalars.get("normalize_attention", "0") == "1",
+            candidate_mode=scalars["candidate_mode"],
+            max_chunk_len=_int(scalars["max_chunk_len"], "max_chunk_len"),
+            scoring=scalars["scoring"],
+            normalize_attention=scalars["normalize_attention"] == "1",
         )
-        depth_cap = _int(scalars.get("trie_depth_cap", str(config.max_chunk_len)), "trie_depth_cap")
         try:
             trie = None
             if config.candidate_mode == "trie":
-                trie = PosPatternTrie(depth_cap)
+                trie = PosPatternTrie(_int(scalars["trie_depth_cap"], "trie_depth_cap"))
                 for count, pattern in trie_patterns:
                     trie.insert(pattern, count)
             model = ChunkReaderModel(config, trie)

@@ -5,8 +5,11 @@ codes: 0 success, 1 usage or configuration error, 2 data error (missing
 or malformed files, empty trainable set, checkpoint mismatch), 3
 gradient verification failure.
 
-Seed precedence: --seed flag, then the CHUNKREADER_SEED environment
-variable, then the config file, then the TrainConfig default.
+A command that reads a dataset prints each dropped record's line and
+reason on stderr and exits 2 when the file holds no usable example.
+
+Seed precedence: --seed flag, then --set seed=N, then the config file,
+then the TrainConfig default.
 """
 
 from __future__ import annotations
@@ -25,17 +28,16 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .chunker import build_pos_trie, candidate_recall, enumerate_candidates, generate_candidates
 from .corpus import (
     DataError,
+    EmbeddingTable,
+    Example,
     Featurizer,
     build_tag_inventories,
-    detokenize,
     load_dataset,
     load_embeddings,
 )
 from .evaluator import breakdown_by_answer_length, breakdown_by_head_word, evaluate
 from .model import ChunkReaderModel, ModelConfig, nll_loss
 from .trainer import load_train_config, train
-
-SEED_ENV_VAR = "CHUNKREADER_SEED"
 
 
 class UsageError(Exception):
@@ -94,38 +96,32 @@ def _require_file(path, what: str):
         raise DataError(f"{what} not found: {path}")
 
 
-def _infer_embedding_dim(path) -> int:
+def _load_examples(path, what: str) -> list[Example]:
+    """The usable examples of one dataset file. Each dropped record's line
+    and reason go to stderr; a file with no usable example is a DataError."""
+    _require_file(path, what)
+    loaded = load_dataset(path)
+    for line_no, reason in loaded.dropped:
+        print(f"{path}: dropped line {line_no}: {reason}", file=sys.stderr)
+    if not loaded.examples:
+        raise DataError(f"no usable examples in {path}")
+    return loaded.examples
+
+
+def _load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
+    """The embedding table of one file, its width read off the first line;
+    expected_dim, when given, is the width a loaded checkpoint was built for."""
+    _require_file(path, "embedding file")
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
     if not first.strip():
         raise DataError(f"embedding file is empty: {path}")
-    return len(first.rstrip("\n").split(" ")) - 1
-
-
-def _resolve_seed(flag_seed, config_seed: int) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return config_seed
-
-
-def _load_featurized_world(data_path, embeddings_path, model: ChunkReaderModel):
-    _require_file(data_path, "dataset")
-    _require_file(embeddings_path, "embedding file")
-    loaded = load_dataset(data_path)
-    table = load_embeddings(embeddings_path, _infer_embedding_dim(embeddings_path))
-    if table.dim != model.config.embedding_dim:
+    table = load_embeddings(path, len(first.rstrip("\n").split(" ")) - 1)
+    if expected_dim is not None and table.dim != expected_dim:
         raise DataError(
-            f"embedding width {table.dim} does not match the checkpoint's "
-            f"{model.config.embedding_dim}"
+            f"embedding width {table.dim} does not match the checkpoint's {expected_dim}"
         )
-    fz = Featurizer(table, model.config.pos_tags, model.config.ne_tags)
-    return loaded, fz
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +135,8 @@ def cmd_train(args) -> int:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key] = value
+    if args.seed is not None:
+        overrides["seed"] = str(args.seed)
     try:
         if args.config:
             _require_file(args.config, "config file")
@@ -147,28 +145,14 @@ def cmd_train(args) -> int:
             config = load_train_config(os.devnull, overrides)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    seed = _resolve_seed(args.seed, config.seed)
-    if seed != config.seed:
-        config = dataclasses.replace(config, seed=seed)
 
-    for path, what in [(args.train_path, "training dataset"), (args.dev_path, "dev dataset"),
-                       (args.embeddings, "embedding file")]:
-        _require_file(path, what)
-    train_loaded = load_dataset(args.train_path)
-    dev_loaded = load_dataset(args.dev_path)
-    for name, loaded in [("train", train_loaded), ("dev", dev_loaded)]:
-        if loaded.dropped:
-            print(f"{name}: dropped {len(loaded.dropped)} invalid records", file=sys.stderr)
-    if not train_loaded.examples:
-        raise DataError(f"no usable examples in {args.train_path}")
-    if not dev_loaded.examples:
-        raise DataError(f"no usable examples in {args.dev_path}")
-
-    table = load_embeddings(args.embeddings, _infer_embedding_dim(args.embeddings))
-    pos_tags, ne_tags = build_tag_inventories(train_loaded.examples)
+    train_examples = _load_examples(args.train_path, "training dataset")
+    dev_examples = _load_examples(args.dev_path, "dev dataset")
+    table = _load_table(args.embeddings)
+    pos_tags, ne_tags = build_tag_inventories(train_examples)
     trie = None
     if config.candidate_mode == "trie":
-        trie = build_pos_trie(train_loaded.examples, config.max_chunk_len)
+        trie = build_pos_trie(train_examples, config.max_chunk_len)
     model_config = ModelConfig(
         hidden_size=config.hidden_size,
         embedding_dim=table.dim,
@@ -183,8 +167,8 @@ def cmd_train(args) -> int:
         result = train(
             model,
             featurizer,
-            train_loaded.examples,
-            dev_loaded.examples,
+            train_examples,
+            dev_examples,
             config,
             log_path=args.log,
             checkpoint_path=args.out_checkpoint,
@@ -202,20 +186,13 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     model = load_checkpoint(args.checkpoint)
-    loaded, fz = _load_featurized_world(args.data, args.embeddings, model)
+    examples = _load_examples(args.data, "dataset")
+    cfg = model.config
+    fz = Featurizer(_load_table(args.embeddings, cfg.embedding_dim), cfg.pos_tags, cfg.ne_tags)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for ex in loaded.examples:
-            scored = model.score_example(ex, fz)
-            best = scored.best_index()
-            span = scored.candidates[best]
-            fh.write(json.dumps({
-                "id": ex.id,
-                "answer": detokenize(ex.passage[span.start - 1 : span.end]),
-                "start": span.start,
-                "end": span.end,
-                "probability": float(scored.probabilities.data[best]),
-            }) + "\n")
-    print(f"wrote {len(loaded.examples)} predictions to {args.out}")
+        for ex in examples:
+            fh.write(json.dumps(dataclasses.asdict(model.answer(ex, fz))) + "\n")
+    print(f"wrote {len(examples)} predictions to {args.out}")
     return 0
 
 
@@ -242,21 +219,19 @@ def _row_dict(row) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    _require_file(args.data, "dataset")
-    loaded = load_dataset(args.data)
-    if not loaded.examples:
-        raise DataError(f"no usable examples in {args.data}")
+    examples = _load_examples(args.data, "dataset")
     if args.predictions:
         predictions = _read_predictions_file(args.predictions)
     elif args.checkpoint and args.embeddings:
         _require_file(args.checkpoint, "checkpoint")
         model = load_checkpoint(args.checkpoint)
-        _, fz = _load_featurized_world(args.data, args.embeddings, model)
-        predictions = {ex.id: model.predict_example(ex, fz).text for ex in loaded.examples}
+        cfg = model.config
+        fz = Featurizer(_load_table(args.embeddings, cfg.embedding_dim), cfg.pos_tags, cfg.ne_tags)
+        predictions = {ex.id: model.answer(ex, fz).answer for ex in examples}
     else:
         raise UsageError("evaluate needs --predictions, or --checkpoint with --embeddings")
     try:
-        report = evaluate(predictions, loaded.examples)
+        report = evaluate(predictions, examples)
     except ValueError as exc:
         raise DataError(str(exc)) from None
     by_length = breakdown_by_answer_length(report)
@@ -286,25 +261,16 @@ def cmd_evaluate(args) -> int:
 def cmd_chunk_stats(args) -> int:
     if args.mode not in ("window", "trie"):
         raise UsageError(f"unknown candidate mode: {args.mode!r}")
-    _require_file(args.data, "dataset")
-    loaded = load_dataset(args.data)
-    if not loaded.examples:
-        raise DataError(f"no usable examples in {args.data}")
+    examples = _load_examples(args.data, "dataset")
     trie = None
     if args.mode == "trie":
-        source = loaded.examples
-        if args.trie_data:
-            _require_file(args.trie_data, "trie dataset")
-            source = load_dataset(args.trie_data).examples
+        source = _load_examples(args.trie_data, "trie dataset") if args.trie_data else examples
         trie = build_pos_trie(source, args.max_len)
-    lists = [
-        generate_candidates(ex.passage, args.mode, trie, args.max_len)
-        for ex in loaded.examples
-    ]
-    recall = candidate_recall(loaded.examples, lists)
+    lists = [generate_candidates(ex.passage, args.mode, trie, args.max_len) for ex in examples]
+    recall = candidate_recall(examples, lists)
     counts = [len(c) for c in lists]
     hist = Counter(c.length for cands in lists for c in cands)
-    print(f"examples\t{len(loaded.examples)}")
+    print(f"examples\t{len(examples)}")
     print(f"mode\t{args.mode}")
     print(f"recall\t{recall:.6f}")
     print(f"mean_candidates\t{np.mean(counts):.4f}")

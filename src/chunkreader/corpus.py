@@ -226,8 +226,10 @@ class EmbeddingTable:
 def load_embeddings(path, dim: int) -> EmbeddingTable:
     """Parse a text embedding file: `word v1 ... v_dim` per line.
 
-    A line whose field count disagrees with dim raises DataError citing the
-    line; a repeated word keeps its first vector.
+    A line whose field count disagrees with dim, or with a value that is
+    not a finite number (nan and inf parse as floats but would poison
+    every feature row of the word), raises DataError citing the line; a
+    repeated word keeps its first vector.
     """
     entries: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
@@ -244,6 +246,8 @@ def load_embeddings(path, dim: int) -> EmbeddingTable:
                 vec = np.array([float(v) for v in parts[1:]])
             except ValueError:
                 raise DataError(f"line {line_no}: non-numeric embedding value") from None
+            if not np.all(np.isfinite(vec)):
+                raise DataError(f"line {line_no}: non-finite embedding value")
             entries[word] = vec
     return EmbeddingTable(dim, entries)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics as nm
 from .chunker import CandidateChunk, PosPatternTrie, generate_candidates
-from .corpus import AnswerSpan, DataError, Example, Featurizer, detokenize
+from .corpus import AnswerSpan, Example, Featurizer, detokenize
 from .encoder import BiGruEncoder
 from .numerics import Tensor
 
@@ -30,6 +30,7 @@ __all__ = [
     "ModelConfig",
     "ChunkReaderModel",
     "ChunkScoreSet",
+    "Prediction",
     "attend",
     "chunk_repr",
     "question_repr",
@@ -58,17 +59,18 @@ class ModelConfig:
 
 @dataclass
 class ChunkScoreSet:
-    """Aligned candidates and their ranking probabilities (a simplex)."""
+    """Aligned candidates, their pre-softmax scores, and their ranking
+    probabilities (the softmax of the scores, a simplex)."""
 
     candidates: list[CandidateChunk]
     probabilities: Tensor
+    scores: Tensor
 
     def __post_init__(self):
         n = len(self.candidates)
-        if self.probabilities.data.shape != (n,):
-            raise ValueError(
-                f"{n} candidates but probability shape {self.probabilities.data.shape}"
-            )
+        for name, t in (("probability", self.probabilities), ("score", self.scores)):
+            if t.data.shape != (n,):
+                raise ValueError(f"{n} candidates but {name} shape {t.data.shape}")
         s = float(self.probabilities.data.sum())
         if abs(s - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {s!r}, not 1")
@@ -79,14 +81,36 @@ class ChunkScoreSet:
         return int(np.argmax(self.probabilities.data))
 
 
-def attend(passage_states: Tensor, question_states: Tensor, normalize: bool = False) -> Tensor:
+@dataclass(frozen=True)
+class Prediction:
+    """One example's answer, field for field the record `predict` writes.
+
+    An example that yields no candidates is answered with the empty string
+    and null start, end and probability; the empty answer scores as a miss.
+    """
+
+    id: str
+    answer: str
+    start: int | None = None
+    end: int | None = None
+    probability: float | None = None
+
+
+def attend(
+    passage_states: Tensor,
+    question_states: Tensor,
+    normalize: bool = False,
+    question_len: int | None = None,
+) -> Tensor:
     """Fuse each passage state with its question summary.
 
     For passage row j and question rows k: weight(j,k) is the raw inner
     product, the summary is the weight-pooled sum of question rows, and
     the output row is [passage_j ; summary_j], twice the input width.
     With normalize=True the weights of each row pass through a softmax
-    before pooling.
+    before pooling. Question rows at or past question_len are padding: a
+    zero padding row already gets weight 0, but the softmax would give it
+    mass, so the normalized path drops those rows first.
     """
     if passage_states.data.ndim != 2 or question_states.data.ndim != 2:
         raise nm.ShapeError("attend expects two state matrices")
@@ -96,6 +120,8 @@ def attend(passage_states: Tensor, question_states: Tensor, normalize: bool = Fa
         raise nm.ShapeError(
             f"state widths disagree: {passage_states.data.shape} vs {question_states.data.shape}"
         )
+    if normalize and question_len is not None and question_len < question_states.data.shape[0]:
+        question_states = nm.gather_rows(question_states, range(question_len))
     weights = nm.matmul(passage_states, nm.transpose(question_states))  # (T, K)
     if normalize:
         rows = [nm.softmax(nm.row(weights, t)) for t in range(weights.data.shape[0])]
@@ -154,11 +180,12 @@ def score_chunks(
         scores = _cosine_scores(chunk_reprs, question)
     else:
         raise ValueError(f"unknown scoring: {scoring!r}")
-    return ChunkScoreSet(list(candidates), nm.softmax(scores))
+    return ChunkScoreSet(list(candidates), nm.softmax(scores), scores)
 
 
 def nll_loss(score_set: ChunkScoreSet, gold: CandidateChunk) -> Tensor:
-    """Negative log probability of the gold span's candidate.
+    """Negative log probability of the gold span's candidate, computed from
+    the pre-softmax scores so that it stays finite for any finite scores.
 
     The gold span must be present in the candidate list; training filters
     out examples whose gold cannot be generated, so absence here is a bug.
@@ -171,7 +198,7 @@ def nll_loss(score_set: ChunkScoreSet, gold: CandidateChunk) -> Tensor:
             break
     if idx is None:
         raise LookupError(f"gold span {target} not among {len(score_set.candidates)} candidates")
-    return nm.scale(nm.log(nm.pick(score_set.probabilities, idx)), -1.0)
+    return nm.softmax_nll(score_set.scores, idx)
 
 
 class ChunkReaderModel:
@@ -240,23 +267,40 @@ class ChunkReaderModel:
 
         _, _, passage_ctx = self.shared_encoder.encode(Xp, passage_len)
         q_fwd, q_bwd, question_ctx = self.shared_encoder.encode(Xq, question_len)
-        fused = attend(passage_ctx, question_ctx, self.config.normalize_attention)
+        fused = attend(passage_ctx, question_ctx, self.config.normalize_attention, question_len)
         g_fwd, g_bwd, _ = self.attention_encoder.encode(fused, passage_len)
 
         reps = chunk_repr(g_fwd, g_bwd, candidates)
         qrep = question_repr(q_fwd, q_bwd, question_len)
         return score_chunks(reps, qrep, candidates, self.config.scoring)
 
-    def score_example(self, ex: Example, featurizer: Featurizer) -> ChunkScoreSet:
-        """Rank the candidates of one full-length example; an example that
-        yields no candidates raises DataError naming it."""
+    def score_example(self, ex: Example, featurizer: Featurizer) -> ChunkScoreSet | None:
+        """Rank the candidates of one full-length example; None when the
+        example yields no candidates."""
         candidates = self.candidates_for(ex.passage)
         if not candidates:
-            raise DataError(f"no candidates generated for example {ex.id!r}")
+            return None
         return self.forward(featurizer.passage_matrix(ex), featurizer.question_matrix(ex), candidates)
 
-    def predict_example(self, ex: Example, featurizer: Featurizer) -> AnswerSpan:
-        """Highest-probability candidate span for one example."""
+    def predict_example(self, ex: Example, featurizer: Featurizer) -> AnswerSpan | None:
+        """Highest-probability candidate span for one example; None when the
+        example yields no candidates."""
+        got = self.answer(ex, featurizer)
+        return None if got.start is None else AnswerSpan(got.start, got.end, got.answer)
+
+    def answer(self, ex: Example, featurizer: Featurizer) -> Prediction:
+        """The answer `predict`, `evaluate` and the dev loop give for one
+        example: the best candidate with its probability, or the empty
+        answer when the example yields no candidates."""
         scored = self.score_example(ex, featurizer)
-        best = scored.candidates[scored.best_index()]
-        return AnswerSpan(best.start, best.end, detokenize(ex.passage[best.start - 1 : best.end]))
+        if scored is None:
+            return Prediction(ex.id, "")
+        best = scored.best_index()
+        span = scored.candidates[best]
+        return Prediction(
+            ex.id,
+            detokenize(ex.passage[span.start - 1 : span.end]),
+            span.start,
+            span.end,
+            float(scored.probabilities.data[best]),
+        )

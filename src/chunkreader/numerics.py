@@ -37,14 +37,13 @@ __all__ = [
     "tanh",
     "concat",
     "softmax",
+    "softmax_nll",
     "dropout",
     "scale",
     "total",
-    "log",
     "sqrt",
     "div",
     "row",
-    "pick",
     "gather_rows",
     "stack_rows",
     "transpose",
@@ -316,6 +315,28 @@ def softmax(scores: Tensor) -> Tensor:
     return record(out, (scores,), backward_fn)
 
 
+def softmax_nll(scores: Tensor, index: int) -> Tensor:
+    """-log softmax(scores)[index] as a scalar, computed as
+    logsumexp(s) - s[index] from max-shifted scores, so it is finite for
+    any finite scores. Backward: softmax(s) - onehot(index)."""
+    x = scores.data
+    if x.ndim != 1 or x.size == 0:
+        raise ShapeError(f"softmax_nll needs a non-empty vector, got shape {x.shape}")
+    if not 0 <= index < x.size:
+        raise IndexError(f"index {index} out of range for shape {x.shape}")
+    shifted = x - x.max()
+    e = np.exp(shifted)
+    total_e = e.sum()
+    out = Tensor(np.log(total_e) - shifted[index])
+
+    def backward_fn(g):
+        grad = e / total_e
+        grad[index] -= 1.0
+        accumulate(scores, g * grad)
+
+    return record(out, (scores,), backward_fn)
+
+
 def dropout(a: Tensor, rate: float, rng: SeededRng, training: bool) -> Tensor:
     """Inverted dropout: de-activate with probability `rate` during training,
     scale survivors by 1/(1-rate), and act as the identity at inference."""
@@ -354,15 +375,6 @@ def total(a: Tensor) -> Tensor:
     return record(out, (a,), backward_fn)
 
 
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-
-    def backward_fn(g):
-        accumulate(a, g / a.data)
-
-    return record(out, (a,), backward_fn)
-
-
 def sqrt(a: Tensor) -> Tensor:
     y = np.sqrt(a.data)
     out = Tensor(y)
@@ -393,22 +405,6 @@ def row(a: Tensor, i: int) -> Tensor:
         raise ShapeError(f"row expects a matrix, got shape {a.data.shape}")
     if not 0 <= i < a.data.shape[0]:
         raise IndexError(f"row {i} out of range for shape {a.data.shape}")
-    out = Tensor(a.data[i])
-
-    def backward_fn(g):
-        buf = np.zeros_like(a.data)
-        buf[i] = g
-        accumulate(a, buf)
-
-    return record(out, (a,), backward_fn)
-
-
-def pick(a: Tensor, i: int) -> Tensor:
-    """Element i of a vector as a scalar tensor."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"pick expects a vector, got shape {a.data.shape}")
-    if not 0 <= i < a.data.shape[0]:
-        raise IndexError(f"index {i} out of range for shape {a.data.shape}")
     out = Tensor(a.data[i])
 
     def backward_fn(g):

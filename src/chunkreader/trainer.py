@@ -364,18 +364,19 @@ def train(
     config: TrainConfig,
     log_path=None,
     checkpoint_path=None,
-    initialize: bool = True,
     echo=None,
 ) -> TrainResult:
     """Run the full optimization loop and return the best-epoch summary.
 
     Each epoch: curriculum batches -> mean batch NLL -> backward -> global
     clip -> ADAM, then exact-match on the dev set (full-length passages,
-    no dropout). Training stops at max_epochs or once dev EM has gone
-    `patience` consecutive epochs without a strict improvement. The best
-    checkpoint and the log are written when paths are given; the persisted
-    log carries only run-reproducible columns (epoch, loss, EM, F1), and
-    wall-clock seconds go to `echo` (default stderr) for humans.
+    no dropout). A step whose gradient norm is not finite makes no update
+    and is counted in stats["skipped_steps"]. Training stops at max_epochs
+    or once dev EM has gone `patience` consecutive epochs without a strict
+    improvement. The best checkpoint and the log are written when paths
+    are given; the persisted log carries only run-reproducible columns
+    (epoch, loss, EM, F1), and wall-clock seconds go to `echo` (default
+    stderr) for humans.
     """
     from .checkpoint import save_checkpoint  # local import: cycle with model
 
@@ -388,6 +389,7 @@ def train(
         "dropped_by_truncation": dropped_truncation,
         "dropped_by_candidate_filter": dropped_filter,
         "trainable": len(prepared),
+        "skipped_steps": 0,
     }
     if not prepared:
         raise ValueError(
@@ -398,8 +400,7 @@ def train(
         )
 
     rng = SeededRng(config.seed)
-    if initialize:
-        init_parameters(model, rng, config.init_range)
+    init_parameters(model, rng, config.init_range)
     params = model.parameters()
     state = AdamState(params)
 
@@ -421,12 +422,15 @@ def train(
                 tape.backward(loss)
             loss_sum += float(loss.data) * len(batch)
             grads = {k: p.grad for k, p in params.items()}
-            clip_gradients([g for g in grads.values() if g is not None], config.clip_norm)
+            norm = clip_gradients([g for g in grads.values() if g is not None], config.clip_norm)
+            if not np.isfinite(norm):  # a NaN/inf gradient must never reach the parameters
+                stats["skipped_steps"] += 1
+                continue
             adam_step(params, grads, state, config.learning_rate)
         mean_loss = loss_sum / len(prepared)
         train_losses.append(mean_loss)
 
-        predictions = {ex.id: model.predict_example(ex, featurizer).text for ex in dev_examples}
+        predictions = {ex.id: model.answer(ex, featurizer).answer for ex in dev_examples}
         report = evaluate(predictions, dev_examples)
         line = f"{epoch + 1}\t{mean_loss:.10f}\t{report.em:.6f}\t{report.f1:.6f}"
         log_lines.append(line)

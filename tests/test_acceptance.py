@@ -216,7 +216,7 @@ def test_gate_model_invariants():
         rest = (1.0 - 2 * peak) / (n - 2) if n > 2 else 0.0
         probs = np.full(n, rest)
         probs[tied] = peak
-        scored = ChunkScoreSet(candidates, nm.tensor(probs))
+        scored = ChunkScoreSet(candidates, nm.tensor(probs), nm.tensor(np.log(probs)))
         assert scored.best_index() == tied[0]
 
 

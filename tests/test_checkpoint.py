@@ -141,3 +141,14 @@ def test_inventories_roundtrip_exactly(tmp_path):
     loaded = ckpt.load_checkpoint(path)
     assert loaded.config.pos_tags == ("A", "B")
     assert loaded.config.ne_tags == ("O",)
+
+
+def test_trie_checkpoint_requires_depth_cap(tmp_path):
+    path = tmp_path / "trie.ckpt"
+    ckpt.save_checkpoint(seeded_model(seed=10, candidate_mode="trie"), path)
+    raw = path.read_bytes()
+    assert b"trie_depth_cap 10" in raw
+    # same byte count, so the declared manifest length still holds
+    path.write_bytes(raw.replace(b"trie_depth_cap 10", b"xrie_depth_cap 10", 1))
+    with pytest.raises(ckpt.CheckpointError, match="trie_depth_cap"):
+        ckpt.load_checkpoint(path)

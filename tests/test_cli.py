@@ -2,7 +2,6 @@
 formats, seed precedence, and rerun determinism."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -61,7 +60,6 @@ def train_args(paths, **extra):
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
     """Synthetic corpus on disk plus one trained checkpoint."""
-    os.environ.pop(cli.SEED_ENV_VAR, None)
     root = tmp_path_factory.mktemp("cliworld")
     spec = SyntheticSpec(
         n_examples=12, seed=3, passage_len=(7, 10), answer_len=(1, 2), embedding_dim=8
@@ -84,11 +82,6 @@ def world(tmp_path_factory):
     return paths
 
 
-@pytest.fixture()
-def no_seed_env(monkeypatch):
-    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-
-
 # ---------------------------------------------------------------------------
 # train
 
@@ -107,7 +100,7 @@ def test_train_writes_checkpoint_and_log(world):
         float(cols[1])
 
 
-def test_train_prints_stats_line(world, tmp_path, capsys, no_seed_env):
+def test_train_prints_stats_line(world, tmp_path, capsys):
     paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
     assert cli.main(train_args(paths)) == 0
     err = capsys.readouterr().err
@@ -116,9 +109,11 @@ def test_train_prints_stats_line(world, tmp_path, capsys, no_seed_env):
     stats = dict(item.split("=") for item in lines[0][len("train stats: "):].split(" "))
     assert set(stats) == {
         "train_examples", "dropped_by_truncation", "dropped_by_candidate_filter", "trainable",
+        "skipped_steps",
     }
     counts = {k: int(v) for k, v in stats.items()}
     assert counts["train_examples"] == 8
+    assert counts["skipped_steps"] == 0
     assert counts["train_examples"] == (
         counts["dropped_by_truncation"] + counts["dropped_by_candidate_filter"] + counts["trainable"]
     )
@@ -127,13 +122,13 @@ def test_train_prints_stats_line(world, tmp_path, capsys, no_seed_env):
         assert fh.read() == ref.read()
 
 
-def test_train_missing_dataset_exits_two_naming_path(world, capsys, tmp_path, no_seed_env):
+def test_train_missing_dataset_exits_two_naming_path(world, capsys, tmp_path):
     paths = dict(world, train=str(tmp_path / "absent.jsonl"))
     assert cli.main(train_args(paths)) == 2
     assert "absent.jsonl" in capsys.readouterr().err
 
 
-def test_train_unknown_config_key_exits_one(world, tmp_path, capsys, no_seed_env):
+def test_train_unknown_config_key_exits_one(world, tmp_path, capsys):
     paths = dict(
         world,
         config=write_config(tmp_path / "bad.txt", "hidden_size 4\nwibble 3\n"),
@@ -144,13 +139,13 @@ def test_train_unknown_config_key_exits_one(world, tmp_path, capsys, no_seed_env
     assert "wibble" in capsys.readouterr().err
 
 
-def test_train_malformed_set_flag_exits_one(world, tmp_path, no_seed_env):
+def test_train_malformed_set_flag_exits_one(world, tmp_path):
     paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
     assert cli.main(train_args(paths, set="nonsense")) == 1
     assert cli.main(train_args(paths, set="bogus_key=3")) == 1
 
 
-def test_train_without_config_uses_set_overrides(world, tmp_path, no_seed_env):
+def test_train_without_config_uses_set_overrides(world, tmp_path):
     args = [
         "train",
         "--train", world["train"],
@@ -167,7 +162,7 @@ def test_train_without_config_uses_set_overrides(world, tmp_path, no_seed_env):
     assert load_checkpoint(str(tmp_path / "m.ckpt")).config.hidden_size == 3
 
 
-def run_train_variant(world, tmp_path, tag, config_text=None, env_seed=None, flag_seed=None):
+def run_train_variant(world, tmp_path, tag, config_text=None, **extra):
     paths = dict(
         world,
         checkpoint=str(tmp_path / f"{tag}.ckpt"),
@@ -175,39 +170,22 @@ def run_train_variant(world, tmp_path, tag, config_text=None, env_seed=None, fla
     )
     if config_text is not None:
         paths["config"] = write_config(tmp_path / f"{tag}.cfg", config_text)
-    if env_seed is not None:
-        os.environ[cli.SEED_ENV_VAR] = str(env_seed)
-    else:
-        os.environ.pop(cli.SEED_ENV_VAR, None)
-    try:
-        extra = {"seed": flag_seed} if flag_seed is not None else {}
-        assert cli.main(train_args(paths, **extra)) == 0
-    finally:
-        os.environ.pop(cli.SEED_ENV_VAR, None)
+    assert cli.main(train_args(paths, **extra)) == 0
     with open(paths["log"], "rb") as fh:
         return fh.read()
 
 
-def test_seed_flag_beats_env_and_config(world, tmp_path, no_seed_env):
-    # config says 7, env says 9, flag says 11; the flag must win
-    observed = run_train_variant(world, tmp_path, "flagged", env_seed=9, flag_seed=11)
+def test_seed_flag_beats_config(world, tmp_path):
+    # config says 7, --set says 9, flag says 11; the flag must win
+    observed = run_train_variant(world, tmp_path, "flagged", set="seed=9", seed=11)
     reference = run_train_variant(
         world, tmp_path, "direct11", config_text=CONFIG_TEXT.replace("seed 7", "seed 11")
     )
     assert observed == reference
+    assert observed != run_train_variant(world, tmp_path, "plain")
 
 
-def test_seed_env_beats_config(world, tmp_path, no_seed_env):
-    observed = run_train_variant(world, tmp_path, "env9", env_seed=9)
-    reference = run_train_variant(
-        world, tmp_path, "direct9", config_text=CONFIG_TEXT.replace("seed 7", "seed 9")
-    )
-    assert observed == reference
-    baseline = run_train_variant(world, tmp_path, "plain")
-    assert observed != baseline
-
-
-def test_train_rerun_is_byte_identical(world, tmp_path, no_seed_env):
+def test_train_rerun_is_byte_identical(world, tmp_path):
     logs = []
     checkpoints = []
     for tag in ("one", "two"):
@@ -327,6 +305,12 @@ def test_predict_skips_empty_passage_or_question(world, tmp_path, capsys, side):
         (b"hidden_size 4", b"hidden_size x"),
         (b"candidate_mode window", b"candidate_mode wibble"),
         (b"precision float64", b"precision \xff\xfeat64"),
+        # same-length edits: a bad flag, then each saved setting renamed away
+        (b"normalize_attention 0", b"normalize_attention x"),
+        (b"candidate_mode window", b"xandidate_mode window"),
+        (b"max_chunk_len 3", b"xax_chunk_len 3"),
+        (b"scoring dot", b"xcoring dot"),
+        (b"normalize_attention 0", b"xormalize_attention 0"),
     ],
 )
 def test_predict_malformed_checkpoint_exits_two_with_one_line(world, tmp_path, capsys, old, new):
@@ -339,6 +323,85 @@ def test_predict_malformed_checkpoint_exits_two_with_one_line(world, tmp_path, c
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+def test_no_candidate_example_is_answered_empty(tmp_path, capsys):
+    # in trie mode, dev passages syn12 and syn13 match no trained pattern
+    examples, table = generate(SyntheticSpec(n_examples=14, seed=1))
+    paths = {
+        "train": str(tmp_path / "train.jsonl"),
+        "dev": str(tmp_path / "dev.jsonl"),
+        "emb": str(tmp_path / "emb.txt"),
+        "config": write_config(tmp_path / "config.txt"),
+        "checkpoint": str(tmp_path / "model.ckpt"),
+        "log": str(tmp_path / "train.log"),
+    }
+    write_dataset_jsonl(examples[:10], paths["train"])
+    write_dataset_jsonl(examples[10:], paths["dev"])
+    write_embeddings_file(table, paths["emb"])
+    assert cli.main(train_args(paths, set="candidate_mode=trie")) == 0
+    with open(paths["log"], encoding="utf-8") as fh:
+        assert len(fh.read().splitlines()) == 2
+    out = str(tmp_path / "pred.jsonl")
+    assert cli.main(predict_args(paths, out)) == 0
+    with open(out, encoding="utf-8") as fh:
+        records = {r["id"]: r for r in map(json.loads, fh)}
+    assert list(records) == [ex.id for ex in examples[10:]]
+    assert records["syn12"] == {
+        "id": "syn12", "answer": "", "start": None, "end": None, "probability": None,
+    }
+    assert cli.main([
+        "evaluate", "--data", paths["dev"],
+        "--checkpoint", paths["checkpoint"], "--embeddings", paths["emb"],
+    ]) == 0
+    assert "examples\t4" in capsys.readouterr().out
+
+
+def _records_with_drops(world, path, keep_rest):
+    """The dev file with an empty passage on line 1 and an empty question on
+    line 2; without keep_rest, those two records are all it holds."""
+    with open(world["dev"], encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    records[0].update(passage=[], answers=[])
+    records[1].update(question=[], answers=[])
+    if not keep_rest:
+        records = records[:2]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return str(path)
+
+
+def _args_reading(command, data, world, tmp_path):
+    """Arguments for `command` with `data` as the dataset under test."""
+    if command == "train":
+        return train_args(dict(
+            world, train=data, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"),
+        ))
+    if command == "predict":
+        return predict_args(dict(world, dev=data), str(tmp_path / "p.jsonl"))
+    if command == "evaluate":
+        return [
+            "evaluate", "--data", data,
+            "--checkpoint", world["checkpoint"], "--embeddings", world["emb"],
+        ]
+    return ["chunk-stats", "--data", world["dev"], "--mode", "trie", "--trie-data", data]
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate", "chunk-stats"])
+def test_dropped_records_reported_and_empty_set_exits_two(world, tmp_path, capsys, command):
+    some = _records_with_drops(world, tmp_path / "some.jsonl", keep_rest=True)
+    assert cli.main(_args_reading(command, some, world, tmp_path)) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert f"{some}: dropped line 1: empty passage" in err
+    assert f"{some}: dropped line 2: empty question" in err
+
+    none = _records_with_drops(world, tmp_path / "none.jsonl", keep_rest=False)
+    assert cli.main(_args_reading(command, none, world, tmp_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == [
+        f"{none}: dropped line 1: empty passage",
+        f"{none}: dropped line 2: empty question",
+    ]
+    assert err[-1] == f"data error: no usable examples in {none}"
 
 
 # ---------------------------------------------------------------------------

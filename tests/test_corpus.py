@@ -198,6 +198,14 @@ def test_load_embeddings_field_count_error(tmp_path):
         corpus.load_embeddings(path, dim=2)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_load_embeddings_non_finite_value_cites_line(tmp_path, value):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"cat 1.0 2.0\na {value} 1.0\n")
+    with pytest.raises(corpus.DataError, match="line 2.*non-finite"):
+        corpus.load_embeddings(path, dim=2)
+
+
 def test_lookup_falls_back_to_lowercase_then_zero():
     table = corpus.EmbeddingTable(2, {"cat": np.array([1.0, 2.0])})
     assert np.allclose(table.lookup("Cat"), [1.0, 2.0])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chunkreader import model as M, numerics as nm
 from chunkreader.chunker import CandidateChunk, PosPatternTrie
-from chunkreader.corpus import DataError, Featurizer
+from chunkreader.corpus import Featurizer
 from helpers import make_example, toy_embedding_table
 
 
@@ -278,6 +278,18 @@ def test_nll_gold_missing_raises():
         M.nll_loss(scored, CandidateChunk(2, 3))
 
 
+def test_nll_finite_when_gold_probability_underflows():
+    # softmax([800, 0])[1] underflows to 0, so -log(p) would be inf with
+    # NaN gradients; computed from the scores it is 800 with finite ones
+    reps = nm.parameter(np.array([[800.0], [0.0]]))
+    cands = [CandidateChunk(1, 1), CandidateChunk(2, 2)]
+    with nm.Tape() as tape:
+        loss = M.nll_loss(M.score_chunks(reps, nm.tensor(np.ones(1)), cands), CandidateChunk(2, 2))
+        tape.backward(loss)
+    assert loss.item() == pytest.approx(800.0)
+    assert np.array_equal(reps.grad, [[1.0], [-1.0]])
+
+
 def test_nll_gradients_five_candidates():
     rng = np.random.default_rng(14)
     reps = nm.parameter(rng.normal(size=(5, 6)))
@@ -323,12 +335,15 @@ def test_property_score_shift_invariance(seed, shift):
 
 def test_scoreset_validates_alignment_and_mass():
     good = nm.tensor(np.array([0.25, 0.75]))
-    M.ChunkScoreSet([CandidateChunk(1, 1), CandidateChunk(2, 2)], good)
+    scores = nm.tensor(np.log(good.data))
+    M.ChunkScoreSet([CandidateChunk(1, 1), CandidateChunk(2, 2)], good, scores)
     with pytest.raises(ValueError):
-        M.ChunkScoreSet([CandidateChunk(1, 1)], good)
+        M.ChunkScoreSet([CandidateChunk(1, 1)], good, scores)
+    with pytest.raises(ValueError):
+        M.ChunkScoreSet([CandidateChunk(1, 1), CandidateChunk(2, 2)], good, nm.tensor(np.zeros(3)))
     with pytest.raises(ValueError):
         M.ChunkScoreSet(
-            [CandidateChunk(1, 1), CandidateChunk(2, 2)], nm.tensor(np.array([0.5, 0.6]))
+            [CandidateChunk(1, 1), CandidateChunk(2, 2)], nm.tensor(np.array([0.5, 0.6])), scores
         )
 
 
@@ -374,22 +389,24 @@ def test_forward_rejects_candidate_beyond_length():
 
 
 def test_forward_padding_invariance():
-    # zero-padding the feature blocks must not change the scores
+    # zero-padding the feature blocks must not change the scores, with raw
+    # and with normalized attention (training pads questions per batch)
     ex, table = example_fixture()
-    m = toy_model(seed=2)
-    fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
-    P = fz.passage_matrix(ex)
-    Q = fz.question_matrix(ex)
-    cands = m.candidates_for(ex.passage)
-    plain = m.forward(P, Q, cands)
-    padded = m.forward(
-        np.vstack([P, np.zeros((2, P.shape[1]))]),
-        np.vstack([Q, np.zeros((3, Q.shape[1]))]),
-        cands,
-        passage_len=P.shape[0],
-        question_len=Q.shape[0],
-    )
-    assert np.allclose(plain.probabilities.data, padded.probabilities.data, atol=1e-12)
+    for normalize in (False, True):
+        m = toy_model(seed=2, normalize_attention=normalize)
+        fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
+        P = fz.passage_matrix(ex)
+        Q = fz.question_matrix(ex)
+        cands = m.candidates_for(ex.passage)
+        plain = m.forward(P, Q, cands)
+        padded = m.forward(
+            np.vstack([P, np.zeros((2, P.shape[1]))]),
+            np.vstack([Q, np.zeros((3, Q.shape[1]))]),
+            cands,
+            passage_len=P.shape[0],
+            question_len=Q.shape[0],
+        )
+        assert np.allclose(plain.probabilities.data, padded.probabilities.data, atol=1e-12), normalize
 
 
 def test_predict_single_candidate():
@@ -409,14 +426,14 @@ def test_predict_tie_breaks_to_earliest_span():
 
 
 def test_predict_no_candidates_names_example():
+    # no candidate is no answer: the empty string, which scores as a miss
     ex, table = example_fixture()
     empty_trie = PosPatternTrie()
     m = M.ChunkReaderModel(toy_config(candidate_mode="trie"), trie=empty_trie)
     fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
-    with pytest.raises(DataError, match="ex1"):
-        m.predict_example(ex, fz)
-    with pytest.raises(DataError, match="ex1"):
-        m.score_example(ex, fz)
+    assert m.score_example(ex, fz) is None
+    assert m.predict_example(ex, fz) is None
+    assert m.answer(ex, fz) == M.Prediction("ex1", "", None, None, None)
 
 
 def test_predict_is_argmax_consistent():
@@ -425,6 +442,9 @@ def test_predict_is_argmax_consistent():
     fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
     span = m.predict_example(ex, fz)
     scored = m.forward(fz.passage_matrix(ex), fz.question_matrix(ex), m.candidates_for(ex.passage))
+    assert m.answer(ex, fz) == M.Prediction(
+        ex.id, span.text, span.start, span.end, float(scored.probabilities.data[scored.best_index()])
+    )
     best = scored.probabilities.data[scored.best_index()]
     assert np.all(best >= scored.probabilities.data - 1e-15)
     assert (span.start, span.end) == (

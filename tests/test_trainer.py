@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chunkreader import numerics as nm, trainer as tr
 from chunkreader.chunker import CandidateChunk, enumerate_candidates
-from chunkreader.corpus import Featurizer
+from chunkreader.corpus import EmbeddingTable, Featurizer
 from chunkreader.model import ChunkReaderModel, ModelConfig
 from chunkreader.synthetic import SyntheticSpec, generate
 from helpers import make_example
@@ -427,3 +427,19 @@ def test_train_stats_surface_filtering():
     assert result.stats["trainable"] == 6
     assert result.stats["dropped_by_truncation"] == 0
     assert result.stats["dropped_by_candidate_filter"] == 0
+
+
+def test_train_skips_non_finite_steps():
+    # one word's vector is NaN, so every batch holding example 0 has a NaN
+    # loss and gradient; those steps must leave the parameters untouched
+    model, fz, examples = tiny_setup(n=6, seed=6)
+    others = {t.surface.lower() for ex in examples[1:] for t in ex.passage + ex.question}
+    word = next(t.surface.lower() for t in examples[0].passage if t.surface.lower() not in others)
+    entries = dict(fz.table.entries, **{word: np.full(fz.table.dim, np.nan)})
+    fz = Featurizer(EmbeddingTable(fz.table.dim, entries), fz.pos_tags, fz.ne_tags)
+    cfg = tiny_config(max_epochs=3, batch_size=4, patience=3)
+    result = tr.train(model, fz, examples, examples[1:], cfg, echo=lambda s: None)
+    assert result.epochs_run == 3
+    assert result.stats["skipped_steps"] == 3  # one batch of two per epoch
+    for name, p in model.parameters().items():
+        assert np.all(np.isfinite(p.data)), name
