@@ -10,7 +10,8 @@ Layout of a checkpoint file:
 The manifest pins everything needed to rebuild the model object: sizes,
 candidate mode, scoring flags, tag inventories, learned trie patterns
 (when the trie mode is active), and the name and shape of every parameter
-tensor. Saving the same model twice produces identical bytes.
+tensor. Saving the same model twice produces identical bytes. Loading
+rejects a manifest key it does not know or a setting given twice.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ from .model import ChunkReaderModel, ModelConfig
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
 _MAGIC = "chunkreader-checkpoint 1"
+# manifest keys holding one value each; every other line is a tag list,
+# a trie pattern or a parameter
+_REQUIRED_KEYS = (
+    "format_version", "precision", "hidden_size", "embedding_dim",
+    "candidate_mode", "max_chunk_len", "scoring", "normalize_attention",
+)
+_SCALAR_KEYS = _REQUIRED_KEYS + ("trie_depth_cap",)  # the cap only in trie mode
 
 
 class CheckpointError(ValueError):
@@ -76,8 +84,8 @@ def _decode(raw: bytes, what: str) -> str:
 
 
 def _int(text: str, what: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise CheckpointError(f"{what} must be a non-negative integer, got {text!r}")
+    if not (text.isascii() and text.isdigit() and len(text) <= 18):
+        raise CheckpointError(f"{what} must be a non-negative integer below 10**18, got {text[:40]!r}")
     return int(text)
 
 
@@ -120,18 +128,20 @@ def load_checkpoint(path) -> ChunkReaderModel:
                 if len(fields) < 3:
                     raise CheckpointError(f"malformed param line: {line!r}")
                 params.append((fields[1], tuple(_int(d, f"{fields[1]} shape") for d in fields[2:])))
+            elif key in scalars:
+                raise CheckpointError(f"manifest repeats {key!r}")
             else:
                 scalars[key] = " ".join(fields[1:])
 
-        required = [
-            "format_version", "precision", "hidden_size", "embedding_dim",
-            "candidate_mode", "max_chunk_len", "scoring", "normalize_attention",
-        ]
+        required = list(_REQUIRED_KEYS)
         if scalars.get("candidate_mode") == "trie":
             required.append("trie_depth_cap")
         for key in required:
             if key not in scalars:
                 raise CheckpointError(f"manifest missing {key}")
+        for key in scalars:
+            if key not in _SCALAR_KEYS:
+                raise CheckpointError(f"unknown manifest key {key!r}")
         if scalars["format_version"] != "1":
             raise CheckpointError(f"unsupported format version {scalars['format_version']}")
         if scalars["precision"] != "float64":
@@ -158,7 +168,7 @@ def load_checkpoint(path) -> ChunkReaderModel:
                 for count, pattern in trie_patterns:
                     trie.insert(pattern, count)
             model = ChunkReaderModel(config, trie)
-        except ValueError as exc:  # settings no model accepts
+        except (ValueError, MemoryError) as exc:  # settings no model accepts or fits
             raise CheckpointError(f"invalid model settings: {exc}") from None
 
         expected = model.parameters()

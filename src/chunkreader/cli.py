@@ -34,6 +34,7 @@ from .corpus import (
     build_tag_inventories,
     load_dataset,
     load_embeddings,
+    text_lines,
 )
 from .evaluator import breakdown_by_answer_length, breakdown_by_head_word, evaluate
 from .model import ChunkReaderModel, ModelConfig, nll_loss
@@ -112,8 +113,9 @@ def _load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
     """The embedding table of one file, its width read off the first line;
     expected_dim, when given, is the width a loaded checkpoint was built for."""
     _require_file(path, "embedding file")
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
+    lines = text_lines(path)
+    _, first = next(lines, (0, ""))
+    lines.close()
     if not first.strip():
         raise DataError(f"embedding file is empty: {path}")
     table = load_embeddings(path, len(first.rstrip("\n").split(" ")) - 1)
@@ -199,18 +201,17 @@ def cmd_predict(args) -> int:
 def _read_predictions_file(path) -> dict[str, str]:
     _require_file(path, "predictions file")
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise DataError(f"line {line_no}: invalid JSON in predictions file") from None
-            if "id" not in obj or "answer" not in obj:
-                raise DataError(f"line {line_no}: prediction needs id and answer")
-            out[str(obj["id"])] = str(obj["answer"])
+    for line_no, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):  # bad syntax or beyond the parser's limits
+            raise DataError(f"line {line_no}: invalid JSON in predictions file") from None
+        if not isinstance(obj, dict) or "id" not in obj or "answer" not in obj:
+            raise DataError(f"line {line_no}: prediction needs id and answer")
+        out[str(obj["id"])] = str(obj["answer"])
     return out
 
 

@@ -12,6 +12,7 @@ All structures are immutable after load and safe to share across workers.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -27,6 +28,7 @@ __all__ = [
     "Featurizer",
     "load_dataset",
     "load_embeddings",
+    "text_lines",
     "build_tag_inventories",
     "detokenize",
 ]
@@ -88,6 +90,22 @@ class LoadResult:
 
     def __len__(self):
         return len(self.examples)
+
+
+# bytes that are not UTF-8 decode to these lone surrogates under the
+# "surrogateescape" handler, and text that is UTF-8 never holds them
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def text_lines(path):
+    """Yield (line number, line) over a UTF-8 text file, 1-based, with
+    universal newlines; a line holding bytes that are not UTF-8 raises
+    DataError citing it."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii() and _UNDECODABLE.search(line):
+                raise DataError(f"line {line_no}: not valid UTF-8")
+            yield line_no, line
 
 
 def detokenize(tokens: Sequence[AnnotatedToken]) -> str:
@@ -152,48 +170,50 @@ def _validate_example(
 def load_dataset(path) -> LoadResult:
     """Read examples from a JSONL file, one object per line.
 
-    Schema violations (bad JSON, missing keys, wrong types, including a
-    non-integer span bound or token offset) raise DataError citing the
-    line. Content violations (empty passage or question, span out of range,
-    span text not matching the tokens, empty surfaces) drop the record and
-    log the reason in LoadResult.dropped instead of failing the whole load.
+    Schema violations (bad JSON, bytes that are not UTF-8, missing keys,
+    wrong types, including a non-integer span bound or token offset) raise
+    DataError citing the line. Content violations (empty passage or
+    question, span out of range, span text not matching the tokens, empty
+    surfaces) drop the record and log the reason in LoadResult.dropped
+    instead of failing the whole load.
     """
     examples: list[Example] = []
     dropped: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {line_no}: invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"line {line_no}: record is not an object")
-            for key in ("id", "passage", "question", "answers"):
-                if key not in obj:
-                    raise DataError(f"line {line_no}: record missing key {key!r}")
-            if not isinstance(obj["passage"], list) or not isinstance(obj["question"], list):
-                raise DataError(f"line {line_no}: passage/question must be arrays")
-            passage = [_parse_token(t, line_no, "passage") for t in obj["passage"]]
-            question = [_parse_token(t, line_no, "question") for t in obj["question"]]
-            raw_answers = []
-            if not isinstance(obj["answers"], list):
-                raise DataError(f"line {line_no}: answers must be an array")
-            for a in obj["answers"]:
-                if not isinstance(a, dict) or not {"start", "end", "text"} <= a.keys():
-                    raise DataError(f"line {line_no}: answer missing start/end/text")
-                raw_answers.append((
-                    _json_int(a["start"], line_no, "answer start"),
-                    _json_int(a["end"], line_no, "answer end"),
-                    str(a["text"]),
-                ))
-            got = _validate_example(str(obj["id"]), passage, question, raw_answers, line_no)
-            if isinstance(got, str):
-                dropped.append((line_no, got))
-            else:
-                examples.append(got)
+    for line_no, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"line {line_no}: invalid JSON: {exc.msg}") from None
+        except (ValueError, RecursionError):  # an integer too long, nesting too deep
+            raise DataError(f"line {line_no}: invalid JSON: beyond the parser's limits") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"line {line_no}: record is not an object")
+        for key in ("id", "passage", "question", "answers"):
+            if key not in obj:
+                raise DataError(f"line {line_no}: record missing key {key!r}")
+        if not isinstance(obj["passage"], list) or not isinstance(obj["question"], list):
+            raise DataError(f"line {line_no}: passage/question must be arrays")
+        passage = [_parse_token(t, line_no, "passage") for t in obj["passage"]]
+        question = [_parse_token(t, line_no, "question") for t in obj["question"]]
+        raw_answers = []
+        if not isinstance(obj["answers"], list):
+            raise DataError(f"line {line_no}: answers must be an array")
+        for a in obj["answers"]:
+            if not isinstance(a, dict) or not {"start", "end", "text"} <= a.keys():
+                raise DataError(f"line {line_no}: answer missing start/end/text")
+            raw_answers.append((
+                _json_int(a["start"], line_no, "answer start"),
+                _json_int(a["end"], line_no, "answer end"),
+                str(a["text"]),
+            ))
+        got = _validate_example(str(obj["id"]), passage, question, raw_answers, line_no)
+        if isinstance(got, str):
+            dropped.append((line_no, got))
+        else:
+            examples.append(got)
     return LoadResult(examples, dropped)
 
 
@@ -232,23 +252,22 @@ def load_embeddings(path, dim: int) -> EmbeddingTable:
     repeated word keeps its first vector.
     """
     entries: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise DataError(
-                    f"line {line_no}: expected word + {dim} values, got {len(parts)} fields"
-                )
-            word = parts[0]
-            if word in entries:
-                continue
-            try:
-                vec = np.array([float(v) for v in parts[1:]])
-            except ValueError:
-                raise DataError(f"line {line_no}: non-numeric embedding value") from None
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"line {line_no}: non-finite embedding value")
-            entries[word] = vec
+    for line_no, line in text_lines(path):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) != dim + 1:
+            raise DataError(
+                f"line {line_no}: expected word + {dim} values, got {len(parts)} fields"
+            )
+        word = parts[0]
+        if word in entries:
+            continue
+        try:
+            vec = np.array([float(v) for v in parts[1:]])
+        except ValueError:
+            raise DataError(f"line {line_no}: non-numeric embedding value") from None
+        if not np.all(np.isfinite(vec)):
+            raise DataError(f"line {line_no}: non-finite embedding value")
+        entries[word] = vec
     return EmbeddingTable(dim, entries)
 
 

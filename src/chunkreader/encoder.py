@@ -12,21 +12,59 @@ The bi-directional encoder runs one cell left-to-right and an independent
 cell right-to-left, both from a zero initial state, and concatenates the
 two state sequences per position.
 
+One pass of a cell over a sequence is a single tape node (`GruCell.run`).
+Its forward (`GruCell.scan`) projects the whole (T, n_in) input through
+W_r, W_u and W with three GEMMs before the loop; each step then does the
+vector-matrix products h U_r, h U_u and (r * h) U. No weight matrix is
+copied or concatenated: a copy of [U_r|U_u] for one wider product saves
+no time and raises peak memory. When the node is recorded, the forward
+keeps, for step k of n, r_k, u_k and hbar_k, and after the loop gathers
+the states before each step, h_prev_k, from its output; each is an
+(n, d) array. An unrecorded (inference) call keeps nothing. The backward (`GruCell.backprop`) walks the steps in reverse,
+with dh the gradient reaching h'_k (its upstream row plus the carry from
+step k+1):
+
+    g_c = dh * u * (1 - hbar^2)                      pre-tanh gradient
+    g_u = dh * (hbar - h_prev) * u * (1 - u)         pre-sigmoid, update
+    e   = g_c U^T
+    g_r = e * h_prev * r * (1 - r)                   pre-sigmoid, reset
+    dh_prev = dh * (1 - u) + e * r + g_r U_r^T + g_u U_u^T
+
+It stores the pre-activation gradients G = [g_r|g_u|g_c] (n, 3d), and
+after the loop forms every weight gradient as one GEMM: dW_* = X_s^T G_*
+over the stepped input rows X_s, d[U_r|U_u] = H_prev^T [G_r|G_u],
+dU = (R * H_prev)^T G_c, and dX_s = sum_* G_* W_*^T.
+
 Padding contract: positions at or beyond the true length produce all-zero
-output rows and leave the recurrent state untouched, so downstream
-consumers can batch variable-length sequences with trailing zero pads.
+output rows, leave the recurrent state untouched and receive no gradient,
+so downstream consumers can batch variable-length sequences with trailing
+zero pads.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor
 
-__all__ = ["GruCell", "BiGruEncoder"]
+__all__ = ["GruCell", "BiGruEncoder", "StepStates"]
 
 _CELL_FIELDS = ("W_r", "W_u", "W", "U_r", "U_u", "U")
+
+
+class StepStates(NamedTuple):
+    """What one scan keeps for its backward, one row per step in step
+    order: the input row index and the state before the step, plus the
+    reset gate, update gate and candidate state the step computed."""
+
+    index: np.ndarray  # (n,) rows of X, in step order
+    h_prev: np.ndarray  # (n, d)
+    r: np.ndarray  # (n, d)
+    u: np.ndarray  # (n, d)
+    hbar: np.ndarray  # (n, d)
 
 
 class GruCell:
@@ -49,22 +87,114 @@ class GruCell:
         """Name -> tensor, in a fixed order shared by init and checkpoints."""
         return {f"{self.name}.{f}": getattr(self, f) for f in _CELL_FIELDS}
 
-    def input_projections(self, X: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Project a whole (T, n_in) input block through W_r, W_u, W at once;
-        per-step work is then only the hidden-to-hidden matmuls."""
-        return nm.matmul(X, self.W_r), nm.matmul(X, self.W_u), nm.matmul(X, self.W)
+    def run(self, X: Tensor, positions: Sequence[int]) -> Tensor:
+        """Step from a zero state over the rows of the (T, n_in) block X at
+        `positions`, in that order; returns the (T, d) states, a zero row
+        wherever the cell did not step. One tape node."""
+        Xd = X.data
+        if Xd.ndim != 2 or Xd.shape[1] != self.n_in:
+            raise nm.ShapeError(f"{self.name}: expected (T, {self.n_in}) input, got {Xd.shape}")
+        index = np.asarray(positions, dtype=np.intp)
+        if index.size and (index.min() < 0 or index.max() >= Xd.shape[0]):
+            raise IndexError(f"{self.name}: positions out of range for {Xd.shape[0]} rows")
+        params = [getattr(self, f) for f in _CELL_FIELDS]
+        taped = nm.recording([X] + params)
+        H, states = self.scan(Xd, index, keep=taped)
+        out = Tensor(H)
+        if not taped:
+            return out
 
-    def step_from_proj(
-        self, xr: Tensor, xu: Tensor, xc: Tensor, h: Tensor
-    ) -> tuple[Tensor, Tensor, Tensor]:
-        """One transition from state h, given the three projections of the
-        input; returns the new state and the reset and update gates."""
-        r = nm.sigmoid(nm.add(xr, nm.matmul(h, self.U_r)))
-        u = nm.sigmoid(nm.add(xu, nm.matmul(h, self.U_u)))
-        hbar = nm.tanh(nm.add(xc, nm.matmul(nm.mul(r, h), self.U)))
-        # (1-u)*h + u*hbar, written as h + u*(hbar - h)
-        h_new = nm.add(h, nm.mul(u, nm.add(hbar, nm.scale(h, -1.0))))
-        return h_new, r, u
+        def backward_fn(g):
+            dX, grads = self.backprop(g, Xd, states, input_grad=X.requires_grad)
+            if dX is not None:
+                nm.accumulate(X, dX)
+            for p, dp in zip(params, grads):
+                nm.accumulate(p, dp)
+
+        return nm.record(out, [X] + params, backward_fn)
+
+    def scan(
+        self, X: np.ndarray, index: np.ndarray, keep: bool
+    ) -> tuple[np.ndarray, StepStates | None]:
+        """The forward pass on plain arrays: (T, d) states, plus the
+        per-step states the backward needs when `keep` is set."""
+        T, d = X.shape[0], self.hidden_size
+        # X W_r and X W_u side by side, so each step adds both in one op;
+        # X W apart, which keeps the largest block, and so peak memory, small
+        proj_ru = np.empty((2, T, d))
+        np.matmul(X, self.W_r.data, out=proj_ru[0])
+        np.matmul(X, self.W_u.data, out=proj_ru[1])
+        proj_c = X @ self.W.data
+        U_r, U_u, U = self.U_r.data, self.U_u.data, self.U.data
+        n = index.size
+        if keep:
+            gates, hbars = np.empty((n, 2, d)), np.empty((n, d))
+        H = np.zeros((T, d))
+        h = np.zeros(d)
+        for k, t in enumerate(index.tolist()):
+            a = np.empty((2, d))  # the gate pre-activations, side by side
+            np.matmul(h, U_r, out=a[0])
+            np.matmul(h, U_u, out=a[1])
+            a += proj_ru[:, t]
+            r, u = ru = nm.logistic(a)
+            c = (r * h) @ U
+            c += proj_c[t]
+            hbar = np.tanh(c, out=c)
+            if keep:
+                gates[k], hbars[k] = ru, hbar
+            h = h + u * (hbar - h)
+            H[t] = h
+        if not keep:
+            return H, None
+        h_prev = np.zeros((n, d))
+        h_prev[1:] = H[index[:-1]]
+        return H, StepStates(index, h_prev, gates[:, 0], gates[:, 1], hbars)
+
+    def backprop(
+        self, g: np.ndarray, X: np.ndarray, states: StepStates, input_grad: bool
+    ) -> tuple[np.ndarray | None, list[np.ndarray]]:
+        """Backpropagation through time for one scan, given the gradient g
+        (T, d) on its output. Returns dX (None unless input_grad) and the
+        six weight gradients in parameter order."""
+        index, h_prev, rs, us, hbars = states
+        n, d = h_prev.shape
+        U_r_T, U_u_T, U_T = self.U_r.data.T, self.U_u.data.T, self.U.data.T
+        # the step-local factors of the equations, for all steps at once
+        c_factor = us * (1.0 - hbars * hbars)
+        u_factor = (hbars - h_prev) * us * (1.0 - us)
+        r_factor = h_prev * rs * (1.0 - rs)
+        carry = 1.0 - us
+        G = np.empty((n, 3 * d))  # pre-activation gradients [g_r | g_u | g_c]
+        G_r, G_u, G_c = G[:, :d], G[:, d : 2 * d], G[:, 2 * d :]
+        g_rows = g[index]
+        dh = np.zeros(d)
+        for k in range(n - 1, -1, -1):
+            dh += g_rows[k]
+            np.multiply(dh, c_factor[k], out=G_c[k])
+            np.multiply(dh, u_factor[k], out=G_u[k])
+            e = G_c[k] @ U_T
+            np.multiply(e, r_factor[k], out=G_r[k])
+            dh *= carry[k]
+            e *= rs[k]
+            dh += e
+            dh += G_r[k] @ U_r_T
+            dh += G_u[k] @ U_u_T
+
+        Xs = X[index]
+        dU_ru = h_prev.T @ G[:, : 2 * d]
+        grads = [
+            Xs.T @ G_r,
+            Xs.T @ G_u,
+            Xs.T @ G_c,
+            dU_ru[:, :d],
+            dU_ru[:, d:],
+            (rs * h_prev).T @ G_c,
+        ]
+        dX = None
+        if input_grad:
+            dX = np.zeros_like(X)
+            dX[index] = G_r @ self.W_r.data.T + G_u @ self.W_u.data.T + G_c @ self.W.data.T
+        return dX, grads
 
 
 class BiGruEncoder:
@@ -96,22 +226,6 @@ class BiGruEncoder:
             length = T
         if not 1 <= length <= T:
             raise ValueError(f"length {length} out of range for {T} input rows")
-
-        fwd_rows = self._run(self.forward_cell, X, range(length))
-        bwd_rows = self._run(self.backward_cell, X, range(length - 1, -1, -1))
-        F = nm.stack_rows(fwd_rows)
-        B = nm.stack_rows(bwd_rows)
+        F = self.forward_cell.run(X, range(length))
+        B = self.backward_cell.run(X, range(length - 1, -1, -1))
         return F, B, nm.concat(F, B)
-
-    def _run(self, cell: GruCell, X: Tensor, positions: range) -> list[Tensor]:
-        """Step `cell` from a zero state over the rows of X at `positions`,
-        in that order; returns one state per row of X, a zero row wherever
-        the cell did not step."""
-        zero_row = nm.zeros(self.hidden_size)
-        rows = [zero_row] * X.data.shape[0]
-        xr, xu, xc = cell.input_projections(X)
-        h = nm.zeros(self.hidden_size)
-        for t in positions:
-            h, _, _ = cell.step_from_proj(nm.row(xr, t), nm.row(xu, t), nm.row(xc, t), h)
-            rows[t] = h
-        return rows

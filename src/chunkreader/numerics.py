@@ -29,7 +29,10 @@ __all__ = [
     "tensor",
     "parameter",
     "zeros",
+    "recording",
     "record",
+    "accumulate",
+    "logistic",
     "matmul",
     "add",
     "mul",
@@ -177,17 +180,23 @@ def _active_tape() -> Tape | None:
     return tapes[-1] if tapes else None
 
 
+def recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether record() would append an op over these inputs: a tape is
+    active and some input requires a gradient. An op whose backward needs
+    saved intermediates can test this first and keep none otherwise."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     """Append one primitive to the active tape.
 
-    Recording happens only when a tape is active and some input requires a
-    gradient; otherwise the op is forward-only. Custom ops can reuse this
-    entry point together with accumulate().
+    Recording happens only when recording(inputs) holds; otherwise the op
+    is forward-only. Custom ops can reuse this entry point together with
+    accumulate().
     """
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if recording(inputs):
         out.requires_grad = True
-        tape.nodes.append((out, tuple(inputs), backward_fn))
+        _active_tape().nodes.append((out, tuple(inputs), backward_fn))
     return out
 
 
@@ -261,12 +270,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), backward_fn)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) on a plain array, computed without overflow for
+    large |x|: with e = exp(-|x|), it is 1 / (1 + e) where x >= 0 and
+    e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    """Logistic function, computed without overflow for large |x|."""
-    x = a.data
-    positive = x >= 0
-    e = np.exp(np.where(positive, -x, x))  # exponent always <= 0
-    y = np.where(positive, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Logistic function of a tensor; see logistic()."""
+    y = logistic(a.data)
     out = Tensor(y)
 
     def backward_fn(g):

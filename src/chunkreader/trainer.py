@@ -370,13 +370,14 @@ def train(
 
     Each epoch: curriculum batches -> mean batch NLL -> backward -> global
     clip -> ADAM, then exact-match on the dev set (full-length passages,
-    no dropout). A step whose gradient norm is not finite makes no update
-    and is counted in stats["skipped_steps"]. Training stops at max_epochs
-    or once dev EM has gone `patience` consecutive epochs without a strict
-    improvement. The best checkpoint and the log are written when paths
-    are given; the persisted log carries only run-reproducible columns
-    (epoch, loss, EM, F1), and wall-clock seconds go to `echo` (default
-    stderr) for humans.
+    no dropout). A step whose gradient norm is not finite makes no update,
+    is counted in stats["skipped_steps"] and is left out of the epoch's
+    logged loss, the mean over the examples of the applied steps (nan when
+    no step applied). Training stops at max_epochs or once dev EM has gone
+    `patience` consecutive epochs without a strict improvement. The best
+    checkpoint and the log are written when paths are given; the persisted
+    log carries only run-reproducible columns (epoch, loss, EM, F1), and
+    wall-clock seconds go to `echo` (default stderr) for humans.
     """
     from .checkpoint import save_checkpoint  # local import: cycle with model
 
@@ -415,19 +416,21 @@ def train(
         started = time.monotonic()
         batches = make_batches(prepared, config, rng, epoch)
         loss_sum = 0.0
+        applied = 0  # examples in the steps that updated the parameters
         for batch in batches:
             model.zero_grads()
             with nm.Tape() as tape:
                 loss = _batch_loss(model, batch, config, rng)
                 tape.backward(loss)
-            loss_sum += float(loss.data) * len(batch)
             grads = {k: p.grad for k, p in params.items()}
             norm = clip_gradients([g for g in grads.values() if g is not None], config.clip_norm)
             if not np.isfinite(norm):  # a NaN/inf gradient must never reach the parameters
                 stats["skipped_steps"] += 1
                 continue
             adam_step(params, grads, state, config.learning_rate)
-        mean_loss = loss_sum / len(prepared)
+            loss_sum += float(loss.data) * len(batch)
+            applied += len(batch)
+        mean_loss = loss_sum / applied if applied else float("nan")
         train_losses.append(mean_loss)
 
         predictions = {ex.id: model.answer(ex, featurizer).answer for ex in dev_examples}

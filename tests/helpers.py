@@ -74,3 +74,16 @@ def write_embeddings(path, entries, dim):
 def toy_embedding_table(words, dim=8, seed=0):
     rng = np.random.default_rng(seed)
     return EmbeddingTable(dim, {w: rng.normal(size=dim) for w in words})
+
+
+def edit_checkpoint(raw, old, new):
+    """Checkpoint bytes with the first `old` replaced by `new`; an edit
+    inside the manifest rewrites the manifest_bytes header to the edited
+    manifest's length, so the header still parses."""
+    magic, head, rest = raw.split(b"\n", 2)
+    size = int(head.split(b" ")[1])
+    manifest, blob = rest[:size], rest[size:]
+    if old not in manifest:
+        return raw.replace(old, new, 1)
+    manifest = manifest.replace(old, new, 1)
+    return b"\n".join([magic, b"manifest_bytes %d" % len(manifest), manifest + blob])

@@ -165,8 +165,9 @@ def test_gate_model_invariants():
     (0, 1); zero-initial-state encodings satisfy max |h| <= 1; a chunk
     representation ignores state rows outside its span ends; argmax ties
     resolve to the earliest (start, end) candidate. The gates are the ones
-    the cell's step returns, and chunk representations come from the same
-    chunk_repr that model.forward calls."""
+    the cell's forward scan computes over a 3-step sequence, and chunk
+    representations come from the same chunk_repr that model.forward
+    calls."""
     rng = np.random.default_rng(2024)
 
     for _ in range(100):
@@ -178,11 +179,10 @@ def test_gate_model_invariants():
     for _ in range(100):
         for p in cell.parameters().values():
             p.data[...] = rng.normal(scale=0.8, size=p.data.shape)
-        x = nm.tensor(rng.normal(scale=0.8, size=5))
-        h = nm.tensor(rng.normal(scale=0.8, size=4))
-        _, r, u = cell.step_from_proj(*cell.input_projections(x), h)
-        for gate in (r, u):
-            assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
+        X = rng.normal(scale=0.8, size=(3, 5))
+        _, states = cell.scan(X, np.arange(3), keep=True)
+        for gate in (states.r, states.u):
+            assert np.all(gate > 0.0) and np.all(gate < 1.0)
 
     encoder = BiGruEncoder(4, 3, "bound_probe")
     for _ in range(100):

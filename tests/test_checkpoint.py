@@ -6,7 +6,7 @@ import pytest
 from chunkreader import checkpoint as ckpt, model as M
 from chunkreader.chunker import PosPatternTrie
 from chunkreader.corpus import Featurizer
-from helpers import make_example, toy_embedding_table
+from helpers import edit_checkpoint, make_example, toy_embedding_table
 
 
 def seeded_model(seed=0, **kw):
@@ -130,6 +130,25 @@ def test_malformed_manifest_raises_checkpoint_error(tmp_path, old, new, message)
     raw = path.read_bytes()
     assert old in raw
     path.write_bytes(raw.replace(old, new, 1))
+    with pytest.raises(ckpt.CheckpointError, match=message):
+        ckpt.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "new, message",
+    [
+        (b"hidden_size 3" + b"0" * 5000, "hidden_size must be a non-negative integer"),
+        (b"hidden_size 999999999999999999", "invalid model settings"),  # too big for numpy
+        (b"hidden_size 100000000", "invalid model settings"),  # more than memory can hold
+        (b"hidden_size 3\nhidden_size 3", "repeats 'hidden_size'"),
+        (b"hidden_size 3\nhidden_sise 3", "unknown manifest key 'hidden_sise'"),
+    ],
+    ids=["long-integer", "too-big", "out-of-memory", "repeated", "unknown"],
+)
+def test_manifest_sizes_and_keys_raise_checkpoint_error(tmp_path, new, message):
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(seeded_model(seed=9), path)
+    path.write_bytes(edit_checkpoint(path.read_bytes(), b"hidden_size 3", new))
     with pytest.raises(ckpt.CheckpointError, match=message):
         ckpt.load_checkpoint(path)
 

@@ -6,17 +6,18 @@ import json
 import numpy as np
 import pytest
 
-import chunkreader.numerics as nm
 from chunkreader import cli
 from chunkreader.checkpoint import load_checkpoint
 from chunkreader.chunker import enumerate_candidates
 from chunkreader.corpus import load_dataset
+from chunkreader.encoder import GruCell
 from chunkreader.synthetic import (
     SyntheticSpec,
     generate,
     write_dataset_jsonl,
     write_embeddings_file,
 )
+from helpers import edit_checkpoint
 
 CONFIG_TEXT = """\
 hidden_size 4
@@ -311,6 +312,9 @@ def test_predict_skips_empty_passage_or_question(world, tmp_path, capsys, side):
         (b"max_chunk_len 3", b"xax_chunk_len 3"),
         (b"scoring dot", b"xcoring dot"),
         (b"normalize_attention 0", b"xormalize_attention 0"),
+        # a stray key or a repeated setting next to the real one
+        (b"scoring dot\n", b"scoring dot\nxcoring dot\n"),
+        (b"scoring dot\n", b"scoring dot\nscoring cosine\n"),
     ],
 )
 def test_predict_malformed_checkpoint_exits_two_with_one_line(world, tmp_path, capsys, old, new):
@@ -318,11 +322,40 @@ def test_predict_malformed_checkpoint_exits_two_with_one_line(world, tmp_path, c
         raw = fh.read()
     assert old in raw
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(raw.replace(old, new, 1))
+    path.write_bytes(edit_checkpoint(raw, old, new))
     args = predict_args(dict(world, checkpoint=str(path)), str(tmp_path / "p.jsonl"))
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_dataset_exits_two_with_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\xff\xfe{}\n")
+    assert cli.main(["chunk-stats", "--data", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: line 1: not valid UTF-8\n"
+
+
+def test_non_utf8_embedding_word_exits_two_with_one_line(world, tmp_path, capsys):
+    with open(world["emb"], "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    path = tmp_path / "emb.txt"
+    path.write_bytes(lines[0] + b"\xff" + lines[1] + b"".join(lines[2:]))
+    args = predict_args(dict(world, emb=str(path)), str(tmp_path / "p.jsonl"))
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: line 2: not valid UTF-8\n"
+
+
+def test_non_utf8_first_embedding_line_exits_two_with_one_line(world, tmp_path, capsys):
+    # the width is read off the first line before the table loads
+    with open(world["emb"], "rb") as fh:
+        raw = fh.read()
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"\xff" + raw)
+    assert cli.main(predict_args(dict(world, emb=str(path)), str(tmp_path / "p.jsonl"))) == 2
+    assert capsys.readouterr().err == "data error: line 1: not valid UTF-8\n"
 
 
 def test_no_candidate_example_is_answered_empty(tmp_path, capsys):
@@ -413,6 +446,23 @@ def write_predictions(path, pairs):
         for ex_id, answer in pairs:
             fh.write(json.dumps({"id": ex_id, "answer": answer}) + "\n")
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "raw, reason",
+    [
+        (b'{"id": "a", "answer": "x"}\n\xff\n', "line 2: not valid UTF-8"),
+        (b'{"id": "a", "answer": "x"}\n5\n', "line 2: prediction needs id and answer"),
+        (b'["id", "answer"]\n', "line 1: prediction needs id and answer"),
+        (b"[" * 100_000 + b"\n", "line 1: invalid JSON in predictions file"),
+    ],
+    ids=["non-utf8", "number", "array", "deep-nesting"],
+)
+def test_evaluate_malformed_predictions_exits_two_with_one_line(world, tmp_path, capsys, raw, reason):
+    path = tmp_path / "p.jsonl"
+    path.write_bytes(raw)
+    assert cli.main(["evaluate", "--data", world["dev"], "--predictions", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: {reason}\n"
 
 
 def test_evaluate_from_predictions_file(world, tmp_path, capsys):
@@ -524,21 +574,16 @@ def test_gradcheck_passes_and_lists_every_parameter(capsys):
 
 
 def test_gradcheck_detects_corrupted_backward(capsys, monkeypatch):
-    """A one percent error in one op's backward rule must trip the gate."""
+    """A one percent error in one weight's gradient from the fused GRU
+    backward must trip the gate."""
+    backprop = GruCell.backprop
 
-    def crooked_sigmoid(a):
-        x = a.data
-        positive = x >= 0
-        e = np.exp(np.where(positive, -x, x))
-        y = np.where(positive, 1.0 / (1.0 + e), e / (1.0 + e))
-        out = nm.Tensor(y)
+    def crooked_backprop(self, *args, **kwargs):
+        dX, grads = backprop(self, *args, **kwargs)
+        grads[5] = grads[5] * 1.01  # dU
+        return dX, grads
 
-        def backward_fn(g):
-            nm.accumulate(a, g * y * (1.0 - y) * 1.01)
-
-        return nm.record(out, (a,), backward_fn)
-
-    monkeypatch.setattr(nm, "sigmoid", crooked_sigmoid)
+    monkeypatch.setattr(GruCell, "backprop", crooked_backprop)
     assert cli.main(["gradcheck"]) == 3
     out = capsys.readouterr().out
     assert out.splitlines()[-1].startswith("FAIL")

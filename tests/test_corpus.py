@@ -206,6 +206,28 @@ def test_load_embeddings_non_finite_value_cites_line(tmp_path, value):
         corpus.load_embeddings(path, dim=2)
 
 
+def test_load_non_utf8_dataset_cites_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b"\xff\xfe{}\n")
+    with pytest.raises(corpus.DataError, match="line 1: not valid UTF-8"):
+        corpus.load_dataset(path)
+
+
+def test_load_non_utf8_embedding_word_cites_line(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"cat 1.0 2.0\nd\xffg 3.0 4.0\n")
+    with pytest.raises(corpus.DataError, match="line 2: not valid UTF-8"):
+        corpus.load_embeddings(path, dim=2)
+
+
+def test_text_lines_keep_utf8_and_universal_newlines(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes("caf\u00e9 1\r\nna\u00efve 2\rx 3\n".encode("utf-8"))
+    assert list(corpus.text_lines(path)) == [
+        (1, "caf\u00e9 1\n"), (2, "na\u00efve 2\n"), (3, "x 3\n"),
+    ]
+
+
 def test_lookup_falls_back_to_lowercase_then_zero():
     table = corpus.EmbeddingTable(2, {"cat": np.array([1.0, 2.0])})
     assert np.allclose(table.lookup("Cat"), [1.0, 2.0])

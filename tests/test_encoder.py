@@ -16,12 +16,16 @@ def seeded_cell(n_in, d, name="cell", seed=0, scale=0.4):
     return cell
 
 
-def step(cell, x, h):
-    """One transition through the cell's own code path: project the input,
-    then step. Returns (new state, reset gate, update gate)."""
-    x = x if isinstance(x, nm.Tensor) else nm.tensor(x)
-    h = h if isinstance(h, nm.Tensor) else nm.tensor(h)
-    return cell.step_from_proj(*cell.input_projections(x), h)
+def run(cell, X):
+    """States of one pass of the cell over every row of X, in order."""
+    X = X if isinstance(X, nm.Tensor) else nm.tensor(X)
+    return cell.run(X, range(X.data.shape[0]))
+
+
+def gates(cell, X):
+    """Reset and update gates the cell's own forward computes over X."""
+    _, states = cell.scan(np.asarray(X, dtype=float), np.arange(len(X)), keep=True)
+    return states.r, states.u
 
 
 def seeded_encoder(n_in, d, name="enc", seed=0, scale=0.4):
@@ -37,28 +41,34 @@ def seeded_encoder(n_in, d, name="enc", seed=0, scale=0.4):
 
 
 def test_zero_weights_halve_the_state():
-    # all-zero weights force both gates to 1/2 and a zero candidate,
-    # so the new state is exactly half the old one
-    cell = encoder.GruCell(3, 4, "z")
-    v = np.array([1.0, -2.0, 0.5, 4.0])
-    h, _, _ = step(cell, np.zeros(3), v)
-    assert np.array_equal(h.data, 0.5 * v)
+    # with all U_* zero, a zero input row forces both gates to 1/2 and a
+    # zero candidate, so the step exactly halves whatever state it gets
+    cell = seeded_cell(3, 4, seed=1, scale=1.0)
+    for name in ("U_r", "U_u", "U"):
+        getattr(cell, name).data[...] = 0.0
+    H = run(cell, np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]])).data
+    assert np.all(H[0] != 0.0)
+    assert np.array_equal(H[1], 0.5 * H[0])
 
 
 def test_zero_weights_zero_state_is_fixed_point():
     cell = encoder.GruCell(3, 4, "z")
-    h, _, _ = step(cell, np.array([5.0, -3.0, 2.0]), np.zeros(4))
-    assert np.array_equal(h.data, np.zeros(4))
+    H = run(cell, np.array([[5.0, -3.0, 2.0], [1.0, 0.0, -7.0]]))
+    assert np.array_equal(H.data, np.zeros((2, 4)))
 
 
 def test_step_shapes_and_dim_mismatch():
     cell = seeded_cell(3, 4)
-    h, r, u = step(cell, np.ones(3), np.zeros(4))
-    assert h.shape == r.shape == u.shape == (4,)
+    X = np.ones((2, 3))
+    assert run(cell, X).shape == (2, 4)
+    r, u = gates(cell, X)
+    assert r.shape == u.shape == (2, 4)
     with pytest.raises(nm.ShapeError):
-        step(cell, np.ones(5), np.zeros(4))
+        run(cell, np.ones((2, 5)))
     with pytest.raises(nm.ShapeError):
-        step(cell, np.ones(3), np.zeros(2))
+        cell.run(nm.tensor(np.ones(3)), [0])
+    with pytest.raises(IndexError):
+        cell.run(nm.tensor(X), [0, 2])
 
 
 def test_cell_parameter_catalog():
@@ -74,39 +84,43 @@ def test_cell_parameter_catalog():
 
 def test_step_gradients_match_finite_differences():
     cell = seeded_cell(3, 4, seed=7)
-    x = nm.tensor(np.random.default_rng(8).normal(size=3))
-    h0 = nm.tensor(np.random.default_rng(9).normal(scale=0.5, size=4))
     params = list(cell.parameters().values())
+    for T in (1, 2, 3):
+        X = nm.parameter(np.random.default_rng(8).normal(size=(T, 3)))
 
-    def build():
-        return nm.total(step(cell, x, h0)[0])
+        def build():
+            return nm.total(run(cell, X))
 
-    err = max(nm.finite_difference_errors(build, params, 1e-6))
-    assert err < 1e-5
+        err = max(nm.finite_difference_errors(build, params + [X], 1e-6))
+        assert err < 1e-5, T
 
 
 def test_step_gradient_flows_to_input_and_state():
+    # with 3 rows, the input gradient of the first two rows reaches them
+    # only through the carried state of the later steps
     cell = seeded_cell(3, 4, seed=11)
-    x = nm.parameter(np.random.default_rng(1).normal(size=3))
-    h0 = nm.parameter(np.random.default_rng(2).normal(scale=0.5, size=4))
+    X = nm.parameter(np.random.default_rng(1).normal(size=(3, 3)))
 
     def build():
-        return nm.total(step(cell, x, h0)[0])
+        return nm.total(nm.row(run(cell, X), 2))
 
-    err = max(nm.finite_difference_errors(build, [x, h0], 1e-6))
+    err = max(nm.finite_difference_errors(build, [X], 1e-6))
     assert err < 1e-5
+    with nm.Tape() as tape:
+        X.grad = None
+        tape.backward(build())
+    assert np.all(X.grad[:2] != 0.0)
 
 
-def test_step_from_proj_matches_step():
-    # projecting a whole block and stepping on one row of the projections
-    # must agree with projecting that row alone
+def test_run_on_block_matches_run_on_prefix():
+    # the state after row t of a block is the last state of a run over
+    # the block's first t + 1 rows alone: projecting the whole block at
+    # once gives each step the same inputs as projecting its rows alone
     cell = seeded_cell(3, 4, seed=3)
-    X = nm.tensor(np.random.default_rng(4).normal(size=(2, 3)))
-    h = nm.tensor(np.zeros(4))
-    xr, xu, xc = cell.input_projections(X)
-    via_block, _, _ = cell.step_from_proj(nm.row(xr, 0), nm.row(xu, 0), nm.row(xc, 0), h)
-    direct, _, _ = step(cell, nm.row(X, 0), h)
-    assert np.allclose(via_block.data, direct.data)
+    X = np.random.default_rng(4).normal(size=(4, 3))
+    H = run(cell, X).data
+    for t in range(4):
+        assert np.allclose(H[t], run(cell, X[: t + 1]).data[t], rtol=1e-13, atol=0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -119,17 +133,15 @@ def test_property_gates_stay_in_unit_interval(seed, d):
     cell = encoder.GruCell(3, d, "g")
     for p in cell.parameters().values():
         p.data[...] = rng.normal(scale=2.0, size=p.data.shape)
-    x = rng.normal(scale=3.0, size=3)
-    h = rng.normal(size=d)
-    _, r, u = step(cell, x, h)
-    assert np.all(r.data >= 0) and np.all(r.data <= 1)
-    assert np.all(u.data >= 0) and np.all(u.data <= 1)
+    r, u = gates(cell, rng.normal(scale=3.0, size=(3, 3)))
+    assert np.all(r >= 0) and np.all(r <= 1)
+    assert np.all(u >= 0) and np.all(u <= 1)
 
     for p in cell.parameters().values():
         p.data[...] = rng.normal(scale=0.3, size=p.data.shape)
-    _, r, u = step(cell, rng.normal(size=3), rng.normal(size=d))
-    assert np.all(r.data > 0) and np.all(r.data < 1)
-    assert np.all(u.data > 0) and np.all(u.data < 1)
+    r, u = gates(cell, rng.normal(size=(3, 3)))
+    assert np.all(r > 0) and np.all(r < 1)
+    assert np.all(u > 0) and np.all(u < 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,10 +175,10 @@ def test_encode_single_position():
     enc = seeded_encoder(3, 4, seed=7)
     x = np.random.default_rng(8).normal(size=(1, 3))
     F, B, _ = enc.encode(nm.tensor(x))
-    fwd_direct, _, _ = step(enc.forward_cell, x[0], np.zeros(4))
-    bwd_direct, _, _ = step(enc.backward_cell, x[0], np.zeros(4))
-    assert np.allclose(F.data[0], fwd_direct.data)
-    assert np.allclose(B.data[0], bwd_direct.data)
+    # from a zero state the reset gate drops out: h = u * tanh(x W)
+    for cell, states in ((enc.forward_cell, F), (enc.backward_cell, B)):
+        u = 1.0 / (1.0 + np.exp(-(x[0] @ cell.W_u.data)))
+        assert np.allclose(states.data[0], u * np.tanh(x[0] @ cell.W.data))
 
 
 def test_encode_reversal_swaps_directions():
@@ -248,3 +260,66 @@ def test_encode_gradients_with_padding():
 
     err = max(nm.finite_difference_errors(build, params, 1e-6))
     assert err < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the fused node against a step-by-step taped reference
+
+
+def unrolled(cell, X, positions):
+    """The cell's recurrence spelled out with one taped op per operation,
+    zero rows where the cell does not step."""
+    d = cell.hidden_size
+    h = nm.zeros(d)
+    rows = [nm.zeros(d)] * X.data.shape[0]
+    for t in positions:
+        x = nm.row(X, t)
+        r = nm.sigmoid(nm.add(nm.matmul(x, cell.W_r), nm.matmul(h, cell.U_r)))
+        u = nm.sigmoid(nm.add(nm.matmul(x, cell.W_u), nm.matmul(h, cell.U_u)))
+        hbar = nm.tanh(nm.add(nm.matmul(x, cell.W), nm.matmul(nm.mul(r, h), cell.U)))
+        h = nm.add(h, nm.mul(u, nm.add(hbar, nm.scale(h, -1.0))))
+        rows[t] = h
+    return nm.stack_rows(rows)
+
+
+@pytest.mark.parametrize("length", [6, 4, 1])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_fused_node_matches_unrolled_reference(direction, length):
+    cell = seeded_cell(3, 5, seed=21, scale=0.6)
+    rng = np.random.default_rng(22)
+    X = nm.parameter(rng.normal(size=(6, 3)))  # rows past `length` are padding
+    weights = rng.normal(size=(6, 5))  # a loss that weighs every output cell
+    positions = list(range(length))
+    if direction == "backward":
+        positions.reverse()
+    params = list(cell.parameters().values()) + [X]
+
+    results = []
+    for forward in (lambda: cell.run(X, positions), lambda: unrolled(cell, X, positions)):
+        for p in params:
+            p.grad = None
+        with nm.Tape() as tape:
+            H = forward()
+            tape.backward(nm.total(nm.mul(H, nm.tensor(weights))))
+        results.append((H.data, [p.grad for p in params]))
+    (fused, fused_grads), (ref, ref_grads) = results
+
+    assert np.allclose(fused, ref, rtol=1e-10, atol=0.0)
+    assert np.array_equal(fused[length:], np.zeros((6 - length, 5)))
+    for g, ref_g in zip(fused_grads, ref_grads):
+        assert np.allclose(g, ref_g, rtol=1e-10, atol=0.0)
+    assert np.array_equal(fused_grads[-1][length:], np.zeros((6 - length, 3)))
+
+
+def test_untaped_run_keeps_no_step_states():
+    # inference must not pay for the backward's saved states
+    cell = seeded_cell(3, 4, seed=23)
+    X = np.random.default_rng(24).normal(size=(5, 3))
+    H, states = cell.scan(X, np.arange(5), keep=False)
+    assert states is None
+    assert np.array_equal(H, run(cell, X).data)
+    assert not nm.recording([nm.tensor(X)] + list(cell.parameters().values()))
+    with nm.Tape() as tape:
+        assert nm.recording(list(cell.parameters().values()))
+        run(cell, X)
+    assert len(tape) == 1

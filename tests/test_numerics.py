@@ -81,6 +81,19 @@ def test_sigmoid_extreme_inputs_stay_finite():
     assert y[-1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_logistic_is_the_two_branch_formula():
+    # bit for bit the overflow-free two-branch form, signed zeros,
+    # infinities and NaN included: the GRU forward and sigmoid share it
+    x = np.concatenate([
+        np.random.default_rng(7).normal(scale=20.0, size=2000),
+        [0.0, -0.0, 1e-300, -1e-300, 745.2, -745.2, 1000.0, -1000.0, np.inf, -np.inf, np.nan],
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):  # the branch np.where drops
+        expected = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    assert np.array_equal(nm.logistic(x), expected, equal_nan=True)
+    assert np.array_equal(nm.sigmoid(nm.tensor(x)).data, expected, equal_nan=True)
+
+
 def test_concat_grad_and_shapes():
     rng = np.random.default_rng(6)
     a = nm.parameter(rng.normal(size=(3, 2)))

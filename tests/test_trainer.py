@@ -443,3 +443,7 @@ def test_train_skips_non_finite_steps():
     assert result.stats["skipped_steps"] == 3  # one batch of two per epoch
     for name, p in model.parameters().items():
         assert np.all(np.isfinite(p.data)), name
+    # the logged loss averages the applied steps only, so it stays finite
+    assert all(np.isfinite(loss) for loss in result.train_losses)
+    for line in result.log_lines:
+        assert np.isfinite(float(line.split("\t")[1])), line
