@@ -201,9 +201,6 @@ class BiGruEncoder:
     """Two independent cells over a sequence, one per direction."""
 
     def __init__(self, n_in: int, hidden_size: int, name: str):
-        self.n_in = n_in
-        self.hidden_size = hidden_size
-        self.name = name
         self.forward_cell = GruCell(n_in, hidden_size, f"{name}.fwd")
         self.backward_cell = GruCell(n_in, hidden_size, f"{name}.bwd")
 

@@ -9,8 +9,11 @@ concatenated with the backward state at its last word; candidates are
 ranked by softmax over dot products with the question representation.
 
 Attention weights are raw inner products with no normalization; a
-normalized variant (per-passage-word softmax over question positions)
-exists behind a flag for ablation, as does cosine instead of dot scoring.
+normalized variant (a row-wise softmax over question positions) exists
+behind a flag for ablation, as does cosine instead of dot scoring. Each
+variant of attention and of scoring records the same number of tape
+nodes whatever the passage length: the normalization is one softmax
+node and cosine scoring is one node with a hand-derived backward.
 """
 
 from __future__ import annotations
@@ -124,8 +127,7 @@ def attend(
         question_states = nm.gather_rows(question_states, range(question_len))
     weights = nm.matmul(passage_states, nm.transpose(question_states))  # (T, K)
     if normalize:
-        rows = [nm.softmax(nm.row(weights, t)) for t in range(weights.data.shape[0])]
-        weights = nm.stack_rows(rows)
+        weights = nm.softmax(weights)
     pooled = nm.matmul(weights, question_states)  # (T, 2d)
     return nm.concat(passage_states, pooled)  # (T, 4d)
 
@@ -149,16 +151,25 @@ def question_repr(fwd_states: Tensor, bwd_states: Tensor, length: int | None = N
 
 
 def _cosine_scores(reps: Tensor, question: Tensor) -> Tensor:
-    """Dot products normalized by both vector lengths; a 1e-12 floor under
-    each squared norm keeps zero vectors finite."""
-    n = reps.data.shape[0]
-    width = reps.data.shape[1]
-    ones = nm.tensor(np.ones(width))
-    eps_vec = nm.tensor(np.full(n, 1e-12))
-    rep_norms = nm.sqrt(nm.add(nm.matmul(nm.mul(reps, reps), ones), eps_vec))
-    q_norm = nm.sqrt(nm.add(nm.matmul(question, question), nm.tensor(1e-12)))
-    raw = nm.matmul(reps, question)
-    return nm.div(raw, nm.mul(rep_norms, nm.broadcast_scalar(q_norm, n)))
+    """Dot products normalized by both vector lengths, as one tape node; a
+    1e-12 floor under each squared norm keeps zero vectors finite.
+
+    With row norms n, question norm m and scores s = R q / (n m), the
+    backward for upstream g is dR = (g / (n m)) q^T - (g s / n^2) * R
+    row-wise, and dq = R^T (g / (n m)) - (sum g s / m^2) q.
+    """
+    R, q = reps.data, question.data
+    n2 = (R * R) @ np.ones(R.shape[1]) + 1e-12
+    m2 = q @ q + 1e-12
+    n, m = np.sqrt(n2), np.sqrt(m2)
+    s = (R @ q) / (n * m)
+
+    def backward_fn(g):
+        gs = g / (n * m)
+        nm.accumulate(reps, np.outer(gs, q) - (g * s / n2)[:, None] * R)
+        nm.accumulate(question, R.T @ gs - (g @ s / m2) * q)
+
+    return nm.record(Tensor(s), (reps, question), backward_fn)
 
 
 def score_chunks(
@@ -190,14 +201,12 @@ def nll_loss(score_set: ChunkScoreSet, gold: CandidateChunk) -> Tensor:
     The gold span must be present in the candidate list; training filters
     out examples whose gold cannot be generated, so absence here is a bug.
     """
-    target = (gold.start, gold.end)
-    idx = None
-    for i, c in enumerate(score_set.candidates):
-        if (c.start, c.end) == target:
-            idx = i
-            break
-    if idx is None:
-        raise LookupError(f"gold span {target} not among {len(score_set.candidates)} candidates")
+    try:
+        idx = score_set.candidates.index(gold)
+    except ValueError:
+        raise LookupError(
+            f"gold span {(gold.start, gold.end)} not among {len(score_set.candidates)} candidates"
+        ) from None
     return nm.softmax_nll(score_set.scores, idx)
 
 
@@ -235,8 +244,8 @@ class ChunkReaderModel:
 
     def forward(
         self,
-        passage_features: np.ndarray | Tensor,
-        question_features: np.ndarray | Tensor,
+        passage_features: np.ndarray,
+        question_features: np.ndarray,
         candidates: Sequence[CandidateChunk],
         passage_len: int | None = None,
         question_len: int | None = None,
@@ -253,8 +262,8 @@ class ChunkReaderModel:
         """
         if len(candidates) == 0:
             raise ValueError("cannot score an empty candidate set")
-        Xp = passage_features if isinstance(passage_features, Tensor) else nm.tensor(passage_features)
-        Xq = question_features if isinstance(question_features, Tensor) else nm.tensor(question_features)
+        Xp = nm.tensor(passage_features)
+        Xq = nm.tensor(question_features)
         plen = Xp.data.shape[0] if passage_len is None else passage_len
         for c in candidates:
             if c.end > plen:

@@ -28,7 +28,6 @@ __all__ = [
     "Tape",
     "tensor",
     "parameter",
-    "zeros",
     "recording",
     "record",
     "accumulate",
@@ -44,13 +43,9 @@ __all__ = [
     "dropout",
     "scale",
     "total",
-    "sqrt",
-    "div",
     "row",
     "gather_rows",
-    "stack_rows",
     "transpose",
-    "broadcast_scalar",
     "finite_difference_errors",
 ]
 
@@ -71,9 +66,6 @@ class SeededRng:
 
     def random(self, size=None):
         return self._gen.random(size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size)
 
     def permutation(self, n: int):
         return self._gen.permutation(n)
@@ -98,12 +90,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -116,10 +102,6 @@ def tensor(values) -> Tensor:
 def parameter(values) -> Tensor:
     """Leaf tensor that accumulates gradients during backward passes."""
     return Tensor(values, requires_grad=True)
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
 
 
 class _TapeStack(threading.local):
@@ -315,16 +297,17 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax(scores: Tensor) -> Tensor:
-    """Stable softmax over a non-empty vector (max-subtracted exponentials)."""
+    """Stable softmax over the last axis (max-subtracted exponentials) of a
+    non-empty vector, or of each row of a non-empty matrix."""
     x = scores.data
-    if x.ndim != 1 or x.size == 0:
-        raise ShapeError(f"softmax needs a non-empty vector, got shape {x.shape}")
-    e = np.exp(x - x.max())
-    y = e / e.sum()
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise ShapeError(f"softmax needs a non-empty vector or matrix, got shape {x.shape}")
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def backward_fn(g):
-        accumulate(scores, y * (g - np.dot(g, y)))
+        accumulate(scores, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return record(out, (scores,), backward_fn)
 
@@ -389,30 +372,6 @@ def total(a: Tensor) -> Tensor:
     return record(out, (a,), backward_fn)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    y = np.sqrt(a.data)
-    out = Tensor(y)
-
-    def backward_fn(g):
-        accumulate(a, g * 0.5 / y)
-
-    return record(out, (a,), backward_fn)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise quotient of same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"div: shapes disagree: {a.data.shape} vs {b.data.shape}")
-    ad, bd = a.data, b.data
-    out = Tensor(ad / bd)
-
-    def backward_fn(g):
-        accumulate(a, g / bd)
-        accumulate(b, -g * ad / (bd * bd))
-
-    return record(out, (a, b), backward_fn)
-
-
 def row(a: Tensor, i: int) -> Tensor:
     """Row i of a matrix as a vector; backward scatters into that row."""
     if a.data.ndim != 2:
@@ -447,24 +406,6 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     return record(out, (a,), backward_fn)
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix; backward hands row i of the
-    incoming gradient to input i."""
-    if not rows:
-        raise ShapeError("stack_rows needs at least one row")
-    for r in rows:
-        if r.data.ndim != 1 or r.data.shape != rows[0].data.shape:
-            raise ShapeError("stack_rows needs equal-length vectors")
-    rows = tuple(rows)
-    out = Tensor(np.stack([r.data for r in rows]))
-
-    def backward_fn(g):
-        for i, r in enumerate(rows):
-            accumulate(r, g[i])
-
-    return record(out, rows, backward_fn)
-
-
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.data.shape}")
@@ -472,18 +413,6 @@ def transpose(a: Tensor) -> Tensor:
 
     def backward_fn(g):
         accumulate(a, g.T)
-
-    return record(out, (a,), backward_fn)
-
-
-def broadcast_scalar(a: Tensor, n: int) -> Tensor:
-    """Repeat a scalar into a length-n vector; backward sums the gradient."""
-    if a.data.size != 1:
-        raise ShapeError(f"broadcast_scalar expects a scalar, got shape {a.data.shape}")
-    out = Tensor(np.full(n, a.data.reshape(())))
-
-    def backward_fn(g):
-        accumulate(a, np.asarray(g.sum()).reshape(a.data.shape))
 
     return record(out, (a,), backward_fn)
 

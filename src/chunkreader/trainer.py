@@ -11,6 +11,7 @@ earlier epochs.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -20,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
+from .checkpoint import save_checkpoint
 from .chunker import CandidateChunk
 from .corpus import Example, Featurizer
 from .evaluator import evaluate
@@ -61,6 +63,12 @@ class TrainConfig:
     max_chunk_len: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in (float, "float") and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if not math.isfinite(2 * self.init_range):  # the width of the init draw
+            raise ValueError(f"init_range is too large, got {self.init_range}")
         positive = [
             ("learning_rate", self.learning_rate),
             ("batch_size", self.batch_size),
@@ -161,10 +169,17 @@ def clip_gradients(grads: Sequence[np.ndarray], clip_norm: float) -> float:
 def adam_step(
     params: dict[str, Tensor], grads: dict[str, np.ndarray | None], state: AdamState, lr: float
 ) -> None:
-    """One ADAM update; a missing gradient is treated as all zeros."""
+    """One ADAM update; a missing gradient is treated as all zeros.
+
+    Computes m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p -= lr m_hat / (sqrt(v_hat) + eps) with bias-corrected m_hat, v_hat,
+    operation for operation, in place and in two work buffers that every
+    parameter reuses.
+    """
     state.t += 1
     t = state.t
     b1, b2, eps = state.beta1, state.beta2, state.eps
+    scratch = np.empty((2, max((p.data.size for p in params.values()), default=0)))
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -173,13 +188,19 @@ def adam_step(
             raise nm.ShapeError(f"gradient shape {g.shape} vs parameter {p.data.shape}")
         m = state.m[name]
         v = state.v[name]
+        a, b = (buf[: g.size].reshape(g.shape) for buf in scratch)
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(g, 1 - b1, out=a)
         v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(g, 1 - b2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(v, 1 - b2**t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += eps
+        np.divide(m, 1 - b1**t, out=a)  # m_hat
+        a *= lr
+        a /= b
+        p.data -= a
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +400,6 @@ def train(
     log carries only run-reproducible columns (epoch, loss, EM, F1), and
     wall-clock seconds go to `echo` (default stderr) for humans.
     """
-    from .checkpoint import save_checkpoint  # local import: cycle with model
-
     echo = echo if echo is not None else (lambda s: print(s, file=sys.stderr))
 
     truncated, dropped_truncation = truncate_for_training(train_examples, config.max_passage_len)

@@ -146,6 +146,19 @@ def test_train_malformed_set_flag_exits_one(world, tmp_path):
     assert cli.main(train_args(paths, set="bogus_key=3")) == 1
 
 
+@pytest.mark.parametrize(
+    "setting", ["learning_rate=nan", "learning_rate=inf", "init_range=inf", "init_range=1e308"]
+)
+def test_train_non_finite_setting_exits_one_without_checkpoint(world, tmp_path, capsys, setting):
+    # a nan learning rate used to train to an all-NaN checkpoint, and an
+    # init range whose draw width overflows ended in a traceback
+    paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
+    assert cli.main(train_args(paths, set=setting)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and setting.split("=")[0] in err[0]
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_train_without_config_uses_set_overrides(world, tmp_path):
     args = [
         "train",

@@ -1,0 +1,106 @@
+"""tools/convert_squad.py: SQuAD JSON plus token annotations in, a dataset
+that the corpus loader accepts out."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from chunkreader.corpus import load_dataset
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "convert_squad.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("convert_squad", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+convert_squad = load_script()
+
+CONTEXT = "Alice met Bob in Paris."
+QUESTION = "Who met Bob?"
+
+
+def tokens(text, tag="NN"):
+    """Whitespace tokens with their character offsets; a trailing '.' or
+    '?' is split off as its own token."""
+    out, pos = [], 0
+    for word in text.split():
+        start = text.index(word, pos)
+        pos = start + len(word)
+        pieces = [word[:-1], word[-1]] if word[-1] in ".?" else [word]
+        for piece in pieces:
+            out.append({"surface": piece, "lemma": piece.lower(), "pos": tag, "ne": "O",
+                        "offset": start})
+            start += len(piece)
+    return out
+
+
+def qa(qa_id, *answers):
+    return {"id": qa_id, "question": QUESTION,
+            "answers": [{"text": text, "answer_start": start} for text, start in answers]}
+
+
+def annotation(qa_id):
+    return {"id": qa_id, "passage": tokens(CONTEXT), "question": tokens(QUESTION)}
+
+
+def run(tmp_path, qas, annotations):
+    squad = {"data": [{"title": "t", "paragraphs": [{"context": CONTEXT, "qas": qas}]}]}
+    (tmp_path / "squad.json").write_text(json.dumps(squad), encoding="utf-8")
+    anno_path = tmp_path / "anno.jsonl"
+    anno_path.write_text("".join(json.dumps(a) + "\n" for a in annotations), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    convert_squad.convert(str(tmp_path / "squad.json"), str(anno_path), str(out))
+    return load_dataset(out), anno_path
+
+
+def test_output_loads_with_expected_spans(tmp_path):
+    got, _ = run(
+        tmp_path,
+        [qa("q1", ("Alice", 0)), qa("q2", ("Bob in Paris", 10), ("Paris", 17))],
+        [annotation("q1"), annotation("q2")],
+    )
+    assert got.dropped == []
+    spans = {ex.id: [(a.start, a.end, a.text) for a in ex.answers] for ex in got.examples}
+    assert spans == {"q1": [(1, 1, "Alice")], "q2": [(3, 5, "Bob in Paris"), (5, 5, "Paris")]}
+    assert [t.surface for t in got.examples[0].passage] == ["Alice", "met", "Bob", "in", "Paris", "."]
+
+
+def test_duplicate_answer_written_once(tmp_path):
+    got, _ = run(tmp_path, [qa("q1", ("Bob", 10), ("Bob", 10))], [annotation("q1")])
+    assert [(a.start, a.end) for a in got.examples[0].answers] == [(3, 3)]
+
+
+def test_answer_off_token_boundaries_is_skipped(tmp_path, capsys):
+    got, _ = run(tmp_path, [qa("q1", ("lice", 1), ("Alice", 0))], [annotation("q1")])
+    assert [(a.start, a.end) for a in got.examples[0].answers] == [(1, 1)]
+    assert "skipped 1 individual unmappable answers" in capsys.readouterr().err
+
+
+def test_question_without_annotation_is_dropped(tmp_path, capsys):
+    got, _ = run(tmp_path, [qa("q1", ("Alice", 0)), qa("q2", ("Bob", 10))], [annotation("q1")])
+    assert [ex.id for ex in got.examples] == ["q1"]
+    assert "dropped 1 questions with no annotation entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda tok: tok.update(offset="0"), "passage token offset must be an integer, got '0'"),
+        (lambda tok: tok.pop("lemma"), "passage token missing keys ['lemma']"),
+        (lambda tok: tok.update(surface=5), "passage token surface must be a string, got 5"),
+    ],
+)
+def test_malformed_annotation_token_is_rejected_with_its_line(tmp_path, edit, reason):
+    # the loader rejects the whole output for such a token, so the
+    # converter must not write it
+    bad = annotation("q2")
+    edit(bad["passage"][0])
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, [qa("q1", ("Alice", 0)), qa("q2", ("Alice", 0))], [annotation("q1"), bad])
+    assert str(info.value) == f"{tmp_path / 'anno.jsonl'}:2: {reason}"

@@ -266,20 +266,28 @@ def test_encode_gradients_with_padding():
 # the fused node against a step-by-step taped reference
 
 
-def unrolled(cell, X, positions):
-    """The cell's recurrence spelled out with one taped op per operation,
-    zero rows where the cell does not step."""
+def unrolled(cell, X, positions, weights):
+    """The cell's recurrence spelled out with one taped op per operation.
+    Returns the (T, d) states, zero rows where the cell does not step, and
+    the loss sum_t h_t . weights[t] over the steps, summed step by step."""
     d = cell.hidden_size
-    h = nm.zeros(d)
-    rows = [nm.zeros(d)] * X.data.shape[0]
+    h = nm.tensor(np.zeros(d))
+    H = np.zeros((X.data.shape[0], d))
+    loss = nm.tensor(0.0)
     for t in positions:
         x = nm.row(X, t)
         r = nm.sigmoid(nm.add(nm.matmul(x, cell.W_r), nm.matmul(h, cell.U_r)))
         u = nm.sigmoid(nm.add(nm.matmul(x, cell.W_u), nm.matmul(h, cell.U_u)))
         hbar = nm.tanh(nm.add(nm.matmul(x, cell.W), nm.matmul(nm.mul(r, h), cell.U)))
         h = nm.add(h, nm.mul(u, nm.add(hbar, nm.scale(h, -1.0))))
-        rows[t] = h
-    return nm.stack_rows(rows)
+        H[t] = h.data
+        loss = nm.add(loss, nm.matmul(h, nm.tensor(weights[t])))
+    return H, loss
+
+
+def fused(cell, X, positions, weights):
+    H = cell.run(X, positions)
+    return H.data, nm.total(nm.mul(H, nm.tensor(weights)))
 
 
 @pytest.mark.parametrize("length", [6, 4, 1])
@@ -295,17 +303,17 @@ def test_fused_node_matches_unrolled_reference(direction, length):
     params = list(cell.parameters().values()) + [X]
 
     results = []
-    for forward in (lambda: cell.run(X, positions), lambda: unrolled(cell, X, positions)):
+    for forward in (fused, unrolled):
         for p in params:
             p.grad = None
         with nm.Tape() as tape:
-            H = forward()
-            tape.backward(nm.total(nm.mul(H, nm.tensor(weights))))
-        results.append((H.data, [p.grad for p in params]))
-    (fused, fused_grads), (ref, ref_grads) = results
+            H, loss = forward(cell, X, positions, weights)
+            tape.backward(loss)
+        results.append((H, [p.grad for p in params]))
+    (fused_H, fused_grads), (ref, ref_grads) = results
 
-    assert np.allclose(fused, ref, rtol=1e-10, atol=0.0)
-    assert np.array_equal(fused[length:], np.zeros((6 - length, 5)))
+    assert np.allclose(fused_H, ref, rtol=1e-10, atol=0.0)
+    assert np.array_equal(fused_H[length:], np.zeros((6 - length, 5)))
     for g, ref_g in zip(fused_grads, ref_grads):
         assert np.allclose(g, ref_g, rtol=1e-10, atol=0.0)
     assert np.array_equal(fused_grads[-1][length:], np.zeros((6 - length, 3)))

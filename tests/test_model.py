@@ -254,11 +254,55 @@ def test_cosine_scoring_gradients():
     assert max(nm.finite_difference_errors(build, [reps, q], 1e-6)) < 1e-5
 
 
+def test_cosine_scoring_matches_closed_form_with_zero_vectors():
+    # per row a: s = a.q / (|a| |q|), ds/da = q / (|a| |q|) - (a.q) a / (|a|^3 |q|)
+    # and ds/dq = a / (|a| |q|) - (a.q) q / (|a| |q|^3), with each squared
+    # norm floored by 1e-12, so a zero row or a zero question stays finite
+    rng = np.random.default_rng(15)
+    reps = rng.normal(size=(4, 5))
+    reps[2] = 0.0
+    w = rng.normal(size=4)
+    for q in (rng.normal(size=5), np.zeros(5)):
+        R, Q = nm.parameter(reps), nm.parameter(q)
+        with nm.Tape() as tape:
+            scored = M.score_chunks(R, Q, [CandidateChunk(i + 1, i + 1) for i in range(4)], "cosine")
+            tape.backward(nm.matmul(scored.scores, nm.tensor(w)))
+        qn = np.sqrt(q @ q + 1e-12)
+        dq = np.zeros(5)
+        for i, a in enumerate(reps):
+            an = np.sqrt(a @ a + 1e-12)
+            dot = a @ q
+            assert scored.scores.data[i] == pytest.approx(dot / (an * qn), rel=1e-12, abs=0.0)
+            da = w[i] * (q / (an * qn) - dot * a / (an**3 * qn))
+            np.testing.assert_allclose(R.grad[i], da, rtol=1e-12, atol=0.0)
+            dq += w[i] * (a / (an * qn) - dot * q / (an * qn**3))
+        np.testing.assert_allclose(Q.grad, dq, rtol=1e-12, atol=0.0)
+        assert np.all(np.isfinite(R.grad)) and np.all(np.isfinite(Q.grad))
+
+
+@pytest.mark.parametrize("scoring", ["dot", "cosine"])
+def test_every_variant_records_a_length_independent_tape(scoring):
+    # every scoring and attention variant is a fixed set of tape nodes: one
+    # node count for raw attention and one (a softmax more) for normalized
+    counts = {}
+    for normalize in (False, True):
+        m = toy_model(d=3, emb=2, seed=8, scoring=scoring, normalize_attention=normalize)
+        width = m.config.input_width
+        for T in (30, 60):
+            rng = np.random.default_rng(T)
+            cands = [CandidateChunk(i, i + 1) for i in range(1, T)]
+            with nm.Tape() as tape:
+                scored = m.forward(rng.normal(size=(T, width)), rng.normal(size=(5, width)), cands)
+                tape.backward(M.nll_loss(scored, cands[3]))
+            counts.setdefault(normalize, set()).add(len(tape))
+    assert counts == {False: {22}, True: {23}}
+
+
 def test_nll_singleton_is_zero():
     scored = M.score_chunks(
         nm.tensor(np.ones((1, 4))), nm.tensor(np.ones(4)), [CandidateChunk(3, 4)]
     )
-    assert M.nll_loss(scored, CandidateChunk(3, 4)).item() == pytest.approx(0.0, abs=1e-15)
+    assert float(M.nll_loss(scored, CandidateChunk(3, 4)).data) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_nll_even_pair_is_ln2():
@@ -267,7 +311,7 @@ def test_nll_even_pair_is_ln2():
         nm.tensor(np.ones(4)),
         [CandidateChunk(1, 1), CandidateChunk(2, 2)],
     )
-    assert M.nll_loss(scored, CandidateChunk(1, 1)).item() == pytest.approx(np.log(2.0), abs=1e-12)
+    assert float(M.nll_loss(scored, CandidateChunk(1, 1)).data) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_nll_gold_missing_raises():
@@ -286,7 +330,7 @@ def test_nll_finite_when_gold_probability_underflows():
     with nm.Tape() as tape:
         loss = M.nll_loss(M.score_chunks(reps, nm.tensor(np.ones(1)), cands), CandidateChunk(2, 2))
         tape.backward(loss)
-    assert loss.item() == pytest.approx(800.0)
+    assert float(loss.data) == pytest.approx(800.0)
     assert np.array_equal(reps.grad, [[1.0], [-1.0]])
 
 

@@ -122,31 +122,37 @@ def test_softmax_shift_invariance():
     assert np.allclose(y1, y2)
 
 
-def test_softmax_rejects_empty_and_matrix():
-    with pytest.raises(nm.ShapeError):
-        nm.softmax(nm.tensor(np.zeros(0)))
-    with pytest.raises(nm.ShapeError):
-        nm.softmax(nm.tensor(np.zeros((2, 2))))
+def test_softmax_normalizes_matrix_rows_and_rejects_empty_and_3d():
+    x = np.random.default_rng(8).normal(scale=5.0, size=(4, 6))
+    y = nm.softmax(nm.tensor(x)).data
+    assert np.allclose(y.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    for t in range(4):  # each row is, bit for bit, the softmax of that row
+        assert np.array_equal(y[t], nm.softmax(nm.tensor(x[t])).data)
+    for bad in (np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(nm.ShapeError):
+            nm.softmax(nm.tensor(bad))
+
+
+def test_softmax_matrix_grad():
+    rng = np.random.default_rng(16)
+    s = nm.parameter(rng.normal(size=(3, 5)))
+    w = nm.tensor(rng.normal(size=(3, 5)))
+    check_grads(lambda: nm.total(nm.mul(nm.softmax(s), w)), [s])
+    with nm.Tape() as tape:
+        tape.backward(nm.total(nm.mul(nm.softmax(s), w)))
+    assert len(tape) == 3  # softmax, mul, total: one node for all rows
 
 
 def test_softmax_nll_forward_and_grad():
     rng = np.random.default_rng(15)
     s = nm.parameter(rng.normal(size=6))
     y = nm.softmax(nm.tensor(s.data)).data
-    assert nm.softmax_nll(s, 2).item() == pytest.approx(-np.log(y[2]), abs=1e-12)
+    assert float(nm.softmax_nll(s, 2).data) == pytest.approx(-np.log(y[2]), abs=1e-12)
     check_grads(lambda: nm.softmax_nll(s, 2), [s])
     with pytest.raises(IndexError):
         nm.softmax_nll(s, 6)
     with pytest.raises(nm.ShapeError):
         nm.softmax_nll(nm.tensor(np.zeros(0)), 0)
-
-
-def test_sqrt_div_grads():
-    rng = np.random.default_rng(8)
-    a = nm.parameter(rng.uniform(0.5, 2.0, size=(2, 3)))
-    b = nm.parameter(rng.uniform(0.5, 2.0, size=(2, 3)))
-    check_grads(lambda: nm.total(nm.sqrt(a)), [a])
-    check_grads(lambda: nm.total(nm.div(a, b)), [a, b])
 
 
 def test_row_grads():
@@ -162,7 +168,7 @@ def test_gather_rows_grad_with_repeats():
     a = nm.parameter(rng.normal(size=(4, 3)))
     # row 1 selected twice: its gradient must be the sum of both paths
     check_grads(lambda: nm.total(nm.gather_rows(a, [1, 1, 3])), [a])
-    a.zero_grad()
+    a.grad = None
     with nm.Tape() as tape:
         loss = nm.total(nm.gather_rows(a, [1, 1, 3]))
         tape.backward(loss)
@@ -177,14 +183,6 @@ def test_gather_rows_bounds():
         nm.gather_rows(a, [0, 2])
 
 
-def test_stack_rows_grad():
-    rng = np.random.default_rng(11)
-    rows = [nm.parameter(rng.normal(size=4)) for _ in range(3)]
-    out = nm.stack_rows(rows)
-    assert out.shape == (3, 4)
-    check_grads(lambda: nm.total(nm.stack_rows(rows)), rows)
-
-
 def test_transpose_grad():
     rng = np.random.default_rng(12)
     a = nm.parameter(rng.normal(size=(2, 5)))
@@ -194,9 +192,7 @@ def test_transpose_grad():
 def test_scale_total_broadcast_grads():
     rng = np.random.default_rng(13)
     a = nm.parameter(rng.normal(size=(3, 2)))
-    s = nm.parameter(rng.normal(size=1))
     check_grads(lambda: nm.total(nm.scale(a, -2.5)), [a])
-    check_grads(lambda: nm.total(nm.broadcast_scalar(s, 7)), [s])
 
 
 def test_dropout_inference_is_identity():
@@ -382,7 +378,7 @@ def test_seeded_rng_reproducible():
     r2 = nm.SeededRng(123)
     assert np.array_equal(r1.uniform(-1, 1, 50), r2.uniform(-1, 1, 50))
     assert np.array_equal(r1.permutation(20), r2.permutation(20))
-    assert np.array_equal(r1.integers(0, 10, 5), r2.integers(0, 10, 5))
+    assert np.array_equal(r1.random(5), r2.random(5))
 
 
 def test_seeded_rng_seed_sensitivity():

@@ -155,6 +155,31 @@ def test_adam_converges_on_scalar_quadratic():
     assert abs(p.data[0]) < 0.01
 
 
+def test_adam_matches_textbook_update_bit_for_bit():
+    rng = np.random.default_rng(1)
+    shapes = {"a": (3, 4), "b": (5,), "c": (2, 2)}
+    params = {k: nm.parameter(rng.normal(size=s)) for k, s in shapes.items()}
+    state = tr.AdamState(params)
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
+    ref = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    for t in range(1, 8):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        if t == 3:
+            del grads["b"]  # a missing gradient counts as zeros
+        tr.adam_step(params, grads, state, lr)
+        for k in shapes:
+            g = grads.get(k, np.zeros(shapes[k]))
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            m_hat = m[k] / (1 - b1**t)
+            v_hat = v[k] / (1 - b2**t)
+            ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(params[k].data, ref[k]), (t, k)
+            assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
+
+
 def test_adam_second_moment_nonnegative():
     params, p = make_scalar_param(1.0)
     state = tr.AdamState(params)
@@ -329,6 +354,15 @@ def test_config_validation():
         tr.TrainConfig(seed=-1)
     with pytest.raises(ValueError):
         tr.TrainConfig(candidate_mode="magic")
+    # nan passes `value <= 0`; inf and an init draw of width 2 * init_range
+    # that overflows must fail here, not as NaN parameters or a traceback
+    for field in ("learning_rate", "clip_norm", "dropout_rate", "init_range"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=field):
+                tr.TrainConfig(**{field: value})
+    with pytest.raises(ValueError, match="init_range"):
+        tr.TrainConfig(init_range=1e308)
+    tr.TrainConfig(init_range=1e307)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,17 @@ Output records look like:
 with 1-based inclusive token spans. Answers whose character span does
 not line up with token boundaries (after whitespace is ignored) are
 skipped; questions with no mappable answer or no annotation entry are
-dropped. Counts for both go to stderr.
+dropped. Counts for both go to stderr. An annotation token that the
+corpus loader would reject (a missing key, a non-string surface, an
+offset that is not an integer) stops the conversion with `path:line:`
+and the reason.
 """
 
 import argparse
 import json
 import sys
+
+TOKEN_KEYS = ("surface", "lemma", "pos", "ne", "offset")
 
 
 def squeeze(text):
@@ -54,8 +59,31 @@ def load_annotations(path):
             for key in ("id", "passage", "question"):
                 if key not in obj:
                     raise SystemExit(f"{path}:{line_no}: annotation missing {key!r}")
+            for side in ("passage", "question"):
+                if not isinstance(obj[side], list):
+                    raise SystemExit(f"{path}:{line_no}: {side} must be an array")
+                for token in obj[side]:
+                    problem = token_problem(token)
+                    if problem:
+                        raise SystemExit(f"{path}:{line_no}: {side} token {problem}")
             table[str(obj["id"])] = obj
     return table
+
+
+def token_problem(token):
+    """Why the corpus loader would reject this token (or the alignment
+    below could not read it), or None when it is well formed."""
+    if not isinstance(token, dict):
+        return "is not an object"
+    missing = [k for k in TOKEN_KEYS if k not in token]
+    if missing:
+        return f"missing keys {missing}"
+    if not isinstance(token["surface"], str):
+        return f"surface must be a string, got {token['surface']!r}"
+    offset = token["offset"]
+    if isinstance(offset, bool) or not isinstance(offset, int):
+        return f"offset must be an integer, got {offset!r}"
+    return None
 
 
 def char_span_to_tokens(tokens, start_char, text):
@@ -64,7 +92,7 @@ def char_span_to_tokens(tokens, start_char, text):
     end_char = start_char + len(text)
     first = last = None
     for i, token in enumerate(tokens):
-        tok_start = int(token["offset"])
+        tok_start = token["offset"]
         tok_end = tok_start + len(token["surface"])
         if first is None and tok_end > start_char:
             first = i
