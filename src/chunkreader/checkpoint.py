@@ -11,7 +11,8 @@ The manifest pins everything needed to rebuild the model object: sizes,
 candidate mode, scoring flags, tag inventories, learned trie patterns
 (when the trie mode is active), and the name and shape of every parameter
 tensor. Saving the same model twice produces identical bytes. Loading
-rejects a manifest key it does not know or a setting given twice.
+rejects a manifest key it does not know, a setting given twice, and a
+parameter holding a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -184,7 +185,10 @@ def load_checkpoint(path) -> ChunkReaderModel:
             raw = fh.read(n_bytes)
             if len(raw) != n_bytes:
                 raise CheckpointError(f"blob truncated at parameter {name}")
-            p.data[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            values = np.frombuffer(raw, dtype="<f8")
+            if not np.all(np.isfinite(values)):
+                raise CheckpointError(f"parameter {name} holds a non-finite value")
+            p.data[...] = values.reshape(shape)
         if fh.read(1):
             raise CheckpointError("trailing bytes after parameter blob")
     return model

@@ -193,7 +193,7 @@ def cmd_predict(args) -> int:
     fz = Featurizer(_load_table(args.embeddings, cfg.embedding_dim), cfg.pos_tags, cfg.ne_tags)
     with open(args.out, "w", encoding="utf-8") as fh:
         for ex in examples:
-            fh.write(json.dumps(dataclasses.asdict(model.answer(ex, fz))) + "\n")
+            fh.write(json.dumps(dataclasses.asdict(model.answer(ex, fz)), allow_nan=False) + "\n")
     print(f"wrote {len(examples)} predictions to {args.out}")
     return 0
 

@@ -12,17 +12,24 @@ The bi-directional encoder runs one cell left-to-right and an independent
 cell right-to-left, both from a zero initial state, and concatenates the
 two state sequences per position.
 
-One pass of a cell over a sequence is a single tape node (`GruCell.run`).
-Its forward (`GruCell.scan`) projects the whole (T, n_in) input through
-W_r, W_u and W with three GEMMs before the loop; each step then does the
-vector-matrix products h U_r, h U_u and (r * h) U. No weight matrix is
-copied or concatenated: a copy of [U_r|U_u] for one wider product saves
-no time and raises peak memory. When the node is recorded, the forward
-keeps, for step k of n, r_k, u_k and hbar_k, and after the loop gathers
-the states before each step, h_prev_k, from its output; each is an
-(n, d) array. An unrecorded (inference) call keeps nothing. The backward (`GruCell.backprop`) walks the steps in reverse,
-with dh the gradient reaching h'_k (its upstream row plus the carry from
-step k+1):
+One pass of a cell over a batch of sequences is a single tape node
+(`GruCell.run`). The input is a (B, T, n_in) block whose row b is real
+for its first L_b positions; a (T, n_in) block is the B = 1 case and runs
+the same code. The forward (`GruCell.scan`) projects every input row
+through W_r, W_u and W with three GEMMs before the loop, then steps all
+rows at once, each step one (n_k, d) x (d, d) product per recurrent
+matrix. Rows are sorted once by decreasing length (a stable sort), so the
+n_k rows still active at step k are a prefix of the state block and the
+loop needs no masks; the forward direction visits position k of each
+active row, the reverse direction position L_b - 1 - k. No weight matrix
+is copied or concatenated: a copy of [U_r|U_u] for one wider product
+saves no time and raises peak memory. When the node is recorded, the
+forward keeps, for each of the N = sum_b L_b real steps, flat in step
+order, r, u and hbar, and after the loop gathers the state before each
+step, h_prev, from its output; each is an (N, d) array. An unrecorded
+(inference) call keeps nothing. The backward (`GruCell.backprop`) walks
+the steps in reverse over the same prefixes, with dh the gradient
+reaching h' (its upstream row plus the carry from the row's next step):
 
     g_c = dh * u * (1 - hbar^2)                      pre-tanh gradient
     g_u = dh * (hbar - h_prev) * u * (1 - u)         pre-sigmoid, update
@@ -30,20 +37,22 @@ step k+1):
     g_r = e * h_prev * r * (1 - r)                   pre-sigmoid, reset
     dh_prev = dh * (1 - u) + e * r + g_r U_r^T + g_u U_u^T
 
-It stores the pre-activation gradients G = [g_r|g_u|g_c] (n, 3d), and
-after the loop forms every weight gradient as one GEMM: dW_* = X_s^T G_*
-over the stepped input rows X_s, d[U_r|U_u] = H_prev^T [G_r|G_u],
-dU = (R * H_prev)^T G_c, and dX_s = sum_* G_* W_*^T.
+It stores the pre-activation gradients G = [g_r|g_u|g_c] (N, 3d), and
+after the loop forms every weight gradient as one GEMM over all rows'
+steps: dW_* = X_s^T G_* over the stepped input rows X_s,
+d[U_r|U_u] = H_prev^T [G_r|G_u], dU = (R * H_prev)^T G_c, and
+dX_s = sum_* G_* W_*^T.
 
-Padding contract: positions at or beyond the true length produce all-zero
-output rows, leave the recurrent state untouched and receive no gradient,
-so downstream consumers can batch variable-length sequences with trailing
-zero pads.
+Padding contract, per row: positions at or beyond a row's length produce
+all-zero output rows, leave its recurrent state untouched and receive no
+gradient, so a batch of variable-length sequences is one block with
+trailing zero pads, and a row's states depend on the other rows only
+through the rounding of the batched products.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,15 +65,35 @@ _CELL_FIELDS = ("W_r", "W_u", "W", "U_r", "U_u", "U")
 
 
 class StepStates(NamedTuple):
-    """What one scan keeps for its backward, one row per step in step
-    order: the input row index and the state before the step, plus the
-    reset gate, update gate and candidate state the step computed."""
+    """What one scan keeps for its backward, one row per real step, flat
+    in step order: the row of the flattened (B*T, n_in) input it read, the
+    state before the step, and the reset gate, update gate and candidate
+    state the step computed. Step k covers `counts[k]` consecutive rows."""
 
-    index: np.ndarray  # (n,) rows of X, in step order
-    h_prev: np.ndarray  # (n, d)
-    r: np.ndarray  # (n, d)
-    u: np.ndarray  # (n, d)
-    hbar: np.ndarray  # (n, d)
+    index: np.ndarray | slice  # (N,) rows of the flattened input, in step order
+    counts: np.ndarray  # (L_max,) rows still active at each step, non-increasing
+    h_prev: np.ndarray  # (N, d)
+    r: np.ndarray  # (N, d)
+    u: np.ndarray  # (N, d)
+    hbar: np.ndarray  # (N, d)
+
+
+def _step_plan(lengths: np.ndarray, T: int, reverse: bool) -> tuple[np.ndarray | slice, np.ndarray]:
+    """Rows of the flattened (B*T, ·) block in step order, and the number
+    of rows active at each step. Rows are ordered by decreasing length
+    (a stable sort), so the rows still active at step k are a prefix;
+    step k visits position k of each, or position L_b - 1 - k in reverse.
+    For a block of one row the rows are a slice, so that indexing with
+    them gives views instead of copies."""
+    if lengths.size == 1:
+        L = int(lengths[0])
+        return slice(L - 1, None, -1) if reverse else slice(0, L), np.ones(L, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    ordered = lengths[order]
+    active = np.arange(ordered[0])[:, None] < ordered[None, :]
+    steps, ranks = np.nonzero(active)  # row-major: step by step, prefix rows within
+    positions = ordered[ranks] - 1 - steps if reverse else steps
+    return order[ranks] * T + positions, active.sum(axis=1)
 
 
 class GruCell:
@@ -87,76 +116,100 @@ class GruCell:
         """Name -> tensor, in a fixed order shared by init and checkpoints."""
         return {f"{self.name}.{f}": getattr(self, f) for f in _CELL_FIELDS}
 
-    def run(self, X: Tensor, positions: Sequence[int]) -> Tensor:
-        """Step from a zero state over the rows of the (T, n_in) block X at
-        `positions`, in that order; returns the (T, d) states, a zero row
-        wherever the cell did not step. One tape node."""
+    def run(self, X: Tensor, lengths=None, reverse: bool = False) -> Tensor:
+        """Step from a zero state over each row of the (B, T, n_in) block X,
+        row b over its first lengths[b] positions, left to right or (with
+        `reverse`) right to left; returns the (B, T, d) states, a zero row
+        at every padded position. A (T, n_in) block with one int length
+        (None: all T) is the B = 1 case and gives (T, d). One tape node."""
         Xd = X.data
-        if Xd.ndim != 2 or Xd.shape[1] != self.n_in:
-            raise nm.ShapeError(f"{self.name}: expected (T, {self.n_in}) input, got {Xd.shape}")
-        index = np.asarray(positions, dtype=np.intp)
-        if index.size and (index.min() < 0 or index.max() >= Xd.shape[0]):
-            raise IndexError(f"{self.name}: positions out of range for {Xd.shape[0]} rows")
+        if Xd.ndim not in (2, 3) or Xd.shape[-1] != self.n_in:
+            raise nm.ShapeError(
+                f"{self.name}: expected (T, {self.n_in}) or (B, T, {self.n_in}) input, got {Xd.shape}"
+            )
+        X3 = Xd[None] if Xd.ndim == 2 else Xd
+        T = X3.shape[1]
+        if lengths is None:
+            lengths = [T] * X3.shape[0]
+        lengths = np.array(lengths, dtype=np.intp).reshape(-1)
+        if lengths.shape != X3.shape[:1]:
+            raise nm.ShapeError(f"{self.name}: {lengths.size} lengths for {X3.shape[0]} rows")
+        if lengths.size == 0 or lengths.min() < 1 or lengths.max() > T:
+            raise IndexError(f"{self.name}: lengths {lengths} out of range for {T} positions")
         params = [getattr(self, f) for f in _CELL_FIELDS]
         taped = nm.recording([X] + params)
-        H, states = self.scan(Xd, index, keep=taped)
-        out = Tensor(H)
+        H, states = self.scan(X3, lengths, reverse, keep=taped)
+        out = Tensor(H.reshape(Xd.shape[:-1] + (self.hidden_size,)))
         if not taped:
             return out
 
         def backward_fn(g):
-            dX, grads = self.backprop(g, Xd, states, input_grad=X.requires_grad)
+            dX, grads = self.backprop(g, X3, states, input_grad=X.requires_grad)
             if dX is not None:
-                nm.accumulate(X, dX)
+                nm.accumulate(X, dX.reshape(Xd.shape))
             for p, dp in zip(params, grads):
                 nm.accumulate(p, dp)
 
         return nm.record(out, [X] + params, backward_fn)
 
     def scan(
-        self, X: np.ndarray, index: np.ndarray, keep: bool
+        self, X: np.ndarray, lengths: np.ndarray, reverse: bool, keep: bool
     ) -> tuple[np.ndarray, StepStates | None]:
-        """The forward pass on plain arrays: (T, d) states, plus the
-        per-step states the backward needs when `keep` is set."""
-        T, d = X.shape[0], self.hidden_size
+        """The forward pass on plain arrays: the (B, T, d) states of the
+        (B, T, n_in) block X, plus the per-step states the backward needs
+        when `keep` is set."""
+        B, T, _ = X.shape
+        d = self.hidden_size
+        index, counts = _step_plan(lengths, T, reverse)
+        X2 = X.reshape(B * T, -1)
+        n = int(counts.sum())
         # X W_r and X W_u side by side, so each step adds both in one op;
-        # X W apart, which keeps the largest block, and so peak memory, small
-        proj_ru = np.empty((2, T, d))
-        np.matmul(X, self.W_r.data, out=proj_ru[0])
-        np.matmul(X, self.W_u.data, out=proj_ru[1])
-        proj_c = X @ self.W.data
+        # X W apart, which keeps the largest block, and so peak memory,
+        # small. Each is then put in step order: a view for one row, a
+        # gathered copy for several.
+        proj_ru = np.empty((2, B * T, d))
+        np.matmul(X2, self.W_r.data, out=proj_ru[0])
+        np.matmul(X2, self.W_u.data, out=proj_ru[1])
+        proj_ru = proj_ru[:, index]
+        proj_c = (X2 @ self.W.data)[index]
         U_r, U_u, U = self.U_r.data, self.U_u.data, self.U.data
-        n = index.size
         if keep:
-            gates, hbars = np.empty((n, 2, d)), np.empty((n, d))
-        H = np.zeros((T, d))
-        h = np.zeros(d)
-        for k, t in enumerate(index.tolist()):
-            a = np.empty((2, d))  # the gate pre-activations, side by side
+            gates, hbars = np.empty((2, n, d)), np.empty((n, d))
+        Hs = np.empty((n, d))  # the state after each step, in step order
+        h = np.zeros((counts[0], d))
+        s = 0
+        for m in counts.tolist():
+            h = h[:m]
+            a = np.empty((2, m, d))  # the gate pre-activations, side by side
             np.matmul(h, U_r, out=a[0])
             np.matmul(h, U_u, out=a[1])
-            a += proj_ru[:, t]
+            a += proj_ru[:, s : s + m]
             r, u = ru = nm.logistic(a)
             c = (r * h) @ U
-            c += proj_c[t]
+            c += proj_c[s : s + m]
             hbar = np.tanh(c, out=c)
             if keep:
-                gates[k], hbars[k] = ru, hbar
-            h = h + u * (hbar - h)
-            H[t] = h
+                gates[:, s : s + m], hbars[s : s + m] = ru, hbar
+            h = np.add(h, u * (hbar - h), out=Hs[s : s + m])
+            s += m
+        H = np.zeros((B * T, d))
+        H[index] = Hs
+        H = H.reshape(B, T, d)
         if not keep:
             return H, None
+        # the state before a step is the same row's state one step earlier,
+        # counts[k-1] rows back in step order; the first step starts at zero
         h_prev = np.zeros((n, d))
-        h_prev[1:] = H[index[:-1]]
-        return H, StepStates(index, h_prev, gates[:, 0], gates[:, 1], hbars)
+        h_prev[counts[0] :] = Hs[np.arange(counts[0], n) - np.repeat(counts[:-1], counts[1:])]
+        return H, StepStates(index, counts, h_prev, gates[0], gates[1], hbars)
 
     def backprop(
         self, g: np.ndarray, X: np.ndarray, states: StepStates, input_grad: bool
     ) -> tuple[np.ndarray | None, list[np.ndarray]]:
-        """Backpropagation through time for one scan, given the gradient g
-        (T, d) on its output. Returns dX (None unless input_grad) and the
-        six weight gradients in parameter order."""
-        index, h_prev, rs, us, hbars = states
+        """Backpropagation through time for one scan of the (B, T, n_in)
+        block X, given the gradient g on its output. Returns dX (None
+        unless input_grad) and the six weight gradients in parameter order."""
+        index, counts, h_prev, rs, us, hbars = states
         n, d = h_prev.shape
         U_r_T, U_u_T, U_T = self.U_r.data.T, self.U_u.data.T, self.U.data.T
         # the step-local factors of the equations, for all steps at once
@@ -166,21 +219,26 @@ class GruCell:
         carry = 1.0 - us
         G = np.empty((n, 3 * d))  # pre-activation gradients [g_r | g_u | g_c]
         G_r, G_u, G_c = G[:, :d], G[:, d : 2 * d], G[:, 2 * d :]
-        g_rows = g[index]
-        dh = np.zeros(d)
-        for k in range(n - 1, -1, -1):
-            dh += g_rows[k]
-            np.multiply(dh, c_factor[k], out=G_c[k])
-            np.multiply(dh, u_factor[k], out=G_u[k])
+        g_rows = g.reshape(-1, d)[index]
+        dh = np.zeros((counts[0], d))  # per row, the gradient on its state
+        s = n
+        for m in counts[::-1].tolist():
+            s -= m
+            k = slice(s, s + m)
+            dh_k = dh[:m]
+            dh_k += g_rows[k]
+            np.multiply(dh_k, c_factor[k], out=G_c[k])
+            np.multiply(dh_k, u_factor[k], out=G_u[k])
             e = G_c[k] @ U_T
             np.multiply(e, r_factor[k], out=G_r[k])
-            dh *= carry[k]
+            dh_k *= carry[k]
             e *= rs[k]
-            dh += e
-            dh += G_r[k] @ U_r_T
-            dh += G_u[k] @ U_u_T
+            dh_k += e
+            dh_k += G_r[k] @ U_r_T
+            dh_k += G_u[k] @ U_u_T
 
-        Xs = X[index]
+        X2 = X.reshape(-1, X.shape[-1])
+        Xs = np.ascontiguousarray(X2[index])
         dU_ru = h_prev.T @ G[:, : 2 * d]
         grads = [
             Xs.T @ G_r,
@@ -192,8 +250,9 @@ class GruCell:
         ]
         dX = None
         if input_grad:
-            dX = np.zeros_like(X)
+            dX = np.zeros_like(X2)
             dX[index] = G_r @ self.W_r.data.T + G_u @ self.W_u.data.T + G_c @ self.W.data.T
+            dX = dX.reshape(X.shape)
         return dX, grads
 
 
@@ -209,20 +268,21 @@ class BiGruEncoder:
         out.update(self.backward_cell.parameters())
         return out
 
-    def encode(self, X: Tensor, length: int | None = None) -> tuple[Tensor, Tensor, Tensor]:
-        """Encode a (T, n_in) block; rows at index >= length are padding.
+    def encode(self, X: Tensor, lengths=None) -> tuple[Tensor, Tensor, Tensor]:
+        """Encode a (B, T, n_in) block, row b over its first lengths[b]
+        positions, or a (T, n_in) block over its first `lengths` rows (an
+        int; None means all T). Later positions are padding.
 
         Returns (forward states, backward states, per-position concatenation),
-        shapes (T, d), (T, d), (T, 2d). Padded rows come out all zero and do
-        not advance either direction's state.
+        shapes (B, T, d), (B, T, d), (B, T, 2d), or without the B axis for
+        a 2-D block. Padded positions come out all zero and do not advance
+        either direction's state.
         """
-        T = X.data.shape[0]
-        if T == 0:
-            raise ValueError("cannot encode an empty sequence")
-        if length is None:
-            length = T
-        if not 1 <= length <= T:
-            raise ValueError(f"length {length} out of range for {T} input rows")
-        F = self.forward_cell.run(X, range(length))
-        B = self.backward_cell.run(X, range(length - 1, -1, -1))
+        shape = X.data.shape
+        if len(shape) < 2 or 0 in shape[:-1]:
+            raise ValueError(f"cannot encode an empty sequence block, got shape {shape}")
+        if lengths is not None and not 1 <= np.min(lengths) <= np.max(lengths) <= shape[-2]:
+            raise ValueError(f"lengths {lengths} out of range for {shape[-2]} positions")
+        F = self.forward_cell.run(X, lengths)
+        B = self.backward_cell.run(X, lengths, reverse=True)
         return F, B, nm.concat(F, B)

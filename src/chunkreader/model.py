@@ -8,6 +8,14 @@ candidate chunk is represented by the forward state at its first word
 concatenated with the backward state at its last word; candidates are
 ranked by softmax over dot products with the question representation.
 
+`ChunkReaderModel.forward_batch` runs a batch of examples, zero-padded
+to common lengths, through both encoders and the attention as (B, T, ·)
+blocks with per-example lengths, then scores each example on its own,
+because candidate counts differ. Training calls it once per batch.
+`forward` is the batch-of-one call of the same code, and prediction runs
+one example at a time through it, so an answer never depends on which
+examples it would have been batched with.
+
 Attention weights are raw inner products with no normalization; a
 normalized variant (a row-wise softmax over question positions) exists
 behind a flag for ablation, as does cosine instead of dot scoring. Each
@@ -19,6 +27,7 @@ node and cosine scoring is one node with a hand-derived backward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -62,21 +71,27 @@ class ModelConfig:
 
 @dataclass
 class ChunkScoreSet:
-    """Aligned candidates, their pre-softmax scores, and their ranking
-    probabilities (the softmax of the scores, a simplex)."""
+    """Aligned candidates and their pre-softmax scores; the ranking
+    probabilities (the softmax of the scores, checked to be a finite
+    simplex) are computed on first read and never recorded on a tape."""
 
     candidates: list[CandidateChunk]
-    probabilities: Tensor
     scores: Tensor
 
     def __post_init__(self):
         n = len(self.candidates)
-        for name, t in (("probability", self.probabilities), ("score", self.scores)):
-            if t.data.shape != (n,):
-                raise ValueError(f"{n} candidates but {name} shape {t.data.shape}")
-        s = float(self.probabilities.data.sum())
+        if self.scores.data.shape != (n,):
+            raise ValueError(f"{n} candidates but score shape {self.scores.data.shape}")
+
+    @cached_property
+    def probabilities(self) -> Tensor:
+        probs = nm.softmax(nm.tensor(self.scores.data))
+        if not np.all(np.isfinite(probs.data)):
+            raise ValueError("probabilities are not finite")
+        s = float(probs.data.sum())
         if abs(s - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {s!r}, not 1")
+        return probs
 
     def best_index(self) -> int:
         # np.argmax takes the first maximum; candidates are sorted by
@@ -103,7 +118,7 @@ def attend(
     passage_states: Tensor,
     question_states: Tensor,
     normalize: bool = False,
-    question_len: int | None = None,
+    question_len: int | Sequence[int] | None = None,
 ) -> Tensor:
     """Fuse each passage state with its question summary.
 
@@ -111,25 +126,28 @@ def attend(
     product, the summary is the weight-pooled sum of question rows, and
     the output row is [passage_j ; summary_j], twice the input width.
     With normalize=True the weights of each row pass through a softmax
-    before pooling. Question rows at or past question_len are padding: a
-    zero padding row already gets weight 0, but the softmax would give it
-    mass, so the normalized path drops those rows first.
+    before pooling. The states are (T, 2d) and (K, 2d) matrices, or
+    (B, T, 2d) and (B, K, 2d) stacks fused example by example with one
+    batched product. Question rows at or past question_len (an int, or
+    one per example for stacks) are padding: a zero padding row already
+    gets weight 0, but the softmax would give it mass, so the normalized
+    path masks those columns out.
     """
-    if passage_states.data.ndim != 2 or question_states.data.ndim != 2:
-        raise nm.ShapeError("attend expects two state matrices")
-    if passage_states.data.shape[0] == 0 or question_states.data.shape[0] == 0:
+    P, Q = passage_states.data, question_states.data
+    if P.ndim != Q.ndim or P.ndim not in (2, 3) or P.shape[:-2] != Q.shape[:-2]:
+        raise nm.ShapeError(f"attend expects two state matrices or stacks, got {P.shape} and {Q.shape}")
+    if 0 in P.shape[:-1] or 0 in Q.shape[:-1]:
         raise nm.ShapeError("attend needs non-empty state sequences")
-    if passage_states.data.shape[1] != question_states.data.shape[1]:
-        raise nm.ShapeError(
-            f"state widths disagree: {passage_states.data.shape} vs {question_states.data.shape}"
-        )
-    if normalize and question_len is not None and question_len < question_states.data.shape[0]:
-        question_states = nm.gather_rows(question_states, range(question_len))
-    weights = nm.matmul(passage_states, nm.transpose(question_states))  # (T, K)
+    if P.shape[-1] != Q.shape[-1]:
+        raise nm.ShapeError(f"state widths disagree: {P.shape} vs {Q.shape}")
+    weights = nm.matmul(passage_states, nm.transpose(question_states))  # (B, T, K)
     if normalize:
-        weights = nm.softmax(weights)
-    pooled = nm.matmul(weights, question_states)  # (T, 2d)
-    return nm.concat(passage_states, pooled)  # (T, 4d)
+        mask = None
+        if question_len is not None:  # (1, K) for a matrix, (B, 1, K) for a stack
+            mask = np.arange(Q.shape[-2]) < np.asarray(question_len)[..., None, None]
+        weights = nm.softmax(weights, mask)
+    pooled = nm.matmul(weights, question_states)  # (B, T, 2d)
+    return nm.concat(passage_states, pooled)  # (B, T, 4d)
 
 
 def chunk_repr(
@@ -178,7 +196,8 @@ def score_chunks(
     candidates: Sequence[CandidateChunk],
     scoring: str = "dot",
 ) -> ChunkScoreSet:
-    """Rank candidates: one dot product (or cosine) per chunk, softmaxed."""
+    """Rank candidates: one dot product (or cosine) per chunk; the score
+    set softmaxes them when its probabilities are read."""
     if len(candidates) == 0:
         raise ValueError("cannot score an empty candidate set")
     if chunk_reprs.data.shape[0] != len(candidates):
@@ -191,7 +210,7 @@ def score_chunks(
         scores = _cosine_scores(chunk_reprs, question)
     else:
         raise ValueError(f"unknown scoring: {scoring!r}")
-    return ChunkScoreSet(list(candidates), nm.softmax(scores), scores)
+    return ChunkScoreSet(list(candidates), scores)
 
 
 def nll_loss(score_set: ChunkScoreSet, gold: CandidateChunk) -> Tensor:
@@ -253,35 +272,77 @@ class ChunkReaderModel:
         rng: nm.SeededRng | None = None,
         training: bool = False,
     ) -> ChunkScoreSet:
-        """Score one example's candidates.
+        """Score one example's candidates: `forward_batch` on a batch of one.
 
         Feature blocks may carry trailing zero-padding rows; passage_len /
-        question_len give the true lengths. Dropout, when active, hits the
-        input features of both sequences (passage drawn first, question
-        second, so the random stream is consumed in a fixed order).
+        question_len give the true lengths (None: every row is real).
         """
-        if len(candidates) == 0:
-            raise ValueError("cannot score an empty candidate set")
-        Xp = nm.tensor(passage_features)
-        Xq = nm.tensor(question_features)
-        plen = Xp.data.shape[0] if passage_len is None else passage_len
-        for c in candidates:
-            if c.end > plen:
-                raise IndexError(f"candidate [{c.start}, {c.end}] beyond passage length {plen}")
+        P, Q = np.asarray(passage_features), np.asarray(question_features)
+        (scored,) = self.forward_batch(
+            P[None],
+            Q[None],
+            [candidates],
+            [P.shape[0] if passage_len is None else passage_len],
+            [Q.shape[0] if question_len is None else question_len],
+            dropout_rate,
+            rng,
+            training,
+        )
+        return scored
+
+    def forward_batch(
+        self,
+        passages: np.ndarray,
+        questions: np.ndarray,
+        candidates: Sequence[Sequence[CandidateChunk]],
+        passage_lens: Sequence[int],
+        question_lens: Sequence[int],
+        dropout_rate: float = 0.0,
+        rng: nm.SeededRng | None = None,
+        training: bool = False,
+    ) -> list[ChunkScoreSet]:
+        """Score the candidates of each example of a batch.
+
+        passages (B, T, width) and questions (B, K, width) hold each
+        example's features in one row, zero-padded past its true length.
+        Both encoders and the attention run over the whole batch at once;
+        each example is then scored on its own, because candidate counts
+        differ. Dropout, when active, hits the input features, drawn
+        example by example, the passage before the question: the order in
+        which scoring the examples one at a time would consume the stream.
+        """
+        B = len(candidates)
+        if passages.shape[0] != B or questions.shape[0] != B:
+            raise nm.ShapeError(
+                f"{B} candidate lists for {passages.shape[0]} passages and {questions.shape[0]} questions"
+            )
+        for cands, plen in zip(candidates, passage_lens):
+            if len(cands) == 0:
+                raise ValueError("cannot score an empty candidate set")
+            for c in cands:
+                if c.end > plen:
+                    raise IndexError(f"candidate [{c.start}, {c.end}] beyond passage length {plen}")
         if training and dropout_rate > 0.0:
             if rng is None:
                 raise ValueError("dropout needs an rng")
-            Xp = nm.dropout(Xp, dropout_rate, rng, training=True)
-            Xq = nm.dropout(Xq, dropout_rate, rng, training=True)
+            dropped = [
+                nm.dropout(nm.tensor(block[b]), dropout_rate, rng, training=True).data
+                for b in range(B)
+                for block in (passages, questions)
+            ]
+            passages, questions = np.stack(dropped[0::2]), np.stack(dropped[1::2])
 
-        _, _, passage_ctx = self.shared_encoder.encode(Xp, passage_len)
-        q_fwd, q_bwd, question_ctx = self.shared_encoder.encode(Xq, question_len)
-        fused = attend(passage_ctx, question_ctx, self.config.normalize_attention, question_len)
-        g_fwd, g_bwd, _ = self.attention_encoder.encode(fused, passage_len)
+        _, _, passage_ctx = self.shared_encoder.encode(nm.tensor(passages), passage_lens)
+        q_fwd, q_bwd, question_ctx = self.shared_encoder.encode(nm.tensor(questions), question_lens)
+        fused = attend(passage_ctx, question_ctx, self.config.normalize_attention, question_lens)
+        g_fwd, g_bwd, _ = self.attention_encoder.encode(fused, passage_lens)
 
-        reps = chunk_repr(g_fwd, g_bwd, candidates)
-        qrep = question_repr(q_fwd, q_bwd, question_len)
-        return score_chunks(reps, qrep, candidates, self.config.scoring)
+        scored = []
+        for b, cands in enumerate(candidates):
+            reps = chunk_repr(nm.row(g_fwd, b), nm.row(g_bwd, b), cands)
+            qrep = question_repr(nm.row(q_fwd, b), nm.row(q_bwd, b), question_lens[b])
+            scored.append(score_chunks(reps, qrep, cands, self.config.scoring))
+        return scored
 
     def score_example(self, ex: Example, featurizer: Featurizer) -> ChunkScoreSet | None:
         """Rank the candidates of one full-length example; None when the

@@ -197,22 +197,24 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1-D/2-D operands, with numpy's promotion rules.
+    """Matrix product for 1-D/2-D operands, with numpy's promotion rules,
+    or for two equally deep stacks of matrices, one product per slice.
 
-    Backward: dA = dC B^T and dB = A^T dC, specialized per rank so that
-    vector operands keep their 1-D shape.
+    Backward: dA = dC B^T and dB = A^T dC (per slice for stacks),
+    specialized per rank so that vector operands keep their 1-D shape.
     """
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports 1-D/2-D operands, got {ad.shape} x {bd.shape}")
-    if ad.shape[-1] != bd.shape[0]:
+    stacked = ad.ndim == bd.ndim == 3 and ad.shape[0] == bd.shape[0]
+    if not stacked and (ad.ndim not in (1, 2) or bd.ndim not in (1, 2)):
+        raise ShapeError(f"matmul supports 1-D/2-D operands or stacks, got {ad.shape} x {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
         raise ShapeError(f"matmul: inner dimensions disagree: {ad.shape} x {bd.shape}")
     out = Tensor(np.matmul(ad, bd))
 
     def backward_fn(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            accumulate(a, g @ bd.T)
-            accumulate(b, ad.T @ g)
+        if ad.ndim >= 2 and bd.ndim >= 2:
+            accumulate(a, g @ np.swapaxes(bd, -1, -2))
+            accumulate(b, np.swapaxes(ad, -1, -2) @ g)
         elif ad.ndim == 2 and bd.ndim == 1:
             accumulate(a, np.outer(g, bd))
             accumulate(b, ad.T @ g)
@@ -296,12 +298,17 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), backward_fn)
 
 
-def softmax(scores: Tensor) -> Tensor:
+def softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Stable softmax over the last axis (max-subtracted exponentials) of a
-    non-empty vector, or of each row of a non-empty matrix."""
+    non-empty vector, or of each row of a non-empty matrix or stack of
+    matrices. Where the boolean `mask` (broadcast against the scores) is
+    False, an entry gets probability 0 and no gradient; every row must
+    keep at least one entry."""
     x = scores.data
-    if x.ndim not in (1, 2) or x.size == 0:
-        raise ShapeError(f"softmax needs a non-empty vector or matrix, got shape {x.shape}")
+    if x.ndim not in (1, 2, 3) or x.size == 0:
+        raise ShapeError(f"softmax needs a non-empty vector, matrix or stack, got shape {x.shape}")
+    if mask is not None:
+        x = np.where(mask, x, -np.inf)
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
@@ -373,17 +380,21 @@ def total(a: Tensor) -> Tensor:
 
 
 def row(a: Tensor, i: int) -> Tensor:
-    """Row i of a matrix as a vector; backward scatters into that row."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"row expects a matrix, got shape {a.data.shape}")
+    """Slice i along the first axis (a row of a matrix, a matrix of a
+    stack); backward adds into that slice of the gradient in place, so
+    taking every slice of a stack costs no more than the stack itself."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"row expects a matrix or a stack, got shape {a.data.shape}")
     if not 0 <= i < a.data.shape[0]:
         raise IndexError(f"row {i} out of range for shape {a.data.shape}")
     out = Tensor(a.data[i])
 
     def backward_fn(g):
-        buf = np.zeros_like(a.data)
-        buf[i] = g
-        accumulate(a, buf)
+        if not a.requires_grad:
+            return
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[i] += g
 
     return record(out, (a,), backward_fn)
 
@@ -407,12 +418,13 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.data.shape}")
-    out = Tensor(a.data.T)
+    """Swap the last two axes of a matrix or of a stack of matrices."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose expects a matrix or a stack, got shape {a.data.shape}")
+    out = Tensor(np.swapaxes(a.data, -1, -2))
 
     def backward_fn(g):
-        accumulate(a, g.T)
+        accumulate(a, np.swapaxes(g, -1, -2))
 
     return record(out, (a,), backward_fn)
 

@@ -361,19 +361,19 @@ class TrainResult:
 
 
 def _batch_loss(model, batch: Batch, config, rng) -> Tensor:
-    losses = []
-    for i, pe in enumerate(batch.items):
-        scored = model.forward(
-            batch.passages[i],
-            batch.questions[i],
-            pe.candidates,
-            passage_len=pe.passage_len,
-            question_len=pe.question_len,
-            dropout_rate=config.dropout_rate,
-            rng=rng,
-            training=True,
-        )
-        losses.append(nll_loss(scored, pe.candidates[pe.gold_index]))
+    """Mean NLL of the batch's gold candidates, from one batched forward."""
+    items = batch.items
+    scored = model.forward_batch(
+        batch.passages,
+        batch.questions,
+        [pe.candidates for pe in items],
+        [pe.passage_len for pe in items],
+        [pe.question_len for pe in items],
+        dropout_rate=config.dropout_rate,
+        rng=rng,
+        training=True,
+    )
+    losses = [nll_loss(s, pe.candidates[pe.gold_index]) for s, pe in zip(scored, items)]
     return nm.scale(reduce(nm.add, losses), 1.0 / len(losses))
 
 
@@ -394,11 +394,14 @@ def train(
     no dropout). A step whose gradient norm is not finite makes no update,
     is counted in stats["skipped_steps"] and is left out of the epoch's
     logged loss, the mean over the examples of the applied steps (nan when
-    no step applied). Training stops at max_epochs or once dev EM has gone
-    `patience` consecutive epochs without a strict improvement. The best
-    checkpoint and the log are written when paths are given; the persisted
-    log carries only run-reproducible columns (epoch, loss, EM, F1), and
-    wall-clock seconds go to `echo` (default stderr) for humans.
+    no step applied). Of the applied steps, stats["clipped_steps"] counts
+    those whose pre-clip gradient norm exceeded clip_norm, and
+    stats["max_grad_norm"] is the largest pre-clip norm. Training stops at
+    max_epochs or once dev EM has gone `patience` consecutive epochs
+    without a strict improvement. The best checkpoint and the log are
+    written when paths are given; the persisted log carries only
+    run-reproducible columns (epoch, loss, EM, F1), and wall-clock seconds
+    go to `echo` (default stderr) for humans.
     """
     echo = echo if echo is not None else (lambda s: print(s, file=sys.stderr))
 
@@ -410,6 +413,8 @@ def train(
         "dropped_by_candidate_filter": dropped_filter,
         "trainable": len(prepared),
         "skipped_steps": 0,
+        "clipped_steps": 0,
+        "max_grad_norm": 0.0,
     }
     if not prepared:
         raise ValueError(
@@ -446,6 +451,9 @@ def train(
             if not np.isfinite(norm):  # a NaN/inf gradient must never reach the parameters
                 stats["skipped_steps"] += 1
                 continue
+            if norm > config.clip_norm:
+                stats["clipped_steps"] += 1
+            stats["max_grad_norm"] = max(stats["max_grad_norm"], norm)
             adam_step(params, grads, state, config.learning_rate)
             loss_sum += float(loss.data) * len(batch)
             applied += len(batch)

@@ -180,7 +180,7 @@ def test_gate_model_invariants():
         for p in cell.parameters().values():
             p.data[...] = rng.normal(scale=0.8, size=p.data.shape)
         X = rng.normal(scale=0.8, size=(3, 5))
-        _, states = cell.scan(X, np.arange(3), keep=True)
+        _, states = cell.scan(X[None], np.array([3]), reverse=False, keep=True)
         for gate in (states.r, states.u):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
 
@@ -216,7 +216,7 @@ def test_gate_model_invariants():
         rest = (1.0 - 2 * peak) / (n - 2) if n > 2 else 0.0
         probs = np.full(n, rest)
         probs[tied] = peak
-        scored = ChunkScoreSet(candidates, nm.tensor(probs), nm.tensor(np.log(probs)))
+        scored = ChunkScoreSet(candidates, nm.tensor(np.log(probs)))
         assert scored.best_index() == tied[0]
 
 

@@ -96,6 +96,17 @@ def test_trailing_garbage_rejected(tmp_path):
         ckpt.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name", ["shared.fwd.U", "attention.bwd.W"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_rejected_naming_it(tmp_path, name, value):
+    m = seeded_model(seed=6)
+    m.parameters()[name].data[1, 2] = value
+    path = tmp_path / "bad.ckpt"
+    ckpt.save_checkpoint(m, path)
+    with pytest.raises(ckpt.CheckpointError, match=f"^parameter {name} holds a non-finite value$"):
+        ckpt.load_checkpoint(path)
+
+
 def test_manifest_shape_mismatch_rejected(tmp_path):
     m = seeded_model(seed=7)
     path = tmp_path / "model.ckpt"

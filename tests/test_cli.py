@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chunkreader import cli
-from chunkreader.checkpoint import load_checkpoint
+from chunkreader.checkpoint import load_checkpoint, save_checkpoint
 from chunkreader.chunker import enumerate_candidates
 from chunkreader.corpus import load_dataset
 from chunkreader.encoder import GruCell
@@ -110,9 +110,11 @@ def test_train_prints_stats_line(world, tmp_path, capsys):
     stats = dict(item.split("=") for item in lines[0][len("train stats: "):].split(" "))
     assert set(stats) == {
         "train_examples", "dropped_by_truncation", "dropped_by_candidate_filter", "trainable",
-        "skipped_steps",
+        "skipped_steps", "clipped_steps", "max_grad_norm",
     }
+    assert float(stats.pop("max_grad_norm")) > 0.0
     counts = {k: int(v) for k, v in stats.items()}
+    assert 0 <= counts["clipped_steps"]
     assert counts["train_examples"] == 8
     assert counts["skipped_steps"] == 0
     assert counts["train_examples"] == (
@@ -340,6 +342,20 @@ def test_predict_malformed_checkpoint_exits_two_with_one_line(world, tmp_path, c
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+def test_predict_nan_weight_checkpoint_exits_two_without_output(world, tmp_path, capsys):
+    # such a checkpoint used to load and give "probability": NaN, which is
+    # not JSON, for every example
+    model = load_checkpoint(world["checkpoint"])
+    model.parameters()["shared.fwd.U"].data[0, 0] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(model, path)
+    out = tmp_path / "p.jsonl"
+    assert cli.main(predict_args(dict(world, checkpoint=str(path)), str(out))) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: parameter shared.fwd.U holds a non-finite value\n"
+    assert not out.exists()
 
 
 def test_non_utf8_dataset_exits_two_with_one_line(tmp_path, capsys):

@@ -53,7 +53,8 @@ def run(tmp_path, qas, annotations):
     squad = {"data": [{"title": "t", "paragraphs": [{"context": CONTEXT, "qas": qas}]}]}
     (tmp_path / "squad.json").write_text(json.dumps(squad), encoding="utf-8")
     anno_path = tmp_path / "anno.jsonl"
-    anno_path.write_text("".join(json.dumps(a) + "\n" for a in annotations), encoding="utf-8")
+    lines = (a if isinstance(a, str) else json.dumps(a) for a in annotations)  # a str is a raw line
+    anno_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     out = tmp_path / "out.jsonl"
     convert_squad.convert(str(tmp_path / "squad.json"), str(anno_path), str(out))
     return load_dataset(out), anno_path
@@ -104,3 +105,25 @@ def test_malformed_annotation_token_is_rejected_with_its_line(tmp_path, edit, re
     with pytest.raises(SystemExit) as info:
         run(tmp_path, [qa("q1", ("Alice", 0)), qa("q2", ("Alice", 0))], [annotation("q1"), bad])
     assert str(info.value) == f"{tmp_path / 'anno.jsonl'}:2: {reason}"
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"id": "q2", "passage": [', "not JSON: Expecting value"),
+        ('["q2"]', "annotation must be an object"),
+    ],
+)
+def test_annotation_line_that_is_not_a_json_object_is_rejected_with_its_line(tmp_path, line, reason):
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, [qa("q1", ("Alice", 0))], [annotation("q1"), line])
+    assert str(info.value) == f"{tmp_path / 'anno.jsonl'}:2: {reason}"
+
+
+@pytest.mark.parametrize("key", ["answer_start", "text"])
+def test_squad_answer_without_a_field_is_rejected_with_its_question(tmp_path, key):
+    broken = qa("q2", ("Bob", 10))
+    del broken["answers"][0][key]
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, [qa("q1", ("Alice", 0)), broken], [annotation("q1"), annotation("q2")])
+    assert str(info.value) == f"{tmp_path / 'squad.json'}: question q2: answer missing {key!r}"

@@ -19,12 +19,13 @@ def seeded_cell(n_in, d, name="cell", seed=0, scale=0.4):
 def run(cell, X):
     """States of one pass of the cell over every row of X, in order."""
     X = X if isinstance(X, nm.Tensor) else nm.tensor(X)
-    return cell.run(X, range(X.data.shape[0]))
+    return cell.run(X)
 
 
 def gates(cell, X):
     """Reset and update gates the cell's own forward computes over X."""
-    _, states = cell.scan(np.asarray(X, dtype=float), np.arange(len(X)), keep=True)
+    X = np.asarray(X, dtype=float)
+    _, states = cell.scan(X[None], np.array([len(X)]), reverse=False, keep=True)
     return states.r, states.u
 
 
@@ -66,9 +67,11 @@ def test_step_shapes_and_dim_mismatch():
     with pytest.raises(nm.ShapeError):
         run(cell, np.ones((2, 5)))
     with pytest.raises(nm.ShapeError):
-        cell.run(nm.tensor(np.ones(3)), [0])
+        cell.run(nm.tensor(np.ones(3)), 1)
+    with pytest.raises(nm.ShapeError):  # one length per row of a stack
+        cell.run(nm.tensor(np.ones((2, 2, 3))), [1])
     with pytest.raises(IndexError):
-        cell.run(nm.tensor(X), [0, 2])
+        cell.run(nm.tensor(X), 3)
 
 
 def test_cell_parameter_catalog():
@@ -209,9 +212,11 @@ def test_encode_rejects_empty_and_bad_length():
         enc.encode(nm.tensor(np.zeros((0, 3))))
     X = np.zeros((4, 3))
     with pytest.raises(ValueError):
-        enc.encode(nm.tensor(X), length=0)
+        enc.encode(nm.tensor(X), 0)
     with pytest.raises(ValueError):
-        enc.encode(nm.tensor(X), length=5)
+        enc.encode(nm.tensor(X), 5)
+    with pytest.raises(ValueError):
+        enc.encode(nm.tensor(np.zeros((2, 4, 3))), [4, 0])
 
 
 def test_padding_rows_are_zero_and_inert():
@@ -219,7 +224,7 @@ def test_padding_rows_are_zero_and_inert():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(3, 3))
     padded = np.vstack([X, rng.normal(size=(2, 3))])  # junk in the pad rows
-    F, B, C = enc.encode(nm.tensor(padded), length=3)
+    F, B, C = enc.encode(nm.tensor(padded), 3)
     Fu, Bu, Cu = enc.encode(nm.tensor(X))
     assert np.allclose(F.data[:3], Fu.data)
     assert np.allclose(B.data[:3], Bu.data)
@@ -255,7 +260,7 @@ def test_encode_gradients_with_padding():
     params = list(enc.parameters().values())
 
     def build():
-        _, _, C = enc.encode(X, length=3)
+        _, _, C = enc.encode(X, 3)
         return nm.total(C)
 
     err = max(nm.finite_difference_errors(build, params, 1e-6))
@@ -266,40 +271,46 @@ def test_encode_gradients_with_padding():
 # the fused node against a step-by-step taped reference
 
 
-def unrolled(cell, X, positions, weights):
-    """The cell's recurrence spelled out with one taped op per operation.
-    Returns the (T, d) states, zero rows where the cell does not step, and
-    the loss sum_t h_t . weights[t] over the steps, summed step by step."""
+def unrolled(cell, X, lengths, reverse, weights):
+    """The cell's recurrence spelled out with one taped op per operation,
+    row by row of the (B, T, n_in) block X. Returns the (B, T, d) states,
+    zero rows where the cell does not step, and the loss
+    sum_{b,t} h_bt . weights[b, t] over the steps, summed step by step."""
     d = cell.hidden_size
-    h = nm.tensor(np.zeros(d))
-    H = np.zeros((X.data.shape[0], d))
+    H = np.zeros(X.data.shape[:2] + (d,))
     loss = nm.tensor(0.0)
-    for t in positions:
-        x = nm.row(X, t)
-        r = nm.sigmoid(nm.add(nm.matmul(x, cell.W_r), nm.matmul(h, cell.U_r)))
-        u = nm.sigmoid(nm.add(nm.matmul(x, cell.W_u), nm.matmul(h, cell.U_u)))
-        hbar = nm.tanh(nm.add(nm.matmul(x, cell.W), nm.matmul(nm.mul(r, h), cell.U)))
-        h = nm.add(h, nm.mul(u, nm.add(hbar, nm.scale(h, -1.0))))
-        H[t] = h.data
-        loss = nm.add(loss, nm.matmul(h, nm.tensor(weights[t])))
+    for b, length in enumerate(lengths):
+        h = nm.tensor(np.zeros(d))
+        positions = range(length - 1, -1, -1) if reverse else range(length)
+        for t in positions:
+            x = nm.row(nm.row(X, b), t)
+            r = nm.sigmoid(nm.add(nm.matmul(x, cell.W_r), nm.matmul(h, cell.U_r)))
+            u = nm.sigmoid(nm.add(nm.matmul(x, cell.W_u), nm.matmul(h, cell.U_u)))
+            hbar = nm.tanh(nm.add(nm.matmul(x, cell.W), nm.matmul(nm.mul(r, h), cell.U)))
+            h = nm.add(h, nm.mul(u, nm.add(hbar, nm.scale(h, -1.0))))
+            H[b, t] = h.data
+            loss = nm.add(loss, nm.matmul(h, nm.tensor(weights[b, t])))
     return H, loss
 
 
-def fused(cell, X, positions, weights):
-    H = cell.run(X, positions)
+def fused(cell, X, lengths, reverse, weights):
+    H = cell.run(X, lengths, reverse)
     return H.data, nm.total(nm.mul(H, nm.tensor(weights)))
 
 
-@pytest.mark.parametrize("length", [6, 4, 1])
+# one row at full length, padded, and of length 1; three rows whose
+# lengths are out of order, and three with tied lengths
+@pytest.mark.parametrize(
+    "lengths", [(6,), (4,), (1,), (4, 6, 1), (6, 2, 6)], ids=lambda ls: ".".join(map(str, ls))
+)
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_fused_node_matches_unrolled_reference(direction, length):
+def test_fused_node_matches_unrolled_reference(direction, lengths):
+    reverse = direction == "backward"
     cell = seeded_cell(3, 5, seed=21, scale=0.6)
     rng = np.random.default_rng(22)
-    X = nm.parameter(rng.normal(size=(6, 3)))  # rows past `length` are padding
-    weights = rng.normal(size=(6, 5))  # a loss that weighs every output cell
-    positions = list(range(length))
-    if direction == "backward":
-        positions.reverse()
+    B = len(lengths)
+    X = nm.parameter(rng.normal(size=(B, 6, 3)))  # positions past a row's length are padding
+    weights = rng.normal(size=(B, 6, 5))  # a loss that weighs every output cell
     params = list(cell.parameters().values()) + [X]
 
     results = []
@@ -307,25 +318,54 @@ def test_fused_node_matches_unrolled_reference(direction, length):
         for p in params:
             p.grad = None
         with nm.Tape() as tape:
-            H, loss = forward(cell, X, positions, weights)
+            H, loss = forward(cell, X, lengths, reverse, weights)
             tape.backward(loss)
         results.append((H, [p.grad for p in params]))
     (fused_H, fused_grads), (ref, ref_grads) = results
 
     assert np.allclose(fused_H, ref, rtol=1e-10, atol=0.0)
-    assert np.array_equal(fused_H[length:], np.zeros((6 - length, 5)))
     for g, ref_g in zip(fused_grads, ref_grads):
         assert np.allclose(g, ref_g, rtol=1e-10, atol=0.0)
-    assert np.array_equal(fused_grads[-1][length:], np.zeros((6 - length, 3)))
+    for b, length in enumerate(lengths):
+        assert np.array_equal(fused_H[b, length:], np.zeros((6 - length, 5)))
+        assert np.array_equal(fused_grads[-1][b, length:], np.zeros((6 - length, 3)))
+
+
+def test_batched_encode_rows_match_single_row_encodes():
+    # each row of a stack is encoded as if alone: its states and its input
+    # gradient do not depend on the other rows, and its padded positions
+    # get zero states and zero gradient, whatever junk they hold
+    enc = seeded_encoder(3, 4, seed=25)
+    rng = np.random.default_rng(26)
+    lengths = [3, 5, 1, 5]
+    X = nm.parameter(rng.normal(size=(4, 5, 3)))
+    weights = rng.normal(size=(4, 5, 8))
+
+    def encode_with_grad(block, lens, w):
+        block.grad = None
+        with nm.Tape() as tape:
+            _, _, C = enc.encode(block, lens)
+            tape.backward(nm.total(nm.mul(C, nm.tensor(w))))
+        return C.data, block.grad
+
+    C, dX = encode_with_grad(X, lengths, weights)
+    for b, length in enumerate(lengths):
+        alone = nm.parameter(X.data[b : b + 1].copy())
+        C1, dX1 = encode_with_grad(alone, [length], weights[b : b + 1])
+        # the same sums, possibly grouped differently across the batch
+        assert np.allclose(C[b], C1[0], rtol=1e-12, atol=1e-15)
+        assert np.allclose(dX[b], dX1[0], rtol=1e-10, atol=1e-15)
+        assert np.array_equal(C[b, length:], np.zeros((5 - length, 8)))
+        assert np.array_equal(dX[b, length:], np.zeros((5 - length, 3)))
 
 
 def test_untaped_run_keeps_no_step_states():
     # inference must not pay for the backward's saved states
     cell = seeded_cell(3, 4, seed=23)
     X = np.random.default_rng(24).normal(size=(5, 3))
-    H, states = cell.scan(X, np.arange(5), keep=False)
+    H, states = cell.scan(X[None], np.array([5]), reverse=False, keep=False)
     assert states is None
-    assert np.array_equal(H, run(cell, X).data)
+    assert np.array_equal(H[0], run(cell, X).data)
     assert not nm.recording([nm.tensor(X)] + list(cell.parameters().values()))
     with nm.Tape() as tape:
         assert nm.recording(list(cell.parameters().values()))

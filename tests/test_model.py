@@ -283,7 +283,10 @@ def test_cosine_scoring_matches_closed_form_with_zero_vectors():
 @pytest.mark.parametrize("scoring", ["dot", "cosine"])
 def test_every_variant_records_a_length_independent_tape(scoring):
     # every scoring and attention variant is a fixed set of tape nodes: one
-    # node count for raw attention and one (a softmax more) for normalized
+    # node count for raw attention and one (a softmax more) for normalized.
+    # forward is the batch-of-one call, so it takes the example's slice of
+    # four batched state blocks (four row nodes); the ranking softmax is
+    # computed only when probabilities are read, so it is not on the tape
     counts = {}
     for normalize in (False, True):
         m = toy_model(d=3, emb=2, seed=8, scoring=scoring, normalize_attention=normalize)
@@ -295,7 +298,7 @@ def test_every_variant_records_a_length_independent_tape(scoring):
                 scored = m.forward(rng.normal(size=(T, width)), rng.normal(size=(5, width)), cands)
                 tape.backward(M.nll_loss(scored, cands[3]))
             counts.setdefault(normalize, set()).add(len(tape))
-    assert counts == {False: {22}, True: {23}}
+    assert counts == {False: {25}, True: {26}}
 
 
 def test_nll_singleton_is_zero():
@@ -378,17 +381,33 @@ def test_property_score_shift_invariance(seed, shift):
 
 
 def test_scoreset_validates_alignment_and_mass():
-    good = nm.tensor(np.array([0.25, 0.75]))
-    scores = nm.tensor(np.log(good.data))
-    M.ChunkScoreSet([CandidateChunk(1, 1), CandidateChunk(2, 2)], good, scores)
+    cands = [CandidateChunk(1, 1), CandidateChunk(2, 2)]
+    scored = M.ChunkScoreSet(cands, nm.tensor(np.log([0.25, 0.75])))
+    assert np.allclose(scored.probabilities.data, [0.25, 0.75], rtol=0.0, atol=1e-15)
     with pytest.raises(ValueError):
-        M.ChunkScoreSet([CandidateChunk(1, 1)], good, scores)
+        M.ChunkScoreSet([CandidateChunk(1, 1)], scored.scores)
     with pytest.raises(ValueError):
-        M.ChunkScoreSet([CandidateChunk(1, 1), CandidateChunk(2, 2)], good, nm.tensor(np.zeros(3)))
-    with pytest.raises(ValueError):
-        M.ChunkScoreSet(
-            [CandidateChunk(1, 1), CandidateChunk(2, 2)], nm.tensor(np.array([0.5, 0.6])), scores
-        )
+        M.ChunkScoreSet(cands, nm.tensor(np.zeros(3)))
+    # a non-finite score (say, from a NaN weight) must not pass as a
+    # simplex: NaN sums are not caught by comparing the sum with 1
+    for bad in ([0.0, np.nan], [np.inf, 0.0], [np.inf, np.inf]):
+        with pytest.raises(ValueError, match="not finite"), np.errstate(invalid="ignore"):
+            M.ChunkScoreSet(cands, nm.tensor(np.array(bad))).probabilities
+
+
+def test_probabilities_are_computed_on_read_and_never_taped():
+    # training reads only the scores, so the softmax must cost it nothing
+    m = toy_model(d=3, emb=2, seed=9)
+    width = m.config.input_width
+    rng = np.random.default_rng(10)
+    cands = [CandidateChunk(i, i + 1) for i in range(1, 6)]
+    with nm.Tape() as tape:
+        scored = m.forward(rng.normal(size=(6, width)), rng.normal(size=(3, width)), cands)
+        before = len(tape)
+        probs = scored.probabilities
+        assert len(tape) == before
+    assert scored.probabilities is probs
+    assert np.array_equal(probs.data, nm.softmax(nm.tensor(scored.scores.data)).data)
 
 
 # ---------------------------------------------------------------------------

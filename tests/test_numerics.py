@@ -51,6 +51,20 @@ def test_matmul_grad_1d_1d():
     check_grads(lambda: nm.matmul(a, b), [a, b])
 
 
+def test_matmul_grad_stacks():
+    rng = np.random.default_rng(4)
+    a = nm.parameter(rng.normal(size=(2, 3, 4)))
+    b = nm.parameter(rng.normal(size=(2, 4, 5)))
+    check_grads(lambda: nm.total(nm.matmul(a, b)), [a, b])
+    c = nm.matmul(a, b).data
+    for i in range(2):  # one product per slice, bit for bit the 2-D product
+        assert np.array_equal(c[i], nm.matmul(nm.tensor(a.data[i]), nm.tensor(b.data[i])).data)
+    with pytest.raises(nm.ShapeError):  # stacks of different depth
+        nm.matmul(a, nm.tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(nm.ShapeError):  # a stack times a matrix
+        nm.matmul(a, nm.tensor(np.zeros((4, 5))))
+
+
 def test_matmul_shape_mismatch():
     a = nm.parameter(np.zeros((3, 4)))
     b = nm.parameter(np.zeros((5, 2)))
@@ -122,15 +136,38 @@ def test_softmax_shift_invariance():
     assert np.allclose(y1, y2)
 
 
-def test_softmax_normalizes_matrix_rows_and_rejects_empty_and_3d():
+def test_softmax_normalizes_rows_and_rejects_empty_and_4d():
     x = np.random.default_rng(8).normal(scale=5.0, size=(4, 6))
     y = nm.softmax(nm.tensor(x)).data
     assert np.allclose(y.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     for t in range(4):  # each row is, bit for bit, the softmax of that row
         assert np.array_equal(y[t], nm.softmax(nm.tensor(x[t])).data)
-    for bad in (np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)), np.zeros((2, 2, 2))):
+    stacked = nm.softmax(nm.tensor(np.stack([x, 2.0 * x]))).data
+    assert np.array_equal(stacked[0], y)  # a stack is softmaxed matrix by matrix
+    for bad in (np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)), np.zeros((2, 2, 2, 2))):
         with pytest.raises(nm.ShapeError):
             nm.softmax(nm.tensor(bad))
+
+
+def test_masked_softmax_matches_softmax_of_the_kept_entries():
+    rng = np.random.default_rng(18)
+    x = rng.normal(scale=3.0, size=(2, 3, 5))
+    keep = np.arange(5) < np.array([3, 5])[:, None, None]  # (2, 1, 5)
+    y = nm.softmax(nm.tensor(x), keep).data
+    assert np.array_equal(y[0, :, 3:], np.zeros((3, 2)))
+    assert np.allclose(y[0, :, :3], nm.softmax(nm.tensor(x[0, :, :3])).data, rtol=1e-15, atol=0.0)
+    assert np.array_equal(y[1], nm.softmax(nm.tensor(x[1])).data)
+    # the gradient is that of the softmax over the kept entries alone, and
+    # zero on the masked ones
+    w = rng.normal(size=x.shape)
+    s = nm.parameter(x)
+    kept = nm.parameter(x[0, :, :3].copy())
+    with nm.Tape() as tape:
+        tape.backward(nm.total(nm.mul(nm.softmax(s, keep), nm.tensor(w))))
+    with nm.Tape() as tape:
+        tape.backward(nm.total(nm.mul(nm.softmax(kept), nm.tensor(w[0, :, :3]))))
+    assert np.allclose(s.grad[0, :, :3], kept.grad, rtol=1e-13, atol=1e-16)
+    assert np.array_equal(s.grad[0, :, 3:], np.zeros((3, 2)))
 
 
 def test_softmax_matrix_grad():
@@ -163,6 +200,21 @@ def test_row_grads():
         nm.row(a, 4)
 
 
+def test_row_of_a_stack_accumulates_in_place():
+    rng = np.random.default_rng(11)
+    a = nm.parameter(rng.normal(size=(3, 2, 4)))
+    check_grads(lambda: nm.add(nm.total(nm.row(a, 0)), nm.total(nm.row(a, 2))), [a])
+    a.grad = None
+    w = rng.normal(size=(2, 4))
+    with nm.Tape() as tape:
+        first = nm.total(nm.mul(nm.row(a, 1), nm.tensor(w)))
+        tape.backward(nm.add(first, nm.total(nm.row(a, 1))))
+    assert np.array_equal(a.grad[1], w + 1.0)
+    assert np.array_equal(a.grad[[0, 2]], np.zeros((2, 2, 4)))
+    with pytest.raises(nm.ShapeError):
+        nm.row(nm.tensor(np.zeros(3)), 0)
+
+
 def test_gather_rows_grad_with_repeats():
     rng = np.random.default_rng(10)
     a = nm.parameter(rng.normal(size=(4, 3)))
@@ -187,6 +239,12 @@ def test_transpose_grad():
     rng = np.random.default_rng(12)
     a = nm.parameter(rng.normal(size=(2, 5)))
     check_grads(lambda: nm.total(nm.transpose(a)), [a])
+    s = nm.parameter(rng.normal(size=(3, 2, 5)))
+    w = rng.normal(size=(3, 5, 2))
+    assert np.array_equal(nm.transpose(s).data[1], s.data[1].T)  # each matrix of a stack
+    with nm.Tape() as tape:
+        tape.backward(nm.total(nm.mul(nm.transpose(s), nm.tensor(w))))
+    assert np.array_equal(s.grad, np.swapaxes(w, 1, 2))
 
 
 def test_scale_total_broadcast_grads():

@@ -1,5 +1,7 @@
 """Optimizer pieces, batching, filtering, and the training loop."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from chunkreader import numerics as nm, trainer as tr
 from chunkreader.chunker import CandidateChunk, enumerate_candidates
 from chunkreader.corpus import EmbeddingTable, Featurizer
-from chunkreader.model import ChunkReaderModel, ModelConfig
+from chunkreader.model import ChunkReaderModel, ModelConfig, nll_loss
 from chunkreader.synthetic import SyntheticSpec, generate
 from helpers import make_example
 
@@ -402,6 +404,96 @@ def test_train_loss_decreases_on_fixed_batch():
     assert drops >= 8, f"loss decreased only {drops}/10 times: {losses}"
 
 
+# ---------------------------------------------------------------------------
+# the batched step
+
+
+def random_batch(lengths, normalize=False, dropout_rate=0.2, seed=0):
+    """A model and one batch of random examples with the given (passage,
+    question) lengths, gold candidates drawn at random."""
+    rng = np.random.default_rng(seed)
+    mc = ModelConfig(hidden_size=5, embedding_dim=4, pos_tags=("A", "B"), ne_tags=("O",),
+                     max_chunk_len=3, normalize_attention=normalize)
+    model = ChunkReaderModel(mc)
+    for p in model.parameters().values():
+        p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    prepared = []
+    for T, K in lengths:
+        cands = enumerate_candidates(T, 3)
+        prepared.append(tr.PreparedExample(
+            None, rng.normal(size=(T, mc.input_width)), rng.normal(size=(K, mc.input_width)),
+            cands, int(rng.integers(len(cands))),
+        ))
+    cfg = tiny_config(batch_size=len(lengths), hidden_size=5, max_chunk_len=3,
+                      dropout_rate=dropout_rate)
+    (batch,) = tr.make_batches(prepared, cfg, nm.SeededRng(seed), epoch=0)
+    return model, cfg, batch, prepared
+
+
+def step_grads(model, loss_fn):
+    """Loss, gradients and tape length of one taped step."""
+    model.zero_grads()
+    with nm.Tape() as tape:
+        loss = loss_fn()
+        nodes = len(tape)
+        tape.backward(loss)
+    return float(loss.data), {k: p.grad.copy() for k, p in model.parameters().items()}, nodes
+
+
+def per_example_loss(model, batch, cfg, rng):
+    """The batch loss the way it was computed before batching: one
+    model.forward per example, in batch order."""
+    losses = []
+    for i, pe in enumerate(batch.items):
+        scored = model.forward(
+            batch.passages[i], batch.questions[i], pe.candidates, pe.passage_len, pe.question_len,
+            dropout_rate=cfg.dropout_rate, rng=rng, training=True,
+        )
+        losses.append(nll_loss(scored, pe.candidates[pe.gold_index]))
+    return nm.scale(reduce(nm.add, losses), 1.0 / len(losses))
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_batched_step_matches_per_example_step(normalize):
+    # mixed passage and question lengths, so both blocks carry padding
+    lengths = [(7, 3), (4, 5), (9, 2), (4, 4), (6, 5)]
+    model, cfg, batch, _ = random_batch(lengths, normalize=normalize)
+    rngs = [nm.SeededRng(3), nm.SeededRng(3)]
+    loss, grads, _ = step_grads(model, lambda: tr._batch_loss(model, batch, cfg, rngs[0]))
+    ref_loss, ref_grads, _ = step_grads(model, lambda: per_example_loss(model, batch, cfg, rngs[1]))
+    assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+    for name, ref in ref_grads.items():
+        assert np.max(np.abs(grads[name] - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+    # the dropout draws consumed the same stretch of the stream
+    assert np.array_equal(rngs[0].random(8), rngs[1].random(8))
+
+
+def test_batched_example_loss_ignores_its_neighbours():
+    # the same example (drawn first from the same seed) next to different
+    # neighbours, so with different padding and row order, gets the same loss
+    losses = []
+    for others in ([(9, 5), (3, 2)], [(4, 4)], [(6, 6), (6, 3), (11, 1)]):
+        model, _, batch, prepared = random_batch([(6, 3)] + others, dropout_rate=0.0, seed=4)
+        scored = model.forward_batch(
+            batch.passages, batch.questions, [pe.candidates for pe in batch.items],
+            [pe.passage_len for pe in batch.items], [pe.question_len for pe in batch.items],
+        )
+        i = next(i for i, pe in enumerate(batch.items) if pe is prepared[0])
+        pe = prepared[0]
+        losses.append(float(nll_loss(scored[i], pe.candidates[pe.gold_index]).data))
+    for loss in losses[1:]:
+        assert abs(loss - losses[0]) <= 1e-12 * abs(losses[0])
+
+
+def test_batched_step_tape_does_not_grow_with_length():
+    counts = set()
+    for scale in (1, 3):
+        lengths = [(5 * scale, 2 * scale), (3 * scale, 3 * scale), (4 * scale, scale)]
+        model, cfg, batch, _ = random_batch(lengths, seed=5)
+        counts.add(step_grads(model, lambda: tr._batch_loss(model, batch, cfg, nm.SeededRng(0)))[2])
+    assert len(counts) == 1
+
+
 def test_train_runs_and_logs(tmp_path):
     model, fz, examples = tiny_setup(n=6, seed=2)
     cfg = tiny_config(max_epochs=2, batch_size=3)
@@ -481,3 +573,20 @@ def test_train_skips_non_finite_steps():
     assert all(np.isfinite(loss) for loss in result.train_losses)
     for line in result.log_lines:
         assert np.isfinite(float(line.split("\t")[1])), line
+
+
+def test_train_counts_clipped_steps_and_keeps_the_largest_norm():
+    model, fz, examples = tiny_setup(n=6, seed=7)
+    cfg = tiny_config(max_epochs=2, batch_size=4, patience=2, clip_norm=1e-6)
+    result = tr.train(model, fz, examples, examples, cfg, echo=lambda s: None)
+    steps = result.epochs_run * 2  # batches of 4 and 2 per epoch
+    assert result.stats["skipped_steps"] == 0
+    assert result.stats["clipped_steps"] == steps
+    assert result.stats["max_grad_norm"] > 1e-6
+
+    model, fz, examples = tiny_setup(n=6, seed=7)
+    loose = tr.train(model, fz, examples, examples, tiny_config(max_epochs=2, batch_size=4,
+                                                                patience=2, clip_norm=1e6),
+                     echo=lambda s: None)
+    assert loose.stats["clipped_steps"] == 0
+    assert 0.0 < loose.stats["max_grad_norm"] <= 1e6

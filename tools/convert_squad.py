@@ -26,8 +26,10 @@ not line up with token boundaries (after whitespace is ignored) are
 skipped; questions with no mappable answer or no annotation entry are
 dropped. Counts for both go to stderr. An annotation token that the
 corpus loader would reject (a missing key, a non-string surface, an
-offset that is not an integer) stops the conversion with `path:line:`
-and the reason.
+offset that is not an integer), or an annotation line that is not a
+JSON object, stops the conversion with `path:line:` and the reason; a
+SQuAD answer without `text` or `answer_start` stops it with
+`path: question <id>:` and the reason.
 """
 
 import argparse
@@ -55,7 +57,12 @@ def load_annotations(path):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SystemExit(f"{path}:{line_no}: not JSON: {exc.msg}") from None
+            if not isinstance(obj, dict):
+                raise SystemExit(f"{path}:{line_no}: annotation must be an object")
             for key in ("id", "passage", "question"):
                 if key not in obj:
                     raise SystemExit(f"{path}:{line_no}: annotation missing {key!r}")
@@ -122,6 +129,9 @@ def convert(squad_path, annotations_path, out_path):
             answers = []
             seen = set()
             for gold in qa["answers"]:
+                for key in ("text", "answer_start"):
+                    if key not in gold:
+                        raise SystemExit(f"{squad_path}: question {qa_id}: answer missing {key!r}")
                 span = char_span_to_tokens(anno["passage"], int(gold["answer_start"]),
                                            gold["text"])
                 if span is None:
