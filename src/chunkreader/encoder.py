@@ -70,7 +70,7 @@ class StepStates(NamedTuple):
     state before the step, and the reset gate, update gate and candidate
     state the step computed. Step k covers `counts[k]` consecutive rows."""
 
-    index: np.ndarray | slice  # (N,) rows of the flattened input, in step order
+    index: np.ndarray  # (N,) rows of the flattened input, in step order
     counts: np.ndarray  # (L_max,) rows still active at each step, non-increasing
     h_prev: np.ndarray  # (N, d)
     r: np.ndarray  # (N, d)
@@ -78,16 +78,11 @@ class StepStates(NamedTuple):
     hbar: np.ndarray  # (N, d)
 
 
-def _step_plan(lengths: np.ndarray, T: int, reverse: bool) -> tuple[np.ndarray | slice, np.ndarray]:
+def _step_plan(lengths: np.ndarray, T: int, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the flattened (B*T, ·) block in step order, and the number
     of rows active at each step. Rows are ordered by decreasing length
     (a stable sort), so the rows still active at step k are a prefix;
-    step k visits position k of each, or position L_b - 1 - k in reverse.
-    For a block of one row the rows are a slice, so that indexing with
-    them gives views instead of copies."""
-    if lengths.size == 1:
-        L = int(lengths[0])
-        return slice(L - 1, None, -1) if reverse else slice(0, L), np.ones(L, dtype=np.intp)
+    step k visits position k of each, or position L_b - 1 - k in reverse."""
     order = np.argsort(-lengths, kind="stable")
     ordered = lengths[order]
     active = np.arange(ordered[0])[:, None] < ordered[None, :]
@@ -121,7 +116,8 @@ class GruCell:
         row b over its first lengths[b] positions, left to right or (with
         `reverse`) right to left; returns the (B, T, d) states, a zero row
         at every padded position. A (T, n_in) block with one int length
-        (None: all T) is the B = 1 case and gives (T, d). One tape node."""
+        (None: all T) is the B = 1 case and gives (T, d). A length outside
+        1..T raises ValueError. One tape node."""
         Xd = X.data
         if Xd.ndim not in (2, 3) or Xd.shape[-1] != self.n_in:
             raise nm.ShapeError(
@@ -135,7 +131,7 @@ class GruCell:
         if lengths.shape != X3.shape[:1]:
             raise nm.ShapeError(f"{self.name}: {lengths.size} lengths for {X3.shape[0]} rows")
         if lengths.size == 0 or lengths.min() < 1 or lengths.max() > T:
-            raise IndexError(f"{self.name}: lengths {lengths} out of range for {T} positions")
+            raise ValueError(f"{self.name}: lengths {lengths} out of range for {T} positions")
         params = [getattr(self, f) for f in _CELL_FIELDS]
         taped = nm.recording([X] + params)
         H, states = self.scan(X3, lengths, reverse, keep=taped)
@@ -165,8 +161,7 @@ class GruCell:
         n = int(counts.sum())
         # X W_r and X W_u side by side, so each step adds both in one op;
         # X W apart, which keeps the largest block, and so peak memory,
-        # small. Each is then put in step order: a view for one row, a
-        # gathered copy for several.
+        # small. Each is then gathered into step order.
         proj_ru = np.empty((2, B * T, d))
         np.matmul(X2, self.W_r.data, out=proj_ru[0])
         np.matmul(X2, self.W_u.data, out=proj_ru[1])
@@ -278,11 +273,6 @@ class BiGruEncoder:
         a 2-D block. Padded positions come out all zero and do not advance
         either direction's state.
         """
-        shape = X.data.shape
-        if len(shape) < 2 or 0 in shape[:-1]:
-            raise ValueError(f"cannot encode an empty sequence block, got shape {shape}")
-        if lengths is not None and not 1 <= np.min(lengths) <= np.max(lengths) <= shape[-2]:
-            raise ValueError(f"lengths {lengths} out of range for {shape[-2]} positions")
         F = self.forward_cell.run(X, lengths)
         B = self.backward_cell.run(X, lengths, reverse=True)
         return F, B, nm.concat(F, B)

@@ -70,7 +70,7 @@ def test_step_shapes_and_dim_mismatch():
         cell.run(nm.tensor(np.ones(3)), 1)
     with pytest.raises(nm.ShapeError):  # one length per row of a stack
         cell.run(nm.tensor(np.ones((2, 2, 3))), [1])
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         cell.run(nm.tensor(X), 3)
 
 
