@@ -2,8 +2,10 @@
 
 Subcommands: train, evaluate, predict, chunk-stats, gradcheck. Exit
 codes: 0 success, 1 usage or configuration error, 2 data error (missing
-or malformed files, empty trainable set, checkpoint mismatch), 3
-gradient verification failure.
+or malformed files, an output path that is a directory or lies in a
+missing directory, empty trainable set, checkpoint mismatch), 3
+gradient verification failure. Output paths are checked before any
+work starts.
 
 A command that reads a dataset prints each dropped record's line and
 reason on stderr and exits 2 when the file holds no usable example.
@@ -50,6 +52,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive(kind):
+    """argparse type: a `kind` number that must be greater than zero."""
+
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its own errors
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chunkreader", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -81,20 +96,28 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("chunk-stats", help="candidate recall and count statistics")
     p.add_argument("--data", required=True)
     p.add_argument("--mode", default="window", help="window or trie")
-    p.add_argument("--max-len", type=int, default=10)
+    p.add_argument("--max-len", type=_positive(int), default=10)
     p.add_argument("--trie-data", help="examples whose answers build the trie (default: --data)")
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden-size", type=int, default=3)
-    p.add_argument("--step", type=float, default=1e-4)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--hidden-size", type=_positive(int), default=3)
+    p.add_argument("--step", type=_positive(float), default=1e-4)
+    p.add_argument("--tolerance", type=_positive(float), default=1e-4)
     return parser
 
 
 def _require_file(path, what: str):
     if not os.path.isfile(path):
         raise DataError(f"{what} not found: {path}")
+
+
+def _require_output(path, flag: str):
+    """An output path must name a file in an existing directory."""
+    if path is not None and os.path.isdir(path):
+        raise DataError(f"{flag} is a directory: {path}")
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise DataError(f"{flag}: directory not found: {os.path.dirname(path)}")
 
 
 def _load_examples(path, what: str) -> list[Example]:
@@ -147,6 +170,8 @@ def cmd_train(args) -> int:
             config = load_train_config(os.devnull, overrides)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _require_output(args.out_checkpoint, "--out-checkpoint")
+    _require_output(args.log, "--log")
 
     train_examples = _load_examples(args.train_path, "training dataset")
     dev_examples = _load_examples(args.dev_path, "dev dataset")
@@ -186,6 +211,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _require_output(args.out, "--out")
     _require_file(args.checkpoint, "checkpoint")
     model = load_checkpoint(args.checkpoint)
     examples = _load_examples(args.data, "dataset")
@@ -220,6 +246,7 @@ def _row_dict(row) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    _require_output(args.json_out, "--json-out")
     examples = _load_examples(args.data, "dataset")
     if args.predictions:
         predictions = _read_predictions_file(args.predictions)

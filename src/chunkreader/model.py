@@ -11,7 +11,8 @@ ranked by softmax over dot products with the question representation.
 `ChunkReaderModel.forward_batch` runs a batch of examples, zero-padded
 to common lengths, through both encoders and the attention as (B, T, ·)
 blocks with per-example lengths, then scores each example on its own,
-because candidate counts differ. Training calls it once per batch.
+because candidate counts differ, gathering its chunk and question rows
+straight from the batched states. Training calls it once per batch.
 `forward` is the batch-of-one call of the same code, and prediction runs
 one example at a time through it, so an answer never depends on which
 examples it would have been batched with.
@@ -21,7 +22,11 @@ normalized variant (a row-wise softmax over question positions) exists
 behind a flag for ablation, as does cosine instead of dot scoring. Each
 variant of attention and of scoring records the same number of tape
 nodes whatever the passage length: the normalization is one softmax
-node and cosine scoring is one node with a hand-derived backward.
+node and cosine scoring is one node with a hand-derived backward. A
+forward of one example records 20 nodes (21 with normalized attention):
+three per encoder pass, four for the attention, three each for the
+chunk and question representations, and one for the scores;
+`nll_loss` adds one more.
 """
 
 from __future__ import annotations
@@ -151,21 +156,31 @@ def attend(
 
 
 def chunk_repr(
-    fwd_states: Tensor, bwd_states: Tensor, candidates: Sequence[CandidateChunk]
+    fwd_states: Tensor,
+    bwd_states: Tensor,
+    candidates: Sequence[CandidateChunk],
+    example: int | None = None,
 ) -> Tensor:
     """One row per candidate: the forward state at its first word
-    concatenated with the backward state at its last word. A candidate
+    concatenated with the backward state at its last word, from (T, d)
+    states or from row `example` of (B, T, d) stacks. A candidate
     reaching past the state rows raises IndexError."""
-    starts = [c.start - 1 for c in candidates]
-    ends = [c.end - 1 for c in candidates]
+    at = () if example is None else (example,)
+    starts = at + ([c.start - 1 for c in candidates],)
+    ends = at + ([c.end - 1 for c in candidates],)
     return nm.concat(nm.gather_rows(fwd_states, starts), nm.gather_rows(bwd_states, ends))
 
 
-def question_repr(fwd_states: Tensor, bwd_states: Tensor, length: int | None = None) -> Tensor:
-    """Question summary: last real forward state plus first backward state."""
+def question_repr(
+    fwd_states: Tensor, bwd_states: Tensor, length: int | None = None, example: int | None = None
+) -> Tensor:
+    """Question summary: last real forward state plus first backward state,
+    from (K, d) states or from row `example` of (B, K, d) stacks."""
+    at = () if example is None else (example,)
     if length is None:
-        length = fwd_states.data.shape[0]
-    return nm.concat(nm.row(fwd_states, length - 1), nm.row(bwd_states, 0))
+        length = fwd_states.data.shape[-2]
+    last = nm.gather_rows(fwd_states, at + (length - 1,))
+    return nm.concat(last, nm.gather_rows(bwd_states, at + (0,)))
 
 
 def _cosine_scores(reps: Tensor, question: Tensor) -> Tensor:
@@ -339,8 +354,8 @@ class ChunkReaderModel:
 
         scored = []
         for b, cands in enumerate(candidates):
-            reps = chunk_repr(nm.row(g_fwd, b), nm.row(g_bwd, b), cands)
-            qrep = question_repr(nm.row(q_fwd, b), nm.row(q_bwd, b), question_lens[b])
+            reps = chunk_repr(g_fwd, g_bwd, cands, b)
+            qrep = question_repr(q_fwd, q_bwd, question_lens[b], b)
             scored.append(score_chunks(reps, qrep, cands, self.config.scoring))
         return scored
 

@@ -7,6 +7,10 @@ With no active tape the same ops are plain numpy computations, which is
 how inference runs. Gradient accumulation order is fixed by tape order,
 so identical inputs give bit-identical results.
 
+The module holds only the ops the model and the benchmark run. Its one
+row-selection op, `gather_rows`, reads rows straight from batched
+(B, T, d) blocks; `accumulate` alone allocates a gradient on first touch.
+
 The stack of active tapes is per thread: an op records on the innermost
 tape its own thread entered, so threads that each enter their own tape
 may run at the same time without seeing one another's ops. A tape and
@@ -34,16 +38,11 @@ __all__ = [
     "logistic",
     "matmul",
     "add",
-    "mul",
-    "sigmoid",
-    "tanh",
     "concat",
     "softmax",
     "softmax_nll",
     "dropout",
     "scale",
-    "total",
-    "row",
     "gather_rows",
     "transpose",
     "finite_difference_errors",
@@ -182,11 +181,21 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tens
     return out
 
 
-def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add a gradient contribution to a tensor, allocating on first touch."""
+def accumulate(t: Tensor, g: np.ndarray, index: tuple | None = None) -> None:
+    """Add a gradient contribution to a tensor, allocating on first touch.
+    With `index` (ints and int arrays, one per leading axis), add g into
+    those positions only, in place; np.add.at for arrays, so a position
+    selected twice receives both contributions, in index order."""
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if index is not None:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        if all(isinstance(i, int) for i in index):
+            t.grad[index] += g
+        else:
+            np.add.at(t.grad, index, g)
+    elif t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
     else:
         t.grad += g
@@ -240,19 +249,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), backward_fn)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; backward uses the saved operands."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shapes disagree: {a.data.shape} vs {b.data.shape}")
-    ad, bd = a.data, b.data
-    out = Tensor(ad * bd)
-
-    def backward_fn(g):
-        accumulate(a, g * bd)
-        accumulate(b, g * ad)
-
-    return record(out, (a, b), backward_fn)
-
 
 def logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) on a plain array, computed without overflow for
@@ -260,27 +256,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
     e / (1 + e) elsewhere."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    """Logistic function of a tensor; see logistic()."""
-    y = logistic(a.data)
-    out = Tensor(y)
-
-    def backward_fn(g):
-        accumulate(a, g * y * (1.0 - y))
-
-    return record(out, (a,), backward_fn)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = Tensor(y)
-
-    def backward_fn(g):
-        accumulate(a, g * (1.0 - y * y))
-
-    return record(out, (a,), backward_fn)
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -369,50 +344,30 @@ def scale(a: Tensor, c: float) -> Tensor:
     return record(out, (a,), backward_fn)
 
 
-def total(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    out = Tensor(a.data.sum())
-
-    def backward_fn(g):
-        accumulate(a, np.full(a.data.shape, float(g)))
-
-    return record(out, (a,), backward_fn)
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    """Slice i along the first axis (a row of a matrix, a matrix of a
-    stack); backward adds into that slice of the gradient in place, so
-    taking every slice of a stack costs no more than the stack itself."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"row expects a matrix or a stack, got shape {a.data.shape}")
-    if not 0 <= i < a.data.shape[0]:
-        raise IndexError(f"row {i} out of range for shape {a.data.shape}")
-    out = Tensor(a.data[i])
-
-    def backward_fn(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[i] += g
-
-    return record(out, (a,), backward_fn)
-
-
-def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select matrix rows by index (repeats allowed); backward scatter-adds,
-    so rows selected twice receive both gradient contributions."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects a matrix, got shape {a.data.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise IndexError(f"gather_rows indices out of range for shape {a.data.shape}")
+def gather_rows(a: Tensor, index) -> Tensor:
+    """Select `a.data[index]` along leading axes, keeping the last whole.
+    `index` is an int, a sequence of ints (repeats allowed), or a tuple of
+    those, one per leading axis: `(b, starts)` reads rows of example b
+    straight from a (B, T, d) block. Backward adds into the selected
+    positions of the gradient in place, through accumulate."""
+    parts = index if isinstance(index, tuple) else (index,)
+    if not 0 < len(parts) < a.data.ndim:
+        raise ShapeError(f"gather_rows: {len(parts)} index axes for shape {a.data.shape}")
+    idx = tuple(
+        int(p) if isinstance(p, (int, np.integer)) else np.asarray(p, dtype=np.intp) for p in parts
+    )
+    for axis, part in enumerate(idx):
+        size = a.data.shape[axis]
+        if isinstance(part, int):
+            bad = not 0 <= part < size
+        else:
+            bad = part.size > 0 and (part.min() < 0 or part.max() >= size)
+        if bad:
+            raise IndexError(f"gather_rows: index out of range on axis {axis} of {a.data.shape}")
     out = Tensor(a.data[idx])
 
     def backward_fn(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        accumulate(a, buf)
+        accumulate(a, g, idx)
 
     return record(out, (a,), backward_fn)
 

@@ -229,6 +229,66 @@ def test_unknown_subcommand_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chunk-stats", "--data", "{dev}", "--max-len", "0"],
+        ["chunk-stats", "--data", "{dev}", "--max-len", "-1"],
+        ["chunk-stats", "--data", "{dev}", "--mode", "trie", "--max-len", "0"],
+        ["gradcheck", "--hidden-size", "0"],
+        ["gradcheck", "--step", "0"],
+        ["gradcheck", "--step", "-1"],
+        ["gradcheck", "--tolerance", "0"],
+    ],
+    ids=[
+        "max-len-0", "max-len-negative", "trie-max-len-0", "hidden-size-0", "step-0",
+        "step-negative", "tolerance-0",
+    ],
+)
+def test_non_positive_size_or_step_exits_one_with_one_line(world, capsys, argv):
+    assert cli.main([arg.format(dev=world["dev"]) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {argv[-2]}: must be positive") and err.count("\n") == 1
+
+
+def _output_flag_args(world, tmp_path, command, flag, path):
+    if command == "train":
+        key = {"--out-checkpoint": "checkpoint", "--log": "log"}[flag]
+        return train_args(dict(world, **{key: path}))
+    if command == "predict":
+        return predict_args(world, path)
+    pairs = [(ex.id, "w1") for ex in world["dev_examples"]]
+    predictions = write_predictions(tmp_path / "p.jsonl", pairs)
+    return ["evaluate", "--data", world["dev"], "--predictions", predictions, flag, path]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("train", "--out-checkpoint"),
+        ("train", "--log"),
+        ("predict", "--out"),
+        ("evaluate", "--json-out"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_bad_output_path_exits_two_before_any_work(
+    world, tmp_path, capsys, monkeypatch, command, flag, where
+):
+    if where == "directory":
+        path, message = str(tmp_path), f"{flag} is a directory: {tmp_path}"
+    else:
+        path = str(tmp_path / "absent" / "out")
+        message = f"{flag}: directory not found: {tmp_path / 'absent'}"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a dataset was read before the output paths were checked")
+
+    monkeypatch.setattr(cli, "_load_examples", no_work)
+    assert cli.main(_output_flag_args(world, tmp_path, command, flag, path)) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # predict
 

@@ -127,3 +127,54 @@ def test_squad_answer_without_a_field_is_rejected_with_its_question(tmp_path, ke
     with pytest.raises(SystemExit) as info:
         run(tmp_path, [qa("q1", ("Alice", 0)), broken], [annotation("q1"), annotation("q2")])
     assert str(info.value) == f"{tmp_path / 'squad.json'}: question q2: answer missing {key!r}"
+
+
+def convert_raw_squad(tmp_path, squad):
+    """Convert a SQuAD file holding `squad` (a str is written as is) with
+    one well-formed annotation line."""
+    text = squad if isinstance(squad, str) else json.dumps(squad)
+    (tmp_path / "squad.json").write_text(text, encoding="utf-8")
+    (tmp_path / "anno.jsonl").write_text(json.dumps(annotation("q1")) + "\n", encoding="utf-8")
+    convert_squad.convert(
+        str(tmp_path / "squad.json"), str(tmp_path / "anno.jsonl"), str(tmp_path / "out.jsonl")
+    )
+
+
+def paragraph(qas):
+    return {"context": CONTEXT, "qas": qas}
+
+
+@pytest.mark.parametrize(
+    "squad, reason",
+    [
+        ('{"data": [', "not JSON: Expecting value"),
+        ({"version": "1.1"}, "missing 'data' list"),
+        ([], "missing 'data' list"),
+        ({"data": [{"title": "t"}]}, "article missing 'paragraphs' list"),
+        ({"data": [{"paragraphs": [{"context": CONTEXT}]}]}, "paragraph missing 'qas' list"),
+        ({"data": [{"paragraphs": [paragraph([{"answers": []}])]}]}, "question missing 'id'"),
+        ({"data": [{"paragraphs": [paragraph([{"id": "q1"}])]}]}, "question q1: missing 'answers' list"),
+    ],
+    ids=["not-json", "no-data", "not-an-object", "no-paragraphs", "no-qas", "no-id", "no-answers"],
+)
+def test_malformed_squad_file_is_rejected_with_its_path(tmp_path, squad, reason):
+    with pytest.raises(SystemExit) as info:
+        convert_raw_squad(tmp_path, squad)
+    assert str(info.value) == f"{tmp_path / 'squad.json'}: {reason}"
+
+
+@pytest.mark.parametrize(
+    "answer, reason",
+    [
+        ({"text": "Bob", "answer_start": "ten"}, "answer_start must be an integer, got 'ten'"),
+        ({"text": "Bob", "answer_start": 10.0}, "answer_start must be an integer, got 10.0"),
+        ({"text": 5, "answer_start": 10}, "answer text must be a string, got 5"),
+        ("Bob", "answer is not an object"),
+    ],
+    ids=["string-start", "float-start", "number-text", "string-answer"],
+)
+def test_malformed_squad_answer_is_rejected_with_its_question(tmp_path, answer, reason):
+    squad = {"data": [{"paragraphs": [paragraph([{"id": "q1", "answers": [answer]}])]}]}
+    with pytest.raises(SystemExit) as info:
+        convert_raw_squad(tmp_path, squad)
+    assert str(info.value) == f"{tmp_path / 'squad.json'}: question q1: {reason}"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkreader import encoder, numerics as nm
+from reference_ops import mul, sigmoid, tanh, total
 
 
 def seeded_cell(n_in, d, name="cell", seed=0, scale=0.4):
@@ -92,7 +93,7 @@ def test_step_gradients_match_finite_differences():
         X = nm.parameter(np.random.default_rng(8).normal(size=(T, 3)))
 
         def build():
-            return nm.total(run(cell, X))
+            return total(run(cell, X))
 
         err = max(nm.finite_difference_errors(build, params + [X], 1e-6))
         assert err < 1e-5, T
@@ -105,7 +106,7 @@ def test_step_gradient_flows_to_input_and_state():
     X = nm.parameter(np.random.default_rng(1).normal(size=(3, 3)))
 
     def build():
-        return nm.total(nm.row(run(cell, X), 2))
+        return total(nm.gather_rows(run(cell, X), 2))
 
     err = max(nm.finite_difference_errors(build, [X], 1e-6))
     assert err < 1e-5
@@ -248,7 +249,7 @@ def test_encode_gradients_match_finite_differences():
 
     def build():
         _, _, C = enc.encode(X)
-        return nm.total(C)
+        return total(C)
 
     err = max(nm.finite_difference_errors(build, params, 1e-6))
     assert err < 1e-5
@@ -261,7 +262,7 @@ def test_encode_gradients_with_padding():
 
     def build():
         _, _, C = enc.encode(X, 3)
-        return nm.total(C)
+        return total(C)
 
     err = max(nm.finite_difference_errors(build, params, 1e-6))
     assert err < 1e-5
@@ -283,11 +284,11 @@ def unrolled(cell, X, lengths, reverse, weights):
         h = nm.tensor(np.zeros(d))
         positions = range(length - 1, -1, -1) if reverse else range(length)
         for t in positions:
-            x = nm.row(nm.row(X, b), t)
-            r = nm.sigmoid(nm.add(nm.matmul(x, cell.W_r), nm.matmul(h, cell.U_r)))
-            u = nm.sigmoid(nm.add(nm.matmul(x, cell.W_u), nm.matmul(h, cell.U_u)))
-            hbar = nm.tanh(nm.add(nm.matmul(x, cell.W), nm.matmul(nm.mul(r, h), cell.U)))
-            h = nm.add(h, nm.mul(u, nm.add(hbar, nm.scale(h, -1.0))))
+            x = nm.gather_rows(X, (b, t))
+            r = sigmoid(nm.add(nm.matmul(x, cell.W_r), nm.matmul(h, cell.U_r)))
+            u = sigmoid(nm.add(nm.matmul(x, cell.W_u), nm.matmul(h, cell.U_u)))
+            hbar = tanh(nm.add(nm.matmul(x, cell.W), nm.matmul(mul(r, h), cell.U)))
+            h = nm.add(h, mul(u, nm.add(hbar, nm.scale(h, -1.0))))
             H[b, t] = h.data
             loss = nm.add(loss, nm.matmul(h, nm.tensor(weights[b, t])))
     return H, loss
@@ -295,7 +296,7 @@ def unrolled(cell, X, lengths, reverse, weights):
 
 def fused(cell, X, lengths, reverse, weights):
     H = cell.run(X, lengths, reverse)
-    return H.data, nm.total(nm.mul(H, nm.tensor(weights)))
+    return H.data, total(mul(H, nm.tensor(weights)))
 
 
 # one row at full length, padded, and of length 1; three rows whose
@@ -345,7 +346,7 @@ def test_batched_encode_rows_match_single_row_encodes():
         block.grad = None
         with nm.Tape() as tape:
             _, _, C = enc.encode(block, lens)
-            tape.backward(nm.total(nm.mul(C, nm.tensor(w))))
+            tape.backward(total(mul(C, nm.tensor(w))))
         return C.data, block.grad
 
     C, dX = encode_with_grad(X, lengths, weights)

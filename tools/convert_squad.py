@@ -27,9 +27,11 @@ skipped; questions with no mappable answer or no annotation entry are
 dropped. Counts for both go to stderr. An annotation token that the
 corpus loader would reject (a missing key, a non-string surface, an
 offset that is not an integer), or an annotation line that is not a
-JSON object, stops the conversion with `path:line:` and the reason; a
-SQuAD answer without `text` or `answer_start` stops it with
-`path: question <id>:` and the reason.
+JSON object, stops the conversion with `path:line:` and the reason. A
+SQuAD file that is not JSON or lacks `data`, `paragraphs`, `qas` or a
+question `id` stops it with `path:` and the reason; a question without
+`answers`, or an answer without a string `text` or an integer
+`answer_start`, stops it with `path: question <id>:` and the reason.
 """
 
 import argparse
@@ -43,10 +45,40 @@ def squeeze(text):
     return "".join(text.split())
 
 
-def iter_squad_questions(squad):
-    for article in squad["data"]:
-        for paragraph in article["paragraphs"]:
-            for qa in paragraph["qas"]:
+def load_squad(path):
+    """The parsed SQuAD file; a file that is not JSON stops the conversion."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SystemExit(f"{path}: not JSON: {exc.msg}") from None
+
+
+def _list_under(obj, key):
+    """obj[key] when obj is an object holding a list there, else None."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    return value if isinstance(value, list) else None
+
+
+def iter_squad_questions(squad, path):
+    """Every question of the file, each an object with an `id` and an
+    `answers` list; anything else on the way stops the conversion."""
+    articles = _list_under(squad, "data")
+    if articles is None:
+        raise SystemExit(f"{path}: missing 'data' list")
+    for article in articles:
+        paragraphs = _list_under(article, "paragraphs")
+        if paragraphs is None:
+            raise SystemExit(f"{path}: article missing 'paragraphs' list")
+        for paragraph in paragraphs:
+            qas = _list_under(paragraph, "qas")
+            if qas is None:
+                raise SystemExit(f"{path}: paragraph missing 'qas' list")
+            for qa in qas:
+                if not isinstance(qa, dict) or "id" not in qa:
+                    raise SystemExit(f"{path}: question missing 'id'")
+                if _list_under(qa, "answers") is None:
+                    raise SystemExit(f"{path}: question {qa['id']}: missing 'answers' list")
                 yield qa
 
 
@@ -93,6 +125,21 @@ def token_problem(token):
     return None
 
 
+def answer_problem(gold):
+    """Why a SQuAD answer cannot be aligned, or None when it is well formed."""
+    if not isinstance(gold, dict):
+        return "answer is not an object"
+    for key in ("text", "answer_start"):
+        if key not in gold:
+            return f"answer missing {key!r}"
+    if not isinstance(gold["text"], str):
+        return f"answer text must be a string, got {gold['text']!r}"
+    start = gold["answer_start"]
+    if isinstance(start, bool) or not isinstance(start, int):
+        return f"answer_start must be an integer, got {start!r}"
+    return None
+
+
 def char_span_to_tokens(tokens, start_char, text):
     """Map a character-offset gold answer to a 1-based inclusive token span,
     or None when the characters do not line up with token boundaries."""
@@ -114,13 +161,12 @@ def char_span_to_tokens(tokens, start_char, text):
 
 
 def convert(squad_path, annotations_path, out_path):
-    with open(squad_path, encoding="utf-8") as fh:
-        squad = json.load(fh)
+    squad = load_squad(squad_path)
     annotations = load_annotations(annotations_path)
 
     written = no_annotation = no_answers = skipped_answers = 0
     with open(out_path, "w", encoding="utf-8") as out:
-        for qa in iter_squad_questions(squad):
+        for qa in iter_squad_questions(squad, squad_path):
             qa_id = str(qa["id"])
             anno = annotations.get(qa_id)
             if anno is None:
@@ -129,11 +175,10 @@ def convert(squad_path, annotations_path, out_path):
             answers = []
             seen = set()
             for gold in qa["answers"]:
-                for key in ("text", "answer_start"):
-                    if key not in gold:
-                        raise SystemExit(f"{squad_path}: question {qa_id}: answer missing {key!r}")
-                span = char_span_to_tokens(anno["passage"], int(gold["answer_start"]),
-                                           gold["text"])
+                problem = answer_problem(gold)
+                if problem:
+                    raise SystemExit(f"{squad_path}: question {qa_id}: {problem}")
+                span = char_span_to_tokens(anno["passage"], gold["answer_start"], gold["text"])
                 if span is None:
                     skipped_answers += 1
                     continue
