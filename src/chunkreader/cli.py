@@ -34,6 +34,7 @@ from .corpus import (
     Example,
     Featurizer,
     build_tag_inventories,
+    json_lines,
     load_dataset,
     load_embeddings,
     text_lines,
@@ -227,17 +228,13 @@ def cmd_predict(args) -> int:
 def _read_predictions_file(path) -> dict[str, str]:
     _require_file(path, "predictions file")
     out = {}
-    for line_no, line in text_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError):  # bad syntax or beyond the parser's limits
-            raise DataError(f"line {line_no}: invalid JSON in predictions file") from None
+    for line_no, obj in json_lines(path):
         if not isinstance(obj, dict) or "id" not in obj or "answer" not in obj:
             raise DataError(f"line {line_no}: prediction needs id and answer")
-        out[str(obj["id"])] = str(obj["answer"])
+        answer = obj["answer"]
+        if not isinstance(answer, str):
+            raise DataError(f"line {line_no}: prediction answer must be a string, got {answer!r}")
+        out[str(obj["id"])] = answer
     return out
 
 

@@ -6,6 +6,9 @@ parts: pretrained embedding, POS one-hot, NE one-hot, and three binary
 indicators (surface match against the question, lemma match against the
 question, first-letter capitalization).
 
+Every JSON input is parsed by `parse_json` (line by line through
+`json_lines`), and every annotated token is checked by `parse_token`.
+
 All structures are immutable after load and safe to share across workers.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +33,10 @@ __all__ = [
     "load_dataset",
     "load_embeddings",
     "text_lines",
+    "parse_json",
+    "json_lines",
+    "parse_token",
+    "squeeze",
     "build_tag_inventories",
     "detokenize",
 ]
@@ -108,12 +116,32 @@ def text_lines(path):
             yield line_no, line
 
 
+def parse_json(text: str, line_no: int):
+    """json.loads(text) for text that begins on line line_no of its file;
+    the one place where a JSON failure becomes a DataError citing a line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"line {line_no + exc.lineno - 1}: invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError):  # an integer too long, nesting too deep
+        raise DataError(f"line {line_no}: invalid JSON: beyond the parser's limits") from None
+
+
+def json_lines(path):
+    """Yield (line number, parsed object) for each non-blank line of a
+    JSON-lines file, raising the DataErrors of text_lines and parse_json."""
+    for line_no, line in text_lines(path):
+        line = line.strip()
+        if line:
+            yield line_no, parse_json(line, line_no)
+
+
 def detokenize(tokens: Sequence[AnnotatedToken]) -> str:
     """Join token surfaces with single spaces."""
     return " ".join(t.surface for t in tokens)
 
 
-def _squeeze(text: str) -> str:
+def squeeze(text: str) -> str:
     """Remove all whitespace. Span text arrives from untokenized sources, so
     'round-trips through the tokens' is checked ignoring spacing entirely
     (a token split like 51.9 + % would otherwise never match '51.9%')."""
@@ -121,6 +149,8 @@ def _squeeze(text: str) -> str:
 
 
 _TOKEN_KEYS = ("surface", "lemma", "pos", "ne", "offset")
+_TOKEN_KEY_SET = frozenset(_TOKEN_KEYS)
+_token_fields = itemgetter(*_TOKEN_KEYS)
 
 
 def _json_int(value, line_no: int, what: str) -> int:
@@ -129,19 +159,24 @@ def _json_int(value, line_no: int, what: str) -> int:
     return value
 
 
-def _parse_token(obj, line_no: int, where: str) -> AnnotatedToken:
+def parse_token(obj, line_no: int, where: str) -> AnnotatedToken:
+    """The token of a parsed JSON object with string `surface`, `lemma`,
+    `pos` and `ne` and an integer `offset` (other keys are ignored); any
+    other value raises DataError citing line_no and `where`, its side."""
     if not isinstance(obj, dict):
         raise DataError(f"line {line_no}: {where} token is not an object")
-    missing = [k for k in _TOKEN_KEYS if k not in obj]
-    if missing:
+    if not _TOKEN_KEY_SET <= obj.keys():
+        missing = [k for k in _TOKEN_KEYS if k not in obj]
         raise DataError(f"line {line_no}: {where} token missing keys {missing}")
-    return AnnotatedToken(
-        surface=str(obj["surface"]),
-        lemma=str(obj["lemma"]),
-        pos=str(obj["pos"]),
-        ne=str(obj["ne"]),
-        char_offset=_json_int(obj["offset"], line_no, f"{where} token offset"),
-    )
+    surface, lemma, pos, ne, offset = _token_fields(obj)
+    if (isinstance(surface, str) and isinstance(lemma, str) and isinstance(pos, str)
+            and isinstance(ne, str) and isinstance(offset, int) and not isinstance(offset, bool)):
+        return AnnotatedToken(surface, lemma, pos, ne, offset)
+    for key in _TOKEN_KEYS[:4]:
+        if not isinstance(obj[key], str):
+            got = obj[key]
+            raise DataError(f"line {line_no}: {where} token {key} must be a string, got {got!r}")
+    raise DataError(f"line {line_no}: {where} token offset must be an integer, got {offset!r}")
 
 
 def _validate_example(
@@ -161,7 +196,7 @@ def _validate_example(
         if start < 1 or end < start or end > len(passage):
             return f"span [{start}, {end}] out of range for {len(passage)} tokens"
         joined = detokenize(passage[start - 1 : end])
-        if _squeeze(joined) != _squeeze(text):
+        if squeeze(joined) != squeeze(text):
             return f"span text {text!r} does not match passage tokens {joined!r}"
         answers.append(AnswerSpan(start, end, text))
     return Example(ex_id, tuple(passage), tuple(question), tuple(answers))
@@ -171,24 +206,15 @@ def load_dataset(path) -> LoadResult:
     """Read examples from a JSONL file, one object per line.
 
     Schema violations (bad JSON, bytes that are not UTF-8, missing keys,
-    wrong types, including a non-integer span bound or token offset) raise
-    DataError citing the line. Content violations (empty passage or
-    question, span out of range, span text not matching the tokens, empty
-    surfaces) drop the record and log the reason in LoadResult.dropped
-    instead of failing the whole load.
+    wrong types, including a non-integer span bound and a token that
+    parse_token rejects) raise DataError citing the line. Content
+    violations (empty passage or question, span out of range, span text
+    not matching the tokens, empty surfaces) drop the record and log the
+    reason in LoadResult.dropped instead of failing the whole load.
     """
     examples: list[Example] = []
     dropped: list[tuple[int, str]] = []
-    for line_no, line in text_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"line {line_no}: invalid JSON: {exc.msg}") from None
-        except (ValueError, RecursionError):  # an integer too long, nesting too deep
-            raise DataError(f"line {line_no}: invalid JSON: beyond the parser's limits") from None
+    for line_no, obj in json_lines(path):
         if not isinstance(obj, dict):
             raise DataError(f"line {line_no}: record is not an object")
         for key in ("id", "passage", "question", "answers"):
@@ -196,8 +222,8 @@ def load_dataset(path) -> LoadResult:
                 raise DataError(f"line {line_no}: record missing key {key!r}")
         if not isinstance(obj["passage"], list) or not isinstance(obj["question"], list):
             raise DataError(f"line {line_no}: passage/question must be arrays")
-        passage = [_parse_token(t, line_no, "passage") for t in obj["passage"]]
-        question = [_parse_token(t, line_no, "question") for t in obj["question"]]
+        passage = [parse_token(t, line_no, "passage") for t in obj["passage"]]
+        question = [parse_token(t, line_no, "question") for t in obj["question"]]
         raw_answers = []
         if not isinstance(obj["answers"], list):
             raise DataError(f"line {line_no}: answers must be an array")

@@ -107,32 +107,21 @@ def generate(spec: SyntheticSpec) -> tuple[list[Example], EmbeddingTable]:
     return examples, table
 
 
+def _token_record(t: AnnotatedToken) -> dict:
+    return {
+        "surface": t.surface, "lemma": t.lemma, "pos": t.pos, "ne": t.ne, "offset": t.char_offset,
+    }
+
+
 def write_dataset_jsonl(examples, path) -> None:
-    """Emit the standard dataset schema, one example per line."""
+    """Emit the standard dataset schema (the one corpus.load_dataset reads),
+    one example per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
             record = {
                 "id": ex.id,
-                "passage": [
-                    {
-                        "surface": t.surface,
-                        "lemma": t.lemma,
-                        "pos": t.pos,
-                        "ne": t.ne,
-                        "offset": t.char_offset,
-                    }
-                    for t in ex.passage
-                ],
-                "question": [
-                    {
-                        "surface": t.surface,
-                        "lemma": t.lemma,
-                        "pos": t.pos,
-                        "ne": t.ne,
-                        "offset": t.char_offset,
-                    }
-                    for t in ex.question
-                ],
+                "passage": [_token_record(t) for t in ex.passage],
+                "question": [_token_record(t) for t in ex.question],
                 "answers": [
                     {"start": a.start, "end": a.end, "text": a.text} for a in ex.answers
                 ],

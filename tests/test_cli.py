@@ -543,9 +543,10 @@ def write_predictions(path, pairs):
         (b'{"id": "a", "answer": "x"}\n\xff\n', "line 2: not valid UTF-8"),
         (b'{"id": "a", "answer": "x"}\n5\n', "line 2: prediction needs id and answer"),
         (b'["id", "answer"]\n', "line 1: prediction needs id and answer"),
-        (b"[" * 100_000 + b"\n", "line 1: invalid JSON in predictions file"),
+        (b"[" * 100_000 + b"\n", "line 1: invalid JSON: beyond the parser's limits"),
+        (b'{"id": "a", "answer": null}\n', "line 1: prediction answer must be a string, got None"),
     ],
-    ids=["non-utf8", "number", "array", "deep-nesting"],
+    ids=["non-utf8", "number", "array", "deep-nesting", "non-string-answer"],
 )
 def test_evaluate_malformed_predictions_exits_two_with_one_line(world, tmp_path, capsys, raw, reason):
     path = tmp_path / "p.jsonl"

@@ -3,11 +3,17 @@ that the corpus loader accepts out."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chunkreader.corpus import load_dataset
+from chunkreader.corpus import DataError, load_dataset
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "convert_squad.py"
 
@@ -95,6 +101,8 @@ def test_question_without_annotation_is_dropped(tmp_path, capsys):
         (lambda tok: tok.update(offset="0"), "passage token offset must be an integer, got '0'"),
         (lambda tok: tok.pop("lemma"), "passage token missing keys ['lemma']"),
         (lambda tok: tok.update(surface=5), "passage token surface must be a string, got 5"),
+        (lambda tok: tok.update(pos=None), "passage token pos must be a string, got None"),
+        (lambda tok: tok.update(ne=["O"]), "passage token ne must be a string, got ['O']"),
     ],
 )
 def test_malformed_annotation_token_is_rejected_with_its_line(tmp_path, edit, reason):
@@ -104,20 +112,21 @@ def test_malformed_annotation_token_is_rejected_with_its_line(tmp_path, edit, re
     edit(bad["passage"][0])
     with pytest.raises(SystemExit) as info:
         run(tmp_path, [qa("q1", ("Alice", 0)), qa("q2", ("Alice", 0))], [annotation("q1"), bad])
-    assert str(info.value) == f"{tmp_path / 'anno.jsonl'}:2: {reason}"
+    assert str(info.value) == f"{tmp_path / 'anno.jsonl'}: line 2: {reason}"
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 @pytest.mark.parametrize(
     "line, reason",
     [
-        ('{"id": "q2", "passage": [', "not JSON: Expecting value"),
+        ('{"id": "q2", "passage": [', "invalid JSON: Expecting value"),
         ('["q2"]', "annotation must be an object"),
     ],
 )
 def test_annotation_line_that_is_not_a_json_object_is_rejected_with_its_line(tmp_path, line, reason):
     with pytest.raises(SystemExit) as info:
         run(tmp_path, [qa("q1", ("Alice", 0))], [annotation("q1"), line])
-    assert str(info.value) == f"{tmp_path / 'anno.jsonl'}:2: {reason}"
+    assert str(info.value) == f"{tmp_path / 'anno.jsonl'}: line 2: {reason}"
 
 
 @pytest.mark.parametrize("key", ["answer_start", "text"])
@@ -147,7 +156,8 @@ def paragraph(qas):
 @pytest.mark.parametrize(
     "squad, reason",
     [
-        ('{"data": [', "not JSON: Expecting value"),
+        ('{"data": [', "line 1: invalid JSON: Expecting value"),
+        ('{\n  "data": [\n', "line 3: invalid JSON: Expecting value"),
         ({"version": "1.1"}, "missing 'data' list"),
         ([], "missing 'data' list"),
         ({"data": [{"title": "t"}]}, "article missing 'paragraphs' list"),
@@ -155,7 +165,7 @@ def paragraph(qas):
         ({"data": [{"paragraphs": [paragraph([{"answers": []}])]}]}, "question missing 'id'"),
         ({"data": [{"paragraphs": [paragraph([{"id": "q1"}])]}]}, "question q1: missing 'answers' list"),
     ],
-    ids=["not-json", "no-data", "not-an-object", "no-paragraphs", "no-qas", "no-id", "no-answers"],
+    ids=["not-json", "not-json-on-line-3", "no-data", "not-an-object", "no-paragraphs", "no-qas", "no-id", "no-answers"],
 )
 def test_malformed_squad_file_is_rejected_with_its_path(tmp_path, squad, reason):
     with pytest.raises(SystemExit) as info:
@@ -178,3 +188,113 @@ def test_malformed_squad_answer_is_rejected_with_its_question(tmp_path, answer, 
     with pytest.raises(SystemExit) as info:
         convert_raw_squad(tmp_path, squad)
     assert str(info.value) == f"{tmp_path / 'squad.json'}: question q1: {reason}"
+
+
+@pytest.mark.parametrize("existing", [None, "kept\n"], ids=["no-file", "existing-file"])
+def test_rejected_input_leaves_out_path_as_it_was(tmp_path, existing):
+    out = tmp_path / "out.jsonl"
+    if existing is not None:
+        out.write_text(existing, encoding="utf-8")
+    broken = qa("q2", ("Bob", 10))
+    broken["answers"][0]["answer_start"] = "x"
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, [qa("q1", ("Alice", 0)), broken], [annotation("q1"), annotation("q2")])
+    assert str(info.value) == (
+        f"{tmp_path / 'squad.json'}: question q2: answer_start must be an integer, got 'x'"
+    )
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_text(encoding="utf-8") == existing
+
+
+def run_script(squad, annotations, out):
+    env = dict(os.environ, PYTHONPATH=str(SCRIPT.parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), "--squad", str(squad), "--annotations", str(annotations),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+BAD_BYTES = {
+    "not-utf8": (b"\xff\xfe\n", "line 1: not valid UTF-8"),
+    "deep-nesting": (b"[" * 100_000 + b"\n", "line 1: invalid JSON: beyond the parser's limits"),
+    "long-integer": (b"1" * 5000 + b"\n", "line 1: invalid JSON: beyond the parser's limits"),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["missing-squad", "missing-annotations", "out-is-directory", "out-in-missing-directory"]
+    + [f"{which}-{bad}" for which in ("squad", "annotations") for bad in BAD_BYTES],
+)
+def test_script_stops_with_one_line_and_no_traceback(tmp_path, case):
+    squad = {"data": [{"paragraphs": [paragraph([qa("q1", ("Alice", 0))])]}]}
+    paths = {"squad": tmp_path / "squad.json", "annotations": tmp_path / "anno.jsonl",
+             "out": tmp_path / "out.jsonl"}
+    paths["squad"].write_text(json.dumps(squad), encoding="utf-8")
+    paths["annotations"].write_text(json.dumps(annotation("q1")) + "\n", encoding="utf-8")
+    if case.startswith("missing-"):
+        which = case.removeprefix("missing-")
+        paths[which] = tmp_path / "absent"
+        culprit, reason = paths[which], "No such file or directory"
+    elif case == "out-is-directory":
+        culprit, reason = tmp_path, "Is a directory"
+        paths["out"] = tmp_path
+    elif case == "out-in-missing-directory":
+        paths["out"] = culprit = tmp_path / "absent" / "out.jsonl"
+        reason = "No such file or directory"
+    else:
+        which, bad = case.split("-", 1)
+        raw, reason = BAD_BYTES[bad]
+        culprit = paths[which]
+        culprit.write_bytes(raw)
+    done = run_script(paths["squad"], paths["annotations"], paths["out"])
+    assert done.returncode != 0
+    assert done.stderr == f"{culprit}: {reason}\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_script_converts_well_formed_input(tmp_path):
+    squad = {"data": [{"paragraphs": [paragraph([qa("q1", ("Alice", 0))])]}]}
+    (tmp_path / "squad.json").write_text(json.dumps(squad), encoding="utf-8")
+    (tmp_path / "anno.jsonl").write_text(json.dumps(annotation("q1")) + "\n", encoding="utf-8")
+    done = run_script(tmp_path / "squad.json", tmp_path / "anno.jsonl", tmp_path / "out.jsonl")
+    assert (done.returncode, done.stderr) == (0, f"wrote 1 examples to {tmp_path / 'out.jsonl'}\n")
+    assert [ex.id for ex in load_dataset(tmp_path / "out.jsonl")] == ["q1"]
+
+
+_field_values = st.one_of(
+    st.text(max_size=4), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_MISSING = object()
+_tokens = st.fixed_dictionaries(
+    {key: st.one_of(st.just(_MISSING), _field_values)
+     for key in ("surface", "lemma", "pos", "ne", "offset")}
+).map(lambda tok: {k: v for k, v in tok.items() if v is not _MISSING})
+
+
+@settings(max_examples=200, deadline=None)
+@given(token=_tokens)
+def test_converter_accepts_a_token_exactly_when_the_loader_does(token):
+    good = tokens(QUESTION)[0]
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        data = root / "data.jsonl"
+        data.write_text(json.dumps(
+            {"id": "q1", "passage": [token], "question": [good], "answers": []}
+        ) + "\n", encoding="utf-8")
+        try:
+            load_dataset(data)
+            loader_accepts = True
+        except DataError:
+            loader_accepts = False
+        anno = {"id": "q1", "passage": [token], "question": [good]}
+        try:
+            run(root, [qa("q1", ("Alice", 0))], [anno])
+            converter_accepts = True
+        except SystemExit:
+            converter_accepts = False
+    assert converter_accepts == loader_accepts

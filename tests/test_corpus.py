@@ -146,6 +146,22 @@ def test_load_non_integer_field_cites_line(tmp_path, corrupt, value):
         corpus.load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "side, key, value",
+    [("passage", "surface", None), ("question", "pos", None), ("passage", "ne", ["O"]),
+     ("passage", "lemma", 5)],
+)
+def test_load_non_string_token_field_cites_line(tmp_path, side, key, value):
+    good = example_dict(make_example("q0", ["a", "b"], ["q"], [(1, 1)]))
+    bad = example_dict(make_example("q1", ["a", "b"], ["q"], [(1, 1)]))
+    bad[side][0][key] = value
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(corpus.DataError) as info:
+        corpus.load_dataset(path)
+    assert str(info.value) == f"line 2: {side} token {key} must be a string, got {value!r}"
+
+
 @pytest.mark.parametrize("side", ["passage", "question"])
 def test_load_drops_empty_passage_or_question(tmp_path, side):
     rec = example_dict(make_example("q1", ["a", "b"], ["q"], []))

@@ -24,34 +24,45 @@ Output records look like:
 with 1-based inclusive token spans. Answers whose character span does
 not line up with token boundaries (after whitespace is ignored) are
 skipped; questions with no mappable answer or no annotation entry are
-dropped. Counts for both go to stderr. An annotation token that the
-corpus loader would reject (a missing key, a non-string surface, an
-offset that is not an integer), or an annotation line that is not a
-JSON object, stops the conversion with `path:line:` and the reason. A
-SQuAD file that is not JSON or lacks `data`, `paragraphs`, `qas` or a
-question `id` stops it with `path:` and the reason; a question without
-`answers`, or an answer without a string `text` or an integer
-`answer_start`, stops it with `path: question <id>:` and the reason.
+dropped. Counts for both go to stderr.
+
+Both inputs are read, and every token checked, by the dataset loader's
+own `chunkreader.corpus` readers (`json_lines`, `parse_token`); a token
+is written with its five schema keys only. Any malformed input (a
+missing or non-UTF-8 file, bad JSON, a token the loader would reject, a
+SQuAD file missing `data`, `paragraphs`, `qas`, a question `id` or
+`answers`, an answer without a string `text` or an integer
+`answer_start`), or an `--out` that cannot be written, stops it with one
+`path: reason` line. `--out` is opened only once all else succeeded.
+
+Needs `chunkreader` importable: `pip install -e .`, or `PYTHONPATH=src`.
 """
 
 import argparse
-import json
 import sys
+from contextlib import contextmanager
 
-TOKEN_KEYS = ("surface", "lemma", "pos", "ne", "offset")
+from chunkreader.corpus import (
+    AnswerSpan, DataError, Example, json_lines, parse_json, parse_token, squeeze, text_lines,
+)
+from chunkreader.synthetic import write_dataset_jsonl
 
 
-def squeeze(text):
-    return "".join(text.split())
+@contextmanager
+def stop_on_error(path):
+    """Stop the conversion with one `path: reason` line when the file at
+    path cannot be opened, read, parsed or written."""
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit(f"{path}: {exc.strerror}") from None
+    except DataError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
 
 
 def load_squad(path):
-    """The parsed SQuAD file; a file that is not JSON stops the conversion."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"{path}: not JSON: {exc.msg}") from None
+    """The parsed SQuAD file."""
+    return parse_json("".join(line for _, line in text_lines(path)), 1)
 
 
 def _list_under(obj, key):
@@ -60,69 +71,45 @@ def _list_under(obj, key):
     return value if isinstance(value, list) else None
 
 
-def iter_squad_questions(squad, path):
+def iter_squad_questions(squad):
     """Every question of the file, each an object with an `id` and an
-    `answers` list; anything else on the way stops the conversion."""
+    `answers` list; anything else on the way raises DataError."""
     articles = _list_under(squad, "data")
     if articles is None:
-        raise SystemExit(f"{path}: missing 'data' list")
+        raise DataError("missing 'data' list")
     for article in articles:
         paragraphs = _list_under(article, "paragraphs")
         if paragraphs is None:
-            raise SystemExit(f"{path}: article missing 'paragraphs' list")
+            raise DataError("article missing 'paragraphs' list")
         for paragraph in paragraphs:
             qas = _list_under(paragraph, "qas")
             if qas is None:
-                raise SystemExit(f"{path}: paragraph missing 'qas' list")
+                raise DataError("paragraph missing 'qas' list")
             for qa in qas:
                 if not isinstance(qa, dict) or "id" not in qa:
-                    raise SystemExit(f"{path}: question missing 'id'")
+                    raise DataError("question missing 'id'")
                 if _list_under(qa, "answers") is None:
-                    raise SystemExit(f"{path}: question {qa['id']}: missing 'answers' list")
+                    raise DataError(f"question {qa['id']}: missing 'answers' list")
                 yield qa
 
 
 def load_annotations(path):
+    """Question id -> (passage tokens, question tokens); a malformed line
+    raises DataError citing it."""
     table = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SystemExit(f"{path}:{line_no}: not JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise SystemExit(f"{path}:{line_no}: annotation must be an object")
-            for key in ("id", "passage", "question"):
-                if key not in obj:
-                    raise SystemExit(f"{path}:{line_no}: annotation missing {key!r}")
-            for side in ("passage", "question"):
-                if not isinstance(obj[side], list):
-                    raise SystemExit(f"{path}:{line_no}: {side} must be an array")
-                for token in obj[side]:
-                    problem = token_problem(token)
-                    if problem:
-                        raise SystemExit(f"{path}:{line_no}: {side} token {problem}")
-            table[str(obj["id"])] = obj
+    for line_no, obj in json_lines(path):
+        if not isinstance(obj, dict):
+            raise DataError(f"line {line_no}: annotation must be an object")
+        for key in ("id", "passage", "question"):
+            if key not in obj:
+                raise DataError(f"line {line_no}: annotation missing {key!r}")
+        sides = []
+        for side in ("passage", "question"):
+            if not isinstance(obj[side], list):
+                raise DataError(f"line {line_no}: {side} must be an array")
+            sides.append(tuple(parse_token(token, line_no, side) for token in obj[side]))
+        table[str(obj["id"])] = tuple(sides)
     return table
-
-
-def token_problem(token):
-    """Why the corpus loader would reject this token (or the alignment
-    below could not read it), or None when it is well formed."""
-    if not isinstance(token, dict):
-        return "is not an object"
-    missing = [k for k in TOKEN_KEYS if k not in token]
-    if missing:
-        return f"missing keys {missing}"
-    if not isinstance(token["surface"], str):
-        return f"surface must be a string, got {token['surface']!r}"
-    offset = token["offset"]
-    if isinstance(offset, bool) or not isinstance(offset, int):
-        return f"offset must be an integer, got {offset!r}"
-    return None
 
 
 def answer_problem(gold):
@@ -146,58 +133,55 @@ def char_span_to_tokens(tokens, start_char, text):
     end_char = start_char + len(text)
     first = last = None
     for i, token in enumerate(tokens):
-        tok_start = token["offset"]
-        tok_end = tok_start + len(token["surface"])
+        tok_start = token.char_offset
+        tok_end = tok_start + len(token.surface)
         if first is None and tok_end > start_char:
             first = i
         if tok_start < end_char:
             last = i
     if first is None or last is None or last < first:
         return None
-    covered = "".join(t["surface"] for t in tokens[first : last + 1])
+    covered = "".join(t.surface for t in tokens[first : last + 1])
     if covered != squeeze(text):
         return None
     return first + 1, last + 1
 
 
 def convert(squad_path, annotations_path, out_path):
-    squad = load_squad(squad_path)
-    annotations = load_annotations(annotations_path)
+    with stop_on_error(squad_path):
+        squad = load_squad(squad_path)
+    with stop_on_error(annotations_path):
+        annotations = load_annotations(annotations_path)
 
-    written = no_annotation = no_answers = skipped_answers = 0
-    with open(out_path, "w", encoding="utf-8") as out:
-        for qa in iter_squad_questions(squad, squad_path):
+    examples = []
+    no_annotation = no_answers = skipped_answers = 0
+    with stop_on_error(squad_path):
+        for qa in iter_squad_questions(squad):
             qa_id = str(qa["id"])
-            anno = annotations.get(qa_id)
-            if anno is None:
+            tokens = annotations.get(qa_id)
+            if tokens is None:
                 no_annotation += 1
                 continue
+            passage, question = tokens
             answers = []
-            seen = set()
             for gold in qa["answers"]:
                 problem = answer_problem(gold)
                 if problem:
-                    raise SystemExit(f"{squad_path}: question {qa_id}: {problem}")
-                span = char_span_to_tokens(anno["passage"], gold["answer_start"], gold["text"])
+                    raise DataError(f"question {qa_id}: {problem}")
+                span = char_span_to_tokens(passage, gold["answer_start"], gold["text"])
                 if span is None:
                     skipped_answers += 1
                     continue
-                key = (span[0], span[1], gold["text"])
-                if key in seen:
-                    continue
-                seen.add(key)
-                answers.append({"start": span[0], "end": span[1], "text": gold["text"]})
+                answer = AnswerSpan(span[0], span[1], gold["text"])
+                if answer not in answers:
+                    answers.append(answer)
             if not answers:
                 no_answers += 1
                 continue
-            out.write(json.dumps({
-                "id": qa_id,
-                "passage": anno["passage"],
-                "question": anno["question"],
-                "answers": answers,
-            }) + "\n")
-            written += 1
-    print(f"wrote {written} examples to {out_path}", file=sys.stderr)
+            examples.append(Example(qa_id, passage, question, tuple(answers)))
+    with stop_on_error(out_path):
+        write_dataset_jsonl(examples, out_path)
+    print(f"wrote {len(examples)} examples to {out_path}", file=sys.stderr)
     if no_annotation:
         print(f"dropped {no_annotation} questions with no annotation entry", file=sys.stderr)
     if no_answers:
