@@ -1,8 +1,9 @@
 """Candidate answer chunk generation.
 
-Two interchangeable strategies produce the candidate set that the ranking
-model scores. Windowed enumeration emits every span up to a length cap
-and is the default. The trie strategy learns the POS tag patterns of
+Two interchangeable strategies, named in CANDIDATE_MODES, produce the
+candidate set that the ranking model scores; the model's config picks
+one and sets the length cap both obey. Windowed enumeration emits every
+span up to the cap. The trie strategy learns the POS tag patterns of
 training answers and emits exactly the passage spans whose tag sequence
 matches a learned pattern; it trades recall for a smaller candidate list.
 
@@ -25,9 +26,10 @@ __all__ = [
     "enumerate_candidates",
     "generate_candidates",
     "candidate_recall",
+    "CANDIDATE_MODES",
 ]
 
-DEFAULT_MAX_CHUNK_LEN = 10
+CANDIDATE_MODES = ("window", "trie")
 
 
 @dataclass(frozen=True, order=True)
@@ -58,41 +60,27 @@ class _TrieNode:
 class PosPatternTrie:
     """Set of POS tag sequences with multiplicities, stored as a trie.
 
-    Patterns longer than depth_cap are refused at insert; build_pos_trie
-    counts them in `skipped` rather than failing.
+    A pattern longer than depth_cap is refused at insert with ValueError;
+    build_pos_trie leaves such answers out instead.
     """
 
-    def __init__(self, depth_cap: int = DEFAULT_MAX_CHUNK_LEN):
+    def __init__(self, depth_cap: int):
         if depth_cap < 1:
             raise ValueError("depth_cap must be >= 1")
         self.depth_cap = int(depth_cap)
         self.root = _TrieNode()
-        self.size = 0  # number of distinct patterns
-        self.skipped = 0  # patterns refused for exceeding the cap
 
-    def insert(self, pattern: Sequence[str], count: int = 1) -> bool:
-        """Add a pattern with multiplicity; returns False if over the cap."""
+    def insert(self, pattern: Sequence[str], count: int = 1) -> None:
+        """Add a pattern with multiplicity."""
         if len(pattern) == 0:
             raise ValueError("empty pattern")
         if len(pattern) > self.depth_cap:
-            self.skipped += 1
-            return False
+            raise ValueError(f"pattern of {len(pattern)} tags exceeds the depth cap {self.depth_cap}")
         node = self.root
         for tag in pattern:
             node = node.children.setdefault(tag, _TrieNode())
-        if not node.terminal:
-            node.terminal = True
-            self.size += 1
+        node.terminal = True
         node.count += int(count)
-        return True
-
-    def __contains__(self, pattern: Sequence[str]) -> bool:
-        node = self.root
-        for tag in pattern:
-            node = node.children.get(tag)
-            if node is None:
-                return False
-        return node.terminal
 
     def patterns(self) -> Iterator[tuple[tuple[str, ...], int]]:
         """Yield (pattern, count) pairs in sorted pattern order, which makes
@@ -109,13 +97,14 @@ class PosPatternTrie:
         yield from walk(self.root, [])
 
 
-def build_pos_trie(examples: Sequence[Example], depth_cap: int = DEFAULT_MAX_CHUNK_LEN) -> PosPatternTrie:
-    """Collect the POS pattern of every gold answer span into a trie."""
+def build_pos_trie(examples: Sequence[Example], depth_cap: int) -> PosPatternTrie:
+    """Collect the POS pattern of every gold answer span of at most
+    depth_cap tokens into a trie; longer answers are left out."""
     trie = PosPatternTrie(depth_cap)
     for ex in examples:
         for span in ex.answers:
-            pattern = [tok.pos for tok in ex.passage[span.start - 1 : span.end]]
-            trie.insert(pattern)
+            if span.length <= depth_cap:
+                trie.insert([tok.pos for tok in ex.passage[span.start - 1 : span.end]])
     return trie
 
 
@@ -137,7 +126,7 @@ def trie_candidates(passage: Sequence[AnnotatedToken], trie: PosPatternTrie) -> 
     return found
 
 
-def enumerate_candidates(passage_length: int, max_len: int = DEFAULT_MAX_CHUNK_LEN) -> list[CandidateChunk]:
+def enumerate_candidates(passage_length: int, max_len: int) -> list[CandidateChunk]:
     """Every span of at most max_len tokens, ordered by (start, end)."""
     if passage_length < 1 or max_len < 1:
         raise ValueError("passage_length and max_len must be >= 1")
@@ -151,9 +140,9 @@ def enumerate_candidates(passage_length: int, max_len: int = DEFAULT_MAX_CHUNK_L
 
 def generate_candidates(
     passage: Sequence[AnnotatedToken],
-    mode: str = "window",
-    trie: PosPatternTrie | None = None,
-    max_len: int = DEFAULT_MAX_CHUNK_LEN,
+    mode: str,
+    trie: PosPatternTrie | None,
+    max_len: int,
 ) -> list[CandidateChunk]:
     """Dispatch to the configured strategy for one passage."""
     if mode == "window":

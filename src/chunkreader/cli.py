@@ -10,8 +10,8 @@ work starts.
 A command that reads a dataset prints each dropped record's line and
 reason on stderr and exits 2 when the file holds no usable example.
 
-Seed precedence: --seed flag, then --set seed=N, then the config file,
-then the TrainConfig default.
+Every train setting, the seed included, resolves by precedence: --set
+KEY=VALUE, then the config file, then the TrainConfig default.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import CheckpointError, load_checkpoint
-from .chunker import build_pos_trie, candidate_recall, enumerate_candidates, generate_candidates
+from .chunker import CANDIDATE_MODES, build_pos_trie, candidate_recall
+from .chunker import enumerate_candidates, generate_candidates
 from .corpus import (
     DataError,
     EmbeddingTable,
@@ -37,6 +38,7 @@ from .corpus import (
     json_lines,
     load_dataset,
     load_embeddings,
+    parse_id,
     text_lines,
 )
 from .evaluator import breakdown_by_answer_length, breakdown_by_head_word, evaluate
@@ -77,7 +79,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--embeddings", required=True, help="word vector text file")
     p.add_argument("--out-checkpoint", required=True, help="where the best model goes")
     p.add_argument("--log", help="per-epoch training log path")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override any config field, repeatable")
 
@@ -96,8 +97,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("chunk-stats", help="candidate recall and count statistics")
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", default="window", help="window or trie")
-    p.add_argument("--max-len", type=_positive(int), default=10)
+    p.add_argument("--mode", choices=CANDIDATE_MODES, default=ModelConfig.candidate_mode)
+    p.add_argument("--max-len", type=_positive(int), default=ModelConfig.max_chunk_len)
     p.add_argument("--trie-data", help="examples whose answers build the trie (default: --data)")
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
@@ -161,8 +162,6 @@ def cmd_train(args) -> int:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key] = value
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
     try:
         if args.config:
             _require_file(args.config, "config file")
@@ -228,18 +227,15 @@ def cmd_predict(args) -> int:
 def _read_predictions_file(path) -> dict[str, str]:
     _require_file(path, "predictions file")
     out = {}
+    ids: dict[str, int] = {}
     for line_no, obj in json_lines(path):
         if not isinstance(obj, dict) or "id" not in obj or "answer" not in obj:
             raise DataError(f"line {line_no}: prediction needs id and answer")
         answer = obj["answer"]
         if not isinstance(answer, str):
             raise DataError(f"line {line_no}: prediction answer must be a string, got {answer!r}")
-        out[str(obj["id"])] = answer
+        out[parse_id(obj["id"], line_no, ids)] = answer
     return out
-
-
-def _row_dict(row) -> dict:
-    return {"count": row.count, "fraction": row.fraction, "em": row.em, "f1": row.f1}
 
 
 def cmd_evaluate(args) -> int:
@@ -265,9 +261,9 @@ def cmd_evaluate(args) -> int:
         "count": len(report.records),
         "em": report.em,
         "f1": report.f1,
-        "by_answer_length": {str(k): _row_dict(v) for k, v in by_length.items()},
-        "by_head_word": {k: _row_dict(v) for k, v in heads.items()},
-        "what_bigrams": {k: _row_dict(v) for k, v in bigrams.items()},
+        "by_answer_length": {str(k): dataclasses.asdict(v) for k, v in by_length.items()},
+        "by_head_word": {k: dataclasses.asdict(v) for k, v in heads.items()},
+        "what_bigrams": {k: dataclasses.asdict(v) for k, v in bigrams.items()},
     }
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
@@ -284,8 +280,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_chunk_stats(args) -> int:
-    if args.mode not in ("window", "trie"):
-        raise UsageError(f"unknown candidate mode: {args.mode!r}")
     examples = _load_examples(args.data, "dataset")
     trie = None
     if args.mode == "trie":

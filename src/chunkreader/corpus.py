@@ -7,7 +7,8 @@ indicators (surface match against the question, lemma match against the
 question, first-letter capitalization).
 
 Every JSON input is parsed by `parse_json` (line by line through
-`json_lines`), and every annotated token is checked by `parse_token`.
+`json_lines`), every annotated token is checked by `parse_token`, and
+every record id by `parse_id`.
 
 All structures are immutable after load and safe to share across workers.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -36,6 +37,7 @@ __all__ = [
     "parse_json",
     "json_lines",
     "parse_token",
+    "parse_id",
     "squeeze",
     "build_tag_inventories",
     "detokenize",
@@ -91,13 +93,7 @@ class LoadResult:
     """Loaded examples plus (line number, reason) for each rejected record."""
 
     examples: list[Example]
-    dropped: list[tuple[int, str]] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.examples)
-
-    def __len__(self):
-        return len(self.examples)
+    dropped: list[tuple[int, str]]
 
 
 # bytes that are not UTF-8 decode to these lone surrogates under the
@@ -159,6 +155,22 @@ def _json_int(value, line_no: int, what: str) -> int:
     return value
 
 
+def _json_str(value, line_no: int, what: str) -> str:
+    if not isinstance(value, str):
+        raise DataError(f"line {line_no}: {what} must be a string, got {value!r}")
+    return value
+
+
+def parse_id(value, line_no: int, seen: dict[str, int]) -> str:
+    """The `id` of the record on line line_no, which must be a string no
+    earlier record of its file used; `seen` maps each id read so far to
+    its line and gains this one. Anything else raises DataError."""
+    first = seen.setdefault(_json_str(value, line_no, "id"), line_no)
+    if first != line_no:
+        raise DataError(f"line {line_no}: id {value!r} repeats line {first}")
+    return value
+
+
 def parse_token(obj, line_no: int, where: str) -> AnnotatedToken:
     """The token of a parsed JSON object with string `surface`, `lemma`,
     `pos` and `ne` and an integer `offset` (other keys are ignored); any
@@ -169,19 +181,15 @@ def parse_token(obj, line_no: int, where: str) -> AnnotatedToken:
         missing = [k for k in _TOKEN_KEYS if k not in obj]
         raise DataError(f"line {line_no}: {where} token missing keys {missing}")
     surface, lemma, pos, ne, offset = _token_fields(obj)
-    if (isinstance(surface, str) and isinstance(lemma, str) and isinstance(pos, str)
+    if not (isinstance(surface, str) and isinstance(lemma, str) and isinstance(pos, str)
             and isinstance(ne, str) and isinstance(offset, int) and not isinstance(offset, bool)):
-        return AnnotatedToken(surface, lemma, pos, ne, offset)
-    for key in _TOKEN_KEYS[:4]:
-        if not isinstance(obj[key], str):
-            got = obj[key]
-            raise DataError(f"line {line_no}: {where} token {key} must be a string, got {got!r}")
-    raise DataError(f"line {line_no}: {where} token offset must be an integer, got {offset!r}")
+        for key in _TOKEN_KEYS[:4]:
+            _json_str(obj[key], line_no, f"{where} token {key}")
+        _json_int(offset, line_no, f"{where} token offset")
+    return AnnotatedToken(surface, lemma, pos, ne, offset)
 
 
-def _validate_example(
-    ex_id: str, passage, question, raw_answers, line_no: int
-) -> Example | str:
+def _validate_example(ex_id: str, passage, question, raw_answers) -> Example | str:
     """Content checks; returns the Example or a rejection reason string."""
     if not passage:
         return "empty passage"
@@ -206,14 +214,16 @@ def load_dataset(path) -> LoadResult:
     """Read examples from a JSONL file, one object per line.
 
     Schema violations (bad JSON, bytes that are not UTF-8, missing keys,
-    wrong types, including a non-integer span bound and a token that
-    parse_token rejects) raise DataError citing the line. Content
+    wrong types, including a non-integer span bound, a non-string answer
+    text and a token that parse_token rejects, and an id that parse_id
+    rejects) raise DataError citing the line. Content
     violations (empty passage or question, span out of range, span text
     not matching the tokens, empty surfaces) drop the record and log the
     reason in LoadResult.dropped instead of failing the whole load.
     """
     examples: list[Example] = []
     dropped: list[tuple[int, str]] = []
+    ids: dict[str, int] = {}
     for line_no, obj in json_lines(path):
         if not isinstance(obj, dict):
             raise DataError(f"line {line_no}: record is not an object")
@@ -233,9 +243,10 @@ def load_dataset(path) -> LoadResult:
             raw_answers.append((
                 _json_int(a["start"], line_no, "answer start"),
                 _json_int(a["end"], line_no, "answer end"),
-                str(a["text"]),
+                _json_str(a["text"], line_no, "answer text"),
             ))
-        got = _validate_example(str(obj["id"]), passage, question, raw_answers, line_no)
+        ex_id = parse_id(obj["id"], line_no, ids)
+        got = _validate_example(ex_id, passage, question, raw_answers)
         if isinstance(got, str):
             dropped.append((line_no, got))
         else:
@@ -255,12 +266,6 @@ class EmbeddingTable:
         self.dim = int(dim)
         self.entries = entries
         self._zero = np.zeros(self.dim)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
 
     def lookup(self, word: str) -> np.ndarray:
         hit = self.entries.get(word)

@@ -28,7 +28,12 @@ __all__ = [
     "evaluate",
     "breakdown_by_answer_length",
     "breakdown_by_head_word",
+    "MAX_BUCKET_LEN",
+    "MIN_BIGRAM_COUNT",
 ]
+
+MAX_BUCKET_LEN = 10  # answers longer than this share one length bucket
+MIN_BIGRAM_COUNT = 20  # fewer 'what' questions than this drop a bigram row
 
 _ARTICLE = re.compile(r"\b(a|an|the)\b")
 _PUNCT = set(string.punctuation)
@@ -72,8 +77,6 @@ def f1_score(prediction: str, references: Sequence[str]) -> float:
 @dataclass(frozen=True)
 class ExampleResult:
     id: str
-    prediction: str
-    best_reference: str
     em: int
     f1: float
     shortest_gold_len: int  # tokens in the shortest gold span
@@ -115,17 +118,11 @@ def evaluate(predictions: Mapping[str, str], examples: Sequence[Example]) -> Eva
             raise ValueError(f"example {ex.id!r} has no gold answers")
         pred = predictions[ex.id]
         refs = [a.text for a in ex.answers]
-        em = exact_match(pred, refs)
-        pred_tokens = normalize_answer(pred)
-        per_ref = [_f1_single(pred_tokens, normalize_answer(r)) for r in refs]
-        best_i = max(range(len(refs)), key=lambda i: per_ref[i])
         records.append(
             ExampleResult(
                 id=ex.id,
-                prediction=pred,
-                best_reference=refs[best_i],
-                em=em,
-                f1=per_ref[best_i],
+                em=exact_match(pred, refs),
+                f1=f1_score(pred, refs),
                 shortest_gold_len=min(a.length for a in ex.answers),
                 head_tokens=tuple(t.surface.lower() for t in ex.question[:2]),
             )
@@ -151,22 +148,21 @@ def _rows(groups: dict, total: int) -> dict:
     return out
 
 
-def breakdown_by_answer_length(report: EvalReport, max_len: int = 10) -> dict:
+def breakdown_by_answer_length(report: EvalReport) -> dict:
     """Metrics grouped by shortest-gold length; longer answers pool into
-    one overflow bucket keyed '>{max_len}'. Only populated rows appear."""
+    one overflow bucket keyed '>{MAX_BUCKET_LEN}'. Only populated rows
+    appear."""
     groups: dict = {}
     for r in report.records:
-        key = r.shortest_gold_len if r.shortest_gold_len <= max_len else f">{max_len}"
+        key = r.shortest_gold_len if r.shortest_gold_len <= MAX_BUCKET_LEN else f">{MAX_BUCKET_LEN}"
         groups.setdefault(key, []).append(r)
     return _rows(groups, len(report.records))
 
 
-def breakdown_by_head_word(
-    report: EvalReport, min_bigram_count: int = 20
-) -> tuple[dict, dict]:
+def breakdown_by_head_word(report: EvalReport) -> tuple[dict, dict]:
     """Metrics grouped by the question's first word, plus a second table
     splitting 'what' questions by their first two words. Bigram buckets
-    with fewer than min_bigram_count examples are dropped."""
+    with fewer than MIN_BIGRAM_COUNT examples are dropped."""
     heads: dict = {}
     bigrams: dict = {}
     for r in report.records:
@@ -178,6 +174,6 @@ def breakdown_by_head_word(
     total = len(report.records)
     head_table = _rows(heads, total)
     bigram_table = _rows(
-        {k: v for k, v in bigrams.items() if len(v) >= min_bigram_count}, total
+        {k: v for k, v in bigrams.items() if len(v) >= MIN_BIGRAM_COUNT}, total
     )
     return head_table, bigram_table

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .chunker import CandidateChunk, PosPatternTrie, generate_candidates
+from .chunker import CANDIDATE_MODES, CandidateChunk, PosPatternTrie, generate_candidates
 from .corpus import AnswerSpan, Example, Featurizer, detokenize
 from .encoder import BiGruEncoder
 from .numerics import Tensor
@@ -64,7 +64,7 @@ class ModelConfig:
     embedding_dim: int
     pos_tags: tuple[str, ...]
     ne_tags: tuple[str, ...]
-    candidate_mode: str = "window"  # "window" or "trie"
+    candidate_mode: str = "window"  # one of chunker.CANDIDATE_MODES
     max_chunk_len: int = 10
     scoring: str = "dot"  # "dot" or "cosine"
     normalize_attention: bool = False
@@ -248,7 +248,7 @@ class ChunkReaderModel:
     """Holds both encoders plus the candidate-generation setup."""
 
     def __init__(self, config: ModelConfig, trie: PosPatternTrie | None = None):
-        if config.candidate_mode not in ("window", "trie"):
+        if config.candidate_mode not in CANDIDATE_MODES:
             raise ValueError(f"unknown candidate mode: {config.candidate_mode!r}")
         if config.scoring not in ("dot", "cosine"):
             raise ValueError(f"unknown scoring: {config.scoring!r}")
@@ -256,6 +256,10 @@ class ChunkReaderModel:
             raise ValueError(f"max_chunk_len must be >= 1, got {config.max_chunk_len}")
         if config.candidate_mode == "trie" and trie is None:
             raise ValueError("trie candidate mode needs a built trie")
+        if trie is not None and trie.depth_cap != config.max_chunk_len:
+            raise ValueError(
+                f"trie depth cap {trie.depth_cap} differs from max_chunk_len {config.max_chunk_len}"
+            )
         self.config = config
         self.trie = trie
         d = config.hidden_size

@@ -22,10 +22,10 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import save_checkpoint
-from .chunker import CandidateChunk
+from .chunker import CANDIDATE_MODES, CandidateChunk
 from .corpus import Example, Featurizer
 from .evaluator import evaluate
-from .model import ChunkReaderModel, nll_loss
+from .model import ChunkReaderModel, ModelConfig, nll_loss
 from .numerics import SeededRng, Tensor
 
 __all__ = [
@@ -59,8 +59,8 @@ class TrainConfig:
     curriculum_group: int = 10  # batches per locally-sorted group
     init_range: float = 0.01
     seed: int = 0
-    candidate_mode: str = "window"
-    max_chunk_len: int = 10
+    candidate_mode: str = ModelConfig.candidate_mode
+    max_chunk_len: int = ModelConfig.max_chunk_len
 
     def __post_init__(self):
         for f in fields(self):
@@ -88,7 +88,7 @@ class TrainConfig:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.candidate_mode not in ("window", "trie"):
+        if self.candidate_mode not in CANDIDATE_MODES:
             raise ValueError(f"unknown candidate_mode: {self.candidate_mode!r}")
 
 

@@ -84,41 +84,48 @@ def _trie_from_patterns(patterns, cap=10):
 
 
 def test_build_trie_three_patterns():
+    # exactly the three inserted patterns are terminal: neither a mixed
+    # sequence (NNP CD) nor an unseen tag (NN) is held
     trie = _trie_from_patterns([["NNP"], ["NNP", "NNP"], ["CD"]])
-    assert trie.size == 3
-    assert ["NNP"] in trie and ["NNP", "NNP"] in trie and ["CD"] in trie
-    assert ["NNP", "CD"] not in trie
-    assert ["NN"] not in trie
+    assert dict(trie.patterns()) == {("NNP",): 1, ("NNP", "NNP"): 1, ("CD",): 1}
 
 
 def test_trie_duplicate_pattern_counts():
     trie = _trie_from_patterns([["CD"], ["CD"]])
-    assert trie.size == 1
     assert dict(trie.patterns()) == {("CD",): 2}
 
 
 def test_trie_prefix_is_not_terminal():
     trie = _trie_from_patterns([["NNP", "NNP"]])
-    assert ["NNP"] not in trie
+    assert dict(trie.patterns()) == {("NNP", "NNP"): 1}
 
 
-def test_trie_cap_skips_long_patterns():
+def test_trie_cap_rejects_long_patterns():
     trie = chunker.PosPatternTrie(depth_cap=2)
-    assert trie.insert(["A", "B", "C"]) is False
-    assert trie.skipped == 1
-    assert trie.size == 0
+    with pytest.raises(ValueError, match="exceeds the depth cap 2"):
+        trie.insert(["A", "B", "C"])
+    trie.insert(["A", "B"])
+    assert dict(trie.patterns()) == {("A", "B"): 1}
 
 
 def test_trie_rejects_empty_pattern():
     with pytest.raises(ValueError):
-        chunker.PosPatternTrie().insert([])
+        chunker.PosPatternTrie(10).insert([])
 
 
 def test_build_pos_trie_from_examples():
     ex1 = make_example("a", ["Alice", "Smith", "ran"], ["who"], [(1, 2)], pos=["NNP", "NNP", "VBD"])
     ex2 = make_example("b", ["Seven", "dogs"], ["how", "many"], [(1, 1)], pos=["CD", "NNS"])
-    trie = chunker.build_pos_trie([ex1, ex2])
+    trie = chunker.build_pos_trie([ex1, ex2], 10)
     assert dict(trie.patterns()) == {("NNP", "NNP"): 1, ("CD",): 1}
+
+
+def test_build_pos_trie_leaves_out_answers_over_the_cap():
+    ex1 = make_example("a", ["Alice", "Smith", "ran"], ["who"], [(1, 2)], pos=["NNP", "NNP", "VBD"])
+    ex2 = make_example("b", ["Seven", "dogs"], ["how", "many"], [(1, 1)], pos=["CD", "NNS"])
+    trie = chunker.build_pos_trie([ex1, ex2], 1)
+    assert trie.depth_cap == 1
+    assert dict(trie.patterns()) == {("CD",): 1}
 
 
 def test_patterns_enumeration_sorted():
@@ -140,7 +147,7 @@ def test_trie_candidates_spec_example():
 
 def test_trie_candidates_empty_trie():
     passage = make_tokens(["a", "b"], pos=["NN", "NN"])
-    assert chunker.trie_candidates(passage, chunker.PosPatternTrie()) == []
+    assert chunker.trie_candidates(passage, chunker.PosPatternTrie(10)) == []
 
 
 def test_trie_candidates_respect_cap():
@@ -209,8 +216,8 @@ def test_recall_trie_on_own_training_answers():
         make_example("a", ["Alice", "ran"], ["who"], [(1, 1)], pos=["NNP", "VBD"]),
         make_example("b", ["Bob", "Smith", "sat"], ["who"], [(1, 2)], pos=["NNP", "NNP", "VBD"]),
     ]
-    trie = chunker.build_pos_trie(exs)
-    assert trie.skipped == 0
+    trie = chunker.build_pos_trie(exs, 10)
+    assert dict(trie.patterns()) == {("NNP",): 1, ("NNP", "NNP"): 1}
     lists = [chunker.trie_candidates(e.passage, trie) for e in exs]
     assert chunker.candidate_recall(exs, lists) == 1.0
 
@@ -225,15 +232,16 @@ def test_recall_alignment_and_empties():
 
 def test_generate_candidates_dispatch():
     passage = make_tokens(["a", "b"], pos=["NN", "NN"])
-    window = chunker.generate_candidates(passage, "window", max_len=1)
+    window = chunker.generate_candidates(passage, "window", None, 1)
     assert [(c.start, c.end) for c in window] == [(1, 1), (2, 2)]
     trie = _trie_from_patterns([["NN"]])
-    via_trie = chunker.generate_candidates(passage, "trie", trie=trie)
+    via_trie = chunker.generate_candidates(passage, "trie", trie, 10)
     assert [(c.start, c.end) for c in via_trie] == [(1, 1), (2, 2)]
     with pytest.raises(ValueError):
-        chunker.generate_candidates(passage, "trie")
+        chunker.generate_candidates(passage, "trie", None, 10)
     with pytest.raises(ValueError):
-        chunker.generate_candidates(passage, "parse")
+        chunker.generate_candidates(passage, "parse", None, 10)
+    assert chunker.CANDIDATE_MODES == ("window", "trie")
 
 
 def test_chunk_equality_validation_and_length():

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line entry points: exit codes, file
 formats, seed precedence, and rerun determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 
 from chunkreader import cli
 from chunkreader.checkpoint import load_checkpoint, save_checkpoint
-from chunkreader.chunker import enumerate_candidates
+from chunkreader.chunker import build_pos_trie, enumerate_candidates
 from chunkreader.corpus import load_dataset
 from chunkreader.encoder import GruCell
+from chunkreader.model import ChunkReaderModel
 from chunkreader.synthetic import (
     SyntheticSpec,
     generate,
@@ -191,14 +193,19 @@ def run_train_variant(world, tmp_path, tag, config_text=None, **extra):
         return fh.read()
 
 
-def test_seed_flag_beats_config(world, tmp_path):
-    # config says 7, --set says 9, flag says 11; the flag must win
-    observed = run_train_variant(world, tmp_path, "flagged", set="seed=9", seed=11)
+def test_set_seed_beats_config(world, tmp_path, capsys):
+    # config says 7, --set says 11; --set must win, and it is the only
+    # seed override: a --seed flag is a usage error
+    observed = run_train_variant(world, tmp_path, "overridden", set="seed=11")
     reference = run_train_variant(
         world, tmp_path, "direct11", config_text=CONFIG_TEXT.replace("seed 7", "seed 11")
     )
     assert observed == reference
     assert observed != run_train_variant(world, tmp_path, "plain")
+    capsys.readouterr()
+    paths = dict(world, checkpoint=str(tmp_path / "flag.ckpt"), log=str(tmp_path / "flag.log"))
+    assert cli.main(train_args(paths, seed=11)) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: --seed 11")
 
 
 def test_train_rerun_is_byte_identical(world, tmp_path):
@@ -352,12 +359,30 @@ def _null_offset(rec):
     rec["passage"][0]["offset"] = None
 
 
-@pytest.mark.parametrize("corrupt", [_set_start, _null_offset])
+def _null_id(rec):
+    rec["id"] = None
+
+
+def _null_answer_text(rec):
+    rec["answers"][0]["text"] = None
+
+
+@pytest.mark.parametrize("corrupt", [_set_start, _null_offset, _null_id, _null_answer_text])
 def test_predict_malformed_data_exits_two_with_one_line(world, tmp_path, capsys, corrupt):
     paths, _ = _corrupt_first_dev_record(world, tmp_path, corrupt)
     assert cli.main(predict_args(paths, str(tmp_path / "p.jsonl"))) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: line 1:") and err.count("\n") == 1
+
+
+def test_predict_repeated_dataset_id_exits_two_with_one_line(world, tmp_path, capsys):
+    with open(world["dev"], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    path = tmp_path / "dev.jsonl"
+    path.write_text(lines[0] + lines[0] + "".join(lines[1:]), encoding="utf-8")
+    assert cli.main(predict_args(dict(world, dev=str(path)), str(tmp_path / "p.jsonl"))) == 2
+    first_id = json.loads(lines[0])["id"]
+    assert capsys.readouterr().err == f"data error: line 2: id {first_id!r} repeats line 1\n"
 
 
 @pytest.mark.parametrize("side", ["passage", "question"])
@@ -402,6 +427,46 @@ def test_predict_malformed_checkpoint_exits_two_with_one_line(world, tmp_path, c
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def trie_checkpoint_bytes(world, tmp_path_factory):
+    """The world's trained weights saved as a trie-mode checkpoint whose
+    trie holds the training answers' patterns, capped at max_chunk_len 3."""
+    model = load_checkpoint(world["checkpoint"])
+    train_examples = load_dataset(world["train"]).examples
+    trie = build_pos_trie(train_examples, model.config.max_chunk_len)
+    trie_model = ChunkReaderModel(dataclasses.replace(model.config, candidate_mode="trie"), trie)
+    for name, p in trie_model.parameters().items():
+        p.data[...] = model.parameters()[name].data
+    path = tmp_path_factory.mktemp("trieckpt") / "trie.ckpt"
+    save_checkpoint(trie_model, path)
+    assert load_checkpoint(path).trie.depth_cap == 3  # loads as saved, before any edit
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "old, new, reason",
+    [
+        # a pattern longer than the cap used to load with the pattern dropped
+        (b"trie_depth_cap 3\n", b"trie_depth_cap 3\ntrie_pattern 1 X X X X\n",
+         "pattern of 4 tags exceeds the depth cap 3"),
+        # a cap other than max_chunk_len used to load and propose longer chunks
+        (b"trie_depth_cap 3\n", b"trie_depth_cap 9\n",
+         "trie depth cap 9 differs from max_chunk_len 3"),
+    ],
+    ids=["pattern-over-cap", "cap-differs"],
+)
+def test_predict_trie_checkpoint_beyond_its_cap_exits_two_with_one_line(
+    world, tmp_path, capsys, trie_checkpoint_bytes, old, new, reason
+):
+    assert old in trie_checkpoint_bytes
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(edit_checkpoint(trie_checkpoint_bytes, old, new))
+    out = tmp_path / "p.jsonl"
+    assert cli.main(predict_args(dict(world, checkpoint=str(path)), str(out))) == 2
+    assert capsys.readouterr().err == f"data error: invalid model settings: {reason}\n"
+    assert not out.exists()
 
 
 def test_predict_nan_weight_checkpoint_exits_two_without_output(world, tmp_path, capsys):
@@ -545,8 +610,12 @@ def write_predictions(path, pairs):
         (b'["id", "answer"]\n', "line 1: prediction needs id and answer"),
         (b"[" * 100_000 + b"\n", "line 1: invalid JSON: beyond the parser's limits"),
         (b'{"id": "a", "answer": null}\n', "line 1: prediction answer must be a string, got None"),
+        (b'{"id": null, "answer": "x"}\n', "line 1: id must be a string, got None"),
+        (b'{"id": 5, "answer": "x"}\n', "line 1: id must be a string, got 5"),
+        (b'{"id": "a", "answer": "x"}\n{"id": "a", "answer": "y"}\n', "line 2: id 'a' repeats line 1"),
     ],
-    ids=["non-utf8", "number", "array", "deep-nesting", "non-string-answer"],
+    ids=["non-utf8", "number", "array", "deep-nesting", "non-string-answer", "null-id", "int-id",
+         "repeated-id"],
 )
 def test_evaluate_malformed_predictions_exits_two_with_one_line(world, tmp_path, capsys, raw, reason):
     path = tmp_path / "p.jsonl"

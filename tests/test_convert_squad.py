@@ -129,6 +129,22 @@ def test_annotation_line_that_is_not_a_json_object_is_rejected_with_its_line(tmp
     assert str(info.value) == f"{tmp_path / 'anno.jsonl'}: line 2: {reason}"
 
 
+@pytest.mark.parametrize(
+    "anno_id, reason",
+    [(None, "id must be a string, got None"), (2, "id must be a string, got 2"),
+     ("q1", "id 'q1' repeats line 1")],
+    ids=["null-id", "int-id", "repeated-id"],
+)
+def test_annotation_id_that_is_not_a_new_string_is_rejected_with_its_line(tmp_path, anno_id, reason):
+    # a null id used to be stored as "None", and a repeated one to replace
+    # the first line's tokens
+    bad = dict(annotation("q2"), id=anno_id)
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, [qa("q1", ("Alice", 0))], [annotation("q1"), bad])
+    assert str(info.value) == f"{tmp_path / 'anno.jsonl'}: line 2: {reason}"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize("key", ["answer_start", "text"])
 def test_squad_answer_without_a_field_is_rejected_with_its_question(tmp_path, key):
     broken = qa("q2", ("Bob", 10))
@@ -164,8 +180,14 @@ def paragraph(qas):
         ({"data": [{"paragraphs": [{"context": CONTEXT}]}]}, "paragraph missing 'qas' list"),
         ({"data": [{"paragraphs": [paragraph([{"answers": []}])]}]}, "question missing 'id'"),
         ({"data": [{"paragraphs": [paragraph([{"id": "q1"}])]}]}, "question q1: missing 'answers' list"),
+        # a null id used to become "None"; a repeated one gave output the loader rejects
+        ({"data": [{"paragraphs": [paragraph([qa(None, ("Alice", 0))])]}]},
+         "question id must be a string, got None"),
+        ({"data": [{"paragraphs": [paragraph([qa("q1", ("Alice", 0)), qa("q1", ("Bob", 10))])]}]},
+         "question q1: id repeats an earlier question"),
     ],
-    ids=["not-json", "not-json-on-line-3", "no-data", "not-an-object", "no-paragraphs", "no-qas", "no-id", "no-answers"],
+    ids=["not-json", "not-json-on-line-3", "no-data", "not-an-object", "no-paragraphs", "no-qas", "no-id", "no-answers",
+         "null-id", "repeated-id"],
 )
 def test_malformed_squad_file_is_rejected_with_its_path(tmp_path, squad, reason):
     with pytest.raises(SystemExit) as info:
@@ -262,7 +284,7 @@ def test_script_converts_well_formed_input(tmp_path):
     (tmp_path / "anno.jsonl").write_text(json.dumps(annotation("q1")) + "\n", encoding="utf-8")
     done = run_script(tmp_path / "squad.json", tmp_path / "anno.jsonl", tmp_path / "out.jsonl")
     assert (done.returncode, done.stderr) == (0, f"wrote 1 examples to {tmp_path / 'out.jsonl'}\n")
-    assert [ex.id for ex in load_dataset(tmp_path / "out.jsonl")] == ["q1"]
+    assert [ex.id for ex in load_dataset(tmp_path / "out.jsonl").examples] == ["q1"]
 
 
 _field_values = st.one_of(

@@ -33,7 +33,7 @@ def test_load_roundtrip(tmp_path):
     ex = make_example("q1", ["The", "cat", "sat", "down"], ["who", "sat"], [(2, 2)])
     path = write_jsonl(tmp_path / "data.jsonl", [ex])
     got = corpus.load_dataset(path)
-    assert len(got) == 1
+    assert len(got.examples) == 1
     assert got.dropped == []
     loaded = got.examples[0]
     assert loaded.id == "q1"
@@ -162,6 +162,39 @@ def test_load_non_string_token_field_cites_line(tmp_path, side, key, value):
     assert str(info.value) == f"line 2: {side} token {key} must be a string, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda rec: rec.update(id=None), "id must be a string, got None"),
+        (lambda rec: rec.update(id=7), "id must be a string, got 7"),
+        (lambda rec: rec["answers"][0].update(text=None), "answer text must be a string, got None"),
+        (lambda rec: rec.update(id="q0"), "id 'q0' repeats line 1"),
+    ],
+    ids=["null-id", "int-id", "null-answer-text", "repeated-id"],
+)
+def test_load_non_string_or_repeated_id_cites_line(tmp_path, edit, reason):
+    # each used to load: a null id or text as the string "None", and a
+    # repeated id as a second example scored against the same prediction
+    good = example_dict(make_example("q0", ["a", "b"], ["q"], [(1, 1)]))
+    bad = example_dict(make_example("q1", ["a", "b"], ["q"], [(1, 1)]))
+    edit(bad)
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(corpus.DataError) as info:
+        corpus.load_dataset(path)
+    assert str(info.value) == f"line 2: {reason}"
+
+
+def test_load_rejects_id_of_a_dropped_record(tmp_path):
+    dropped = example_dict(make_example("q0", ["a", "b"], ["q"], []))
+    dropped["passage"] = []
+    again = example_dict(make_example("q0", ["a", "b"], ["q"], [(1, 1)]))
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(dropped) + "\n" + json.dumps(again) + "\n")
+    with pytest.raises(corpus.DataError, match="^line 2: id 'q0' repeats line 1$"):
+        corpus.load_dataset(path)
+
+
 @pytest.mark.parametrize("side", ["passage", "question"])
 def test_load_drops_empty_passage_or_question(tmp_path, side):
     rec = example_dict(make_example("q1", ["a", "b"], ["q"], []))
@@ -177,7 +210,7 @@ def test_load_skips_blank_lines(tmp_path):
     ex = make_example("q1", ["a"], ["q"], [(1, 1)])
     path = tmp_path / "data.jsonl"
     path.write_text("\n" + json.dumps(example_dict(ex)) + "\n\n")
-    assert len(corpus.load_dataset(path)) == 1
+    assert len(corpus.load_dataset(path).examples) == 1
 
 
 def test_answer_span_invariant():
@@ -196,7 +229,7 @@ def test_load_embeddings_roundtrip(tmp_path):
     entries = {"cat": [0.1, 0.2, 0.3], "dog": [-1.0, 0.0, 1.0]}
     path = write_embeddings(tmp_path / "emb.txt", entries, dim=3)
     table = corpus.load_embeddings(path, dim=3)
-    assert len(table) == 2
+    assert sorted(table.entries) == ["cat", "dog"]
     assert np.allclose(table.lookup("cat"), [0.1, 0.2, 0.3])
 
 
@@ -248,7 +281,7 @@ def test_lookup_falls_back_to_lowercase_then_zero():
     table = corpus.EmbeddingTable(2, {"cat": np.array([1.0, 2.0])})
     assert np.allclose(table.lookup("Cat"), [1.0, 2.0])
     assert np.allclose(table.lookup("unseen"), [0.0, 0.0])
-    assert "cat" in table and "unseen" not in table
+    assert "cat" in table.entries and "unseen" not in table.entries
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +423,7 @@ def test_property_loaded_span_text_roundtrips(tmp_path_factory, words, start, le
     ex = make_example("q1", words, ["q"], [(start, end)])
     path = write_jsonl(tmp_path_factory.mktemp("ds") / "d.jsonl", [ex])
     got = corpus.load_dataset(path)
-    assert len(got) == 1
+    assert len(got.examples) == 1
     span = got.examples[0].answers[0]
     joined = corpus.detokenize(got.examples[0].passage[span.start - 1 : span.end])
     assert "".join(joined.split()) == "".join(span.text.split())

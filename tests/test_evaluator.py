@@ -98,10 +98,27 @@ def test_evaluate_id_mismatch():
 
 
 def test_evaluate_picks_best_reference():
+    # "cold war" alone scores 0.8; the record keeps the better reference's 1.0
     ex = make_example("a", ["cold", "war", "era"], ["when"], [(1, 2), (1, 3)])
     report = ev.evaluate({"a": "cold war era"}, [ex])
-    assert report.records[0].best_reference == "cold war era"
+    assert ev.f1_score("cold war era", ["cold war"]) == pytest.approx(0.8)
     assert report.records[0].f1 == 1.0
+    assert report.records[0].em == 1
+
+
+def test_evaluate_scores_each_record_with_the_metric_functions(monkeypatch):
+    # a record's EM and F1 are exact_match's and f1_score's, and a record
+    # with n references normalizes at most 2 + 2n strings
+    ex = make_example("a", ["the", "cold", "war", "era"], ["when"], [(2, 3), (1, 4), (4, 4)])
+    refs = [a.text for a in ex.answers]
+    calls = []
+    normalize = ev.normalize_answer
+    monkeypatch.setattr(ev, "normalize_answer", lambda text: calls.append(text) or normalize(text))
+    for pred in ("cold war", "war era", "peace"):
+        calls.clear()
+        (record,) = ev.evaluate({"a": pred}, [ex]).records
+        assert len(calls) <= 2 + 2 * len(refs)
+        assert (record.em, record.f1) == (ev.exact_match(pred, refs), ev.f1_score(pred, refs))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +145,8 @@ def test_breakdown_by_length_overflow_bucket():
     ]
     preds = {"a": " ".join(words[:12]), "b": " ".join(words[:2])}
     report = ev.evaluate(preds, exs)
-    table = ev.breakdown_by_answer_length(report, max_len=10)
+    table = ev.breakdown_by_answer_length(report)
+    assert ev.MAX_BUCKET_LEN == 10
     assert set(table) == {2, ">10"}
     assert table[">10"].count == 1
 
@@ -178,6 +196,7 @@ def test_breakdown_what_bigrams_threshold():
         preds[ex.id] = "x"
     heads, bigrams = ev.breakdown_by_head_word(ev.evaluate(preds, exs))
     assert heads["what"].count == 30
+    assert ev.MIN_BIGRAM_COUNT == 20
     assert set(bigrams) == {"what year"}  # "what reason" has only 5 examples
     assert bigrams["what year"].count == 25
 

@@ -492,7 +492,7 @@ def test_predict_tie_breaks_to_earliest_span():
 def test_predict_no_candidates_names_example():
     # no candidate is no answer: the empty string, which scores as a miss
     ex, table = example_fixture()
-    empty_trie = PosPatternTrie()
+    empty_trie = PosPatternTrie(10)
     m = M.ChunkReaderModel(toy_config(candidate_mode="trie"), trie=empty_trie)
     fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
     assert m.score_example(ex, fz) is None
@@ -561,7 +561,7 @@ def test_end_to_end_gradients_all_parameters():
 
 def test_end_to_end_gradients_trie_mode():
     ex, table = example_fixture()
-    trie = PosPatternTrie()
+    trie = PosPatternTrie(10)
     trie.insert(["A"])
     trie.insert(["A", "B"])
     m = M.ChunkReaderModel(toy_config(d=2, candidate_mode="trie"), trie=trie)
@@ -585,6 +585,9 @@ def test_model_config_validation():
         M.ChunkReaderModel(toy_config(scoring="euclid"))
     with pytest.raises(ValueError, match="max_chunk_len"):
         M.ChunkReaderModel(toy_config(max_chunk_len=0))
+    # one length cap for both strategies: the trie's must be the config's
+    with pytest.raises(ValueError, match="trie depth cap 9 differs from max_chunk_len 3"):
+        M.ChunkReaderModel(toy_config(candidate_mode="trie", max_chunk_len=3), PosPatternTrie(9))
 
 
 def test_parameter_catalog_covers_both_encoders():

@@ -57,7 +57,7 @@ def test_roundtrip_through_corpus_loader(tmp_path):
     assert loaded.dropped == []
     assert loaded.examples == examples
     reloaded = corpus.load_embeddings(emb, spec.embedding_dim)
-    assert len(reloaded) == len(table.entries)
+    assert len(reloaded.entries) == len(table.entries)
     for w, v in table.entries.items():
         assert (reloaded.lookup(w) == v).all()
 

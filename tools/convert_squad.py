@@ -26,14 +26,16 @@ not line up with token boundaries (after whitespace is ignored) are
 skipped; questions with no mappable answer or no annotation entry are
 dropped. Counts for both go to stderr.
 
-Both inputs are read, and every token checked, by the dataset loader's
-own `chunkreader.corpus` readers (`json_lines`, `parse_token`); a token
-is written with its five schema keys only. Any malformed input (a
-missing or non-UTF-8 file, bad JSON, a token the loader would reject, a
-SQuAD file missing `data`, `paragraphs`, `qas`, a question `id` or
-`answers`, an answer without a string `text` or an integer
-`answer_start`), or an `--out` that cannot be written, stops it with one
-`path: reason` line. `--out` is opened only once all else succeeded.
+Both inputs are read, and every annotation id and token checked, by the
+dataset loader's own `chunkreader.corpus` readers (`json_lines`,
+`parse_id`, `parse_token`); a token is written with its five schema keys
+only. Any malformed input (a missing or non-UTF-8 file, bad JSON, an
+annotation id or token the loader would reject, a SQuAD file missing
+`data`, `paragraphs`, `qas`, a question `id` or `answers`, a question
+`id` that is not a string or repeats an earlier one, an answer without
+a string `text` or an integer `answer_start`), or an `--out` that
+cannot be written, stops it with one `path: reason` line. `--out` is
+opened only once all else succeeded.
 
 Needs `chunkreader` importable: `pip install -e .`, or `PYTHONPATH=src`.
 """
@@ -43,7 +45,8 @@ import sys
 from contextlib import contextmanager
 
 from chunkreader.corpus import (
-    AnswerSpan, DataError, Example, json_lines, parse_json, parse_token, squeeze, text_lines,
+    AnswerSpan, DataError, Example, json_lines, parse_id, parse_json, parse_token, squeeze,
+    text_lines,
 )
 from chunkreader.synthetic import write_dataset_jsonl
 
@@ -72,8 +75,10 @@ def _list_under(obj, key):
 
 
 def iter_squad_questions(squad):
-    """Every question of the file, each an object with an `id` and an
-    `answers` list; anything else on the way raises DataError."""
+    """Every question of the file, each an object with a string `id` that
+    no earlier question used and an `answers` list; anything else on the
+    way raises DataError."""
+    seen = set()
     articles = _list_under(squad, "data")
     if articles is None:
         raise DataError("missing 'data' list")
@@ -88,15 +93,22 @@ def iter_squad_questions(squad):
             for qa in qas:
                 if not isinstance(qa, dict) or "id" not in qa:
                     raise DataError("question missing 'id'")
+                if not isinstance(qa["id"], str):
+                    raise DataError(f"question id must be a string, got {qa['id']!r}")
+                if qa["id"] in seen:
+                    raise DataError(f"question {qa['id']}: id repeats an earlier question")
+                seen.add(qa["id"])
                 if _list_under(qa, "answers") is None:
                     raise DataError(f"question {qa['id']}: missing 'answers' list")
                 yield qa
 
 
 def load_annotations(path):
-    """Question id -> (passage tokens, question tokens); a malformed line
-    raises DataError citing it."""
+    """Question id -> (passage tokens, question tokens); a malformed line,
+    or an id that is not a string or repeats an earlier line's, raises
+    DataError citing it."""
     table = {}
+    ids = {}
     for line_no, obj in json_lines(path):
         if not isinstance(obj, dict):
             raise DataError(f"line {line_no}: annotation must be an object")
@@ -108,7 +120,7 @@ def load_annotations(path):
             if not isinstance(obj[side], list):
                 raise DataError(f"line {line_no}: {side} must be an array")
             sides.append(tuple(parse_token(token, line_no, side) for token in obj[side]))
-        table[str(obj["id"])] = tuple(sides)
+        table[parse_id(obj["id"], line_no, ids)] = tuple(sides)
     return table
 
 
@@ -157,7 +169,7 @@ def convert(squad_path, annotations_path, out_path):
     no_annotation = no_answers = skipped_answers = 0
     with stop_on_error(squad_path):
         for qa in iter_squad_questions(squad):
-            qa_id = str(qa["id"])
+            qa_id = qa["id"]
             tokens = annotations.get(qa_id)
             if tokens is None:
                 no_annotation += 1
