@@ -7,17 +7,22 @@ Layout of a checkpoint file:
     <manifest, exactly N bytes of UTF-8 key-value lines>
     <blob: little-endian float64, parameters in manifest order>
 
-The manifest pins everything needed to rebuild the model object: sizes,
-candidate mode, scoring flags, tag inventories, learned trie patterns
-(when the trie mode is active), and the name and shape of every parameter
-tensor. Saving the same model twice produces identical bytes. Loading
-rejects a manifest key it does not know, a setting given twice, and a
-parameter holding a NaN or an infinity.
+The manifest pins everything needed to rebuild the model object: the
+fixed `format_version 1` and `precision float64` lines, then the
+settings lines, one `name value` line per `ModelConfig` field in
+declaration order (tag inventories last; an int as digits, a bool as 0
+or 1, tags space-joined), then the learned trie in trie mode and the
+name and shape of every parameter tensor. Saving the same model twice
+produces identical bytes. Loading requires each settings line exactly
+once, rejects a key it does not know and a parameter holding a NaN or an
+infinity, and ignores the trie lines older versions wrote for window
+models.
 """
 
 from __future__ import annotations
 
 import io
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,36 +32,45 @@ from .model import ChunkReaderModel, ModelConfig
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
 _MAGIC = "chunkreader-checkpoint 1"
-# manifest keys holding one value each; every other line is a tag list,
-# a trie pattern or a parameter
-_REQUIRED_KEYS = (
-    "format_version", "precision", "hidden_size", "embedding_dim",
-    "candidate_mode", "max_chunk_len", "scoring", "normalize_attention",
-)
-_SCALAR_KEYS = _REQUIRED_KEYS + ("trie_depth_cap",)  # the cap only in trie mode
+_FIXED = {"format_version": "1", "precision": "float64"}
 
 
 class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint file."""
 
 
-def _build_manifest(model: ChunkReaderModel) -> str:
-    cfg = model.config
-    for tag in cfg.pos_tags + cfg.ne_tags:
+def _int(text: str, what: str) -> int:
+    if not (text.isascii() and text.isdigit() and len(text) <= 18):
+        raise CheckpointError(f"{what} must be a non-negative integer below 10**18, got {text[:40]!r}")
+    return int(text)
+
+
+def _bool(text: str, what: str) -> bool:
+    if text not in ("0", "1"):
+        raise CheckpointError(f"{what} must be 0 or 1, got {text[:40]!r}")
+    return text == "1"
+
+
+def _tags_text(tags: tuple[str, ...]) -> str:
+    for tag in tags:
         if not tag or any(ch.isspace() for ch in tag):
             raise CheckpointError(f"tag {tag!r} cannot be serialized (whitespace)")
-    lines = [
-        "format_version 1",
-        "precision float64",
-        f"hidden_size {cfg.hidden_size}",
-        f"embedding_dim {cfg.embedding_dim}",
-        f"candidate_mode {cfg.candidate_mode}",
-        f"max_chunk_len {cfg.max_chunk_len}",
-        f"scoring {cfg.scoring}",
-        f"normalize_attention {int(cfg.normalize_attention)}",
-        "pos_tags " + " ".join(cfg.pos_tags),
-        "ne_tags " + " ".join(cfg.ne_tags),
-    ]
+    return " ".join(tags)
+
+
+# ModelConfig field type -> (value to manifest text, manifest text to value)
+_CODECS = {
+    "int": (str, _int),
+    "bool": (lambda value: str(int(value)), _bool),
+    "str": (str, lambda text, what: text),
+    "tuple[str, ...]": (_tags_text, lambda text, what: tuple(t for t in text.split(" ") if t)),
+}
+
+
+def _build_manifest(model: ChunkReaderModel) -> str:
+    lines = [f"{key} {value}" for key, value in _FIXED.items()]
+    for f in fields(ModelConfig):
+        lines.append(f"{f.name} {_CODECS[f.type][0](getattr(model.config, f.name))}")
     if model.trie is not None:
         lines.append(f"trie_depth_cap {model.trie.depth_cap}")
         for pattern, count in model.trie.patterns():
@@ -84,12 +98,6 @@ def _decode(raw: bytes, what: str) -> str:
         raise CheckpointError(f"{what} is not UTF-8") from None
 
 
-def _int(text: str, what: str) -> int:
-    if not (text.isascii() and text.isdigit() and len(text) <= 18):
-        raise CheckpointError(f"{what} must be a non-negative integer below 10**18, got {text[:40]!r}")
-    return int(text)
-
-
 def _read_line(fh: io.BufferedReader) -> str:
     raw = fh.readline()
     if not raw.endswith(b"\n"):
@@ -109,63 +117,44 @@ def load_checkpoint(path) -> ChunkReaderModel:
         if len(manifest) != manifest_len:
             raise CheckpointError("truncated manifest")
 
-        scalars: dict[str, str] = {}
-        pos_tags: tuple[str, ...] = ()
-        ne_tags: tuple[str, ...] = ()
+        values: dict[str, str] = {}
         trie_patterns: list[tuple[int, tuple[str, ...]]] = []
         params: list[tuple[str, tuple[int, ...]]] = []
         for line in _decode(manifest, "manifest").splitlines():
-            fields = line.split(" ")
-            key = fields[0]
-            if key == "pos_tags":
-                pos_tags = tuple(t for t in fields[1:] if t)
-            elif key == "ne_tags":
-                ne_tags = tuple(t for t in fields[1:] if t)
-            elif key == "trie_pattern":
-                if len(fields) < 3:
+            parts = line.split(" ")
+            key = parts[0]
+            if key == "trie_pattern":
+                if len(parts) < 3:
                     raise CheckpointError(f"malformed trie pattern line: {line!r}")
-                trie_patterns.append((_int(fields[1], "trie pattern count"), tuple(fields[2:])))
+                trie_patterns.append((_int(parts[1], "trie pattern count"), tuple(parts[2:])))
             elif key == "param":
-                if len(fields) < 3:
+                if len(parts) < 3:
                     raise CheckpointError(f"malformed param line: {line!r}")
-                params.append((fields[1], tuple(_int(d, f"{fields[1]} shape") for d in fields[2:])))
-            elif key in scalars:
+                params.append((parts[1], tuple(_int(d, f"{parts[1]} shape") for d in parts[2:])))
+            elif key in values:
                 raise CheckpointError(f"manifest repeats {key!r}")
             else:
-                scalars[key] = " ".join(fields[1:])
+                values[key] = " ".join(parts[1:])
 
-        required = list(_REQUIRED_KEYS)
-        if scalars.get("candidate_mode") == "trie":
+        settings = fields(ModelConfig)
+        required = [*_FIXED, *(f.name for f in settings)]
+        if values.get("candidate_mode") == "trie":
             required.append("trie_depth_cap")
         for key in required:
-            if key not in scalars:
+            if key not in values:
                 raise CheckpointError(f"manifest missing {key}")
-        for key in scalars:
-            if key not in _SCALAR_KEYS:
+        for key in values:
+            if key not in required and key != "trie_depth_cap":  # the cap is ignored in window mode
                 raise CheckpointError(f"unknown manifest key {key!r}")
-        if scalars["format_version"] != "1":
-            raise CheckpointError(f"unsupported format version {scalars['format_version']}")
-        if scalars["precision"] != "float64":
-            raise CheckpointError(f"unsupported precision {scalars['precision']}")
-        if scalars["normalize_attention"] not in ("0", "1"):
-            raise CheckpointError(
-                f"normalize_attention must be 0 or 1, got {scalars['normalize_attention']!r}"
-            )
+        for key, expected in _FIXED.items():
+            if values[key] != expected:
+                raise CheckpointError(f"unsupported {key} {values[key][:40]!r}")
 
-        config = ModelConfig(
-            hidden_size=_int(scalars["hidden_size"], "hidden_size"),
-            embedding_dim=_int(scalars["embedding_dim"], "embedding_dim"),
-            pos_tags=pos_tags,
-            ne_tags=ne_tags,
-            candidate_mode=scalars["candidate_mode"],
-            max_chunk_len=_int(scalars["max_chunk_len"], "max_chunk_len"),
-            scoring=scalars["scoring"],
-            normalize_attention=scalars["normalize_attention"] == "1",
-        )
+        config = ModelConfig(**{f.name: _CODECS[f.type][1](values[f.name], f.name) for f in settings})
         try:
             trie = None
             if config.candidate_mode == "trie":
-                trie = PosPatternTrie(_int(scalars["trie_depth_cap"], "trie_depth_cap"))
+                trie = PosPatternTrie(_int(values["trie_depth_cap"], "trie_depth_cap"))
                 for count, pattern in trie_patterns:
                     trie.insert(pattern, count)
             model = ChunkReaderModel(config, trie)

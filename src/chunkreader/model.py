@@ -56,18 +56,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ModelConfig:
-    """Architecture and candidate-generation settings baked into checkpoints."""
+    """Architecture and candidate-generation settings baked into checkpoints.
+
+    Each field is one checkpoint manifest line, written in declaration
+    order (so the tag inventories come last), and every line is required
+    on load: adding a field makes older checkpoints fail with
+    `manifest missing <field>`. A field's type must be one the checkpoint
+    module can write: int, bool, str or tuple[str, ...].
+    """
 
     hidden_size: int
     embedding_dim: int
-    pos_tags: tuple[str, ...]
-    ne_tags: tuple[str, ...]
     candidate_mode: str = "window"  # one of chunker.CANDIDATE_MODES
     max_chunk_len: int = 10
     scoring: str = "dot"  # "dot" or "cosine"
     normalize_attention: bool = False
+    pos_tags: tuple[str, ...]
+    ne_tags: tuple[str, ...]
 
     @property
     def input_width(self) -> int:
@@ -256,6 +263,8 @@ class ChunkReaderModel:
             raise ValueError(f"max_chunk_len must be >= 1, got {config.max_chunk_len}")
         if config.candidate_mode == "trie" and trie is None:
             raise ValueError("trie candidate mode needs a built trie")
+        if config.candidate_mode != "trie" and trie is not None:
+            raise ValueError(f"{config.candidate_mode} candidate mode takes no trie")
         if trie is not None and trie.depth_cap != config.max_chunk_len:
             raise ValueError(
                 f"trie depth cap {trie.depth_cap} differs from max_chunk_len {config.max_chunk_len}"

@@ -65,7 +65,7 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in (float, "float") and not math.isfinite(value):
+            if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not math.isfinite(2 * self.init_range):  # the width of the init draw
             raise ValueError(f"init_range is too large, got {self.init_range}")
@@ -117,9 +117,9 @@ def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
     kwargs = {}
     for key, raw in values.items():
         kind = spec[key]
-        if kind in (int, "int"):
+        if kind == "int":
             kwargs[key] = int(raw)
-        elif kind in (float, "float"):
+        elif kind == "float":
             kwargs[key] = float(raw)
         else:
             kwargs[key] = raw

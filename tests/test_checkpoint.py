@@ -1,5 +1,10 @@
 """Checkpoint round-trips, byte stability, and corruption detection."""
 
+import ast
+import dataclasses
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -146,20 +151,32 @@ def test_malformed_manifest_raises_checkpoint_error(tmp_path, old, new, message)
 
 
 @pytest.mark.parametrize(
-    "new, message",
+    "old, new, message",
     [
-        (b"hidden_size 3" + b"0" * 5000, "hidden_size must be a non-negative integer"),
-        (b"hidden_size 999999999999999999", "invalid model settings"),  # too big for numpy
-        (b"hidden_size 100000000", "invalid model settings"),  # more than memory can hold
-        (b"hidden_size 3\nhidden_size 3", "repeats 'hidden_size'"),
-        (b"hidden_size 3\nhidden_sise 3", "unknown manifest key 'hidden_sise'"),
+        (b"hidden_size 3", b"hidden_size 3" + b"0" * 5000, "hidden_size must be a non-negative integer"),
+        (b"hidden_size 3", b"hidden_size 999999999999999999", "invalid model settings"),  # too big for numpy
+        (b"hidden_size 3", b"hidden_size 100000000", "invalid model settings"),  # more than memory can hold
+        (b"hidden_size 3", b"hidden_size 3\nhidden_size 3", "repeats 'hidden_size'"),
+        (b"hidden_size 3", b"hidden_size 3\nhidden_sise 3", "unknown manifest key 'hidden_sise'"),
+        # the tag inventories fix the one-hot layout: a second line used to
+        # win silently (here permuting the POS columns), a missing one to
+        # load as an empty inventory
+        (b"pos_tags A B\n", b"pos_tags A B\npos_tags B A\n", "^manifest repeats 'pos_tags'$"),
+        (b"ne_tags O\n", b"ne_tags O\nne_tags O\n", "^manifest repeats 'ne_tags'$"),
+        (b"pos_tags A B\n", b"", "^manifest missing pos_tags$"),
+        (b"ne_tags O\n", b"", "^manifest missing ne_tags$"),
     ],
-    ids=["long-integer", "too-big", "out-of-memory", "repeated", "unknown"],
+    ids=[
+        "long-integer", "too-big", "out-of-memory", "repeated", "unknown",
+        "repeated-pos-tags", "repeated-ne-tags", "missing-pos-tags", "missing-ne-tags",
+    ],
 )
-def test_manifest_sizes_and_keys_raise_checkpoint_error(tmp_path, new, message):
+def test_manifest_sizes_and_keys_raise_checkpoint_error(tmp_path, old, new, message):
     path = tmp_path / "model.ckpt"
     ckpt.save_checkpoint(seeded_model(seed=9), path)
-    path.write_bytes(edit_checkpoint(path.read_bytes(), b"hidden_size 3", new))
+    raw = path.read_bytes()
+    assert old in raw
+    path.write_bytes(edit_checkpoint(raw, old, new))
     with pytest.raises(ckpt.CheckpointError, match=message):
         ckpt.load_checkpoint(path)
 
@@ -182,3 +199,120 @@ def test_trie_checkpoint_requires_depth_cap(tmp_path):
     path.write_bytes(raw.replace(b"trie_depth_cap 10", b"xrie_depth_cap 10", 1))
     with pytest.raises(ckpt.CheckpointError, match="trie_depth_cap"):
         ckpt.load_checkpoint(path)
+
+
+def manifest_text(raw):
+    _magic, head, rest = raw.split(b"\n", 2)
+    return rest[: int(head.split(b" ")[1])].decode("utf-8")
+
+
+PARAM_LINES = """\
+param shared.fwd.W_r 8 3
+param shared.fwd.W_u 8 3
+param shared.fwd.W 8 3
+param shared.fwd.U_r 3 3
+param shared.fwd.U_u 3 3
+param shared.fwd.U 3 3
+param shared.bwd.W_r 8 3
+param shared.bwd.W_u 8 3
+param shared.bwd.W 8 3
+param shared.bwd.U_r 3 3
+param shared.bwd.U_u 3 3
+param shared.bwd.U 3 3
+param attention.fwd.W_r 12 3
+param attention.fwd.W_u 12 3
+param attention.fwd.W 12 3
+param attention.fwd.U_r 3 3
+param attention.fwd.U_u 3 3
+param attention.fwd.U 3 3
+param attention.bwd.W_r 12 3
+param attention.bwd.W_u 12 3
+param attention.bwd.W 12 3
+param attention.bwd.U_r 3 3
+param attention.bwd.U_u 3 3
+param attention.bwd.U 3 3
+"""
+
+
+@pytest.mark.parametrize(
+    "kw, settings",
+    [
+        (dict(), """\
+format_version 1
+precision float64
+hidden_size 3
+embedding_dim 2
+candidate_mode window
+max_chunk_len 10
+scoring dot
+normalize_attention 0
+pos_tags A B
+ne_tags O
+"""),
+        (dict(candidate_mode="trie", max_chunk_len=4, scoring="cosine", normalize_attention=True), """\
+format_version 1
+precision float64
+hidden_size 3
+embedding_dim 2
+candidate_mode trie
+max_chunk_len 4
+scoring cosine
+normalize_attention 1
+pos_tags A B
+ne_tags O
+trie_depth_cap 4
+trie_pattern 3 A
+trie_pattern 1 A B
+"""),
+    ],
+    ids=["window", "trie"],
+)
+def test_manifest_text_is_pinned(tmp_path, kw, settings):
+    # the settings lines follow ModelConfig's fields, so reordering, adding
+    # or renaming a field changes this text: a deliberate format change
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(seeded_model(seed=11, **kw), path)
+    assert manifest_text(path.read_bytes()) == settings + PARAM_LINES
+
+
+@pytest.mark.parametrize("field", ["pos_tags", "ne_tags"])
+@pytest.mark.parametrize("tag", ["", "A B", "A\tB"])
+def test_tag_that_would_split_cannot_be_saved(tmp_path, field, tag):
+    m = seeded_model(seed=13)
+    m.config = dataclasses.replace(m.config, **{field: (tag,)})
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ckpt.CheckpointError, match="cannot be serialized"):
+        ckpt.save_checkpoint(m, path)
+    assert not path.exists()
+
+
+def test_checkpoint_module_names_no_setting_but_candidate_mode():
+    # the manifest's settings lines come from dataclasses.fields(ModelConfig);
+    # only candidate_mode, which decides whether a trie is read, is named
+    others = {f.name for f in dataclasses.fields(M.ModelConfig)} - {"candidate_mode"}
+    named = set()
+    for node in ast.walk(ast.parse(inspect.getsource(ckpt))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.keyword, ast.arg)):
+            named.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.update(re.findall(r"\w+", node.value))
+    assert named & others == set()
+
+
+def test_window_checkpoint_with_trie_lines_loads_ignoring_them(tmp_path):
+    # format-1 window files written before the model refused a window-mode
+    # trie carry trie lines; they load as before, with those lines dropped
+    m = seeded_model(seed=12)
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(m, path)
+    raw = path.read_bytes()
+    old = b"ne_tags O\n"
+    path.write_bytes(edit_checkpoint(raw, old, old + b"trie_depth_cap 10\ntrie_pattern 2 A\n"))
+    loaded = ckpt.load_checkpoint(path)
+    assert loaded.config == m.config and loaded.trie is None
+    ckpt.save_checkpoint(loaded, tmp_path / "resaved.ckpt")
+    assert (tmp_path / "resaved.ckpt").read_bytes() == raw

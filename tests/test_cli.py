@@ -415,6 +415,8 @@ def test_predict_skips_empty_passage_or_question(world, tmp_path, capsys, side):
         # a stray key or a repeated setting next to the real one
         (b"scoring dot\n", b"scoring dot\nxcoring dot\n"),
         (b"scoring dot\n", b"scoring dot\nscoring cosine\n"),
+        # a second tag inventory used to win silently, permuting the one-hot columns
+        (b"ne_tags ", b"pos_tags VERB PROPN NOUN DET ADJ\nne_tags "),
     ],
 )
 def test_predict_malformed_checkpoint_exits_two_with_one_line(world, tmp_path, capsys, old, new):

@@ -588,6 +588,10 @@ def test_model_config_validation():
     # one length cap for both strategies: the trie's must be the config's
     with pytest.raises(ValueError, match="trie depth cap 9 differs from max_chunk_len 3"):
         M.ChunkReaderModel(toy_config(candidate_mode="trie", max_chunk_len=3), PosPatternTrie(9))
+    # a window model used to keep a trie nothing read, and checkpoints
+    # saved its lines
+    with pytest.raises(ValueError, match="^window candidate mode takes no trie$"):
+        M.ChunkReaderModel(toy_config(), PosPatternTrie(10))
 
 
 def test_parameter_catalog_covers_both_encoders():
