@@ -3,9 +3,10 @@
 Subcommands: train, evaluate, predict, chunk-stats, gradcheck. Exit
 codes: 0 success, 1 usage or configuration error, 2 data error (missing
 or malformed files, an output path that is a directory or lies in a
-missing directory, empty trainable set, checkpoint mismatch), 3
-gradient verification failure. Output paths are checked before any
-work starts.
+missing directory, empty trainable set, checkpoint mismatch, a
+checkpoint whose answers are not finite), 3 gradient verification
+failure. Output paths are checked before any work starts; `predict`
+writes --out only once every answer is computed.
 
 A command that reads a dataset prints each dropped record's line and
 reason on stderr and exits 2 when the file holds no usable example.
@@ -42,8 +43,12 @@ from .corpus import (
     text_lines,
 )
 from .evaluator import breakdown_by_answer_length, breakdown_by_head_word, evaluate
-from .model import ChunkReaderModel, ModelConfig, nll_loss
+from .model import ChunkReaderModel, ModelConfig, Prediction, nll_loss
 from .trainer import load_train_config, train
+
+# Examples per inference batch in predict and evaluate. Answers do not
+# depend on it; it bounds the padded feature and state blocks.
+ANSWER_BATCH = 16
 
 
 class UsageError(Exception):
@@ -134,6 +139,21 @@ def _load_examples(path, what: str) -> list[Example]:
     return loaded.examples
 
 
+def _answer_all(
+    model: ChunkReaderModel, examples: list[Example], fz: Featurizer
+) -> list[Prediction]:
+    """Every example's answer, in order, ANSWER_BATCH examples per batch.
+    An example whose probabilities are not finite (a finite checkpoint
+    with huge weights) is a DataError naming it."""
+    got = []
+    for start in range(0, len(examples), ANSWER_BATCH):
+        try:
+            got.extend(model.answers(examples[start : start + ANSWER_BATCH], fz))
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
+    return got
+
+
 def _load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
     """The embedding table of one file, its width read off the first line;
     expected_dim, when given, is the width a loaded checkpoint was built for."""
@@ -217,9 +237,10 @@ def cmd_predict(args) -> int:
     examples = _load_examples(args.data, "dataset")
     cfg = model.config
     fz = Featurizer(_load_table(args.embeddings, cfg.embedding_dim), cfg.pos_tags, cfg.ne_tags)
+    answers = _answer_all(model, examples, fz)
+    lines = [json.dumps(dataclasses.asdict(got), allow_nan=False) for got in answers]
     with open(args.out, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(dataclasses.asdict(model.answer(ex, fz)), allow_nan=False) + "\n")
+        fh.writelines(line + "\n" for line in lines)
     print(f"wrote {len(examples)} predictions to {args.out}")
     return 0
 
@@ -248,7 +269,7 @@ def cmd_evaluate(args) -> int:
         model = load_checkpoint(args.checkpoint)
         cfg = model.config
         fz = Featurizer(_load_table(args.embeddings, cfg.embedding_dim), cfg.pos_tags, cfg.ne_tags)
-        predictions = {ex.id: model.answer(ex, fz).answer for ex in examples}
+        predictions = {got.id: got.answer for got in _answer_all(model, examples, fz)}
     else:
         raise UsageError("evaluate needs --predictions, or --checkpoint with --embeddings")
     try:

@@ -18,16 +18,23 @@ for its first L_b positions; a (T, n_in) block is the B = 1 case and runs
 the same code. The forward (`GruCell.scan`) projects every input row
 through W_r, W_u and W with three GEMMs before the loop, then steps all
 rows at once, each step one (n_k, d) x (d, d) product per recurrent
-matrix. Rows are sorted once by decreasing length (a stable sort), so the
-n_k rows still active at step k are a prefix of the state block and the
-loop needs no masks; the forward direction visits position k of each
-active row, the reverse direction position L_b - 1 - k. No weight matrix
-is copied or concatenated: a copy of [U_r|U_u] for one wider product
-saves no time and raises peak memory. When the node is recorded, the
-forward keeps, for each of the N = sum_b L_b real steps, flat in step
-order, r, u and hbar, and after the loop gathers the state before each
-step, h_prev, from its output; each is an (N, d) array. An unrecorded
-(inference) call keeps nothing. The backward (`GruCell.backprop`) walks
+matrix. An unrecorded call instead projects each row over its own L_b
+positions and forms each step's products as n_k stacked (1, d) x (d, d)
+products, one numpy call per product: OpenBLAS gives a row of a GEMM
+bits that depend on how many rows share it, and this way every row gets
+exactly the bits of its own batch-of-one run. It costs more per step
+(about 50 against 32 us for two rows at d = 300, OpenBLAS on two shared
+vCPUs), so the recorded path keeps the GEMMs. Rows are sorted once by
+decreasing length (a stable sort), so the n_k rows still active at step
+k are a prefix of the state block and the loop needs no masks; the
+forward direction visits position k of each active row, the reverse
+direction position L_b - 1 - k. No weight matrix is copied or
+concatenated: a copy of [U_r|U_u] for one wider product saves no time
+and raises peak memory. When the node is recorded, the forward keeps,
+for each of the N = sum_b L_b real steps, flat in step order, r, u and
+hbar, and after the loop gathers the state before each step, h_prev,
+from its output; each is an (N, d) array. An unrecorded (inference)
+call keeps nothing. The backward (`GruCell.backprop`) walks
 the steps in reverse over the same prefixes, with dh the gradient
 reaching h' (its upstream row plus the carry from the row's next step):
 
@@ -46,8 +53,9 @@ dX_s = sum_* G_* W_*^T.
 Padding contract, per row: positions at or beyond a row's length produce
 all-zero output rows, leave its recurrent state untouched and receive no
 gradient, so a batch of variable-length sequences is one block with
-trailing zero pads, and a row's states depend on the other rows only
-through the rounding of the batched products.
+trailing zero pads. Rows mix only in a recorded call, and there only
+through the rounding of the batched products; an unrecorded call gives
+each row bit for bit the states it gets alone.
 """
 
 from __future__ import annotations
@@ -89,6 +97,34 @@ def _step_plan(lengths: np.ndarray, T: int, reverse: bool) -> tuple[np.ndarray, 
     steps, ranks = np.nonzero(active)  # row-major: step by step, prefix rows within
     positions = ordered[ranks] - 1 - steps if reverse else steps
     return order[ranks] * T + positions, active.sum(axis=1)
+
+
+def _rowwise_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for an (m, k) block a, as m stacked (1, k) x (k, n) products:
+    each row gets exactly the bits of its own batch-of-one product, which
+    one (m, k) x (k, n) GEMM does not promise."""
+    if out is None:
+        return np.matmul(a[:, None], b)[:, 0]
+    np.matmul(a[:, None], b, out=out[:, None])
+    return out
+
+
+def _project(
+    X: np.ndarray, lengths: np.ndarray, index: np.ndarray, weights, rowwise: bool
+) -> np.ndarray:
+    """X W for each of `weights`, stacked, at the rows `index` of the
+    flattened (B*T, n_in) block: one GEMM over the whole block, or
+    (rowwise) one per row over its first L_b positions, the same product
+    as a batch of one."""
+    B, T, _ = X.shape
+    out = np.empty((len(weights), B * T, weights[0].shape[1]))
+    for W, o in zip(weights, out):
+        if not rowwise:
+            np.matmul(X.reshape(B * T, -1), W, out=o)
+            continue
+        for b, length in enumerate(lengths.tolist()):
+            np.matmul(X[b, :length], W, out=o[b * T : b * T + length])
+    return out[:, index]
 
 
 class GruCell:
@@ -157,17 +193,15 @@ class GruCell:
         B, T, _ = X.shape
         d = self.hidden_size
         index, counts = _step_plan(lengths, T, reverse)
-        X2 = X.reshape(B * T, -1)
         n = int(counts.sum())
         # X W_r and X W_u side by side, so each step adds both in one op;
         # X W apart, which keeps the largest block, and so peak memory,
-        # small. Each is then gathered into step order.
-        proj_ru = np.empty((2, B * T, d))
-        np.matmul(X2, self.W_r.data, out=proj_ru[0])
-        np.matmul(X2, self.W_u.data, out=proj_ru[1])
-        proj_ru = proj_ru[:, index]
-        proj_c = (X2 @ self.W.data)[index]
+        # small. An unrecorded call runs every product row by row.
+        proj_ru = _project(X, lengths, index, (self.W_r.data, self.W_u.data), rowwise=not keep)
+        proj_c = _project(X, lengths, index, (self.W.data,), rowwise=not keep)[0]
         U_r, U_u, U = self.U_r.data, self.U_u.data, self.U.data
+        # a batch of one is already row by row
+        matmul = np.matmul if keep or B == 1 else _rowwise_matmul
         if keep:
             gates, hbars = np.empty((2, n, d)), np.empty((n, d))
         Hs = np.empty((n, d))  # the state after each step, in step order
@@ -176,11 +210,11 @@ class GruCell:
         for m in counts.tolist():
             h = h[:m]
             a = np.empty((2, m, d))  # the gate pre-activations, side by side
-            np.matmul(h, U_r, out=a[0])
-            np.matmul(h, U_u, out=a[1])
+            matmul(h, U_r, out=a[0])
+            matmul(h, U_u, out=a[1])
             a += proj_ru[:, s : s + m]
             r, u = ru = nm.logistic(a)
-            c = (r * h) @ U
+            c = matmul(r * h, U)
             c += proj_c[s : s + m]
             hbar = np.tanh(c, out=c)
             if keep:

@@ -12,10 +12,14 @@ ranked by softmax over dot products with the question representation.
 to common lengths, through both encoders and the attention as (B, T, ·)
 blocks with per-example lengths, then scores each example on its own,
 because candidate counts differ, gathering its chunk and question rows
-straight from the batched states. Training calls it once per batch.
-`forward` is the batch-of-one call of the same code, and prediction runs
-one example at a time through it, so an answer never depends on which
-examples it would have been batched with.
+straight from the batched states. `forward` is the batch-of-one call of
+the same code. Training calls it once per batch, recorded, and there the
+batched products let the rows of a batch differ in their last bits from
+a run alone. An unrecorded call keeps the rows apart: the encoders run
+every product row by row (see `encoder`), and the attention fuses each
+example over its real rows only. So `answers`, which the dev loop,
+`predict` and `evaluate` call on many examples at once, gives each
+example bit for bit the answer it gets alone, whatever it is batched with.
 
 Attention weights are raw inner products with no normalization; a
 normalized variant (a row-wise softmax over question positions) exists
@@ -333,9 +337,10 @@ class ChunkReaderModel:
 
         passages (B, T, width) and questions (B, K, width) hold each
         example's features in one row, zero-padded past its true length.
-        Both encoders and the attention run over the whole batch at once;
-        each example is then scored on its own, because candidate counts
-        differ. Dropout, when active, hits the input features, drawn
+        Both encoders and the attention run over the whole batch at once,
+        except that an unrecorded call fuses a padded batch example by
+        example; each example is then scored on its own, because candidate
+        counts differ. Dropout, when active, hits the input features, drawn
         example by example, the passage before the question: the order in
         which scoring the examples one at a time would consume the stream.
         """
@@ -362,7 +367,16 @@ class ChunkReaderModel:
 
         _, _, passage_ctx = self.shared_encoder.encode(nm.tensor(passages), passage_lens)
         q_fwd, q_bwd, question_ctx = self.shared_encoder.encode(nm.tensor(questions), question_lens)
-        fused = attend(passage_ctx, question_ctx, self.config.normalize_attention, question_lens)
+        normalize = self.config.normalize_attention
+        padded = min(passage_lens) < passages.shape[1] or min(question_lens) < questions.shape[1]
+        if nm.recording([passage_ctx, question_ctx]) or not padded:
+            fused = attend(passage_ctx, question_ctx, normalize, question_lens)
+        else:  # each example on its real rows: padding would change the products' rounding
+            P, Q = passage_ctx.data, question_ctx.data
+            fused = nm.tensor(np.zeros(P.shape[:-1] + (2 * P.shape[-1],)))
+            for b, (plen, qlen) in enumerate(zip(passage_lens, question_lens)):
+                one = attend(nm.tensor(P[b, :plen]), nm.tensor(Q[b, :qlen]), normalize, qlen)
+                fused.data[b, :plen] = one.data
         g_fwd, g_bwd, _ = self.attention_encoder.encode(fused, passage_lens)
 
         scored = []
@@ -372,14 +386,6 @@ class ChunkReaderModel:
             scored.append(score_chunks(reps, qrep, cands, self.config.scoring))
         return scored
 
-    def score_example(self, ex: Example, featurizer: Featurizer) -> ChunkScoreSet | None:
-        """Rank the candidates of one full-length example; None when the
-        example yields no candidates."""
-        candidates = self.candidates_for(ex.passage)
-        if not candidates:
-            return None
-        return self.forward(featurizer.passage_matrix(ex), featurizer.question_matrix(ex), candidates)
-
     def predict_example(self, ex: Example, featurizer: Featurizer) -> AnswerSpan | None:
         """Highest-probability candidate span for one example; None when the
         example yields no candidates."""
@@ -387,18 +393,58 @@ class ChunkReaderModel:
         return None if got.start is None else AnswerSpan(got.start, got.end, got.answer)
 
     def answer(self, ex: Example, featurizer: Featurizer) -> Prediction:
-        """The answer `predict`, `evaluate` and the dev loop give for one
-        example: the best candidate with its probability, or the empty
-        answer when the example yields no candidates."""
-        scored = self.score_example(ex, featurizer)
-        if scored is None:
-            return Prediction(ex.id, "")
-        best = scored.best_index()
-        span = scored.candidates[best]
-        return Prediction(
-            ex.id,
-            detokenize(ex.passage[span.start - 1 : span.end]),
-            span.start,
-            span.end,
-            float(scored.probabilities.data[best]),
-        )
+        """`answers` for one example."""
+        (got,) = self.answers([ex], featurizer)
+        return got
+
+    def answers(self, examples: Sequence[Example], featurizer: Featurizer) -> list[Prediction]:
+        """The answers `predict`, `evaluate` and the dev loop give, one per
+        example in order: the best candidate of the full-length example with
+        its probability, or the empty answer when it yields no candidates.
+
+        The examples that have candidates are scored by one `forward_batch`;
+        outside a Tape that call is unrecorded, and each answer is bit for
+        bit the one the example gets alone. An example whose probabilities
+        are not finite raises ValueError naming it.
+        """
+        candidates = [self.candidates_for(ex.passage) for ex in examples]
+        scored_at = [i for i, cands in enumerate(candidates) if cands]
+        got = [Prediction(ex.id, "") for ex in examples]
+        if not scored_at:
+            return got
+        batch = [examples[i] for i in scored_at]
+        passages, passage_lens = _pad([featurizer.passage_matrix(ex) for ex in batch])
+        questions, question_lens = _pad([featurizer.question_matrix(ex) for ex in batch])
+        # a non-finite result is reported below, naming its example, so the
+        # overflow behind it needs no numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            scored = self.forward_batch(
+                passages, questions, [candidates[i] for i in scored_at], passage_lens, question_lens
+            )
+            for i, score_set in zip(scored_at, scored):
+                ex = examples[i]
+                try:
+                    best = score_set.best_index()
+                except ValueError as exc:
+                    raise ValueError(f"example {ex.id!r}: {exc}") from None
+                span = score_set.candidates[best]
+                got[i] = Prediction(
+                    ex.id,
+                    detokenize(ex.passage[span.start - 1 : span.end]),
+                    span.start,
+                    span.end,
+                    float(score_set.probabilities.data[best]),
+                )
+        return got
+
+
+def _pad(mats: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """Stack feature matrices into one zero-padded (B, T, width) block, and
+    their lengths; a single matrix becomes a view, not a copy."""
+    lengths = [m.shape[0] for m in mats]
+    if len(mats) == 1:
+        return mats[0][None], lengths
+    block = np.zeros((len(mats), max(lengths), mats[0].shape[1]))
+    for b, m in enumerate(mats):
+        block[b, : m.shape[0]] = m
+    return block, lengths

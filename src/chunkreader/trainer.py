@@ -460,7 +460,10 @@ def train(
         mean_loss = loss_sum / applied if applied else float("nan")
         train_losses.append(mean_loss)
 
-        predictions = {ex.id: model.answer(ex, featurizer).answer for ex in dev_examples}
+        predictions = {}
+        for start in range(0, len(dev_examples), config.batch_size):
+            for got in model.answers(dev_examples[start : start + config.batch_size], featurizer):
+                predictions[got.id] = got.answer
         report = evaluate(predictions, dev_examples)
         line = f"{epoch + 1}\t{mean_loss:.10f}\t{report.em:.6f}\t{report.f1:.6f}"
         log_lines.append(line)

@@ -3,6 +3,7 @@ formats, seed precedence, and rerun determinism."""
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from chunkreader import cli
 from chunkreader.checkpoint import load_checkpoint, save_checkpoint
 from chunkreader.chunker import build_pos_trie, enumerate_candidates
-from chunkreader.corpus import load_dataset
+from chunkreader.corpus import Featurizer, load_dataset, load_embeddings
 from chunkreader.encoder import GruCell
 from chunkreader.model import ChunkReaderModel
 from chunkreader.synthetic import (
@@ -483,6 +484,64 @@ def test_predict_nan_weight_checkpoint_exits_two_without_output(world, tmp_path,
     err = capsys.readouterr().err
     assert err == "data error: parameter shared.fwd.U holds a non-finite value\n"
     assert not out.exists()
+
+
+def test_huge_weight_checkpoint_exits_two_naming_the_example(world, tmp_path, capsys):
+    # finite weights of +-1e308 overflow in the forward: predict used to
+    # print numpy warnings and a traceback and leave an empty --out
+    model = load_checkpoint(world["checkpoint"])
+    rng = np.random.default_rng(0)
+    for p in model.parameters().values():
+        p.data[...] = rng.choice([-1e308, 1e308], size=p.data.shape)
+    path = tmp_path / "huge.ckpt"
+    save_checkpoint(model, path)
+    out = tmp_path / "p.jsonl"
+    first = world["dev_examples"][0].id
+    expected = f"data error: example {first!r}: probabilities are not finite\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(predict_args(dict(world, checkpoint=str(path)), str(out))) == 2
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+        report = tmp_path / "report.json"
+        assert cli.main([
+            "evaluate", "--data", world["dev"], "--checkpoint", str(path),
+            "--embeddings", world["emb"], "--json-out", str(report),
+        ]) == 2
+        assert capsys.readouterr().err == expected
+        assert not report.exists()
+
+
+def test_batched_predict_and_evaluate_equal_answers_one_at_a_time(
+    world, tmp_path, monkeypatch, capsys
+):
+    # more examples than one inference batch holds, of unequal lengths:
+    # the output is the per-example answers, in input order
+    spec = SyntheticSpec(n_examples=2 * cli.ANSWER_BATCH + 5, seed=8, passage_len=(4, 20))
+    examples, _ = generate(spec)
+    data = str(tmp_path / "many.jsonl")
+    write_dataset_jsonl(examples, data)
+    model = load_checkpoint(world["checkpoint"])
+    cfg = model.config
+    fz = Featurizer(load_embeddings(world["emb"], cfg.embedding_dim), cfg.pos_tags, cfg.ne_tags)
+    reference = "".join(
+        json.dumps(dataclasses.asdict(model.answer(ex, fz))) + "\n" for ex in examples
+    )
+    out = tmp_path / "pred.jsonl"
+    assert cli.main(predict_args(dict(world, dev=data), str(out))) == 0
+    assert out.read_text(encoding="utf-8") == reference
+
+    reports = []
+    for batch in (cli.ANSWER_BATCH, 1):
+        monkeypatch.setattr(cli, "ANSWER_BATCH", batch)
+        report = tmp_path / f"report{batch}.json"
+        assert cli.main([
+            "evaluate", "--data", data, "--checkpoint", world["checkpoint"],
+            "--embeddings", world["emb"], "--json-out", str(report),
+        ]) == 0
+        reports.append(report.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
 
 
 def test_non_utf8_dataset_exits_two_with_one_line(tmp_path, capsys):

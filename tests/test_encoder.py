@@ -360,6 +360,57 @@ def test_batched_encode_rows_match_single_row_encodes():
         assert np.array_equal(dX[b, length:], np.zeros((5 - length, 3)))
 
 
+def batched_gemm_states(cell, X, lengths, reverse):
+    """The recorded scan's arithmetic spelled out: each input weight applied
+    to the whole flattened (B*T, n_in) block in one GEMM, and each step's
+    recurrent products over all rows still active in one (m, d) x (d, d)
+    GEMM, rows ordered by decreasing length. Returns the (B, T, d) states."""
+    B, T, _ = X.shape
+    d = cell.hidden_size
+    proj = [(X.reshape(B * T, -1) @ w.data).reshape(B, T, d) for w in (cell.W_r, cell.W_u, cell.W)]
+    order = np.argsort(-np.asarray(lengths), kind="stable")
+    H = np.zeros((B, T, d))
+    h = np.zeros((B, d))
+    for k in range(max(lengths)):
+        rows = [b for b in order if lengths[b] > k]
+        m = len(rows)
+        at = (rows, [lengths[b] - 1 - k if reverse else k for b in rows])
+        h = h[:m]
+        a = np.empty((2, m, d))
+        np.matmul(h, cell.U_r.data, out=a[0])
+        np.matmul(h, cell.U_u.data, out=a[1])
+        a += np.stack([proj[0][at], proj[1][at]])
+        r, u = nm.logistic(a)
+        c = (r * h) @ cell.U.data
+        c += proj[2][at]
+        hbar = np.tanh(c)
+        h = h + u * (hbar - h)
+        H[at] = h
+    return H
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_paper_width_rows_never_mix_in_inference(direction):
+    # at d = 300 one (m, d) x (d, d) GEMM gives a row other bits than its
+    # own (1, d) x (d, d) product, so only a row-by-row inference run
+    # answers each row exactly as a batch of one; the recorded run keeps
+    # the batched GEMMs
+    reverse = direction == "backward"
+    cell = seeded_cell(40, 300, seed=27, scale=0.1)
+    rng = np.random.default_rng(28)
+    lengths = [17, 40, 5, 33, 1]
+    X = rng.normal(size=(5, 40, 40))  # positions past a row's length are junk
+    H = cell.run(nm.tensor(X), lengths, reverse).data
+    for b, length in enumerate(lengths):
+        alone = cell.run(nm.tensor(X[b, :length].copy()), reverse=reverse).data
+        assert np.array_equal(H[b, :length], alone), b
+        assert np.array_equal(H[b, length:], np.zeros((40 - length, 300)))
+    with nm.Tape():
+        recorded = cell.run(nm.parameter(X), lengths, reverse)
+    assert recorded.requires_grad
+    assert np.array_equal(recorded.data, batched_gemm_states(cell, X, lengths, reverse))
+
+
 def test_untaped_run_keeps_no_step_states():
     # inference must not pay for the backward's saved states
     cell = seeded_cell(3, 4, seed=23)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkreader import model as M, numerics as nm
-from chunkreader.chunker import CandidateChunk, PosPatternTrie
+from chunkreader.chunker import CandidateChunk, PosPatternTrie, build_pos_trie, enumerate_candidates
 from chunkreader.corpus import Featurizer
+from chunkreader.synthetic import NE_TAGS, POS_TAGS, SyntheticSpec, generate
 from helpers import make_example, toy_embedding_table
 from reference_ops import total
 
@@ -470,7 +471,24 @@ def test_forward_padding_invariance():
             passage_len=P.shape[0],
             question_len=Q.shape[0],
         )
-        assert np.allclose(plain.probabilities.data, padded.probabilities.data, atol=1e-12), normalize
+        assert np.array_equal(plain.probabilities.data, padded.probabilities.data), normalize
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+def test_inference_batch_rows_score_as_alone(normalize):
+    # an unrecorded forward_batch scores each example of a padded block bit
+    # for bit as the example alone; short questions padded to a longer one
+    # are where a padded attention product would round differently
+    m = toy_model(d=48, emb=8, seed=13, normalize_attention=normalize)
+    rng = np.random.default_rng(14)
+    lengths = [(9, 1), (3, 2), (14, 4), (1, 1), (6, 2)]
+    P = rng.normal(size=(5, 14, m.config.input_width))
+    Q = rng.normal(size=(5, 4, m.config.input_width))
+    cands = [enumerate_candidates(plen, 3) for plen, _ in lengths]
+    batch = m.forward_batch(P, Q, cands, [p for p, _ in lengths], [q for _, q in lengths])
+    for b, (plen, qlen) in enumerate(lengths):
+        alone = m.forward(P[b, :plen], Q[b, :qlen], cands[b])
+        assert np.array_equal(batch[b].scores.data, alone.scores.data), b
 
 
 def test_predict_single_candidate():
@@ -495,7 +513,6 @@ def test_predict_no_candidates_names_example():
     empty_trie = PosPatternTrie(10)
     m = M.ChunkReaderModel(toy_config(candidate_mode="trie"), trie=empty_trie)
     fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
-    assert m.score_example(ex, fz) is None
     assert m.predict_example(ex, fz) is None
     assert m.answer(ex, fz) == M.Prediction("ex1", "", None, None, None)
 
@@ -518,15 +535,59 @@ def test_predict_is_argmax_consistent():
     assert span.text == " ".join(t.surface for t in ex.passage[span.start - 1 : span.end])
 
 
-def test_score_example_is_forward_on_full_example():
-    ex, table = example_fixture()
-    m = toy_model(seed=5)
-    fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
-    cands = m.candidates_for(ex.passage)
-    scored = m.score_example(ex, fz)
-    direct = m.forward(fz.passage_matrix(ex), fz.question_matrix(ex), cands)
-    assert scored.candidates == cands
-    assert np.array_equal(scored.probabilities.data, direct.probabilities.data)
+def answers_fixture(mode, seed=0, **kw):
+    """Nine synthetic examples of 4 to 15 words, with 4-word questions,
+    plus "blank", whose question is one word and whose tags match no trie
+    pattern, and a seeded d = 48 model."""
+    examples, table = generate(SyntheticSpec(n_examples=9, seed=5, passage_len=(4, 15)))
+    trie = build_pos_trie(examples[:5], 4) if mode == "trie" else None
+    examples.append(make_example("blank", ["w1", "w2", "w3"], ["w2"], [(2, 2)], pos=["none"] * 3))
+    config = M.ModelConfig(
+        hidden_size=48,
+        embedding_dim=table.dim,
+        pos_tags=POS_TAGS,
+        ne_tags=NE_TAGS,
+        candidate_mode=mode,
+        max_chunk_len=4,
+        **kw,
+    )
+    model = seed_params(M.ChunkReaderModel(config, trie), seed)
+    return model, Featurizer(table, POS_TAGS, NE_TAGS), examples
+
+
+def test_answers_are_forward_on_full_examples():
+    m, fz, examples = answers_fixture("window", seed=5)
+    for got, ex in zip(m.answers(examples, fz), examples):
+        cands = m.candidates_for(ex.passage)
+        direct = m.forward(fz.passage_matrix(ex), fz.question_matrix(ex), cands)
+        best = direct.best_index()
+        assert (got.id, got.start, got.end) == (ex.id, cands[best].start, cands[best].end)
+        assert got.probability == float(direct.probabilities.data[best])
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+@pytest.mark.parametrize("scoring", ["dot", "cosine"])
+@pytest.mark.parametrize("mode", ["window", "trie"])
+def test_answers_in_any_chunking_equal_each_answer_alone(mode, scoring, normalize):
+    # the rows of one inference batch never mix: every answer, probability
+    # included, is bit for bit what its example gets alone, however the
+    # examples are shuffled and cut into batches
+    m, fz, examples = answers_fixture(mode, seed=11, scoring=scoring, normalize_attention=normalize)
+    alone = {ex.id: m.answer(ex, fz) for ex in examples}
+    if mode == "trie":
+        assert alone["blank"] == M.Prediction("blank", "")
+    shuffled = [examples[i] for i in np.random.default_rng(12).permutation(len(examples))]
+    assert shuffled[0].id != "blank" != shuffled[-1].id  # inside the batch of all ten
+    for size in (1, 3, len(shuffled)):
+        got = []
+        for start in range(0, len(shuffled), size):
+            got.extend(m.answers(shuffled[start : start + size], fz))
+        assert got == [alone[ex.id] for ex in shuffled], size
+
+
+def test_answers_of_no_examples_is_empty():
+    m, fz, _ = answers_fixture("window")
+    assert m.answers([], fz) == []
 
 
 # ---------------------------------------------------------------------------
