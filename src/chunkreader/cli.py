@@ -1,12 +1,13 @@
 """Command-line entry points.
 
 Subcommands: train, evaluate, predict, chunk-stats, gradcheck. Exit
-codes: 0 success, 1 usage or configuration error, 2 data error (missing
-or malformed files, an output path that is a directory or lies in a
-missing directory, empty trainable set, checkpoint mismatch, a
-checkpoint whose answers are not finite), 3 gradient verification
-failure. Output paths are checked before any work starts; `predict`
-writes --out only once every answer is computed.
+codes: 0 success, 1 usage or configuration error (settings too large to
+allocate included), 2 data error (missing or malformed files, an output
+path that is a directory or lies in a missing directory, empty trainable
+set, checkpoint mismatch, a checkpoint whose answers are not finite), 3
+gradient verification failure. Output paths are checked before any work
+starts; `predict` writes --out only once every answer is computed, by
+one `ChunkReaderModel.answers` call that bounds its own inference batches.
 
 A command that reads a dataset prints each dropped record's line and
 reason on stderr and exits 2 when the file holds no usable example.
@@ -46,10 +47,6 @@ from .evaluator import breakdown_by_answer_length, breakdown_by_head_word, evalu
 from .model import ChunkReaderModel, ModelConfig, Prediction, nll_loss
 from .trainer import load_train_config, train
 
-# Examples per inference batch in predict and evaluate. Answers do not
-# depend on it; it bounds the padded feature and state blocks.
-ANSWER_BATCH = 16
-
 
 class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 1."""
@@ -60,13 +57,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive(kind):
-    """argparse type: a `kind` number that must be greater than zero."""
+def _bounded(kind, zero_ok=False):
+    """argparse type: a `kind` number above zero, or at least zero when zero_ok."""
+    wanted = "non-negative" if zero_ok else "positive"
 
     def parse(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not (value >= 0 if zero_ok else value > 0):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its own errors
@@ -103,14 +101,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("chunk-stats", help="candidate recall and count statistics")
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=CANDIDATE_MODES, default=ModelConfig.candidate_mode)
-    p.add_argument("--max-len", type=_positive(int), default=ModelConfig.max_chunk_len)
+    p.add_argument("--max-len", type=_bounded(int), default=ModelConfig.max_chunk_len)
     p.add_argument("--trie-data", help="examples whose answers build the trie (default: --data)")
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden-size", type=_positive(int), default=3)
-    p.add_argument("--step", type=_positive(float), default=1e-4)
-    p.add_argument("--tolerance", type=_positive(float), default=1e-4)
+    p.add_argument("--seed", type=_bounded(int, zero_ok=True), default=0)
+    p.add_argument("--hidden-size", type=_bounded(int), default=3)
+    p.add_argument("--step", type=_bounded(float), default=1e-4)
+    p.add_argument("--tolerance", type=_bounded(float), default=1e-4)
     return parser
 
 
@@ -142,16 +140,13 @@ def _load_examples(path, what: str) -> list[Example]:
 def _answer_all(
     model: ChunkReaderModel, examples: list[Example], fz: Featurizer
 ) -> list[Prediction]:
-    """Every example's answer, in order, ANSWER_BATCH examples per batch.
-    An example whose probabilities are not finite (a finite checkpoint
-    with huge weights) is a DataError naming it."""
-    got = []
-    for start in range(0, len(examples), ANSWER_BATCH):
-        try:
-            got.extend(model.answers(examples[start : start + ANSWER_BATCH], fz))
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
-    return got
+    """Every example's answer, in order. An example whose probabilities are
+    not finite (a finite checkpoint with huge weights) is a DataError
+    naming it."""
+    try:
+        return model.answers(examples, fz)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
 
 def _load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
@@ -383,6 +378,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # settings too large to allocate, e.g. a huge hidden_size
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (DataError, CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -18,8 +18,9 @@ batched products let the rows of a batch differ in their last bits from
 a run alone. An unrecorded call keeps the rows apart: the encoders run
 every product row by row (see `encoder`), and the attention fuses each
 example over its real rows only. So `answers`, which the dev loop,
-`predict` and `evaluate` call on many examples at once, gives each
-example bit for bit the answer it gets alone, whatever it is batched with.
+`predict` and `evaluate` call once on all their examples, can score
+ANSWER_BATCH of them per call, a bound on inference memory no caller
+sets, and give each the answer it gets alone, bit for bit.
 
 Attention weights are raw inner products with no normalization; a
 normalized variant (a row-wise softmax over question positions) exists
@@ -58,6 +59,9 @@ __all__ = [
     "score_chunks",
     "nll_loss",
 ]
+
+# Examples per inference batch in `answers`: it bounds memory, not answers.
+ANSWER_BATCH = 16
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -389,24 +393,26 @@ class ChunkReaderModel:
     def predict_example(self, ex: Example, featurizer: Featurizer) -> AnswerSpan | None:
         """Highest-probability candidate span for one example; None when the
         example yields no candidates."""
-        got = self.answer(ex, featurizer)
-        return None if got.start is None else AnswerSpan(got.start, got.end, got.answer)
-
-    def answer(self, ex: Example, featurizer: Featurizer) -> Prediction:
-        """`answers` for one example."""
         (got,) = self.answers([ex], featurizer)
-        return got
+        return None if got.start is None else AnswerSpan(got.start, got.end, got.answer)
 
     def answers(self, examples: Sequence[Example], featurizer: Featurizer) -> list[Prediction]:
         """The answers `predict`, `evaluate` and the dev loop give, one per
         example in order: the best candidate of the full-length example with
         its probability, or the empty answer when it yields no candidates.
 
-        The examples that have candidates are scored by one `forward_batch`;
-        outside a Tape that call is unrecorded, and each answer is bit for
-        bit the one the example gets alone. An example whose probabilities
-        are not finite raises ValueError naming it.
+        Any number of examples is safe: they are scored ANSWER_BATCH at a
+        time, each batch's examples that have candidates by one
+        `forward_batch`. Outside a Tape that call is unrecorded, and each
+        answer is bit for bit the one the example gets alone. An example
+        whose probabilities are not finite raises ValueError naming it.
         """
+        got = []
+        for start in range(0, len(examples), ANSWER_BATCH):
+            got.extend(self._answer_batch(examples[start : start + ANSWER_BATCH], featurizer))
+        return got
+
+    def _answer_batch(self, examples: Sequence[Example], featurizer: Featurizer) -> list[Prediction]:
         candidates = [self.candidates_for(ex.passage) for ex in examples]
         scored_at = [i for i, cands in enumerate(candidates) if cands]
         got = [Prediction(ex.id, "") for ex in examples]

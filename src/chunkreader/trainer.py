@@ -25,7 +25,7 @@ from .checkpoint import save_checkpoint
 from .chunker import CANDIDATE_MODES, CandidateChunk
 from .corpus import Example, Featurizer
 from .evaluator import evaluate
-from .model import ChunkReaderModel, ModelConfig, nll_loss
+from .model import ChunkReaderModel, ModelConfig, _pad, nll_loss
 from .numerics import SeededRng, Tensor
 
 __all__ = [
@@ -304,15 +304,9 @@ class Batch:
         return len(self.items)
 
 
-def _pad_block(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    longest = max(m.shape[0] for m in mats)
-    width = mats[0].shape[1]
-    block = np.zeros((len(mats), longest, width))
-    mask = np.zeros((len(mats), longest))
-    for i, m in enumerate(mats):
-        block[i, : m.shape[0]] = m
-        mask[i, : m.shape[0]] = 1.0
-    return block, mask
+def _mask(lengths: list[int]) -> np.ndarray:
+    """(B, max length) float 0/1 mask: 1 on each row's first `length` columns."""
+    return (np.arange(max(lengths)) < np.array(lengths)[:, None]).astype(np.float64)
 
 
 def make_batches(
@@ -339,9 +333,9 @@ def make_batches(
     batches = []
     for start in range(0, len(regrouped), config.batch_size):
         chunk = regrouped[start : start + config.batch_size]
-        passages, p_mask = _pad_block([pe.passage_features for pe in chunk])
-        questions, q_mask = _pad_block([pe.question_features for pe in chunk])
-        batches.append(Batch(chunk, passages, questions, p_mask, q_mask))
+        passages, p_lens = _pad([pe.passage_features for pe in chunk])
+        questions, q_lens = _pad([pe.question_features for pe in chunk])
+        batches.append(Batch(chunk, passages, questions, _mask(p_lens), _mask(q_lens)))
     return batches
 
 
@@ -391,17 +385,18 @@ def train(
 
     Each epoch: curriculum batches -> mean batch NLL -> backward -> global
     clip -> ADAM, then exact-match on the dev set (full-length passages,
-    no dropout). A step whose gradient norm is not finite makes no update,
-    is counted in stats["skipped_steps"] and is left out of the epoch's
-    logged loss, the mean over the examples of the applied steps (nan when
-    no step applied). Of the applied steps, stats["clipped_steps"] counts
-    those whose pre-clip gradient norm exceeded clip_norm, and
-    stats["max_grad_norm"] is the largest pre-clip norm. Training stops at
-    max_epochs or once dev EM has gone `patience` consecutive epochs
-    without a strict improvement. The best checkpoint and the log are
-    written when paths are given; the persisted log carries only
-    run-reproducible columns (epoch, loss, EM, F1), and wall-clock seconds
-    go to `echo` (default stderr) for humans.
+    no dropout), answered by one `model.answers` call, so batch_size does
+    not set the size of an inference batch. A step whose gradient norm is
+    not finite makes no update, is counted in stats["skipped_steps"] and is
+    left out of the epoch's logged loss, the mean over the examples of the
+    applied steps (nan when no step applied). Of the applied steps,
+    stats["clipped_steps"] counts those whose pre-clip gradient norm
+    exceeded clip_norm, and stats["max_grad_norm"] is the largest pre-clip
+    norm. Training stops at max_epochs or once dev EM has gone `patience`
+    consecutive epochs without a strict improvement. The best checkpoint
+    and the log are written when paths are given; the persisted log
+    carries only run-reproducible columns (epoch, loss, EM, F1), and
+    wall-clock seconds go to `echo` (default stderr) for humans.
     """
     echo = echo if echo is not None else (lambda s: print(s, file=sys.stderr))
 
@@ -460,11 +455,8 @@ def train(
         mean_loss = loss_sum / applied if applied else float("nan")
         train_losses.append(mean_loss)
 
-        predictions = {}
-        for start in range(0, len(dev_examples), config.batch_size):
-            for got in model.answers(dev_examples[start : start + config.batch_size], featurizer):
-                predictions[got.id] = got.answer
-        report = evaluate(predictions, dev_examples)
+        answers = model.answers(dev_examples, featurizer)
+        report = evaluate({got.id: got.answer for got in answers}, dev_examples)
         line = f"{epoch + 1}\t{mean_loss:.10f}\t{report.em:.6f}\t{report.f1:.6f}"
         log_lines.append(line)
         echo(f"{line}\t{time.monotonic() - started:.2f}s")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from chunkreader import cli
+from chunkreader import model as M
 from chunkreader.checkpoint import load_checkpoint, save_checkpoint
 from chunkreader.chunker import build_pos_trie, enumerate_candidates
 from chunkreader.corpus import Featurizer, load_dataset, load_embeddings
@@ -257,6 +258,27 @@ def test_non_positive_size_or_step_exits_one_with_one_line(world, capsys, argv):
     assert cli.main([arg.format(dev=world["dev"]) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: argument {argv[-2]}: must be positive") and err.count("\n") == 1
+
+
+def test_gradcheck_negative_seed_exits_one_with_one_line(capsys):
+    assert cli.main(["gradcheck", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: argument --seed: must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_model_too_large_to_allocate_exits_one_with_one_line(world, tmp_path, capsys, command):
+    # 10**9 hidden units ask for terabytes: the allocation fails at once,
+    # before any page is touched
+    if command == "train":
+        paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
+        argv = train_args(paths, set=f"hidden_size={10**9}")
+    else:
+        argv = ["gradcheck", "--hidden-size", str(10**9)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def _output_flag_args(world, tmp_path, command, flag, path):
@@ -515,9 +537,10 @@ def test_huge_weight_checkpoint_exits_two_naming_the_example(world, tmp_path, ca
 def test_batched_predict_and_evaluate_equal_answers_one_at_a_time(
     world, tmp_path, monkeypatch, capsys
 ):
-    # more examples than one inference batch holds, of unequal lengths:
-    # the output is the per-example answers, in input order
-    spec = SyntheticSpec(n_examples=2 * cli.ANSWER_BATCH + 5, seed=8, passage_len=(4, 20))
+    # more examples than one inference batch holds, of unequal lengths: the
+    # output is the per-example answers, in input order, whatever the
+    # inference batch size
+    spec = SyntheticSpec(n_examples=2 * M.ANSWER_BATCH + 5, seed=8, passage_len=(4, 20))
     examples, _ = generate(spec)
     data = str(tmp_path / "many.jsonl")
     write_dataset_jsonl(examples, data)
@@ -525,15 +548,15 @@ def test_batched_predict_and_evaluate_equal_answers_one_at_a_time(
     cfg = model.config
     fz = Featurizer(load_embeddings(world["emb"], cfg.embedding_dim), cfg.pos_tags, cfg.ne_tags)
     reference = "".join(
-        json.dumps(dataclasses.asdict(model.answer(ex, fz))) + "\n" for ex in examples
+        json.dumps(dataclasses.asdict(model.answers([ex], fz)[0])) + "\n" for ex in examples
     )
-    out = tmp_path / "pred.jsonl"
-    assert cli.main(predict_args(dict(world, dev=data), str(out))) == 0
-    assert out.read_text(encoding="utf-8") == reference
 
     reports = []
-    for batch in (cli.ANSWER_BATCH, 1):
-        monkeypatch.setattr(cli, "ANSWER_BATCH", batch)
+    for batch in (M.ANSWER_BATCH, 1):
+        monkeypatch.setattr(M, "ANSWER_BATCH", batch)
+        out = tmp_path / f"pred{batch}.jsonl"
+        assert cli.main(predict_args(dict(world, dev=data), str(out))) == 0
+        assert out.read_text(encoding="utf-8") == reference, batch
         report = tmp_path / f"report{batch}.json"
         assert cli.main([
             "evaluate", "--data", data, "--checkpoint", world["checkpoint"],

@@ -514,7 +514,7 @@ def test_predict_no_candidates_names_example():
     m = M.ChunkReaderModel(toy_config(candidate_mode="trie"), trie=empty_trie)
     fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
     assert m.predict_example(ex, fz) is None
-    assert m.answer(ex, fz) == M.Prediction("ex1", "", None, None, None)
+    assert m.answers([ex], fz)[0] == M.Prediction("ex1", "", None, None, None)
 
 
 def test_predict_is_argmax_consistent():
@@ -523,7 +523,7 @@ def test_predict_is_argmax_consistent():
     fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
     span = m.predict_example(ex, fz)
     scored = m.forward(fz.passage_matrix(ex), fz.question_matrix(ex), m.candidates_for(ex.passage))
-    assert m.answer(ex, fz) == M.Prediction(
+    assert m.answers([ex], fz)[0] == M.Prediction(
         ex.id, span.text, span.start, span.end, float(scored.probabilities.data[scored.best_index()])
     )
     best = scored.probabilities.data[scored.best_index()]
@@ -571,9 +571,10 @@ def test_answers_are_forward_on_full_examples():
 def test_answers_in_any_chunking_equal_each_answer_alone(mode, scoring, normalize):
     # the rows of one inference batch never mix: every answer, probability
     # included, is bit for bit what its example gets alone, however the
-    # examples are shuffled and cut into batches
+    # examples are shuffled and cut into batches, by the caller or by
+    # `answers` itself
     m, fz, examples = answers_fixture(mode, seed=11, scoring=scoring, normalize_attention=normalize)
-    alone = {ex.id: m.answer(ex, fz) for ex in examples}
+    alone = {ex.id: m.answers([ex], fz)[0] for ex in examples}
     if mode == "trie":
         assert alone["blank"] == M.Prediction("blank", "")
     shuffled = [examples[i] for i in np.random.default_rng(12).permutation(len(examples))]
@@ -583,6 +584,8 @@ def test_answers_in_any_chunking_equal_each_answer_alone(mode, scoring, normaliz
         for start in range(0, len(shuffled), size):
             got.extend(m.answers(shuffled[start : start + size], fz))
         assert got == [alone[ex.id] for ex in shuffled], size
+    many = (shuffled * 4)[: 2 * M.ANSWER_BATCH + 5]  # three batches, the last one short
+    assert m.answers(many, fz) == [alone[ex.id] for ex in many]
 
 
 def test_answers_of_no_examples_is_empty():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkreader import numerics as nm, trainer as tr
+from chunkreader import model as M, numerics as nm, trainer as tr
 from chunkreader.chunker import CandidateChunk, enumerate_candidates
 from chunkreader.corpus import EmbeddingTable, Featurizer
 from chunkreader.model import ChunkReaderModel, ModelConfig, nll_loss
@@ -305,6 +305,7 @@ def test_batch_padding_and_masks():
         assert np.all(batch.passage_mask[i, L:] == 0.0)
         assert np.all(batch.passages[i, L:] == 0.0)
     assert np.all(batch.question_mask == 1.0)  # questions all length 2
+    assert batch.passage_mask.dtype == batch.question_mask.dtype == np.float64
 
 
 def test_make_batches_empty_input():
@@ -529,6 +530,27 @@ def test_train_is_bitwise_deterministic(tmp_path):
     log2, ckpt2 = run("b")
     assert log1 == log2
     assert ckpt1 == ckpt2
+
+
+def test_train_dev_pass_scores_at_most_answer_batch_examples_per_call(monkeypatch):
+    # the model bounds each inference batch, not batch_size: 40 dev
+    # examples under batch_size 64 are scored 16, 16 and 8 at a time
+    model, fz, examples = tiny_setup(n=48, seed=6)
+    train_examples, dev_examples = examples[:8], examples[8:]
+    params = list(model.parameters().values())
+    unrecorded = []
+    forward_batch = ChunkReaderModel.forward_batch
+
+    def spy(self, passages, questions, candidates, *args, **kwargs):
+        if not nm.recording(params):
+            unrecorded.append(len(candidates))
+        return forward_batch(self, passages, questions, candidates, *args, **kwargs)
+
+    monkeypatch.setattr(ChunkReaderModel, "forward_batch", spy)
+    tr.train(model, fz, train_examples, dev_examples, tiny_config(max_epochs=1, batch_size=64),
+             echo=lambda s: None)
+    assert len(dev_examples) == 40
+    assert unrecorded == [M.ANSWER_BATCH, M.ANSWER_BATCH, 40 - 2 * M.ANSWER_BATCH]
 
 
 def test_train_early_stops_on_stagnant_em():
