@@ -13,25 +13,25 @@ to common lengths, through both encoders and the attention as (B, T, ·)
 blocks with per-example lengths, then scores each example on its own,
 because candidate counts differ, gathering its chunk and question rows
 straight from the batched states. `forward` is the batch-of-one call of
-the same code. Training calls it once per batch, recorded, and there the
-batched products let the rows of a batch differ in their last bits from
-a run alone. An unrecorded call keeps the rows apart: the encoders run
-every product row by row (see `encoder`), and the attention fuses each
-example over its real rows only. So `answers`, which the dev loop,
-`predict` and `evaluate` call once on all their examples, can score
-ANSWER_BATCH of them per call, a bound on inference memory no caller
-sets, and give each the answer it gets alone, bit for bit.
+the same code. The attention, recorded or not, fuses each example over
+its real rows only. Training calls `forward_batch` once per batch,
+recorded, and there the batched encoder products let the rows of a batch
+differ in their last bits from a run alone. An unrecorded call keeps the
+rows apart: the encoders run every product row by row (see `encoder`).
+So `answers`, which the dev loop, `predict` and `evaluate` call once on
+all their examples, can score ANSWER_BATCH of them per call, a bound on
+inference memory no caller sets, and give each the answer it gets alone,
+bit for bit.
 
 Attention weights are raw inner products with no normalization; a
 normalized variant (a row-wise softmax over question positions) exists
 behind a flag for ablation, as does cosine instead of dot scoring. Each
 variant of attention and of scoring records the same number of tape
-nodes whatever the passage length: the normalization is one softmax
-node and cosine scoring is one node with a hand-derived backward. A
-forward of one example records 20 nodes (21 with normalized attention):
-three per encoder pass, four for the attention, three each for the
-chunk and question representations, and one for the scores;
-`nll_loss` adds one more.
+nodes whatever the passage length: the attention, normalized or not, is
+one node, and so is cosine scoring, each with a hand-derived backward.
+A forward of one example records 17 nodes: three per encoder pass, one
+for the attention, three each for the chunk and question
+representations, and one for the scores; `nll_loss` adds one more.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class ChunkScoreSet:
 
     @cached_property
     def probabilities(self) -> Tensor:
-        probs = nm.softmax(nm.tensor(self.scores.data))
+        probs = nm.tensor(nm.softmax(self.scores.data))
         if not np.all(np.isfinite(probs.data)):
             raise ValueError("probabilities are not finite")
         s = float(probs.data.sum())
@@ -138,36 +138,67 @@ def attend(
     passage_states: Tensor,
     question_states: Tensor,
     normalize: bool = False,
-    question_len: int | Sequence[int] | None = None,
+    *,
+    passage_lens: int | Sequence[int] | None = None,
+    question_lens: int | Sequence[int] | None = None,
 ) -> Tensor:
-    """Fuse each passage state with its question summary.
+    """Fuse each passage state with its question summary, as one tape node.
 
-    For passage row j and question rows k: weight(j,k) is the raw inner
-    product, the summary is the weight-pooled sum of question rows, and
-    the output row is [passage_j ; summary_j], twice the input width.
-    With normalize=True the weights of each row pass through a softmax
-    before pooling. The states are (T, 2d) and (K, 2d) matrices, or
-    (B, T, 2d) and (B, K, 2d) stacks fused example by example with one
-    batched product. Question rows at or past question_len (an int, or
-    one per example for stacks) are padding: a zero padding row already
-    gets weight 0, but the softmax would give it mass, so the normalized
-    path masks those columns out.
+    The states are (T, 2d) and (K, 2d) matrices or (B, T, 2d) and
+    (B, K, 2d) stacks. Example b attends over its first passage_lens[b]
+    and question_lens[b] rows only (an int, or one per example; None: all
+    rows), so padding changes neither its values nor their rounding. For
+    real rows p and q: weights a = p q^T, row-softmaxed when normalize is
+    set, and output rows [p ; a q]; padded output rows are zero.
+
+    Backward per example, upstream g = [g_p ; g_s]: da = g_s q^T and
+    dq = a^T g_s; with the softmax, da <- a * (da - rowsum(da * a)); then
+    dp = g_p + da q and dq += da^T p.
     """
     P, Q = passage_states.data, question_states.data
-    if P.ndim != Q.ndim or P.ndim not in (2, 3) or P.shape[:-2] != Q.shape[:-2]:
-        raise nm.ShapeError(f"attend expects two state matrices or stacks, got {P.shape} and {Q.shape}")
-    if 0 in P.shape[:-1] or 0 in Q.shape[:-1]:
-        raise nm.ShapeError("attend needs non-empty state sequences")
-    if P.shape[-1] != Q.shape[-1]:
-        raise nm.ShapeError(f"state widths disagree: {P.shape} vs {Q.shape}")
-    weights = nm.matmul(passage_states, nm.transpose(question_states))  # (B, T, K)
-    if normalize:
-        mask = None
-        if question_len is not None:  # (1, K) for a matrix, (B, 1, K) for a stack
-            mask = np.arange(Q.shape[-2]) < np.asarray(question_len)[..., None, None]
-        weights = nm.softmax(weights, mask)
-    pooled = nm.matmul(weights, question_states)  # (B, T, 2d)
-    return nm.concat(passage_states, pooled)  # (B, T, 4d)
+    if P.ndim not in (2, 3) or (P.ndim, P.shape[:-2], P.shape[-1]) != (Q.ndim, Q.shape[:-2], Q.shape[-1]):
+        raise nm.ShapeError(f"attend: {P.shape} and {Q.shape} are not matrices or stacks of one width")
+    P3, Q3 = (P, Q) if P.ndim == 3 else (P[None], Q[None])
+    plens = _real_rows(passage_lens, P3.shape[:2], "passage")
+    qlens = _real_rows(question_lens, Q3.shape[:2], "question")
+    width = P.shape[-1]
+    out = np.zeros(P3.shape[:-1] + (2 * width,))
+    weights = []
+    for b, (n, k) in enumerate(zip(plens, qlens)):
+        p, q = P3[b, :n], Q3[b, :k]
+        a = p @ q.T
+        if normalize:
+            e = np.exp(a - a.max(axis=1, keepdims=True))
+            a = e / e.sum(axis=1, keepdims=True)
+        out[b, :n, :width], out[b, :n, width:] = p, a @ q
+        weights.append(a)
+
+    def backward_fn(g):
+        G, dP, dQ = g.reshape(out.shape), np.zeros_like(P3), np.zeros_like(Q3)
+        for b, a in enumerate(weights):
+            n, k = a.shape
+            p, q, g_s = P3[b, :n], Q3[b, :k], G[b, :n, width:]
+            da = g_s @ q.T
+            dQ[b, :k] = a.T @ g_s
+            if normalize:
+                da = a * (da - (da * a).sum(axis=1, keepdims=True))
+            dP[b, :n] = G[b, :n, :width] + da @ q
+            dQ[b, :k] += da.T @ p
+        nm.accumulate(passage_states, dP.reshape(P.shape))
+        nm.accumulate(question_states, dQ.reshape(Q.shape))
+
+    fused = Tensor(out.reshape(P.shape[:-1] + (2 * width,)))
+    return nm.record(fused, (passage_states, question_states), backward_fn)
+
+
+def _real_rows(lens, shape: tuple[int, int], side: str) -> list[int]:
+    """Per-example real row counts for `attend`, from an int, one count per
+    example or None (all rows); each in 1..rows, for at least one example."""
+    B, rows = shape
+    counts = [rows if lens is None else lens] * B if np.ndim(lens) == 0 else list(lens)
+    if not counts or len(counts) != B or not all(1 <= n <= rows for n in counts):
+        raise nm.ShapeError(f"{side} lengths {counts} do not fit {B} examples of 1..{rows} rows")
+    return [int(n) for n in counts]
 
 
 def chunk_repr(
@@ -342,11 +373,11 @@ class ChunkReaderModel:
         passages (B, T, width) and questions (B, K, width) hold each
         example's features in one row, zero-padded past its true length.
         Both encoders and the attention run over the whole batch at once,
-        except that an unrecorded call fuses a padded batch example by
-        example; each example is then scored on its own, because candidate
-        counts differ. Dropout, when active, hits the input features, drawn
-        example by example, the passage before the question: the order in
-        which scoring the examples one at a time would consume the stream.
+        the attention over each example's real rows; each example is then
+        scored on its own, because candidate counts differ. Dropout, when
+        active, hits the input features, drawn example by example, the
+        passage before the question: the order in which scoring the
+        examples one at a time would consume the stream.
         """
         B = len(candidates)
         if passages.shape[0] != B or questions.shape[0] != B:
@@ -371,16 +402,10 @@ class ChunkReaderModel:
 
         _, _, passage_ctx = self.shared_encoder.encode(nm.tensor(passages), passage_lens)
         q_fwd, q_bwd, question_ctx = self.shared_encoder.encode(nm.tensor(questions), question_lens)
-        normalize = self.config.normalize_attention
-        padded = min(passage_lens) < passages.shape[1] or min(question_lens) < questions.shape[1]
-        if nm.recording([passage_ctx, question_ctx]) or not padded:
-            fused = attend(passage_ctx, question_ctx, normalize, question_lens)
-        else:  # each example on its real rows: padding would change the products' rounding
-            P, Q = passage_ctx.data, question_ctx.data
-            fused = nm.tensor(np.zeros(P.shape[:-1] + (2 * P.shape[-1],)))
-            for b, (plen, qlen) in enumerate(zip(passage_lens, question_lens)):
-                one = attend(nm.tensor(P[b, :plen]), nm.tensor(Q[b, :qlen]), normalize, qlen)
-                fused.data[b, :plen] = one.data
+        fused = attend(
+            passage_ctx, question_ctx, self.config.normalize_attention,
+            passage_lens=passage_lens, question_lens=question_lens,
+        )
         g_fwd, g_bwd, _ = self.attention_encoder.encode(fused, passage_lens)
 
         scored = []

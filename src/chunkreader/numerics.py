@@ -44,7 +44,6 @@ __all__ = [
     "dropout",
     "scale",
     "gather_rows",
-    "transpose",
     "finite_difference_errors",
 ]
 
@@ -206,24 +205,22 @@ def accumulate(t: Tensor, g: np.ndarray, index: tuple | None = None) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1-D/2-D operands, with numpy's promotion rules,
-    or for two equally deep stacks of matrices, one product per slice.
+    """Matrix product for 1-D/2-D operands, with numpy's promotion rules.
 
-    Backward: dA = dC B^T and dB = A^T dC (per slice for stacks),
-    specialized per rank so that vector operands keep their 1-D shape.
+    Backward: dA = dC B^T and dB = A^T dC, specialized per rank so that
+    vector operands keep their 1-D shape.
     """
     ad, bd = a.data, b.data
-    stacked = ad.ndim == bd.ndim == 3 and ad.shape[0] == bd.shape[0]
-    if not stacked and (ad.ndim not in (1, 2) or bd.ndim not in (1, 2)):
-        raise ShapeError(f"matmul supports 1-D/2-D operands or stacks, got {ad.shape} x {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
+    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
+        raise ShapeError(f"matmul supports 1-D/2-D operands, got {ad.shape} x {bd.shape}")
+    if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree: {ad.shape} x {bd.shape}")
     out = Tensor(np.matmul(ad, bd))
 
     def backward_fn(g):
-        if ad.ndim >= 2 and bd.ndim >= 2:
-            accumulate(a, g @ np.swapaxes(bd, -1, -2))
-            accumulate(b, np.swapaxes(ad, -1, -2) @ g)
+        if ad.ndim == 2 and bd.ndim == 2:
+            accumulate(a, g @ bd.T)
+            accumulate(b, ad.T @ g)
         elif ad.ndim == 2 and bd.ndim == 1:
             accumulate(a, np.outer(g, bd))
             accumulate(b, ad.T @ g)
@@ -273,25 +270,12 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), backward_fn)
 
 
-def softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Stable softmax over the last axis (max-subtracted exponentials) of a
-    non-empty vector, or of each row of a non-empty matrix or stack of
-    matrices. Where the boolean `mask` (broadcast against the scores) is
-    False, an entry gets probability 0 and no gradient; every row must
-    keep at least one entry."""
-    x = scores.data
-    if x.ndim not in (1, 2, 3) or x.size == 0:
-        raise ShapeError(f"softmax needs a non-empty vector, matrix or stack, got shape {x.shape}")
-    if mask is not None:
-        x = np.where(mask, x, -np.inf)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def backward_fn(g):
-        accumulate(scores, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-
-    return record(out, (scores,), backward_fn)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Stable softmax (max-subtracted exponentials) of a non-empty vector."""
+    if x.ndim != 1 or x.size == 0:
+        raise ShapeError(f"softmax needs a non-empty vector, got shape {x.shape}")
+    e = np.exp(x - x.max())
+    return e / e.sum()
 
 
 def softmax_nll(scores: Tensor, index: int) -> Tensor:
@@ -368,18 +352,6 @@ def gather_rows(a: Tensor, index) -> Tensor:
 
     def backward_fn(g):
         accumulate(a, g, idx)
-
-    return record(out, (a,), backward_fn)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a matrix or of a stack of matrices."""
-    if a.data.ndim not in (2, 3):
-        raise ShapeError(f"transpose expects a matrix or a stack, got shape {a.data.shape}")
-    out = Tensor(np.swapaxes(a.data, -1, -2))
-
-    def backward_fn(g):
-        accumulate(a, np.swapaxes(g, -1, -2))
 
     return record(out, (a,), backward_fn)
 

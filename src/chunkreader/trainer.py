@@ -94,9 +94,10 @@ class TrainConfig:
 
 def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
     """Parse a flat key-value config file (one `key value` pair per line,
-    '#' comments allowed); keys must be TrainConfig field names."""
+    '#' comments allowed); keys must be TrainConfig field names, each given
+    at most once. An error in a line names the line and its key."""
     spec = {f.name: f.type for f in fields(TrainConfig)}
-    values: dict = {}
+    values: dict = {}  # key -> (raw value, "line N" or "override")
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -108,21 +109,21 @@ def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
             key, raw = parts
             if key not in spec:
                 raise ValueError(f"line {line_no}: unknown config key {key!r}")
-            values[key] = raw
+            if key in values:
+                raise ValueError(f"{values[key][1]} and line {line_no}: {key} is repeated")
+            values[key] = (raw, f"line {line_no}")
     if overrides:
         for key in overrides:
             if key not in spec:
                 raise ValueError(f"unknown config key {key!r}")
-        values.update({k: str(v) for k, v in overrides.items()})
+        values.update({k: (str(v), "override") for k, v in overrides.items()})
     kwargs = {}
-    for key, raw in values.items():
-        kind = spec[key]
-        if kind == "int":
-            kwargs[key] = int(raw)
-        elif kind == "float":
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = raw
+    for key, (raw, where) in values.items():
+        parse = {"int": int, "float": float}.get(spec[key], str)
+        try:
+            kwargs[key] = parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {key}: {exc}") from None
     return TrainConfig(**kwargs)
 
 

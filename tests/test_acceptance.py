@@ -172,8 +172,8 @@ def test_gate_model_invariants():
 
     for _ in range(100):
         n = int(rng.integers(1, 13))
-        probs = nm.softmax(nm.tensor(rng.normal(scale=3.0, size=n)))
-        assert abs(float(probs.data.sum()) - 1.0) <= 1e-9
+        probs = nm.softmax(rng.normal(scale=3.0, size=n))
+        assert abs(float(probs.sum()) - 1.0) <= 1e-9
 
     cell = GruCell(5, 4, "gate_probe")
     for _ in range(100):

@@ -146,6 +146,29 @@ def test_train_unknown_config_key_exits_one(world, tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("batch_size 4\nbatch_size 6\n", "error: line 1 and line 2: batch_size is repeated"),
+        ("hidden_size 4\nbatch_size 4 8\n", "error: line 2: batch_size: invalid literal"),
+    ],
+    ids=["repeated", "bad_value"],
+)
+def test_train_config_repeated_key_or_bad_value_exits_one_naming_the_line(
+    world, tmp_path, capsys, text, message
+):
+    paths = dict(
+        world,
+        config=write_config(tmp_path / "bad.txt", text),
+        checkpoint=str(tmp_path / "m.ckpt"),
+        log=str(tmp_path / "m.log"),
+    )
+    assert cli.main(train_args(paths)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_train_malformed_set_flag_exits_one(world, tmp_path):
     paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
     assert cli.main(train_args(paths, set="nonsense")) == 1

@@ -10,7 +10,7 @@ from chunkreader.chunker import CandidateChunk, PosPatternTrie, build_pos_trie, 
 from chunkreader.corpus import Featurizer
 from chunkreader.synthetic import NE_TAGS, POS_TAGS, SyntheticSpec, generate
 from helpers import make_example, toy_embedding_table
-from reference_ops import total
+from reference_ops import mul, total
 
 
 def seed_params(model, seed=0):
@@ -104,6 +104,96 @@ def test_attend_shape_errors():
         M.attend(nm.tensor(np.zeros((2, 4))), nm.tensor(np.zeros((2, 6))))
     with pytest.raises(nm.ShapeError):
         M.attend(nm.tensor(np.zeros((0, 4))), nm.tensor(np.zeros((2, 4))))
+    with pytest.raises(nm.ShapeError):  # a matrix and a vector
+        M.attend(nm.tensor(np.zeros((2, 4))), nm.tensor(np.zeros(4)))
+
+
+def attend_with_grads(P, Q, w, normalize, **lens):
+    """Recorded attend of P and Q under the loss sum(out * w): the output
+    and the gradients of P and Q."""
+    p, q = nm.parameter(P), nm.parameter(Q)
+    with nm.Tape() as tape:
+        out = M.attend(p, q, normalize, **lens)
+        tape.backward(total(mul(out, nm.tensor(w))))
+    assert len(tape) == 3  # the attention is one node: attend, mul, total
+    return out.data, p.grad, q.grad
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_attend_on_a_stack_is_each_example_alone(normalize):
+    # values and gradients of a stack are, bit for bit, those of the 2-D
+    # call of each example
+    rng = np.random.default_rng(4)
+    P, Q = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 2, 4))
+    w = rng.normal(size=(3, 5, 8))
+    out, dP, dQ = attend_with_grads(P, Q, w, normalize)
+    for b in range(3):
+        alone = attend_with_grads(P[b], Q[b], w[b], normalize)
+        for got, want in zip((out[b], dP[b], dQ[b]), alone):
+            assert np.array_equal(got, want)
+    with pytest.raises(nm.ShapeError):  # stacks of different depth
+        M.attend(nm.tensor(P), nm.tensor(Q[:2]))
+    with pytest.raises(nm.ShapeError):  # a stack and a matrix
+        M.attend(nm.tensor(P), nm.tensor(Q[0]))
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_recorded_attend_over_mixed_lengths_is_each_example_on_its_real_rows(normalize):
+    # padding changes neither an example's values nor its gradients, and
+    # padded output rows and padded-row gradients are zero
+    rng = np.random.default_rng(5)
+    plens, qlens = [5, 2, 4], [1, 3, 2]
+    P, Q = np.zeros((3, 5, 4)), np.zeros((3, 3, 4))
+    for b, (n, k) in enumerate(zip(plens, qlens)):
+        P[b, :n], Q[b, :k] = rng.normal(size=(n, 4)), rng.normal(size=(k, 4))
+    w = rng.normal(size=(3, 5, 8))
+    out, dP, dQ = attend_with_grads(P, Q, w, normalize, passage_lens=plens, question_lens=qlens)
+    for b, (n, k) in enumerate(zip(plens, qlens)):
+        alone = attend_with_grads(P[b, :n], Q[b, :k], w[b, :n], normalize)
+        for got, want in zip((out[b, :n], dP[b, :n], dQ[b, :k]), alone):
+            assert np.array_equal(got, want)
+        assert not out[b, n:].any() and not dP[b, n:].any() and not dQ[b, k:].any()
+
+
+def test_attend_question_lens_match_the_truncated_question():
+    # normalized weights over question rows past question_lens would give
+    # padding mass; the rows are left out instead
+    rng = np.random.default_rng(18)
+    P, Q = rng.normal(size=(4, 6)), rng.normal(size=(5, 6))
+    w = rng.normal(size=(4, 12))
+    out, dP, dQ = attend_with_grads(P, Q, w, True, question_lens=3)
+    want = attend_with_grads(P, Q[:3], w, True)
+    for got, kept in zip((out, dP, dQ[:3]), want):
+        assert np.array_equal(got, kept)
+    assert not dQ[3:].any()
+
+
+def test_attend_normalized_padded_stack_gradients():
+    rng = np.random.default_rng(16)
+    hp = nm.parameter(rng.normal(size=(2, 4, 3)))
+    hq = nm.parameter(rng.normal(size=(2, 3, 3)))
+    w = nm.tensor(rng.normal(size=(2, 4, 6)))
+
+    def build():
+        return total(mul(M.attend(hp, hq, True, passage_lens=[4, 2], question_lens=[1, 3]), w))
+
+    assert max(nm.finite_difference_errors(build, [hp, hq], 1e-6)) < 1e-5
+
+
+def test_attend_rejects_lengths_outside_the_rows():
+    # a question length of 0 would leave a passage row nothing to attend to
+    P, Q = nm.tensor(np.ones((2, 4, 3))), nm.tensor(np.ones((2, 3, 3)))
+    for lens in (
+        {"question_lens": [0, 3]},
+        {"question_lens": 4},
+        {"passage_lens": [1, 5]},
+        {"passage_lens": -1},
+        {"passage_lens": [2]},
+    ):
+        with pytest.raises(ValueError):
+            M.attend(P, Q, True, **lens)
+    with pytest.raises(ValueError):
+        M.attend(nm.tensor(np.ones((4, 3))), nm.tensor(np.ones((3, 3))), question_lens=0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +374,12 @@ def test_cosine_scoring_matches_closed_form_with_zero_vectors():
 
 @pytest.mark.parametrize("scoring", ["dot", "cosine"])
 def test_every_variant_records_a_length_independent_tape(scoring):
-    # every scoring and attention variant is a fixed set of tape nodes: one
-    # node count for raw attention and one (a softmax more) for normalized.
-    # forward is the batch-of-one call, whose chunk and question rows are
-    # gathered straight from the batched state blocks; the ranking softmax
-    # is computed only when probabilities are read, so it is not on the tape
+    # every scoring and attention variant is the same fixed set of tape
+    # nodes: the attention, normalized or not, is one node, and so is cosine
+    # scoring. forward is the batch-of-one call, whose chunk and question
+    # rows are gathered straight from the batched state blocks; the ranking
+    # softmax is computed only when probabilities are read, so it is not on
+    # the tape
     counts = {}
     for normalize in (False, True):
         m = toy_model(d=3, emb=2, seed=8, scoring=scoring, normalize_attention=normalize)
@@ -300,7 +391,7 @@ def test_every_variant_records_a_length_independent_tape(scoring):
                 scored = m.forward(rng.normal(size=(T, width)), rng.normal(size=(5, width)), cands)
                 tape.backward(M.nll_loss(scored, cands[3]))
             counts.setdefault(normalize, set()).add(len(tape))
-    assert counts == {False: {21}, True: {22}}
+    assert counts == {False: {18}, True: {18}}
 
 
 def test_nll_singleton_is_zero():
@@ -409,7 +500,7 @@ def test_probabilities_are_computed_on_read_and_never_taped():
         probs = scored.probabilities
         assert len(tape) == before
     assert scored.probabilities is probs
-    assert np.array_equal(probs.data, nm.softmax(nm.tensor(scored.scores.data)).data)
+    assert np.array_equal(probs.data, nm.softmax(scored.scores.data))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Optimizer pieces, batching, filtering, and the training loop."""
 
+import os
 from functools import reduce
 
 import numpy as np
@@ -339,6 +340,23 @@ def test_load_config_unknown_key(tmp_path):
     path.write_text("turbo_mode yes\n")
     with pytest.raises(ValueError, match="turbo_mode"):
         tr.load_train_config(path)
+
+
+def test_load_config_rejects_a_repeated_key_naming_both_lines(tmp_path):
+    # the last value used to win silently
+    path = tmp_path / "twice.cfg"
+    path.write_text("batch_size 4\n# again\nbatch_size 6\n")
+    with pytest.raises(ValueError, match=r"^line 1 and line 3: batch_size is repeated$"):
+        tr.load_train_config(path)
+
+
+def test_load_config_value_error_names_its_line_and_key(tmp_path):
+    path = tmp_path / "bad_value.cfg"
+    path.write_text("seed 1\nbatch_size 4 8\n")
+    with pytest.raises(ValueError, match=r"^line 2: batch_size: invalid literal"):
+        tr.load_train_config(path)
+    with pytest.raises(ValueError, match=r"^override: learning_rate: could not convert"):
+        tr.load_train_config(os.devnull, {"learning_rate": "fast"})
 
 
 def test_load_config_overrides(tmp_path):
