@@ -13,7 +13,8 @@ A command that reads a dataset prints each dropped record's line and
 reason on stderr and exits 2 when the file holds no usable example.
 
 Every train setting, the seed included, resolves by precedence: --set
-KEY=VALUE, then the config file, then the TrainConfig default.
+KEY=VALUE, then the config file, then the TrainConfig default. A key
+given twice in the config file, or twice by --set, is a usage error.
 """
 
 from __future__ import annotations
@@ -176,6 +177,10 @@ def cmd_train(args) -> int:
         if "=" not in item:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
+        if key in overrides:
+            raise UsageError(
+                f"--set {key}={overrides[key]} and --set {key}={value}: {key} is repeated"
+            )
         overrides[key] = value
     try:
         if args.config:

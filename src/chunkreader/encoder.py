@@ -178,9 +178,10 @@ class GruCell:
         def backward_fn(g):
             dX, grads = self.backprop(g, X3, states, input_grad=X.requires_grad)
             if dX is not None:
-                nm.accumulate(X, dX.reshape(Xd.shape))
+                nm.accumulate(X, dX.reshape(Xd.shape), owned=True)
+            # the two halves of dU_ru are views of one product: copied
             for p, dp in zip(params, grads):
-                nm.accumulate(p, dp)
+                nm.accumulate(p, dp, owned=dp.base is None)
 
         return nm.record(out, [X] + params, backward_fn)
 
@@ -279,8 +280,12 @@ class GruCell:
         ]
         dX = None
         if input_grad:
+            # the three input products summed into one buffer, left to right
+            dXs = G_r @ self.W_r.data.T
+            dXs += G_u @ self.W_u.data.T
+            dXs += G_c @ self.W.data.T
             dX = np.zeros_like(X2)
-            dX[index] = G_r @ self.W_r.data.T + G_u @ self.W_u.data.T + G_c @ self.W.data.T
+            dX[index] = dXs
             dX = dX.reshape(X.shape)
         return dX, grads
 

@@ -29,9 +29,12 @@ behind a flag for ablation, as does cosine instead of dot scoring. Each
 variant of attention and of scoring records the same number of tape
 nodes whatever the passage length: the attention, normalized or not, is
 one node, and so is cosine scoring, each with a hand-derived backward.
-A forward of one example records 17 nodes: three per encoder pass, one
-for the attention, three each for the chunk and question
-representations, and one for the scores; `nll_loss` adds one more.
+A forward of one example records 12 nodes: three for each pass of the
+shared encoder (two cells and their concatenation), one for the
+attention, one per attention-encoder cell (scoring reads the two
+directions apart, so they are never concatenated), one each for the
+chunk and question representations (`nm.gather_pair`, which keeps only
+indices), and one for the scores; `nll_loss` adds one more.
 """
 
 from __future__ import annotations
@@ -184,8 +187,8 @@ def attend(
                 da = a * (da - (da * a).sum(axis=1, keepdims=True))
             dP[b, :n] = G[b, :n, :width] + da @ q
             dQ[b, :k] += da.T @ p
-        nm.accumulate(passage_states, dP.reshape(P.shape))
-        nm.accumulate(question_states, dQ.reshape(Q.shape))
+        nm.accumulate(passage_states, dP.reshape(P.shape), owned=True)
+        nm.accumulate(question_states, dQ.reshape(Q.shape), owned=True)
 
     fused = Tensor(out.reshape(P.shape[:-1] + (2 * width,)))
     return nm.record(fused, (passage_states, question_states), backward_fn)
@@ -214,7 +217,7 @@ def chunk_repr(
     at = () if example is None else (example,)
     starts = at + ([c.start - 1 for c in candidates],)
     ends = at + ([c.end - 1 for c in candidates],)
-    return nm.concat(nm.gather_rows(fwd_states, starts), nm.gather_rows(bwd_states, ends))
+    return nm.gather_pair(fwd_states, starts, bwd_states, ends)
 
 
 def question_repr(
@@ -225,8 +228,7 @@ def question_repr(
     at = () if example is None else (example,)
     if length is None:
         length = fwd_states.data.shape[-2]
-    last = nm.gather_rows(fwd_states, at + (length - 1,))
-    return nm.concat(last, nm.gather_rows(bwd_states, at + (0,)))
+    return nm.gather_pair(fwd_states, at + (length - 1,), bwd_states, at + (0,))
 
 
 def _cosine_scores(reps: Tensor, question: Tensor) -> Tensor:
@@ -245,8 +247,8 @@ def _cosine_scores(reps: Tensor, question: Tensor) -> Tensor:
 
     def backward_fn(g):
         gs = g / (n * m)
-        nm.accumulate(reps, np.outer(gs, q) - (g * s / n2)[:, None] * R)
-        nm.accumulate(question, R.T @ gs - (g @ s / m2) * q)
+        nm.accumulate(reps, np.outer(gs, q) - (g * s / n2)[:, None] * R, owned=True)
+        nm.accumulate(question, R.T @ gs - (g @ s / m2) * q, owned=True)
 
     return nm.record(Tensor(s), (reps, question), backward_fn)
 
@@ -406,7 +408,11 @@ class ChunkReaderModel:
             passage_ctx, question_ctx, self.config.normalize_attention,
             passage_lens=passage_lens, question_lens=question_lens,
         )
-        g_fwd, g_bwd, _ = self.attention_encoder.encode(fused, passage_lens)
+        # the two cells run apart: scoring reads each direction on its own,
+        # so the encoder's (B, T, 2d) concatenation would go unread
+        attention = self.attention_encoder
+        g_fwd = attention.forward_cell.run(fused, passage_lens)
+        g_bwd = attention.backward_cell.run(fused, passage_lens, reverse=True)
 
         scored = []
         for b, cands in enumerate(candidates):

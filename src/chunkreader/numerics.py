@@ -7,9 +7,20 @@ With no active tape the same ops are plain numpy computations, which is
 how inference runs. Gradient accumulation order is fixed by tape order,
 so identical inputs give bit-identical results.
 
-The module holds only the ops the model and the benchmark run. Its one
-row-selection op, `gather_rows`, reads rows straight from batched
-(B, T, d) blocks; `accumulate` alone allocates a gradient on first touch.
+Backward releases as it goes: once a node's backward has run, the tape
+drops its output, inputs, closure and the arrays the closure saved, so
+a step holds only what the rest of the backward still reads (Chen et
+al., arXiv:1604.06174, section 3). An intermediate tensor the caller
+still holds keeps its value and its `grad`; any other is freed.
+
+The module holds only the ops the model and the benchmark run. Its
+row-selection ops, `gather_rows` and `gather_pair`, read rows straight
+from batched (B, T, d) blocks. `accumulate` alone allocates a gradient
+on first touch: it copies the contribution, unless the closure hands it
+over with `owned=True`, which a closure may do only for a float64
+ndarray it built itself and never reads again. A view or alias (a slice
+of the upstream gradient, or the upstream gradient passed through) is
+always copied, so no two gradients share memory.
 
 The stack of active tapes is per thread: an op records on the innermost
 tape its own thread entered, so threads that each enter their own tape
@@ -44,6 +55,7 @@ __all__ = [
     "dropout",
     "scale",
     "gather_rows",
+    "gather_pair",
     "finite_difference_errors",
 ]
 
@@ -116,12 +128,15 @@ class Tape:
     """Ordered record of primitive ops, replayed once in reverse by backward().
 
     Nodes are appended in execution order, so the record is topological by
-    construction: every node's inputs precede it.
+    construction: every node's inputs precede it. backward() sets each
+    entry to None as soon as its node's backward has run, which frees
+    what only that node held; len() still counts every recorded node.
     """
 
     def __init__(self):
-        # (output, inputs, backward closure), in execution order
-        self.nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # (output, inputs, backward closure), in execution order; None
+        # once backward has passed the node
+        self.nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable] | None] = []
         self._replayed = False
 
     def __enter__(self) -> "Tape":
@@ -141,7 +156,9 @@ class Tape:
         """Seed d(loss)/d(loss) = 1 and sweep the tape in reverse.
 
         Gradients accumulate additively, so a tensor used twice receives
-        the sum of both contributions. A tape can be replayed only once.
+        the sum of both contributions. A tape can be replayed only once:
+        each node is released once its backward has run, so afterwards
+        only the tensors the caller holds keep their values and gradients.
         """
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -149,10 +166,13 @@ class Tape:
             raise RuntimeError("tape has already been replayed")
         self._replayed = True
         loss.grad = np.ones_like(loss.data)
-        for out, _inputs, backward_fn in reversed(self.nodes):
-            if out.grad is None:
-                continue  # no path from this node to the loss
-            backward_fn(out.grad)
+        nodes = self.nodes
+        for i in range(len(nodes) - 1, -1, -1):
+            out, _inputs, backward_fn = nodes[i]
+            nodes[i] = None
+            if out.grad is not None:  # else no path from this node to the loss
+                backward_fn(out.grad)
+            del out, _inputs, backward_fn  # freed before the next node runs
 
 
 def _active_tape() -> Tape | None:
@@ -180,11 +200,16 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tens
     return out
 
 
-def accumulate(t: Tensor, g: np.ndarray, index: tuple | None = None) -> None:
+def accumulate(
+    t: Tensor, g: np.ndarray, index: tuple | None = None, owned: bool = False
+) -> None:
     """Add a gradient contribution to a tensor, allocating on first touch.
     With `index` (ints and int arrays, one per leading axis), add g into
     those positions only, in place; np.add.at for arrays, so a position
-    selected twice receives both contributions, in index order."""
+    selected twice receives both contributions, in index order. With
+    `owned`, the caller hands g over: a first touch keeps an ndarray g
+    itself instead of a copy. Pass it only for a float64 array the caller
+    built and never reads again, never for a view or an alias."""
     if not t.requires_grad:
         return
     if index is not None:
@@ -195,7 +220,8 @@ def accumulate(t: Tensor, g: np.ndarray, index: tuple | None = None) -> None:
         else:
             np.add.at(t.grad, index, g)
     elif t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        # a numpy scalar (a 0-d product) is wrapped, so grad stays an ndarray
+        t.grad = g if owned and isinstance(g, np.ndarray) else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -219,17 +245,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if ad.ndim == 2 and bd.ndim == 2:
-            accumulate(a, g @ bd.T)
-            accumulate(b, ad.T @ g)
+            accumulate(a, g @ bd.T, owned=True)
+            accumulate(b, ad.T @ g, owned=True)
         elif ad.ndim == 2 and bd.ndim == 1:
-            accumulate(a, np.outer(g, bd))
-            accumulate(b, ad.T @ g)
+            accumulate(a, np.outer(g, bd), owned=True)
+            accumulate(b, ad.T @ g, owned=True)
         elif ad.ndim == 1 and bd.ndim == 2:
-            accumulate(a, bd @ g)
-            accumulate(b, np.outer(ad, g))
+            accumulate(a, bd @ g, owned=True)
+            accumulate(b, np.outer(ad, g), owned=True)
         else:  # dot product, scalar upstream gradient
-            accumulate(a, g * bd)
-            accumulate(b, g * ad)
+            accumulate(a, g * bd, owned=True)
+            accumulate(b, g * ad, owned=True)
 
     return record(out, (a, b), backward_fn)
 
@@ -295,7 +321,7 @@ def softmax_nll(scores: Tensor, index: int) -> Tensor:
     def backward_fn(g):
         grad = e / total_e
         grad[index] -= 1.0
-        accumulate(scores, g * grad)
+        accumulate(scores, g * grad, owned=True)
 
     return record(out, (scores,), backward_fn)
 
@@ -312,7 +338,7 @@ def dropout(a: Tensor, rate: float, rng: SeededRng, training: bool) -> Tensor:
     out = Tensor(a.data * mask)
 
     def backward_fn(g):
-        accumulate(a, g * mask)
+        accumulate(a, g * mask, owned=True)
 
     return record(out, (a,), backward_fn)
 
@@ -323,20 +349,17 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
 
     def backward_fn(g):
-        accumulate(a, g * c)
+        accumulate(a, g * c, owned=True)
 
     return record(out, (a,), backward_fn)
 
 
-def gather_rows(a: Tensor, index) -> Tensor:
-    """Select `a.data[index]` along leading axes, keeping the last whole.
-    `index` is an int, a sequence of ints (repeats allowed), or a tuple of
-    those, one per leading axis: `(b, starts)` reads rows of example b
-    straight from a (B, T, d) block. Backward adds into the selected
-    positions of the gradient in place, through accumulate."""
+def _row_index(a: Tensor, index, op: str) -> tuple:
+    """`index` as a tuple of ints and intp arrays, one per leading axis of
+    a, each checked against its axis; a row out of range raises IndexError."""
     parts = index if isinstance(index, tuple) else (index,)
     if not 0 < len(parts) < a.data.ndim:
-        raise ShapeError(f"gather_rows: {len(parts)} index axes for shape {a.data.shape}")
+        raise ShapeError(f"{op}: {len(parts)} index axes for shape {a.data.shape}")
     idx = tuple(
         int(p) if isinstance(p, (int, np.integer)) else np.asarray(p, dtype=np.intp) for p in parts
     )
@@ -347,13 +370,48 @@ def gather_rows(a: Tensor, index) -> Tensor:
         else:
             bad = part.size > 0 and (part.min() < 0 or part.max() >= size)
         if bad:
-            raise IndexError(f"gather_rows: index out of range on axis {axis} of {a.data.shape}")
+            raise IndexError(f"{op}: index out of range on axis {axis} of {a.data.shape}")
+    return idx
+
+
+def gather_rows(a: Tensor, index) -> Tensor:
+    """Select `a.data[index]` along leading axes, keeping the last whole.
+    `index` is an int, a sequence of ints (repeats allowed), or a tuple of
+    those, one per leading axis: `(b, starts)` reads rows of example b
+    straight from a (B, T, d) block. Backward adds into the selected
+    positions of the gradient in place, through accumulate."""
+    idx = _row_index(a, index, "gather_rows")
     out = Tensor(a.data[idx])
 
     def backward_fn(g):
         accumulate(a, g, idx)
 
     return record(out, (a,), backward_fn)
+
+
+def gather_pair(a: Tensor, a_index, b: Tensor, b_index) -> Tensor:
+    """`concat(gather_rows(a, a_index), gather_rows(b, b_index))` as one
+    node: the rows of both sides are written straight into one block, and
+    only the indices are kept. Backward adds the b half of the gradient
+    into b's rows, then the a half into a's, the order and the adds of
+    the three nodes it replaces."""
+    a_idx = _row_index(a, a_index, "gather_pair")
+    b_idx = _row_index(b, b_index, "gather_pair")
+    ad, bd = a.data, b.data
+    a_lead = np.broadcast_shapes(*(np.shape(p) for p in a_idx)) + ad.shape[len(a_idx) : -1]
+    b_lead = np.broadcast_shapes(*(np.shape(p) for p in b_idx)) + bd.shape[len(b_idx) : -1]
+    if a_lead != b_lead:
+        raise ShapeError(f"gather_pair: {a_lead} rows of {ad.shape} against {b_lead} of {bd.shape}")
+    split = ad.shape[-1]
+    block = np.empty(a_lead + (split + bd.shape[-1],))
+    block[..., :split] = ad[a_idx]
+    block[..., split:] = bd[b_idx]
+
+    def backward_fn(g):
+        accumulate(b, g[..., split:], b_idx)
+        accumulate(a, g[..., :split], a_idx)
+
+    return record(Tensor(block), (a, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------

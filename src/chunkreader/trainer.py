@@ -2,7 +2,10 @@
 passage truncation, gold-in-candidates filtering, early stopping.
 
 Determinism contract: a fixed (seed, config, data) triple reproduces the
-entire run bit for bit. Parameter init draws from SeededRng(seed) in
+entire run bit for bit on the same numpy and BLAS build with the same
+BLAS thread count. The thread count changes how BLAS splits a product,
+and so its rounding: the same seed under another count can give other
+parameter bytes. Parameter init draws from SeededRng(seed) in
 parameter-catalog order, the same stream then feeds dropout in example
 order, and each epoch's shuffle comes from a child rng derived from
 (seed, epoch), so batch composition is reproducible without replaying

@@ -175,6 +175,17 @@ def test_train_malformed_set_flag_exits_one(world, tmp_path):
     assert cli.main(train_args(paths, set="bogus_key=3")) == 1
 
 
+def test_train_repeated_set_key_exits_one_naming_both_values(world, tmp_path, capsys):
+    # the overrides used to be collected into a dict, so the last value
+    # silently won
+    paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
+    args = train_args(paths) + ["--set", "batch_size=x", "--set", "batch_size=4"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --set batch_size=x and --set batch_size=4: batch_size is repeated"]
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize(
     "setting", ["learning_rate=nan", "learning_rate=inf", "init_range=inf", "init_range=1e308"]
 )

@@ -218,6 +218,80 @@ def test_gather_rows_bounds():
     assert nm.gather_rows(s, (1, [])).shape == (0, 2)
 
 
+def _pair_operands(stack):
+    rng = np.random.default_rng(15)
+    lead = (2, 5) if stack else (5,)
+    return nm.parameter(rng.normal(size=lead + (3,))), nm.parameter(rng.normal(size=lead + (2,)))
+
+
+@pytest.mark.parametrize(
+    "a_index, b_index",
+    [
+        ([1, 1, 3, 0], [2, 3, 3, 1]),  # rows of two matrices, repeats on both sides
+        (2, 0),  # one int row of each: a vector
+        ((1, [4, 0, 4]), (1, [2, 2, 3])),  # rows of example 1 of two (B, T, d) stacks
+        ((0, 4), (0, 0)),  # int rows of a stack
+    ],
+)
+@pytest.mark.parametrize("same", [False, True], ids=["two_blocks", "one_block"])
+def test_gather_pair_is_concat_of_gather_rows_bit_for_bit(a_index, b_index, same):
+    # the same values, and the same gradient adds in the same order, as the
+    # three nodes it replaces; with one block on both sides the order shows
+    a, b = _pair_operands(isinstance(a_index, tuple))
+    if same:
+        b = a
+    results = []
+    for fused in (True, False):
+        a.grad = b.grad = None
+        with nm.Tape() as tape:
+            if fused:
+                pair = nm.gather_pair(a, a_index, b, b_index)
+            else:
+                pair = nm.concat(nm.gather_rows(a, a_index), nm.gather_rows(b, b_index))
+            w = np.random.default_rng(16).normal(size=pair.shape)
+            tape.backward(total(mul(pair, nm.tensor(w))))
+        results.append((pair.data, a.grad.copy(), b.grad.copy()))
+    (pair, da, db), (ref, ref_da, ref_db) = results
+    assert pair.shape == ref.shape
+    assert np.array_equal(pair, ref)
+    assert np.array_equal(da, ref_da) and np.array_equal(db, ref_db)
+    check_grads(lambda: total(mul(nm.gather_pair(a, a_index, b, b_index), nm.tensor(w))), [a])
+
+
+def test_gather_pair_bounds_and_shapes():
+    a, b = _pair_operands(stack=True)
+    with pytest.raises(IndexError):
+        nm.gather_pair(a, (0, [1, 5]), b, (0, [1, 2]))
+    with pytest.raises(IndexError):
+        nm.gather_pair(a, (0, [1, 2]), b, (2, [1, 2]))
+    with pytest.raises(IndexError):
+        nm.gather_pair(a, (0, -1), b, (0, 0))
+    with pytest.raises(nm.ShapeError):  # three rows against two
+        nm.gather_pair(a, (0, [1, 2, 3]), b, (0, [1, 2]))
+    with pytest.raises(nm.ShapeError):  # no axis left whole
+        nm.gather_pair(a, (0, 1, 2), b, (0, 1))
+    assert nm.gather_pair(a, (1, []), b, (1, [])).shape == (0, 5)
+
+
+def test_accumulate_keeps_an_owned_gradient_and_copies_the_rest():
+    t = nm.parameter(np.zeros((2, 3)))
+    g = np.arange(6.0).reshape(2, 3)
+    nm.accumulate(t, g, owned=True)
+    assert t.grad is g  # handed over, not copied
+    nm.accumulate(t, g)
+    assert t.grad is g and np.array_equal(g, 2 * np.arange(6.0).reshape(2, 3))
+    u = nm.parameter(np.zeros((2, 2)))
+    view = g[:, :2]
+    nm.accumulate(u, view)  # a view is copied
+    assert not np.shares_memory(u.grad, g)
+    s = nm.parameter(np.zeros(()))
+    nm.accumulate(s, np.float64(2.0), owned=True)  # a numpy scalar is wrapped
+    assert isinstance(s.grad, np.ndarray) and s.grad.shape == () and s.grad == 2.0
+    c = nm.tensor(np.zeros(3))
+    nm.accumulate(c, np.ones(3), owned=True)  # a constant takes no gradient
+    assert c.grad is None
+
+
 def test_scale_total_broadcast_grads():
     rng = np.random.default_rng(13)
     a = nm.parameter(rng.normal(size=(3, 2)))

@@ -1,6 +1,9 @@
 """Optimizer pieces, batching, filtering, and the training loop."""
 
+import gc
 import os
+import tracemalloc
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -427,23 +430,24 @@ def test_train_loss_decreases_on_fixed_batch():
 # the batched step
 
 
-def random_batch(lengths, normalize=False, dropout_rate=0.2, seed=0):
+def random_batch(lengths, normalize=False, dropout_rate=0.2, seed=0, d=5, max_chunk_len=3,
+                 scoring="dot"):
     """A model and one batch of random examples with the given (passage,
     question) lengths, gold candidates drawn at random."""
     rng = np.random.default_rng(seed)
-    mc = ModelConfig(hidden_size=5, embedding_dim=4, pos_tags=("A", "B"), ne_tags=("O",),
-                     max_chunk_len=3, normalize_attention=normalize)
+    mc = ModelConfig(hidden_size=d, embedding_dim=4, pos_tags=("A", "B"), ne_tags=("O",),
+                     max_chunk_len=max_chunk_len, normalize_attention=normalize, scoring=scoring)
     model = ChunkReaderModel(mc)
     for p in model.parameters().values():
         p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
     prepared = []
     for T, K in lengths:
-        cands = enumerate_candidates(T, 3)
+        cands = enumerate_candidates(T, max_chunk_len)
         prepared.append(tr.PreparedExample(
             None, rng.normal(size=(T, mc.input_width)), rng.normal(size=(K, mc.input_width)),
             cands, int(rng.integers(len(cands))),
         ))
-    cfg = tiny_config(batch_size=len(lengths), hidden_size=5, max_chunk_len=3,
+    cfg = tiny_config(batch_size=len(lengths), hidden_size=d, max_chunk_len=max_chunk_len,
                       dropout_rate=dropout_rate)
     (batch,) = tr.make_batches(prepared, cfg, nm.SeededRng(seed), epoch=0)
     return model, cfg, batch, prepared
@@ -511,6 +515,68 @@ def test_batched_step_tape_does_not_grow_with_length():
         model, cfg, batch, _ = random_batch(lengths, seed=5)
         counts.add(step_grads(model, lambda: tr._batch_loss(model, batch, cfg, nm.SeededRng(0)))[2])
     assert len(counts) == 1
+
+
+def test_backward_frees_each_node_once_it_has_passed_it():
+    model, cfg, batch, _ = random_batch([(9, 3), (6, 5), (7, 2)], d=4)
+    model.zero_grads()
+    with nm.Tape() as tape:
+        loss = tr._batch_loss(model, batch, cfg, nm.SeededRng(0))
+        recorded = len(tape)
+        # the attention encoder's (B, T, 4d) input block, and a passage
+        # state block the caller keeps hold of
+        fused = weakref.ref(next(
+            out.data for out, _, _ in tape.nodes if out.data.shape == (3, 9, 16)
+        ))
+        kept = tape.nodes[0][0]
+        tape.backward(loss)
+    gc.collect()
+    assert fused() is None
+    assert tape.nodes and len(tape) == recorded
+    assert isinstance(kept.grad, np.ndarray) and kept.grad.shape == kept.data.shape
+    assert all(p.grad is not None for p in model.parameters().values())
+    with pytest.raises(RuntimeError):
+        tape.backward(loss)
+
+
+def test_backward_peak_memory_stays_near_the_forward_state():
+    # released nodes and handed-over gradients bound what backward adds to
+    # the live forward state; holding every node and copying every fresh
+    # gradient took the peak to more than twice the forward state
+    lengths = [(25, 6), (31, 4), (36, 7), (40, 5)]
+    model, cfg, batch, _ = random_batch(lengths, d=32, max_chunk_len=10, seed=6)
+    model.zero_grads()
+    tracemalloc.start()
+    try:
+        with nm.Tape() as tape:
+            loss = tr._batch_loss(model, batch, cfg, nm.SeededRng(1))
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * live, f"backward peak {peak} B against {live} B live after the forward"
+
+
+@pytest.mark.parametrize("scoring", ["dot", "cosine"])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_no_two_gradients_share_memory(scoring, normalize):
+    # handed-over gradients are fresh arrays, and every view or alias (a
+    # concat slice, a gradient an add passes through) is still copied
+    model, cfg, batch, _ = random_batch(
+        [(7, 3), (4, 5), (9, 2)], normalize=normalize, scoring=scoring, seed=7
+    )
+    model.zero_grads()
+    with nm.Tape() as tape:
+        loss = tr._batch_loss(model, batch, cfg, nm.SeededRng(2))
+        held = {id(t): t for out, inputs, _ in tape.nodes for t in (out, *inputs)}
+        tape.backward(loss)
+    grads = [t.grad for t in held.values() if t.grad is not None]
+    assert len(grads) > len(model.parameters())
+    for i, g in enumerate(grads):
+        for h in grads[i + 1:]:
+            assert not np.shares_memory(g, h)
 
 
 def test_train_runs_and_logs(tmp_path):
