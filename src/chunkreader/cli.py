@@ -12,9 +12,15 @@ one `ChunkReaderModel.answers` call that bounds its own inference batches.
 A command that reads a dataset prints each dropped record's line and
 reason on stderr and exits 2 when the file holds no usable example.
 
-Every train setting, the seed included, resolves by precedence: --set
-KEY=VALUE, then the config file, then the TrainConfig default. A key
-given twice in the config file, or twice by --set, is a usage error.
+Settings, datasets and embedding files are parsed only by the library;
+this module checks paths and flags and wires the library's readers:
+`trainer.load_train_config` for the --config file and every --set
+KEY=VALUE (every setting, the seed included, resolves by precedence:
+--set, then the file, then the TrainConfig default),
+`corpus.load_dataset`, and `corpus.load_embeddings`, which reads the
+width off the first line. A flag that would be ignored is a usage
+error: `evaluate --predictions` with --checkpoint or --embeddings,
+`chunk-stats --trie-data` without --mode trie.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import json
 import os
 import sys
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 
@@ -34,7 +41,6 @@ from .chunker import CANDIDATE_MODES, build_pos_trie, candidate_recall
 from .chunker import enumerate_candidates, generate_candidates
 from .corpus import (
     DataError,
-    EmbeddingTable,
     Example,
     Featurizer,
     build_tag_inventories,
@@ -42,10 +48,9 @@ from .corpus import (
     load_dataset,
     load_embeddings,
     parse_id,
-    text_lines,
 )
 from .evaluator import breakdown_by_answer_length, breakdown_by_head_word, evaluate
-from .model import ChunkReaderModel, ModelConfig, Prediction, nll_loss
+from .model import ChunkReaderModel, ModelConfig, Prediction, _pad
 from .trainer import load_train_config, train
 
 
@@ -138,33 +143,24 @@ def _load_examples(path, what: str) -> list[Example]:
     return loaded.examples
 
 
-def _answer_all(
-    model: ChunkReaderModel, examples: list[Example], fz: Featurizer
-) -> list[Prediction]:
-    """Every example's answer, in order. An example whose probabilities are
-    not finite (a finite checkpoint with huge weights) is a DataError
-    naming it."""
+def _checkpoint_answers(args, examples: list[Example]) -> list[Prediction]:
+    """The --checkpoint model's answers to examples, in order, featurized
+    with the --embeddings table, which must be as wide as the checkpoint's.
+    An example whose probabilities are not finite (a finite checkpoint with
+    huge weights) is a DataError naming it."""
+    _require_file(args.checkpoint, "checkpoint")
+    model = load_checkpoint(args.checkpoint)
+    cfg = model.config
+    _require_file(args.embeddings, "embedding file")
+    table = load_embeddings(args.embeddings)
+    if table.dim != cfg.embedding_dim:
+        raise DataError(
+            f"embedding width {table.dim} does not match the checkpoint's {cfg.embedding_dim}"
+        )
     try:
-        return model.answers(examples, fz)
+        return model.answers(examples, Featurizer(table, cfg.pos_tags, cfg.ne_tags))
     except ValueError as exc:
         raise DataError(str(exc)) from None
-
-
-def _load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
-    """The embedding table of one file, its width read off the first line;
-    expected_dim, when given, is the width a loaded checkpoint was built for."""
-    _require_file(path, "embedding file")
-    lines = text_lines(path)
-    _, first = next(lines, (0, ""))
-    lines.close()
-    if not first.strip():
-        raise DataError(f"embedding file is empty: {path}")
-    table = load_embeddings(path, len(first.rstrip("\n").split(" ")) - 1)
-    if expected_dim is not None and table.dim != expected_dim:
-        raise DataError(
-            f"embedding width {table.dim} does not match the checkpoint's {expected_dim}"
-        )
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +168,10 @@ def _load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
 
 
 def cmd_train(args) -> int:
-    overrides = {}
-    for item in args.set:
-        if "=" not in item:
-            raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        if key in overrides:
-            raise UsageError(
-                f"--set {key}={overrides[key]} and --set {key}={value}: {key} is repeated"
-            )
-        overrides[key] = value
+    if args.config:
+        _require_file(args.config, "config file")
     try:
-        if args.config:
-            _require_file(args.config, "config file")
-            config = load_train_config(args.config, overrides)
-        else:
-            config = load_train_config(os.devnull, overrides)
+        config = load_train_config(args.config, args.set)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _require_output(args.out_checkpoint, "--out-checkpoint")
@@ -195,7 +179,8 @@ def cmd_train(args) -> int:
 
     train_examples = _load_examples(args.train_path, "training dataset")
     dev_examples = _load_examples(args.dev_path, "dev dataset")
-    table = _load_table(args.embeddings)
+    _require_file(args.embeddings, "embedding file")
+    table = load_embeddings(args.embeddings)
     pos_tags, ne_tags = build_tag_inventories(train_examples)
     trie = None
     if config.candidate_mode == "trie":
@@ -232,12 +217,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     _require_output(args.out, "--out")
-    _require_file(args.checkpoint, "checkpoint")
-    model = load_checkpoint(args.checkpoint)
     examples = _load_examples(args.data, "dataset")
-    cfg = model.config
-    fz = Featurizer(_load_table(args.embeddings, cfg.embedding_dim), cfg.pos_tags, cfg.ne_tags)
-    answers = _answer_all(model, examples, fz)
+    answers = _checkpoint_answers(args, examples)
     lines = [json.dumps(dataclasses.asdict(got), allow_nan=False) for got in answers]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in lines)
@@ -260,16 +241,16 @@ def _read_predictions_file(path) -> dict[str, str]:
 
 
 def cmd_evaluate(args) -> int:
+    if args.predictions and (args.checkpoint or args.embeddings):
+        raise UsageError(
+            "evaluate takes --predictions, or --checkpoint with --embeddings, not both"
+        )
     _require_output(args.json_out, "--json-out")
     examples = _load_examples(args.data, "dataset")
     if args.predictions:
         predictions = _read_predictions_file(args.predictions)
     elif args.checkpoint and args.embeddings:
-        _require_file(args.checkpoint, "checkpoint")
-        model = load_checkpoint(args.checkpoint)
-        cfg = model.config
-        fz = Featurizer(_load_table(args.embeddings, cfg.embedding_dim), cfg.pos_tags, cfg.ne_tags)
-        predictions = {got.id: got.answer for got in _answer_all(model, examples, fz)}
+        predictions = {got.id: got.answer for got in _checkpoint_answers(args, examples)}
     else:
         raise UsageError("evaluate needs --predictions, or --checkpoint with --embeddings")
     try:
@@ -301,6 +282,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_chunk_stats(args) -> int:
+    if args.trie_data and args.mode != "trie":
+        raise UsageError("--trie-data needs --mode trie")
     examples = _load_examples(args.data, "dataset")
     trie = None
     if args.mode == "trie":
@@ -320,8 +303,12 @@ def cmd_chunk_stats(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    """Finite-difference audit of the full loss at toy dimensions.
+    """Finite-difference audit of the training loss at toy dimensions.
 
+    Differentiates what a training step does without dropout: the mean
+    NLL of one `forward_batch` over a zero-padded batch of three examples
+    whose passage and question lengths all differ, so padding, per-row
+    lengths and the attention's real rows are audited with the rest.
     Drives the network with dense random inputs and parameters at
     +-1.2/sqrt(fan_in) rather than the training setup: near-zero weights
     or sparse one-hot features leave some gradient coordinates at the
@@ -342,15 +329,15 @@ def cmd_gradcheck(args) -> int:
     for p in model.parameters().values():
         bound = 1.2 / np.sqrt(p.data.shape[0])
         p.data[...] = rng.uniform(-bound, bound, size=p.data.shape)
-    passage_len, question_len = 8, 4
-    P = rng.normal(scale=1.0, size=(passage_len, config.input_width))
-    Q = rng.normal(scale=1.0, size=(question_len, config.input_width))
-    candidates = enumerate_candidates(passage_len, config.max_chunk_len)
-    gold = candidates[2]
+    passages, passage_lens = _pad([rng.normal(size=(n, config.input_width)) for n in (6, 8, 5)])
+    questions, question_lens = _pad([rng.normal(size=(k, config.input_width)) for k in (3, 2, 4)])
+    candidates = [enumerate_candidates(n, config.max_chunk_len) for n in passage_lens]
+    golds = [int(rng.integers(len(c))) for c in candidates]
 
     def build():
-        scored = model.forward(P, Q, candidates)
-        return nll_loss(scored, gold)
+        scored = model.forward_batch(passages, questions, candidates, passage_lens, question_lens)
+        losses = [nm.softmax_nll(s.scores, gold) for s, gold in zip(scored, golds)]
+        return nm.scale(reduce(nm.add, losses), 1.0 / len(losses))
 
     names = list(model.parameters())
     params = list(model.parameters().values())

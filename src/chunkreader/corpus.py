@@ -7,8 +7,9 @@ indicators (surface match against the question, lemma match against the
 question, first-letter capitalization).
 
 Every JSON input is parsed by `parse_json` (line by line through
-`json_lines`), every annotated token is checked by `parse_token`, and
-every record id by `parse_id`.
+`json_lines`), every annotated token is checked by `parse_token`, every
+record id by `parse_id`, and the id, passage and question of every
+annotated record by `parse_record`.
 
 All structures are immutable after load and safe to share across workers.
 """
@@ -38,6 +39,7 @@ __all__ = [
     "json_lines",
     "parse_token",
     "parse_id",
+    "parse_record",
     "squeeze",
     "build_tag_inventories",
     "detokenize",
@@ -189,6 +191,25 @@ def parse_token(obj, line_no: int, where: str) -> AnnotatedToken:
     return AnnotatedToken(surface, lemma, pos, ne, offset)
 
 
+def parse_record(
+    obj, line_no: int, seen: dict[str, int]
+) -> tuple[str, tuple[AnnotatedToken, ...], tuple[AnnotatedToken, ...]]:
+    """The (id, passage, question) of the record on line line_no: an object
+    whose `id` parse_id accepts and whose `passage` and `question` are
+    arrays of tokens parse_token accepts; else DataError citing the line."""
+    if not isinstance(obj, dict):
+        raise DataError(f"line {line_no}: record is not an object")
+    for key in ("id", "passage", "question"):
+        if key not in obj:
+            raise DataError(f"line {line_no}: record missing key {key!r}")
+    sides = []
+    for side in ("passage", "question"):
+        if not isinstance(obj[side], list):
+            raise DataError(f"line {line_no}: {side} must be an array")
+        sides.append(tuple([parse_token(t, line_no, side) for t in obj[side]]))
+    return parse_id(obj["id"], line_no, seen), sides[0], sides[1]
+
+
 def _validate_example(ex_id: str, passage, question, raw_answers) -> Example | str:
     """Content checks; returns the Example or a rejection reason string."""
     if not passage:
@@ -207,16 +228,16 @@ def _validate_example(ex_id: str, passage, question, raw_answers) -> Example | s
         if squeeze(joined) != squeeze(text):
             return f"span text {text!r} does not match passage tokens {joined!r}"
         answers.append(AnswerSpan(start, end, text))
-    return Example(ex_id, tuple(passage), tuple(question), tuple(answers))
+    return Example(ex_id, passage, question, tuple(answers))
 
 
 def load_dataset(path) -> LoadResult:
     """Read examples from a JSONL file, one object per line.
 
-    Schema violations (bad JSON, bytes that are not UTF-8, missing keys,
-    wrong types, including a non-integer span bound, a non-string answer
-    text and a token that parse_token rejects, and an id that parse_id
-    rejects) raise DataError citing the line. Content
+    Schema violations (bad JSON, bytes that are not UTF-8, a record that
+    parse_record rejects, a missing or non-array `answers`, an answer
+    without an integer `start` and `end` and a string `text`) raise
+    DataError citing the line. Content
     violations (empty passage or question, span out of range, span text
     not matching the tokens, empty surfaces) drop the record and log the
     reason in LoadResult.dropped instead of failing the whole load.
@@ -225,18 +246,12 @@ def load_dataset(path) -> LoadResult:
     dropped: list[tuple[int, str]] = []
     ids: dict[str, int] = {}
     for line_no, obj in json_lines(path):
-        if not isinstance(obj, dict):
-            raise DataError(f"line {line_no}: record is not an object")
-        for key in ("id", "passage", "question", "answers"):
-            if key not in obj:
-                raise DataError(f"line {line_no}: record missing key {key!r}")
-        if not isinstance(obj["passage"], list) or not isinstance(obj["question"], list):
-            raise DataError(f"line {line_no}: passage/question must be arrays")
-        passage = [parse_token(t, line_no, "passage") for t in obj["passage"]]
-        question = [parse_token(t, line_no, "question") for t in obj["question"]]
-        raw_answers = []
+        ex_id, passage, question = parse_record(obj, line_no, ids)
+        if "answers" not in obj:
+            raise DataError(f"line {line_no}: record missing key 'answers'")
         if not isinstance(obj["answers"], list):
             raise DataError(f"line {line_no}: answers must be an array")
+        raw_answers = []
         for a in obj["answers"]:
             if not isinstance(a, dict) or not {"start", "end", "text"} <= a.keys():
                 raise DataError(f"line {line_no}: answer missing start/end/text")
@@ -245,7 +260,6 @@ def load_dataset(path) -> LoadResult:
                 _json_int(a["end"], line_no, "answer end"),
                 _json_str(a["text"], line_no, "answer text"),
             ))
-        ex_id = parse_id(obj["id"], line_no, ids)
         got = _validate_example(ex_id, passage, question, raw_answers)
         if isinstance(got, str):
             dropped.append((line_no, got))
@@ -274,21 +288,25 @@ class EmbeddingTable:
         return self._zero if hit is None else hit
 
 
-def load_embeddings(path, dim: int) -> EmbeddingTable:
+def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
     """Parse a text embedding file: `word v1 ... v_dim` per line.
 
-    A line whose field count disagrees with dim, or with a value that is
-    not a finite number (nan and inf parse as floats but would poison
-    every feature row of the word), raises DataError citing the line; a
-    repeated word keeps its first vector.
+    A line whose field count disagrees with dim (None: the first line's
+    width, which must hold a value), or with a value that is not a finite
+    number (nan and inf parse as floats but would poison every feature row
+    of the word), raises DataError citing the line, as does an empty file
+    without dim; a repeated word keeps its first vector.
     """
     entries: dict[str, np.ndarray] = {}
     for line_no, line in text_lines(path):
         parts = line.rstrip("\n").split(" ")
-        if len(parts) != dim + 1:
-            raise DataError(
-                f"line {line_no}: expected word + {dim} values, got {len(parts)} fields"
-            )
+        if len(parts) - 1 != dim:
+            if dim is not None or len(parts) < 2:
+                wanted = "some" if dim is None else dim
+                raise DataError(
+                    f"line {line_no}: expected word + {wanted} values, got {len(parts)} fields"
+                )
+            dim = len(parts) - 1  # the first line sets the width
         word = parts[0]
         if word in entries:
             continue
@@ -299,6 +317,8 @@ def load_embeddings(path, dim: int) -> EmbeddingTable:
         if not np.all(np.isfinite(vec)):
             raise DataError(f"line {line_no}: non-finite embedding value")
         entries[word] = vec
+    if dim is None:
+        raise DataError(f"embedding file is empty: {path}")
     return EmbeddingTable(dim, entries)
 
 

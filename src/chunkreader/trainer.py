@@ -26,9 +26,9 @@ import numpy as np
 from . import numerics as nm
 from .checkpoint import save_checkpoint
 from .chunker import CANDIDATE_MODES, CandidateChunk
-from .corpus import Example, Featurizer
+from .corpus import Example, Featurizer, text_lines
 from .evaluator import evaluate
-from .model import ChunkReaderModel, ModelConfig, _pad, nll_loss
+from .model import ChunkReaderModel, ModelConfig, _pad
 from .numerics import SeededRng, Tensor
 
 __all__ = [
@@ -95,31 +95,37 @@ class TrainConfig:
             raise ValueError(f"unknown candidate_mode: {self.candidate_mode!r}")
 
 
-def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
-    """Parse a flat key-value config file (one `key value` pair per line,
-    '#' comments allowed); keys must be TrainConfig field names, each given
-    at most once. An error in a line names the line and its key."""
+def load_train_config(path=None, sets: Sequence[str] = ()) -> TrainConfig:
+    """Resolve each TrainConfig field from a `KEY=VALUE` string of `sets`,
+    else from the flat config file at `path` (`key value` lines, '#'
+    comments allowed, read by corpus.text_lines), else its default. Each key
+    is given at most once by each source; an error (a ValueError) names its
+    `line N` or `--set k=v`, and its key."""
     spec = {f.name: f.type for f in fields(TrainConfig)}
-    values: dict = {}  # key -> (raw value, "line N" or "override")
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ValueError(f"line {line_no}: expected 'key value', got {line!r}")
-            key, raw = parts
+    from_file, from_sets = [], []  # (where, key, raw value) triples
+    lines = text_lines(path) if path is not None else ()
+    for line_no, line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise ValueError(f"line {line_no}: expected 'key value', got {line!r}")
+        from_file.append((f"line {line_no}", *parts))
+    for item in sets:
+        if "=" not in item:
+            raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
+        from_sets.append((f"--set {item}", *item.split("=", 1)))
+    values = {}  # key -> (raw value, where); a --set string replaces a file line
+    for entries in (from_file, from_sets):
+        first = {}  # key -> where this source gave it
+        for where, key, raw in entries:
             if key not in spec:
-                raise ValueError(f"line {line_no}: unknown config key {key!r}")
-            if key in values:
-                raise ValueError(f"{values[key][1]} and line {line_no}: {key} is repeated")
-            values[key] = (raw, f"line {line_no}")
-    if overrides:
-        for key in overrides:
-            if key not in spec:
-                raise ValueError(f"unknown config key {key!r}")
-        values.update({k: (str(v), "override") for k, v in overrides.items()})
+                raise ValueError(f"{where}: unknown config key {key!r}")
+            if key in first:
+                raise ValueError(f"{first[key]} and {where}: {key} is repeated")
+            first[key] = where
+            values[key] = (raw, where)
     kwargs = {}
     for key, (raw, where) in values.items():
         parse = {"int": int, "float": float}.get(spec[key], str)
@@ -371,7 +377,7 @@ def _batch_loss(model, batch: Batch, config, rng) -> Tensor:
         rng=rng,
         training=True,
     )
-    losses = [nll_loss(s, pe.candidates[pe.gold_index]) for s, pe in zip(scored, items)]
+    losses = [nm.softmax_nll(s.scores, pe.gold_index) for s, pe in zip(scored, items)]
     return nm.scale(reduce(nm.add, losses), 1.0 / len(losses))
 
 

@@ -186,6 +186,16 @@ def test_train_repeated_set_key_exits_one_naming_both_values(world, tmp_path, ca
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_train_bad_set_value_exits_one_naming_the_set_string(world, tmp_path, capsys):
+    paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
+    assert cli.main(train_args(paths, set="learning_rate=fast")) == 1
+    assert capsys.readouterr().err == (
+        "error: --set learning_rate=fast: learning_rate: "
+        "could not convert string to float: 'fast'\n"
+    )
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize(
     "setting", ["learning_rate=nan", "learning_rate=inf", "init_range=inf", "init_range=1e308"]
 )
@@ -630,6 +640,20 @@ def test_non_utf8_first_embedding_line_exits_two_with_one_line(world, tmp_path, 
     assert capsys.readouterr().err == "data error: line 1: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_embeddings_of_another_width_than_the_checkpoint_exit_two(world, tmp_path, capsys, command):
+    path = tmp_path / "emb.txt"
+    path.write_text("w1 0.5 0.5\n", encoding="utf-8")
+    if command == "predict":
+        args = predict_args(dict(world, emb=str(path)), str(tmp_path / "p.jsonl"))
+    else:
+        args = ["evaluate", "--data", world["dev"], "--checkpoint", world["checkpoint"],
+                "--embeddings", str(path)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == "data error: embedding width 2 does not match the checkpoint's 8\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_no_candidate_example_is_answered_empty(tmp_path, capsys):
     # in trie mode, dev passages syn12 and syn13 match no trained pattern
     examples, table = generate(SyntheticSpec(n_examples=14, seed=1))
@@ -793,6 +817,20 @@ def test_evaluate_without_source_exits_one(world, capsys):
     assert "predictions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [["--checkpoint"], ["--embeddings"], ["--checkpoint", "--embeddings"]])
+def test_evaluate_predictions_with_a_checkpoint_flag_exits_one(world, tmp_path, capsys, extra):
+    # the checkpoint and the embeddings used to be ignored without a word
+    pred_path = write_predictions(tmp_path / "p.jsonl", [(ex.id, "w1") for ex in world["dev_examples"]])
+    given = {"--checkpoint": world["checkpoint"], "--embeddings": world["emb"]}
+    args = ["evaluate", "--data", world["dev"], "--predictions", pred_path]
+    for flag in extra:
+        args += [flag, given[flag]]
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == (
+        "", "error: evaluate takes --predictions, or --checkpoint with --embeddings, not both\n"
+    )
+
+
 def test_evaluate_id_mismatch_exits_two(world, tmp_path, capsys):
     pred_path = write_predictions(tmp_path / "p.jsonl", [("ghost", "w1")])
     assert cli.main(["evaluate", "--data", world["dev"], "--predictions", pred_path]) == 2
@@ -832,6 +870,15 @@ def test_chunk_stats_trie_mode_runs(world, capsys):
     assert "recall\t1.000000" in out
 
 
+def test_chunk_stats_trie_data_without_trie_mode_exits_one(world, capsys):
+    # the trie data used to be ignored without a word in window mode
+    args = ["chunk-stats", "--data", world["dev"], "--trie-data", world["train"]]
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == ("", "error: --trie-data needs --mode trie\n")
+    assert cli.main(args + ["--mode", "window"]) == 1
+    assert cli.main(args + ["--mode", "trie"]) == 0
+
+
 def test_chunk_stats_unknown_mode_exits_one(world, capsys):
     assert cli.main(["chunk-stats", "--data", world["dev"], "--mode", "sideways"]) == 1
     assert "sideways" in capsys.readouterr().err
@@ -864,3 +911,26 @@ def test_gradcheck_detects_corrupted_backward(capsys, monkeypatch):
     assert cli.main(["gradcheck"]) == 3
     out = capsys.readouterr().out
     assert out.splitlines()[-1].startswith("FAIL")
+
+
+def test_gradcheck_detects_a_backward_wrong_only_on_shorter_rows(capsys, monkeypatch):
+    """An input gradient one percent off on each row shorter than its
+    batch's longest, and right on every other row, must trip the gate:
+    only a padded batch of mixed lengths has such rows, so an audit of one
+    unpadded example passes this backward."""
+    backprop = GruCell.backprop
+
+    def crooked_backprop(self, g, X, states, input_grad):
+        dX, grads = backprop(self, g, X, states, input_grad)
+        lengths = np.bincount(states.index // X.shape[1], minlength=X.shape[0])
+        if dX is not None:
+            dX[lengths < X.shape[1]] *= 1.01
+        return dX, grads
+
+    monkeypatch.setattr(GruCell, "backprop", crooked_backprop)
+    assert cli.main(["gradcheck"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("FAIL")
+    # the attention encoder's input gradient reaches only the shared weights
+    bad = {line.split("\t")[0] for line in lines[:-1] if line.endswith("\tBAD")}
+    assert bad and all(name.startswith("shared.") for name in bad)

@@ -120,13 +120,42 @@ def test_malformed_annotation_token_is_rejected_with_its_line(tmp_path, edit, re
     "line, reason",
     [
         ('{"id": "q2", "passage": [', "invalid JSON: Expecting value"),
-        ('["q2"]', "annotation must be an object"),
+        ('["q2"]', "record is not an object"),
     ],
 )
 def test_annotation_line_that_is_not_a_json_object_is_rejected_with_its_line(tmp_path, line, reason):
     with pytest.raises(SystemExit) as info:
         run(tmp_path, [qa("q1", ("Alice", 0))], [annotation("q1"), line])
     assert str(info.value) == f"{tmp_path / 'anno.jsonl'}: line 2: {reason}"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rec: ["q2"],
+        lambda rec: rec.pop("id") and rec,
+        lambda rec: rec.pop("passage") and rec,
+        lambda rec: rec.pop("question") and rec,
+        lambda rec: dict(rec, passage="Alice"),
+        lambda rec: dict(rec, question={"surface": "Who"}),
+        lambda rec: dict(rec, id=7),
+    ],
+    ids=["array", "no-id", "no-passage", "no-question", "string-passage", "object-question",
+         "int-id"],
+)
+def test_converter_and_loader_reject_a_record_with_one_message(tmp_path, edit):
+    # both read the id, passage and question through corpus.parse_record
+    record = edit(annotation("q2"))
+    with_answers = [dict(annotation("q1"), answers=[]),
+                    dict(record, answers=[]) if isinstance(record, dict) else record]
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in with_answers), encoding="utf-8")
+    with pytest.raises(DataError) as loader:
+        load_dataset(data)
+    with pytest.raises(SystemExit) as converter:
+        run(tmp_path, [qa("q1", ("Alice", 0))], [annotation("q1"), record])
+    assert str(converter.value) == f"{tmp_path / 'anno.jsonl'}: {loader.value}"
+    assert str(loader.value).startswith("line 2: ")
 
 
 @pytest.mark.parametrize(

@@ -247,6 +247,33 @@ def test_load_embeddings_field_count_error(tmp_path):
         corpus.load_embeddings(path, dim=2)
 
 
+def test_load_embeddings_reads_its_width_off_the_first_line(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("cat 1.0 2.0 3.0\ndog 4.0 5.0 6.0\n")
+    table = corpus.load_embeddings(path)
+    assert table.dim == 3 and sorted(table.entries) == ["cat", "dog"]
+    assert np.array_equal(table.lookup("dog"), corpus.load_embeddings(path, 3).lookup("dog"))
+    path.write_text("cat 1.0 2.0 3.0\ndog 4.0 5.0\n")
+    with pytest.raises(corpus.DataError, match=r"^line 2: expected word \+ 3 values, got 3 fields$"):
+        corpus.load_embeddings(path)
+
+
+@pytest.mark.parametrize("text", ["cat\ndog 1.0\n", "\ndog 1.0\n", "cat"])
+def test_load_embeddings_first_line_without_values_cites_line_one(tmp_path, text):
+    path = tmp_path / "emb.txt"
+    path.write_text(text)
+    with pytest.raises(corpus.DataError, match=r"^line 1: expected word \+ some values, got 1 fields$"):
+        corpus.load_embeddings(path)
+
+
+def test_load_embeddings_of_an_empty_file(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("")
+    assert corpus.load_embeddings(path, dim=2).dim == 2
+    with pytest.raises(corpus.DataError, match=r"^embedding file is empty: "):
+        corpus.load_embeddings(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
 def test_load_embeddings_non_finite_value_cites_line(tmp_path, value):
     path = tmp_path / "emb.txt"

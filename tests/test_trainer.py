@@ -1,7 +1,6 @@
 """Optimizer pieces, batching, filtering, and the training loop."""
 
 import gc
-import os
 import tracemalloc
 import weakref
 from functools import reduce
@@ -358,15 +357,42 @@ def test_load_config_value_error_names_its_line_and_key(tmp_path):
     path.write_text("seed 1\nbatch_size 4 8\n")
     with pytest.raises(ValueError, match=r"^line 2: batch_size: invalid literal"):
         tr.load_train_config(path)
-    with pytest.raises(ValueError, match=r"^override: learning_rate: could not convert"):
-        tr.load_train_config(os.devnull, {"learning_rate": "fast"})
+    with pytest.raises(ValueError, match=r"^--set learning_rate=fast: learning_rate: could not convert"):
+        tr.load_train_config(sets=["learning_rate=fast"])
 
 
 def test_load_config_overrides(tmp_path):
     path = tmp_path / "train.cfg"
     path.write_text("seed 1\nbatch_size 8\n")
-    cfg = tr.load_train_config(path, overrides={"seed": 99})
+    cfg = tr.load_train_config(path, sets=["seed=99"])
     assert cfg.seed == 99 and cfg.batch_size == 8
+    assert tr.load_train_config(sets=["seed=3"]) == tr.TrainConfig(seed=3)
+    assert tr.load_train_config() == tr.TrainConfig()
+
+
+def test_load_config_non_utf8_line_is_named(tmp_path):
+    # the file used to be decoded whole, so the error named a byte offset
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed 1\nbatch_size \xff4\n")
+    with pytest.raises(ValueError, match=r"^line 2: not valid UTF-8$"):
+        tr.load_train_config(path)
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        (["batch_size=x", "batch_size=4"], "--set batch_size=x and --set batch_size=4: batch_size is repeated"),
+        (["seed=1", "turbo=yes"], "--set turbo=yes: unknown config key 'turbo'"),
+        (["seed"], "--set expects KEY=VALUE, got 'seed'"),
+    ],
+    ids=["repeated", "unknown", "no-equals"],
+)
+def test_load_config_set_error_names_the_string_as_given(tmp_path, sets, message):
+    path = tmp_path / "train.cfg"
+    path.write_text("batch_size 8\n")
+    with pytest.raises(ValueError) as info:
+        tr.load_train_config(path, sets)
+    assert str(info.value) == message
 
 
 def test_config_validation():

@@ -26,11 +26,12 @@ not line up with token boundaries (after whitespace is ignored) are
 skipped; questions with no mappable answer or no annotation entry are
 dropped. Counts for both go to stderr.
 
-Both inputs are read, and every annotation id and token checked, by the
-dataset loader's own `chunkreader.corpus` readers (`json_lines`,
-`parse_id`, `parse_token`); a token is written with its five schema keys
-only. Any malformed input (a missing or non-UTF-8 file, bad JSON, an
-annotation id or token the loader would reject, a SQuAD file missing
+Both inputs are read, and every annotation record checked, by the
+dataset loader's own `chunkreader.corpus` readers (`json_lines` and
+`parse_record`, the loader's check of a record's id, passage and
+question); a token is written with its five schema keys only. Any
+malformed input (a missing or non-UTF-8 file, bad JSON, an annotation
+record the loader would reject, a SQuAD file missing
 `data`, `paragraphs`, `qas`, a question `id` or `answers`, a question
 `id` that is not a string or repeats an earlier one, an answer without
 a string `text` or an integer `answer_start`), or an `--out` that
@@ -45,8 +46,7 @@ import sys
 from contextlib import contextmanager
 
 from chunkreader.corpus import (
-    AnswerSpan, DataError, Example, json_lines, parse_id, parse_json, parse_token, squeeze,
-    text_lines,
+    AnswerSpan, DataError, Example, json_lines, parse_json, parse_record, squeeze, text_lines,
 )
 from chunkreader.synthetic import write_dataset_jsonl
 
@@ -104,23 +104,13 @@ def iter_squad_questions(squad):
 
 
 def load_annotations(path):
-    """Question id -> (passage tokens, question tokens); a malformed line,
-    or an id that is not a string or repeats an earlier line's, raises
-    DataError citing it."""
+    """Question id -> (passage tokens, question tokens); a line that
+    `parse_record` rejects raises DataError citing it."""
     table = {}
     ids = {}
     for line_no, obj in json_lines(path):
-        if not isinstance(obj, dict):
-            raise DataError(f"line {line_no}: annotation must be an object")
-        for key in ("id", "passage", "question"):
-            if key not in obj:
-                raise DataError(f"line {line_no}: annotation missing {key!r}")
-        sides = []
-        for side in ("passage", "question"):
-            if not isinstance(obj[side], list):
-                raise DataError(f"line {line_no}: {side} must be an array")
-            sides.append(tuple(parse_token(token, line_no, side) for token in obj[side]))
-        table[parse_id(obj["id"], line_no, ids)] = tuple(sides)
+        qa_id, passage, question = parse_record(obj, line_no, ids)
+        table[qa_id] = (passage, question)
     return table
 
 
