@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -64,11 +65,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _bounded(kind, zero_ok=False):
-    """argparse type: a `kind` number above zero, or at least zero when zero_ok."""
+    """argparse type: a finite `kind` number above zero, or at least zero
+    when zero_ok."""
     wanted = "non-negative" if zero_ok else "positive"
 
     def parse(text):
         value = kind(text)
+        if isinstance(value, float) and not math.isfinite(value):  # inf would pass below
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if not (value >= 0 if zero_ok else value > 0):
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
         return value
@@ -245,14 +249,14 @@ def cmd_evaluate(args) -> int:
         raise UsageError(
             "evaluate takes --predictions, or --checkpoint with --embeddings, not both"
         )
+    if not (args.predictions or (args.checkpoint and args.embeddings)):
+        raise UsageError("evaluate needs --predictions, or --checkpoint with --embeddings")
     _require_output(args.json_out, "--json-out")
     examples = _load_examples(args.data, "dataset")
     if args.predictions:
         predictions = _read_predictions_file(args.predictions)
-    elif args.checkpoint and args.embeddings:
-        predictions = {got.id: got.answer for got in _checkpoint_answers(args, examples)}
     else:
-        raise UsageError("evaluate needs --predictions, or --checkpoint with --embeddings")
+        predictions = {got.id: got.answer for got in _checkpoint_answers(args, examples)}
     try:
         report = evaluate(predictions, examples)
     except ValueError as exc:

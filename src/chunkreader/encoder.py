@@ -34,7 +34,12 @@ and raises peak memory. When the node is recorded, the forward keeps,
 for each of the N = sum_b L_b real steps, flat in step order, r, u and
 hbar, and after the loop gathers the state before each step, h_prev,
 from its output; each is an (N, d) array. An unrecorded (inference)
-call keeps nothing. The backward (`GruCell.backprop`) walks
+call keeps nothing, and holds at most four (N, d) arrays at once, plus
+one row's or one step's temporaries: the three input projections, each
+row's product written straight into its own steps (no (B*T, d) product
+or gathered copy is built), and the states in step order. The projections are freed when the step loop
+ends, before the states are scattered into the zero-padded (B, T, d)
+output. The backward (`GruCell.backprop`) walks
 the steps in reverse over the same prefixes, with dh the gradient
 reaching h' (its upstream row plus the carry from the row's next step):
 
@@ -48,7 +53,9 @@ It stores the pre-activation gradients G = [g_r|g_u|g_c] (N, 3d), and
 after the loop forms every weight gradient as one GEMM over all rows'
 steps: dW_* = X_s^T G_* over the stepped input rows X_s,
 d[U_r|U_u] = H_prev^T [G_r|G_u], dU = (R * H_prev)^T G_c, and
-dX_s = sum_* G_* W_*^T.
+dX_s = sum_* G_* W_*^T. The step-local factors of the equations, one
+(N, d) array each, are freed when the loop ends, and X_s once the
+weight gradients are formed.
 
 Padding contract, per row: positions at or beyond a row's length produce
 all-zero output rows, leave its recurrent state untouched and receive no
@@ -113,18 +120,24 @@ def _project(
     X: np.ndarray, lengths: np.ndarray, index: np.ndarray, weights, rowwise: bool
 ) -> np.ndarray:
     """X W for each of `weights`, stacked, at the rows `index` of the
-    flattened (B*T, n_in) block: one GEMM over the whole block, or
-    (rowwise) one per row over its first L_b positions, the same product
-    as a batch of one."""
-    B, T, _ = X.shape
-    out = np.empty((len(weights), B * T, weights[0].shape[1]))
-    for W, o in zip(weights, out):
-        if not rowwise:
-            np.matmul(X.reshape(B * T, -1), W, out=o)
-            continue
-        for b, length in enumerate(lengths.tolist()):
-            np.matmul(X[b, :length], W, out=o[b * T : b * T + length])
-    return out[:, index]
+    flattened (B*T, n_in) block, in step order. Either one GEMM per weight
+    over the whole block, or (rowwise) one product per row and weight over
+    the row's first L_b positions, the same product as a batch of one,
+    written straight into that row's steps: no (B*T, d) product is built."""
+    B, T, n_in = X.shape
+    out = np.empty((len(weights), len(index), weights[0].shape[1]))
+    if not rowwise:
+        for W, o in zip(weights, out):
+            # every index is in range, so "clip" only skips take's buffer
+            np.take(X.reshape(B * T, n_in) @ W, index, axis=0, out=o, mode="clip")
+        return out
+    step_of = np.empty(B * T, dtype=np.intp)  # the step row of each position
+    step_of[index] = np.arange(len(index))
+    for b, length in enumerate(lengths.tolist()):
+        rows = step_of[b * T : b * T + length]
+        for W, o in zip(weights, out):
+            o[rows] = X[b, :length] @ W
+    return out
 
 
 class GruCell:
@@ -222,6 +235,7 @@ class GruCell:
                 gates[:, s : s + m], hbars[s : s + m] = ru, hbar
             h = np.add(h, u * (hbar - h), out=Hs[s : s + m])
             s += m
+        del proj_ru, proj_c  # read by the loop only; freed before H is built
         H = np.zeros((B * T, d))
         H[index] = Hs
         H = H.reshape(B, T, d)
@@ -266,6 +280,7 @@ class GruCell:
             dh_k += e
             dh_k += G_r[k] @ U_r_T
             dh_k += G_u[k] @ U_u_T
+        del c_factor, u_factor, r_factor, carry, g_rows
 
         X2 = X.reshape(-1, X.shape[-1])
         Xs = np.ascontiguousarray(X2[index])
@@ -278,6 +293,7 @@ class GruCell:
             dU_ru[:, d:],
             (rs * h_prev).T @ G_c,
         ]
+        del Xs
         dX = None
         if input_grad:
             # the three input products summed into one buffer, left to right

@@ -380,6 +380,13 @@ class ChunkReaderModel:
         active, hits the input features, drawn example by example, the
         passage before the question: the order in which scoring the
         examples one at a time would consume the stream.
+
+        Each block is dropped once its last reader has run: the passage
+        encoder's unread direction at once, its (B, T, 2d) states and the
+        question's once the attention has read them, the (B, T, 4d) fused
+        block once both attention-encoder cells have, and each example's
+        (candidates, 2d) chunk block once it is scored. An unrecorded call
+        thus frees them as it goes; a recorded call keeps them on the tape.
         """
         B = len(candidates)
         if passages.shape[0] != B or questions.shape[0] != B:
@@ -402,24 +409,29 @@ class ChunkReaderModel:
             ]
             passages, questions = np.stack(dropped[0::2]), np.stack(dropped[1::2])
 
-        _, _, passage_ctx = self.shared_encoder.encode(nm.tensor(passages), passage_lens)
+        passage_ctx = self.shared_encoder.encode(nm.tensor(passages), passage_lens)[2]
         q_fwd, q_bwd, question_ctx = self.shared_encoder.encode(nm.tensor(questions), question_lens)
         fused = attend(
             passage_ctx, question_ctx, self.config.normalize_attention,
             passage_lens=passage_lens, question_lens=question_lens,
         )
+        del passage_ctx, question_ctx
         # the two cells run apart: scoring reads each direction on its own,
         # so the encoder's (B, T, 2d) concatenation would go unread
         attention = self.attention_encoder
         g_fwd = attention.forward_cell.run(fused, passage_lens)
         g_bwd = attention.backward_cell.run(fused, passage_lens, reverse=True)
+        del fused
 
-        scored = []
-        for b, cands in enumerate(candidates):
-            reps = chunk_repr(g_fwd, g_bwd, cands, b)
-            qrep = question_repr(q_fwd, q_bwd, question_lens[b], b)
-            scored.append(score_chunks(reps, qrep, cands, self.config.scoring))
-        return scored
+        return [
+            score_chunks(
+                chunk_repr(g_fwd, g_bwd, cands, b),
+                question_repr(q_fwd, q_bwd, question_lens[b], b),
+                cands,
+                self.config.scoring,
+            )
+            for b, cands in enumerate(candidates)
+        ]
 
     def predict_example(self, ex: Example, featurizer: Featurizer) -> AnswerSpan | None:
         """Highest-probability candidate span for one example; None when the

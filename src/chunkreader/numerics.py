@@ -354,6 +354,10 @@ def scale(a: Tensor, c: float) -> Tensor:
     return record(out, (a,), backward_fn)
 
 
+# Rows `gather_pair` copies per slice; at d = 300 one side's slice is 1.2 MB.
+GATHER_SLICE = 512
+
+
 def _row_index(a: Tensor, index, op: str) -> tuple:
     """`index` as a tuple of ints and intp arrays, one per leading axis of
     a, each checked against its axis; a row out of range raises IndexError."""
@@ -392,26 +396,43 @@ def gather_rows(a: Tensor, index) -> Tensor:
 def gather_pair(a: Tensor, a_index, b: Tensor, b_index) -> Tensor:
     """`concat(gather_rows(a, a_index), gather_rows(b, b_index))` as one
     node: the rows of both sides are written straight into one block, and
-    only the indices are kept. Backward adds the b half of the gradient
-    into b's rows, then the a half into a's, the order and the adds of
-    the three nodes it replaces."""
+    only the indices are kept. The block is filled GATHER_SLICE rows at a
+    time, so beyond the block itself the gather holds one slice of rows,
+    not a whole-size copy of either side. Backward adds the b half of the
+    gradient into b's rows, then the a half into a's, the order and the
+    adds of the three nodes it replaces."""
     a_idx = _row_index(a, a_index, "gather_pair")
     b_idx = _row_index(b, b_index, "gather_pair")
     ad, bd = a.data, b.data
-    a_lead = np.broadcast_shapes(*(np.shape(p) for p in a_idx)) + ad.shape[len(a_idx) : -1]
-    b_lead = np.broadcast_shapes(*(np.shape(p) for p in b_idx)) + bd.shape[len(b_idx) : -1]
+    a_rows = np.broadcast_shapes(*(np.shape(p) for p in a_idx))
+    b_rows = np.broadcast_shapes(*(np.shape(p) for p in b_idx))
+    a_lead, b_lead = a_rows + ad.shape[len(a_idx) : -1], b_rows + bd.shape[len(b_idx) : -1]
     if a_lead != b_lead:
         raise ShapeError(f"gather_pair: {a_lead} rows of {ad.shape} against {b_lead} of {bd.shape}")
     split = ad.shape[-1]
     block = np.empty(a_lead + (split + bd.shape[-1],))
-    block[..., :split] = ad[a_idx]
-    block[..., split:] = bd[b_idx]
+    if not a_lead:  # one row
+        block[:split], block[split:] = ad[a_idx], bd[b_idx]
+    else:
+        for start in range(0, a_lead[0], GATHER_SLICE):
+            rows = slice(start, start + GATHER_SLICE)
+            block[rows, ..., :split] = ad[_sliced(a_idx, a_rows, rows)]
+            block[rows, ..., split:] = bd[_sliced(b_idx, b_rows, rows)]
 
     def backward_fn(g):
         accumulate(b, g[..., split:], b_idx)
         accumulate(a, g[..., :split], a_idx)
 
     return record(Tensor(block), (a, b), backward_fn)
+
+
+def _sliced(idx: tuple, rows_shape: tuple, rows: slice) -> tuple:
+    """`idx` narrowed to `rows` of the first axis of what it selects: of
+    the broadcast index arrays, or, when every part is an int, of the
+    first axis it leaves whole."""
+    if not rows_shape:
+        return idx + (rows,)
+    return tuple(p if isinstance(p, int) else np.broadcast_to(p, rows_shape)[rows] for p in idx)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,21 @@ def test_non_positive_size_or_step_exits_one_with_one_line(world, capsys, argv):
     assert err.startswith(f"error: argument {argv[-2]}: must be positive") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--tolerance", "inf"], ["--step", "inf"], ["--step", "nan"], ["--step=-inf"]],
+    ids=["tolerance-inf", "step-inf", "step-nan", "step-minus-inf"],
+)
+def test_gradcheck_non_finite_float_exits_one_with_one_line(capsys, argv):
+    # an infinite tolerance would pass any gradient, and an infinite step
+    # would run the audit into numpy warnings and a FAIL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["gradcheck"] + argv) == 1
+    flag, value = argv[0].split("=") if "=" in argv[0] else argv
+    assert capsys.readouterr() == ("", f"error: argument {flag}: must be finite, got {value}\n")
+
+
 def test_gradcheck_negative_seed_exits_one_with_one_line(capsys):
     assert cli.main(["gradcheck", "--seed", "-1"]) == 1
     err = capsys.readouterr().err
@@ -815,6 +830,22 @@ def test_evaluate_with_checkpoint_matches_prediction_route(world, tmp_path, caps
 def test_evaluate_without_source_exits_one(world, capsys):
     assert cli.main(["evaluate", "--data", world["dev"]]) == 1
     assert "predictions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "given", [[], ["--checkpoint"], ["--embeddings"]], ids=["none", "checkpoint", "embeddings"]
+)
+def test_evaluate_without_source_exits_one_before_reading_data(world, tmp_path, capsys, given):
+    # the score source is a usage question: it is settled before --data is
+    # read, so a missing dataset does not turn it into a data error
+    paths = {"--checkpoint": world["checkpoint"], "--embeddings": world["emb"]}
+    args = ["evaluate", "--data", str(tmp_path / "missing.jsonl")]
+    for flag in given:
+        args += [flag, paths[flag]]
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == (
+        "", "error: evaluate needs --predictions, or --checkpoint with --embeddings\n"
+    )
 
 
 @pytest.mark.parametrize("extra", [["--checkpoint"], ["--embeddings"], ["--checkpoint", "--embeddings"]])

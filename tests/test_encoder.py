@@ -1,5 +1,7 @@
 """Recurrent cell algebra, bi-directional encoding, padding, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -409,6 +411,35 @@ def test_paper_width_rows_never_mix_in_inference(direction):
         recorded = cell.run(nm.parameter(X), lengths, reverse)
     assert recorded.requires_grad
     assert np.array_equal(recorded.data, batched_gemm_states(cell, X, lengths, reverse))
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_streamed_projection_is_each_row_alone_and_builds_no_block_product(direction):
+    # an unrecorded scan's input products, row by row: each row's steps get
+    # bit for bit its own batch-of-one product, and beyond its output the
+    # projection holds one row's product, not a (B*T, d) block and a
+    # gathered copy of it
+    reverse = direction == "backward"
+    rng = np.random.default_rng(29)
+    lengths = np.array([17, 40, 5, 33, 1])
+    X = rng.normal(size=(5, 40, 40))  # positions past a row's length are junk
+    weights = [rng.normal(size=(40, 300)) for _ in range(3)]
+    index, _ = encoder._step_plan(lengths, 40, reverse)
+    tracemalloc.start()
+    try:
+        proj = encoder._project(X, lengths, index, weights, rowwise=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = 40 * 300 * 8 + 5 * 40 * 8  # one row's product and the step map
+    assert peak <= proj.nbytes + extra + 16384, f"{peak - proj.nbytes} B beyond the output"
+    rows, positions = np.divmod(index, 40)
+    for b, length in enumerate(lengths):
+        mine = rows == b
+        assert sorted(positions[mine]) == list(range(length))
+        for W, p in zip(weights, proj):
+            alone = X[b, :length] @ W
+            assert np.array_equal(p[mine], alone[positions[mine]]), b
 
 
 def test_untaped_run_keeps_no_step_states():

@@ -1,5 +1,7 @@
 """Attention fusion, chunk scoring, loss, prediction, and differentiability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -679,6 +681,31 @@ def test_answers_in_any_chunking_equal_each_answer_alone(mode, scoring, normaliz
         assert got == [alone[ex.id] for ex in shuffled], size
     many = (shuffled * 4)[: 2 * M.ANSWER_BATCH + 5]  # three batches, the last one short
     assert m.answers(many, fz) == [alone[ex.id] for ex in many]
+
+
+def test_answers_peak_memory_stays_near_the_fused_block():
+    # an unrecorded batch frees each block once its last reader has run:
+    # the passage encoder's outputs before the attention encoder, each
+    # cell's input products before its states are scattered, and each
+    # example's chunk block once scored. Keeping them would take the peak
+    # past three times the (B, T, 4d) block the attention encoder reads.
+    examples, table = generate(SyntheticSpec(n_examples=8, seed=3, passage_len=(20, 120)))
+    config = M.ModelConfig(
+        hidden_size=64, embedding_dim=table.dim, pos_tags=POS_TAGS, ne_tags=NE_TAGS, max_chunk_len=4
+    )
+    m = seed_params(M.ChunkReaderModel(config), 19)
+    fz = Featurizer(table, POS_TAGS, NE_TAGS)
+    lengths = [len(ex.passage) for ex in examples]
+    assert len(set(lengths)) == len(lengths)  # every row but the longest is padded
+    expected = m.answers(examples, fz)
+    tracemalloc.start()
+    try:
+        assert m.answers(examples, fz) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fused = len(examples) * max(lengths) * 4 * 64 * 8
+    assert peak <= 2.6 * fused, f"peak {peak / fused:.2f} times the fused block"
 
 
 def test_answers_of_no_examples_is_empty():

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,40 @@ def test_gather_pair_is_concat_of_gather_rows_bit_for_bit(a_index, b_index, same
     assert np.array_equal(pair, ref)
     assert np.array_equal(da, ref_da) and np.array_equal(db, ref_db)
     check_grads(lambda: total(mul(nm.gather_pair(a, a_index, b, b_index), nm.tensor(w))), [a])
+
+
+def test_gather_pair_over_several_slices_is_concat_of_gather_rows():
+    n = 2 * nm.GATHER_SLICE + 7
+    rng = np.random.default_rng(17)
+    a, b = nm.tensor(rng.normal(size=(3, n, 3))), nm.tensor(rng.normal(size=(3, n, 2)))
+    rows, other = rng.integers(0, n, size=n), rng.integers(0, n, size=n)
+    cases = [
+        ((1, rows), (0, other)),  # rows of one example of each stack
+        (1, 2),  # one int per side: every position of an example
+        (rows % 3, other % 3),  # whole examples, repeats included
+    ]
+    for a_idx, b_idx in cases:
+        pair = nm.gather_pair(a, a_idx, b, b_idx)
+        ref = nm.concat(nm.gather_rows(a, a_idx), nm.gather_rows(b, b_idx))
+        assert pair.shape == ref.shape and np.array_equal(pair.data, ref.data)
+
+
+def test_gather_pair_holds_one_slice_beyond_its_output():
+    # chunk rows are gathered a slice at a time, so a 2,955-candidate block
+    # needs no whole-size copy of its wider side first
+    rng = np.random.default_rng(18)
+    n = 3 * nm.GATHER_SLICE + 7
+    a, b = nm.tensor(rng.normal(size=(2, 400, 48))), nm.tensor(rng.normal(size=(2, 400, 32)))
+    starts, ends = rng.integers(0, 400, size=n), rng.integers(0, 400, size=n)
+    tracemalloc.start()
+    try:
+        pair = nm.gather_pair(a, (1, starts), b, (1, ends))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.shape == (n, 80)
+    one_slice = nm.GATHER_SLICE * 48 * 8
+    assert peak - pair.data.nbytes <= one_slice + 16384, f"{peak - pair.data.nbytes} B beyond the block"
 
 
 def test_gather_pair_bounds_and_shapes():
