@@ -21,7 +21,9 @@ models.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -82,13 +84,23 @@ def _build_manifest(model: ChunkReaderModel) -> str:
 
 
 def save_checkpoint(model: ChunkReaderModel, path) -> None:
+    """Write the checkpoint to `<path>.tmp`, then rename it onto path, so a
+    write that fails part-way leaves a file already at path whole; the
+    temporary file is removed on any failure."""
     manifest = _build_manifest(model).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(f"{_MAGIC}\n".encode("ascii"))
-        fh.write(f"manifest_bytes {len(manifest)}\n".encode("ascii"))
-        fh.write(manifest)
-        for p in model.parameters().values():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(f"{_MAGIC}\n".encode("ascii"))
+            fh.write(f"manifest_bytes {len(manifest)}\n".encode("ascii"))
+            fh.write(manifest)
+            for p in model.parameters().values():
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _decode(raw: bytes, what: str) -> str:

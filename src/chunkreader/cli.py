@@ -32,7 +32,6 @@ import math
 import os
 import sys
 from collections import Counter
-from functools import reduce
 
 import numpy as np
 
@@ -340,8 +339,7 @@ def cmd_gradcheck(args) -> int:
 
     def build():
         scored = model.forward_batch(passages, questions, candidates, passage_lens, question_lens)
-        losses = [nm.softmax_nll(s.scores, gold) for s, gold in zip(scored, golds)]
-        return nm.scale(reduce(nm.add, losses), 1.0 / len(losses))
+        return nm.mean_nll([s.scores for s in scored], golds)
 
     names = list(model.parameters())
     params = list(model.parameters().values())

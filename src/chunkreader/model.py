@@ -34,7 +34,9 @@ shared encoder (two cells and their concatenation), one for the
 attention, one per attention-encoder cell (scoring reads the two
 directions apart, so they are never concatenated), one each for the
 chunk and question representations (`nm.gather_pair`, which keeps only
-indices), and one for the scores; `nll_loss` adds one more.
+indices), and one for the scores; `nll_loss`, one example's
+`nm.mean_nll`, adds one more. A training step scores a whole batch and
+adds one `nm.mean_nll` node for all of it (see `trainer`).
 """
 
 from __future__ import annotations
@@ -277,8 +279,9 @@ def score_chunks(
 
 
 def nll_loss(score_set: ChunkScoreSet, gold: CandidateChunk) -> Tensor:
-    """Negative log probability of the gold span's candidate, computed from
-    the pre-softmax scores so that it stays finite for any finite scores.
+    """Negative log probability of the gold span's candidate: the
+    `nm.mean_nll` of this one example, computed from the pre-softmax scores
+    so that it stays finite for any finite scores.
 
     The gold span must be present in the candidate list; training filters
     out examples whose gold cannot be generated, so absence here is a bug.
@@ -289,7 +292,7 @@ def nll_loss(score_set: ChunkScoreSet, gold: CandidateChunk) -> Tensor:
         raise LookupError(
             f"gold span {(gold.start, gold.end)} not among {len(score_set.candidates)} candidates"
         ) from None
-    return nm.softmax_nll(score_set.scores, idx)
+    return nm.mean_nll([score_set.scores], [idx])
 
 
 class ChunkReaderModel:

@@ -13,7 +13,9 @@ a step holds only what the rest of the backward still reads (Chen et
 al., arXiv:1604.06174, section 3). An intermediate tensor the caller
 still holds keeps its value and its `grad`; any other is freed.
 
-The module holds only the ops the model and the benchmark run. Its
+The module holds only the ops the model and the benchmark run. The
+training objective is one node per batch, `mean_nll` (`add` and `scale`
+serve the benchmark's own reference loss). Its
 row-selection ops, `gather_rows` and `gather_pair`, read rows straight
 from batched (B, T, d) blocks. `accumulate` alone allocates a gradient
 on first touch: it copies the contribution, unless the closure hands it
@@ -51,7 +53,7 @@ __all__ = [
     "add",
     "concat",
     "softmax",
-    "softmax_nll",
+    "mean_nll",
     "dropout",
     "scale",
     "gather_rows",
@@ -304,26 +306,38 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def softmax_nll(scores: Tensor, index: int) -> Tensor:
-    """-log softmax(scores)[index] as a scalar, computed as
-    logsumexp(s) - s[index] from max-shifted scores, so it is finite for
-    any finite scores. Backward: softmax(s) - onehot(index)."""
-    x = scores.data
-    if x.ndim != 1 or x.size == 0:
-        raise ShapeError(f"softmax_nll needs a non-empty vector, got shape {x.shape}")
-    if not 0 <= index < x.size:
-        raise IndexError(f"index {index} out of range for shape {x.shape}")
-    shifted = x - x.max()
-    e = np.exp(shifted)
-    total_e = e.sum()
-    out = Tensor(np.log(total_e) - shifted[index])
+def mean_nll(scores: Sequence[Tensor], golds: Sequence[int]) -> Tensor:
+    """The training objective as one node: the mean over B score vectors
+    of -log softmax(s_b)[golds[b]]. Each term is logsumexp(s_b) -
+    s_b[gold] from max-shifted scores, so it is finite for any finite
+    scores; the terms are summed left to right and the sum multiplied by
+    1/B. Backward: vector b gets g (1/B) (softmax(s_b) - onehot(gold_b)),
+    recomputed from the scores, so the node keeps only its inputs."""
+    scores, golds = tuple(scores), [int(gold) for gold in golds]
+    if not scores or len(scores) != len(golds):
+        raise ValueError(f"mean_nll needs one gold per score vector, got {len(scores)} and {len(golds)}")
+    total = None  # plain adds, left to right: sum() compensates from Python 3.12
+    for s, gold in zip(scores, golds):
+        x = s.data
+        if x.ndim != 1 or x.size == 0:
+            raise ShapeError(f"mean_nll needs non-empty vectors, got shape {x.shape}")
+        if not 0 <= gold < x.size:
+            raise IndexError(f"gold {gold} out of range for shape {x.shape}")
+        shifted = x - x.max()
+        term = np.log(np.exp(shifted).sum()) - shifted[gold]
+        total = term if total is None else total + term
+    c = 1.0 / len(scores)
 
     def backward_fn(g):
-        grad = e / total_e
-        grad[index] -= 1.0
-        accumulate(scores, g * grad, owned=True)
+        step = g * c
+        # last vector first: a vector given twice then sums its parts in the
+        # order B one-vector nodes on a tape would
+        for s, gold in reversed(list(zip(scores, golds))):
+            grad = softmax(s.data)
+            grad[gold] -= 1.0
+            accumulate(s, step * grad, owned=True)
 
-    return record(out, (scores,), backward_fn)
+    return record(Tensor(total * c), scores, backward_fn)
 
 
 def dropout(a: Tensor, rate: float, rng: SeededRng, training: bool) -> Tensor:

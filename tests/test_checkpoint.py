@@ -92,6 +92,30 @@ def test_truncated_blob_rejected(tmp_path):
         ckpt.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, error):
+    # training saves every improving epoch onto one path; a write that
+    # fails part-way must not leave that path truncated
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(seeded_model(seed=5), path)
+    before = path.read_bytes()
+    real, calls = np.ascontiguousarray, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:  # the fifth parameter's bytes
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ckpt.np, "ascontiguousarray", failing)
+    with pytest.raises(type(error)):
+        ckpt.save_checkpoint(seeded_model(seed=6), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    monkeypatch.undo()
+    ckpt.load_checkpoint(path)
+
+
 def test_trailing_garbage_rejected(tmp_path):
     m = seeded_model(seed=6)
     path = tmp_path / "model.ckpt"

@@ -1,7 +1,8 @@
 """The README's command-line examples parse with the real argument parser,
-and its Library-use block imports names that exist and calls them as
-their signatures allow, so a removed or renamed flag, function or
-parameter cannot stay documented."""
+its Library-use block imports names that exist and calls them as their
+signatures allow, and its tape sizes are those of recorded tapes, so a
+removed or renamed flag, function or parameter, or a changed composition
+of the model, cannot stay documented."""
 
 import ast
 import importlib
@@ -10,9 +11,12 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from chunkreader import cli
+from chunkreader import cli, numerics as nm, trainer as tr
+from chunkreader.chunker import enumerate_candidates
+from chunkreader.model import ChunkReaderModel, ModelConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -95,3 +99,37 @@ def test_library_call_check_reports_stale_names_and_arguments():
     assert called == ["load_embeddings"] * 3 + ["TrainConfig"]
     assert [p.split(":")[0] for p in problems] == ["line 1", "line 3", "line 4", "line 6"]
     assert "has no load_vectors" in problems[0]
+
+
+def readme_tape_sizes() -> tuple[int, int, int]:
+    """The README's node count for a forward of one example, and the a and
+    b of its `a + bB` nodes for a training step of B examples."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    forward = re.search(r"(\d+) nodes for a forward of one example", text)
+    step = re.search(r"training step of B examples is (\d+) \+ (\d+)B tape nodes", text)
+    assert forward and step, "the README no longer states both tape sizes"
+    return int(forward.group(1)), int(step.group(1)), int(step.group(2))
+
+
+def test_readme_tape_sizes_are_those_recorded():
+    forward_nodes, fixed, per_example = readme_tape_sizes()
+    config = ModelConfig(hidden_size=3, embedding_dim=2, pos_tags=("A",), ne_tags=("O",),
+                         max_chunk_len=2)
+    model = ChunkReaderModel(config)
+    rng = np.random.default_rng(0)
+    for p in model.parameters().values():
+        p.data[...] = rng.uniform(-0.5, 0.5, p.data.shape)
+    features = lambda n: rng.normal(size=(n, config.input_width))
+    with nm.Tape() as tape:
+        model.forward(features(6), features(3), enumerate_candidates(6, 2))
+    assert len(tape) == forward_nodes
+    for B in (1, 3):
+        prepared = [
+            tr.PreparedExample(None, features(4 + b), features(2 + b), enumerate_candidates(4 + b, 2), 0)
+            for b in range(B)
+        ]
+        cfg = tr.TrainConfig(batch_size=B, hidden_size=3, max_chunk_len=2)
+        (batch,) = tr.make_batches(prepared, cfg, nm.SeededRng(0), epoch=0)
+        with nm.Tape() as tape:
+            tr._batch_loss(model, batch, cfg, nm.SeededRng(0))
+        assert len(tape) == fixed + per_example * B, f"a step of {B} examples"

@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -123,16 +124,54 @@ def test_softmax_normalizes_rows_and_rejects_empty_and_4d():
             nm.softmax(bad)
 
 
-def test_softmax_nll_forward_and_grad():
+def test_mean_nll_forward_and_grad():
     rng = np.random.default_rng(15)
     s = nm.parameter(rng.normal(size=6))
     y = nm.softmax(s.data)
-    assert float(nm.softmax_nll(s, 2).data) == pytest.approx(-np.log(y[2]), abs=1e-12)
-    check_grads(lambda: nm.softmax_nll(s, 2), [s])
+    assert float(nm.mean_nll([s], [2]).data) == pytest.approx(-np.log(y[2]), abs=1e-12)
+    check_grads(lambda: nm.mean_nll([s], [2]), [s])
+    # three vectors of different lengths, the first passed twice
+    a, b, c = (nm.parameter(rng.normal(size=n)) for n in (4, 7, 2))
+    check_grads(lambda: nm.mean_nll([a, b, c, a], [3, 0, 1, 1]), [a, b, c])
+
+
+def test_mean_nll_rejects_bad_inputs():
+    s = nm.parameter(np.zeros(6))
+    with pytest.raises(ValueError, match="one gold per score vector"):
+        nm.mean_nll([], [])
+    with pytest.raises(ValueError, match="one gold per score vector"):
+        nm.mean_nll([s, s], [0])
     with pytest.raises(IndexError):
-        nm.softmax_nll(s, 6)
-    with pytest.raises(nm.ShapeError):
-        nm.softmax_nll(nm.tensor(np.zeros(0)), 0)
+        nm.mean_nll([s, s], [0, 6])
+    with pytest.raises(IndexError):
+        nm.mean_nll([s], [-1])
+    for bad in (np.zeros(0), np.zeros((2, 3)), np.zeros(())):
+        with pytest.raises(nm.ShapeError):
+            nm.mean_nll([s, nm.tensor(bad)], [0, 0])
+
+
+def test_mean_nll_is_the_chain_of_per_example_nodes_bit_for_bit():
+    # the one node gives the bits of the mean it replaced: B one-vector
+    # losses added left to right and scaled by 1/B, loss and gradients,
+    # also for a vector that appears three times
+    rng = np.random.default_rng(16)
+    vectors = [nm.parameter(rng.normal(scale=4.0, size=n)) for n in (5, 9, 1, 3)]
+    scores = vectors + [vectors[1], vectors[3], vectors[1]]
+    golds = [4, 2, 0, 1, 8, 0, 5]
+
+    def run(build):
+        for v in vectors:
+            v.grad = None
+        with nm.Tape() as tape:
+            loss = build()
+            tape.backward(loss)
+        return loss.data.tobytes(), [v.grad.tobytes() for v in vectors]
+
+    fused = run(lambda: nm.mean_nll(scores, golds))
+    chain = run(lambda: nm.scale(
+        reduce(nm.add, [nm.mean_nll([s], [g]) for s, g in zip(scores, golds)]), 1.0 / len(scores)
+    ))
+    assert fused == chain
 
 
 def test_row_grads():

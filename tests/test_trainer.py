@@ -415,6 +415,20 @@ def test_config_validation():
     tr.TrainConfig(init_range=1e307)
 
 
+def test_config_positive_settings_and_the_first_error():
+    positive = [
+        "learning_rate", "batch_size", "clip_norm", "hidden_size", "max_passage_len",
+        "max_epochs", "patience", "curriculum_group", "init_range", "max_chunk_len",
+    ]
+    for name in positive:
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got 0$"):
+            tr.TrainConfig(**{name: 0})
+    tr.TrainConfig(dropout_rate=0.0, seed=0)
+    # two bad settings: the first in declaration order is reported
+    with pytest.raises(ValueError, match="^batch_size must be positive, got -2$"):
+        tr.TrainConfig(max_chunk_len=0, batch_size=-2)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -541,6 +555,16 @@ def test_batched_step_tape_does_not_grow_with_length():
         model, cfg, batch, _ = random_batch(lengths, seed=5)
         counts.add(step_grads(model, lambda: tr._batch_loss(model, batch, cfg, nm.SeededRng(0)))[2])
     assert len(counts) == 1
+
+
+def test_batched_step_tape_is_ten_plus_three_nodes_per_example():
+    # nine nodes for the batch's encoders and attention, three per example
+    # (chunk rows, question rows, scores) and one mean NLL for the batch
+    lengths = [(5, 2), (3, 3), (4, 1), (6, 4), (2, 2)]
+    for B in (1, 2, 5):
+        model, cfg, batch, _ = random_batch(lengths[:B], seed=5)
+        nodes = step_grads(model, lambda: tr._batch_loss(model, batch, cfg, nm.SeededRng(0)))[2]
+        assert nodes == 10 + 3 * B
 
 
 def test_backward_frees_each_node_once_it_has_passed_it():
