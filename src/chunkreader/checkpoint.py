@@ -29,6 +29,7 @@ from dataclasses import fields
 import numpy as np
 
 from .chunker import PosPatternTrie
+from .corpus import serializable_tag
 from .model import ChunkReaderModel, ModelConfig
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
@@ -55,7 +56,7 @@ def _bool(text: str, what: str) -> bool:
 
 def _tags_text(tags: tuple[str, ...]) -> str:
     for tag in tags:
-        if not tag or any(ch.isspace() for ch in tag):
+        if not serializable_tag(tag):
             raise CheckpointError(f"tag {tag!r} cannot be serialized (whitespace)")
     return " ".join(tags)
 

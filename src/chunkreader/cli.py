@@ -2,12 +2,17 @@
 
 Subcommands: train, evaluate, predict, chunk-stats, gradcheck. Exit
 codes: 0 success, 1 usage or configuration error (settings too large to
-allocate included), 2 data error (missing or malformed files, an output
-path that is a directory or lies in a missing directory, empty trainable
-set, checkpoint mismatch, a checkpoint whose answers are not finite), 3
-gradient verification failure. Output paths are checked before any work
-starts; `predict` writes --out only once every answer is computed, by
-one `ChunkReaderModel.answers` call that bounds its own inference batches.
+allocate included, and an output that names the file of another path
+flag of the command), 2 data error (missing or malformed files, a file
+that cannot be read or written, an output path that is a directory or
+lies in a missing directory, empty trainable set, checkpoint mismatch, a
+checkpoint whose answers are not finite), 3 gradient verification
+failure. The library raises `corpus.DataError` or `CheckpointError`
+where it finds unusable input, and `main` alone turns a failure into its
+exit code and one line. Output paths are checked before any file is
+read (see `_require_outputs`); `predict` writes --out only once every
+answer is computed, by one `ChunkReaderModel.answers` call that bounds
+its own inference batches.
 
 A command that reads a dataset prints each dropped record's line and
 reason on stderr and exits 2 when the file holds no usable example.
@@ -86,8 +91,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="fit a model and save the best checkpoint")
     p.add_argument("--config", help="flat key-value training config file")
-    p.add_argument("--train", required=True, dest="train_path", help="training JSONL")
-    p.add_argument("--dev", required=True, dest="dev_path", help="held-out JSONL for early stopping")
+    p.add_argument("--train", required=True, help="training JSONL")
+    p.add_argument("--dev", required=True, help="held-out JSONL for early stopping")
     p.add_argument("--embeddings", required=True, help="word vector text file")
     p.add_argument("--out-checkpoint", required=True, help="where the best model goes")
     p.add_argument("--log", help="per-epoch training log path")
@@ -126,12 +131,28 @@ def _require_file(path, what: str):
         raise DataError(f"{what} not found: {path}")
 
 
-def _require_output(path, flag: str):
-    """An output path must name a file in an existing directory."""
-    if path is not None and os.path.isdir(path):
-        raise DataError(f"{flag} is a directory: {path}")
-    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-        raise DataError(f"{flag}: directory not found: {os.path.dirname(path)}")
+def _require_outputs(args, inputs: tuple[str, ...], outputs: tuple[str, ...]):
+    """Checks made before any file is read, over the path flags named by
+    their argparse dests. Each output must name a file in an existing
+    directory (else a DataError), and no output may name the file of
+    another path flag, input or output, by os.path.realpath (else a
+    UsageError naming both flags), as writing it would destroy that file.
+    Only the write itself can still fail (a name too long, no permission,
+    a full disk): an OSError, exit 2, at the end of `predict` and
+    `evaluate`, and in `train` at each best-epoch checkpoint save and, for
+    --log, after the last epoch."""
+    paths = {f"--{dest.replace('_', '-')}": getattr(args, dest) for dest in inputs + outputs}
+    real = {flag: os.path.realpath(path) for flag, path in paths.items() if path is not None}
+    for flag, path in list(paths.items())[len(inputs):]:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise DataError(f"{flag} is a directory: {path}")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"{flag}: directory not found: {os.path.dirname(path)}")
+        for other, other_real in real.items():
+            if other != flag and other_real == real[flag]:
+                raise UsageError(f"{flag} and {other} name the same file: {path}")
 
 
 def _load_examples(path, what: str) -> list[Example]:
@@ -160,10 +181,7 @@ def _checkpoint_answers(args, examples: list[Example]) -> list[Prediction]:
         raise DataError(
             f"embedding width {table.dim} does not match the checkpoint's {cfg.embedding_dim}"
         )
-    try:
-        return model.answers(examples, Featurizer(table, cfg.pos_tags, cfg.ne_tags))
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    return model.answers(examples, Featurizer(table, cfg.pos_tags, cfg.ne_tags))
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +189,16 @@ def _checkpoint_answers(args, examples: list[Example]) -> list[Prediction]:
 
 
 def cmd_train(args) -> int:
+    _require_outputs(args, ("config", "train", "dev", "embeddings"), ("out_checkpoint", "log"))
     if args.config:
         _require_file(args.config, "config file")
     try:
         config = load_train_config(args.config, args.set)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _require_output(args.out_checkpoint, "--out-checkpoint")
-    _require_output(args.log, "--log")
 
-    train_examples = _load_examples(args.train_path, "training dataset")
-    dev_examples = _load_examples(args.dev_path, "dev dataset")
+    train_examples = _load_examples(args.train, "training dataset")
+    dev_examples = _load_examples(args.dev, "dev dataset")
     _require_file(args.embeddings, "embedding file")
     table = load_embeddings(args.embeddings)
     pos_tags, ne_tags = build_tag_inventories(train_examples)
@@ -198,18 +215,15 @@ def cmd_train(args) -> int:
     )
     model = ChunkReaderModel(model_config, trie)
     featurizer = Featurizer(table, pos_tags, ne_tags)
-    try:
-        result = train(
-            model,
-            featurizer,
-            train_examples,
-            dev_examples,
-            config,
-            log_path=args.log,
-            checkpoint_path=args.out_checkpoint,
-        )
-    except ValueError as exc:  # e.g. every example filtered out
-        raise DataError(str(exc)) from None
+    result = train(
+        model,
+        featurizer,
+        train_examples,
+        dev_examples,
+        config,
+        log_path=args.log,
+        checkpoint_path=args.out_checkpoint,
+    )
     print("train stats: " + " ".join(f"{k}={v}" for k, v in result.stats.items()), file=sys.stderr)
     print(
         f"finished: {result.epochs_run} epochs, best dev EM {result.best_em:.4f} "
@@ -219,7 +233,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _require_output(args.out, "--out")
+    _require_outputs(args, ("checkpoint", "data", "embeddings"), ("out",))
     examples = _load_examples(args.data, "dataset")
     answers = _checkpoint_answers(args, examples)
     lines = [json.dumps(dataclasses.asdict(got), allow_nan=False) for got in answers]
@@ -250,16 +264,13 @@ def cmd_evaluate(args) -> int:
         )
     if not (args.predictions or (args.checkpoint and args.embeddings)):
         raise UsageError("evaluate needs --predictions, or --checkpoint with --embeddings")
-    _require_output(args.json_out, "--json-out")
+    _require_outputs(args, ("data", "predictions", "checkpoint", "embeddings"), ("json_out",))
     examples = _load_examples(args.data, "dataset")
     if args.predictions:
         predictions = _read_predictions_file(args.predictions)
     else:
         predictions = {got.id: got.answer for got in _checkpoint_answers(args, examples)}
-    try:
-        report = evaluate(predictions, examples)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    report = evaluate(predictions, examples)
     by_length = breakdown_by_answer_length(report)
     heads, bigrams = breakdown_by_head_word(report)
     payload = {
@@ -376,7 +387,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # settings too large to allocate, e.g. a huge hidden_size
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    except (DataError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,12 +42,15 @@ __all__ = [
     "parse_record",
     "squeeze",
     "build_tag_inventories",
+    "serializable_tag",
     "detokenize",
 ]
 
 
 class DataError(ValueError):
-    """Malformed input file; the message cites the offending line."""
+    """Input the library cannot use: a malformed file (the message cites
+    the offending line), an example set with nothing to train on or to
+    score, or a model whose answers are not finite. The CLI exits 2."""
 
 
 @dataclass(frozen=True)
@@ -295,7 +298,8 @@ def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
     width, which must hold a value), or with a value that is not a finite
     number (nan and inf parse as floats but would poison every feature row
     of the word), raises DataError citing the line, as does an empty file
-    without dim; a repeated word keeps its first vector.
+    without dim. Every line is checked; a repeated word keeps its first
+    vector.
     """
     entries: dict[str, np.ndarray] = {}
     for line_no, line in text_lines(path):
@@ -307,26 +311,31 @@ def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
                     f"line {line_no}: expected word + {wanted} values, got {len(parts)} fields"
                 )
             dim = len(parts) - 1  # the first line sets the width
-        word = parts[0]
-        if word in entries:
-            continue
         try:
             vec = np.array([float(v) for v in parts[1:]])
         except ValueError:
             raise DataError(f"line {line_no}: non-numeric embedding value") from None
         if not np.all(np.isfinite(vec)):
             raise DataError(f"line {line_no}: non-finite embedding value")
-        entries[word] = vec
+        entries.setdefault(parts[0], vec)
     if dim is None:
         raise DataError(f"embedding file is empty: {path}")
     return EmbeddingTable(dim, entries)
+
+
+def serializable_tag(tag: str) -> bool:
+    """Whether a checkpoint can store the tag in its space-joined inventory
+    line: non-empty and free of whitespace."""
+    return bool(tag) and not any(ch.isspace() for ch in tag)
 
 
 def build_tag_inventories(examples: Iterable[Example]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Collect sorted unique POS and NE tags over all passages and questions.
 
     Sorting fixes the one-hot layout; the inventories persist with the
-    model checkpoint so reloads reproduce it exactly.
+    model checkpoint so reloads reproduce it exactly, so a tag the
+    checkpoint cannot store (see serializable_tag) raises DataError naming
+    it, before any training.
     """
     pos_tags: set[str] = set()
     ne_tags: set[str] = set()
@@ -334,7 +343,11 @@ def build_tag_inventories(examples: Iterable[Example]) -> tuple[tuple[str, ...],
         for tok in ex.passage + ex.question:
             pos_tags.add(tok.pos)
             ne_tags.add(tok.ne)
-    return tuple(sorted(pos_tags)), tuple(sorted(ne_tags))
+    inventories = tuple(sorted(pos_tags)), tuple(sorted(ne_tags))
+    for tag in inventories[0] + inventories[1]:
+        if not serializable_tag(tag):
+            raise DataError(f"tag {tag!r} cannot be serialized (whitespace)")
+    return inventories
 
 
 class Featurizer:

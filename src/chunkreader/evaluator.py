@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import Example
+from .corpus import DataError, Example
 
 __all__ = [
     "ExampleResult",
@@ -26,6 +26,7 @@ __all__ = [
     "exact_match",
     "f1_score",
     "evaluate",
+    "check_gold",
     "breakdown_by_answer_length",
     "breakdown_by_head_word",
     "MAX_BUCKET_LEN",
@@ -98,24 +99,32 @@ class EvalReport:
     records: list[ExampleResult]
 
 
+def check_gold(examples: Sequence[Example]) -> None:
+    """Raise DataError unless `evaluate` can score examples: there is at
+    least one, and each has a gold answer."""
+    if not examples:
+        raise DataError("cannot evaluate an empty dataset")
+    for ex in examples:
+        if not ex.answers:
+            raise DataError(f"example {ex.id!r} has no gold answers")
+
+
 def evaluate(predictions: Mapping[str, str], examples: Sequence[Example]) -> EvalReport:
     """Score a prediction-text map against gold answers.
 
-    Every example id must be present in `predictions`; a missing or
-    unknown id is an alignment bug, not a zero score.
+    The examples must pass check_gold, and every example id must be
+    present in `predictions`; a missing or unknown id is an alignment bug,
+    not a zero score. Each failure raises DataError.
     """
-    if not examples:
-        raise ValueError("cannot evaluate an empty dataset")
+    check_gold(examples)
     known = {ex.id for ex in examples}
     for pid in predictions:
         if pid not in known:
-            raise ValueError(f"prediction for unknown example id {pid!r}")
+            raise DataError(f"prediction for unknown example id {pid!r}")
     records = []
     for ex in examples:
         if ex.id not in predictions:
-            raise ValueError(f"missing prediction for example id {ex.id!r}")
-        if not ex.answers:
-            raise ValueError(f"example {ex.id!r} has no gold answers")
+            raise DataError(f"missing prediction for example id {ex.id!r}")
         pred = predictions[ex.id]
         refs = [a.text for a in ex.answers]
         records.append(

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import numerics as nm
 from .chunker import CANDIDATE_MODES, CandidateChunk, PosPatternTrie, generate_candidates
-from .corpus import AnswerSpan, Example, Featurizer, detokenize
+from .corpus import AnswerSpan, DataError, Example, Featurizer, detokenize
 from .encoder import BiGruEncoder
 from .numerics import Tensor
 
@@ -451,7 +451,7 @@ class ChunkReaderModel:
         time, each batch's examples that have candidates by one
         `forward_batch`. Outside a Tape that call is unrecorded, and each
         answer is bit for bit the one the example gets alone. An example
-        whose probabilities are not finite raises ValueError naming it.
+        whose probabilities are not finite raises DataError naming it.
         """
         got = []
         for start in range(0, len(examples), ANSWER_BATCH):
@@ -478,7 +478,7 @@ class ChunkReaderModel:
                 try:
                     best = score_set.best_index()
                 except ValueError as exc:
-                    raise ValueError(f"example {ex.id!r}: {exc}") from None
+                    raise DataError(f"example {ex.id!r}: {exc}") from None
                 span = score_set.candidates[best]
                 got[i] = Prediction(
                     ex.id,

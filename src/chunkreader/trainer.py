@@ -25,8 +25,8 @@ import numpy as np
 from . import numerics as nm
 from .checkpoint import save_checkpoint
 from .chunker import CANDIDATE_MODES, CandidateChunk
-from .corpus import Example, Featurizer, text_lines
-from .evaluator import evaluate
+from .corpus import DataError, Example, Featurizer, text_lines
+from .evaluator import check_gold, evaluate
 from .model import ChunkReaderModel, ModelConfig, _pad
 from .numerics import SeededRng, Tensor
 
@@ -404,9 +404,14 @@ def train(
     and the log are written when paths are given; the persisted log
     carries only run-reproducible columns (epoch, loss, EM, F1), and
     wall-clock seconds go to `echo` (default stderr) for humans.
+
+    Before parameters are initialized, a dev set that `evaluate` cannot
+    score (`check_gold`) or a training set with no trainable example
+    raises DataError, so neither fails after an epoch of work.
     """
     echo = echo if echo is not None else (lambda s: print(s, file=sys.stderr))
 
+    check_gold(dev_examples)
     truncated, dropped_truncation = truncate_for_training(train_examples, config.max_passage_len)
     prepared, dropped_filter = prepare_examples(truncated, model, featurizer)
     stats = {
@@ -419,7 +424,7 @@ def train(
         "max_grad_norm": 0.0,
     }
     if not prepared:
-        raise ValueError(
+        raise DataError(
             "no trainable examples: "
             f"{stats['train_examples']} given, "
             f"{dropped_truncation} lost all answers to truncation, "

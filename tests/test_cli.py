@@ -2,13 +2,15 @@
 formats, seed precedence, and rerun determinism."""
 
 import dataclasses
+import errno
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from chunkreader import cli
+from chunkreader import cli, trainer
 from chunkreader import model as M
 from chunkreader.checkpoint import load_checkpoint, save_checkpoint
 from chunkreader.chunker import build_pos_trie, enumerate_candidates
@@ -376,6 +378,98 @@ def test_bad_output_path_exits_two_before_any_work(
     monkeypatch.setattr(cli, "_load_examples", no_work)
     assert cli.main(_output_flag_args(world, tmp_path, command, flag, path)) == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def _not_epoch_lines(err):
+    """stderr without train's per-epoch lines (`<epoch>\t<loss>...`)."""
+    return [line for line in err.splitlines() if not line.split("\t")[0].isdigit()]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("train", "--out-checkpoint"),
+        ("train", "--log"),
+        ("predict", "--out"),
+        ("evaluate", "--json-out"),
+    ],
+)
+def test_unwritable_output_exits_two_with_one_line(world, tmp_path, capsys, command, flag):
+    # a name too long for the file system passes the checks made before the
+    # work and fails at the write: an OSError, which used to end in a
+    # traceback for every output but a missing directory
+    path = str(tmp_path / ("a" * 300))
+    assert cli.main(_output_flag_args(world, tmp_path, command, flag, path)) == 2
+    err = capsys.readouterr().err
+    written = path + ".tmp" if flag == "--out-checkpoint" else path  # saves go through <path>.tmp
+    reason = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+    assert "Traceback" not in err
+    assert _not_epoch_lines(err) == [f"data error: {reason}: {written!r}"]
+    assert [p.name for p in tmp_path.iterdir()] == (["p.jsonl"] if command == "evaluate" else [])
+
+
+@pytest.mark.parametrize(
+    "command, flag, other",
+    [
+        ("train", "--out-checkpoint", "--log"),
+        ("train", "--log", "--train"),
+        ("predict", "--out", "--data"),
+        ("evaluate", "--json-out", "--predictions"),
+    ],
+)
+def test_output_naming_another_path_exits_one_before_any_work(
+    world, tmp_path, capsys, monkeypatch, command, flag, other
+):
+    # writing the output would destroy the other file (the log used to
+    # overwrite the best checkpoint, or the training set), even when the
+    # two paths spell the file differently
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"any bytes\n")
+    (tmp_path / "sub").mkdir()
+    spelled = str(tmp_path / "sub" / ".." / "kept")
+    if command == "train":
+        key = {"--out-checkpoint": "checkpoint", "--log": "log", "--train": "train"}
+        argv = train_args(dict(world, **{key[flag]: spelled, key[other]: str(kept)}))
+    elif command == "predict":
+        argv = predict_args(dict(world, dev=str(kept)), spelled)
+    else:
+        argv = ["evaluate", "--data", world["dev"], "--predictions", str(kept), flag, spelled]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a file was read before the output paths were checked")
+
+    monkeypatch.setattr(cli, "_load_examples", no_work)
+    monkeypatch.setattr(cli, "load_train_config", no_work)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flag} and {other} name the same file: {spelled}\n"
+    assert kept.read_bytes() == b"any bytes\n"
+
+
+@pytest.mark.parametrize("case", ["dev-without-answers", "tag-with-whitespace"])
+def test_train_input_it_cannot_use_exits_two_before_the_first_epoch(
+    world, tmp_path, capsys, monkeypatch, case
+):
+    # each used to fail only after a whole epoch: the dev record at the
+    # first evaluation, the tag at the first checkpoint save
+    def no_epoch(*args, **kwargs):
+        raise AssertionError("an epoch started before the inputs were checked")
+
+    monkeypatch.setattr(trainer, "make_batches", no_epoch)
+    side = "dev" if case == "dev-without-answers" else "train"
+    with open(world[side], encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    if side == "dev":
+        records[1].update(id="noans", answers=[])
+        expected = "data error: example 'noans' has no gold answers"
+    else:
+        records[1]["passage"][0]["pos"] = "PROPER NOUN"
+        expected = "data error: tag 'PROPER NOUN' cannot be serialized (whitespace)"
+    data = tmp_path / f"{side}.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
+    assert cli.main(train_args(dict(paths, **{side: str(data)}))) == 2
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert list(tmp_path.iterdir()) == [data]
 
 
 # ---------------------------------------------------------------------------

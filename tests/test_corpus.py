@@ -282,6 +282,19 @@ def test_load_embeddings_non_finite_value_cites_line(tmp_path, value):
         corpus.load_embeddings(path, dim=2)
 
 
+def test_load_embeddings_checks_a_repeated_words_line(tmp_path):
+    # a repeated word keeps its first vector, but its line is still checked
+    path = tmp_path / "emb.txt"
+    path.write_text("a 1 2\nb 3 4\na x nan\n")
+    with pytest.raises(corpus.DataError, match="^line 3: non-numeric embedding value$"):
+        corpus.load_embeddings(path)
+    path.write_text("a 1 2\nb 3 4\na 5 nan\n")
+    with pytest.raises(corpus.DataError, match="^line 3: non-finite embedding value$"):
+        corpus.load_embeddings(path)
+    path.write_text("a 1 2\nb 3 4\na 5 6\n")
+    assert np.array_equal(corpus.load_embeddings(path).lookup("a"), [1.0, 2.0])
+
+
 def test_load_non_utf8_dataset_cites_line(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_bytes(b"\xff\xfe{}\n")
@@ -327,6 +340,18 @@ def test_build_tag_inventories_sorted_unique():
     pos_tags, ne_tags = corpus.build_tag_inventories([ex])
     assert pos_tags == ("CD", "NN", "NNP")
     assert ne_tags == ("O", "PERSON")
+
+
+@pytest.mark.parametrize("side", ["pos", "ne"])
+@pytest.mark.parametrize("tag", ["", "PROPER NOUN", "A\tB"])
+def test_build_tag_inventories_rejects_a_tag_a_checkpoint_cannot_store(side, tag):
+    # the checkpoint's rule, applied before training rather than at the
+    # first save
+    assert not corpus.serializable_tag(tag)
+    ex = make_example("q1", ["a", "b"], ["q"], [(1, 1)], **{side: ["NN", tag]})
+    with pytest.raises(corpus.DataError) as info:
+        corpus.build_tag_inventories([ex])
+    assert str(info.value) == f"tag {tag!r} cannot be serialized (whitespace)"
 
 
 def test_inventories_include_question_tags():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkreader import evaluator as ev
+from chunkreader.corpus import DataError
 from helpers import make_example
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_metrics.json").read_text())
@@ -95,6 +96,23 @@ def test_evaluate_id_mismatch():
         ev.evaluate({"a": "Paris", "b": "x", "zz": "y"}, exs)
     with pytest.raises(ValueError):
         ev.evaluate({}, [])
+
+
+def test_evaluate_raises_data_errors_with_their_messages():
+    # the library types its own failures, so the CLI maps them to exit 2
+    # without re-raising them
+    exs = two_example_dataset()
+    cases = [
+        ({}, [], "cannot evaluate an empty dataset"),
+        ({"a": "Paris", "b": "x", "zz": "y"}, exs, "prediction for unknown example id 'zz'"),
+        ({"a": "Paris"}, exs, "missing prediction for example id 'b'"),
+        ({"a": "Paris", "n": "x"}, [exs[0], make_example("n", ["x"], ["q"], [])],
+         "example 'n' has no gold answers"),
+    ]
+    for predictions, examples, message in cases:
+        with pytest.raises(DataError) as info:
+            ev.evaluate(predictions, examples)
+        assert str(info.value) == message
 
 
 def test_evaluate_picks_best_reference():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chunkreader import model as M, numerics as nm
 from chunkreader.chunker import CandidateChunk, PosPatternTrie, build_pos_trie, enumerate_candidates
-from chunkreader.corpus import Featurizer
+from chunkreader.corpus import DataError, Featurizer
 from chunkreader.synthetic import NE_TAGS, POS_TAGS, SyntheticSpec, generate
 from helpers import make_example, toy_embedding_table
 from reference_ops import mul, total
@@ -648,6 +648,18 @@ def answers_fixture(mode, seed=0, **kw):
     )
     model = seed_params(M.ChunkReaderModel(config, trie), seed)
     return model, Featurizer(table, POS_TAGS, NE_TAGS), examples
+
+
+def test_answers_raise_a_data_error_naming_an_example_with_non_finite_probabilities():
+    # finite weights of +-1e308 overflow in the forward: the library types
+    # the failure itself, and numpy's overflow warnings stay silent
+    m, fz, examples = answers_fixture("window")
+    rng = np.random.default_rng(0)
+    for p in m.parameters().values():
+        p.data[...] = rng.choice([-1e308, 1e308], size=p.data.shape)
+    with pytest.raises(DataError) as info:
+        m.answers(examples, fz)
+    assert str(info.value) == f"example {examples[0].id!r}: probabilities are not finite"
 
 
 def test_answers_are_forward_on_full_examples():

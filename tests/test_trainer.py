@@ -1,5 +1,6 @@
 """Optimizer pieces, batching, filtering, and the training loop."""
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from chunkreader import model as M, numerics as nm, trainer as tr
 from chunkreader.chunker import CandidateChunk, enumerate_candidates
-from chunkreader.corpus import EmbeddingTable, Featurizer
+from chunkreader.corpus import DataError, EmbeddingTable, Featurizer
 from chunkreader.model import ChunkReaderModel, ModelConfig, nll_loss
 from chunkreader.synthetic import SyntheticSpec, generate
 from helpers import make_example
@@ -440,6 +441,31 @@ def test_train_errors_on_empty_trainable_set():
     cfg = tiny_config(max_passage_len=1)
     with pytest.raises(ValueError, match="no trainable examples"):
         tr.train(model, fz, examples, examples, cfg, echo=lambda s: None)
+
+
+def test_train_failures_are_data_errors_raised_before_any_epoch(tmp_path, monkeypatch):
+    # the dev checks run before the first epoch: a dev set evaluate cannot
+    # score used to fail only after a whole epoch of training
+    def no_epoch(*args, **kwargs):
+        raise AssertionError("an epoch started before the inputs were checked")
+
+    monkeypatch.setattr(tr, "make_batches", no_epoch)
+    model, fz, examples = tiny_setup()
+    no_gold = dataclasses.replace(examples[1], answers=())
+    cases = [
+        (tiny_config(max_passage_len=1), examples,
+         "no trainable examples: 8 given, 8 lost all answers to truncation, "
+         "0 had no gold span in the candidate set"),
+        (tiny_config(), [], "cannot evaluate an empty dataset"),
+        (tiny_config(), [examples[0], no_gold], f"example {no_gold.id!r} has no gold answers"),
+    ]
+    echoed = []
+    ckpt = tmp_path / "m.ckpt"
+    for cfg, dev, message in cases:
+        with pytest.raises(DataError) as info:
+            tr.train(model, fz, examples, dev, cfg, checkpoint_path=ckpt, echo=echoed.append)
+        assert str(info.value) == message
+    assert echoed == [] and not ckpt.exists()
 
 
 def test_train_loss_decreases_on_fixed_batch():
