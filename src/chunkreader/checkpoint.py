@@ -32,7 +32,7 @@ from .chunker import PosPatternTrie
 from .corpus import serializable_tag
 from .model import ChunkReaderModel, ModelConfig
 
-__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
+__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "temporary_path"]
 
 _MAGIC = "chunkreader-checkpoint 1"
 _FIXED = {"format_version": "1", "precision": "float64"}
@@ -84,12 +84,17 @@ def _build_manifest(model: ChunkReaderModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def temporary_path(path) -> str:
+    """The file `save_checkpoint` writes before renaming it onto path."""
+    return f"{os.fspath(path)}.tmp"
+
+
 def save_checkpoint(model: ChunkReaderModel, path) -> None:
-    """Write the checkpoint to `<path>.tmp`, then rename it onto path, so a
-    write that fails part-way leaves a file already at path whole; the
-    temporary file is removed on any failure."""
+    """Write the checkpoint to `temporary_path(path)`, then rename it onto
+    path, so a write that fails part-way leaves a file already at path
+    whole; the temporary file is removed on any failure."""
     manifest = _build_manifest(model).encode("utf-8")
-    tmp = f"{os.fspath(path)}.tmp"
+    tmp = temporary_path(path)
     try:
         with open(tmp, "wb") as fh:
             fh.write(f"{_MAGIC}\n".encode("ascii"))

@@ -3,22 +3,22 @@
 Subcommands: train, evaluate, predict, chunk-stats, gradcheck. Exit
 codes: 0 success, 1 usage or configuration error (settings too large to
 allocate included, and an output that names the file of another path
-flag of the command), 2 data error (missing or malformed files, a file
-that cannot be read or written, an output path that is a directory or
-lies in a missing directory, empty trainable set, checkpoint mismatch, a
-checkpoint whose answers are not finite), 3 gradient verification
-failure. The library raises `corpus.DataError` or `CheckpointError`
-where it finds unusable input, and `main` alone turns a failure into its
-exit code and one line. Output paths are checked before any file is
-read (see `_require_outputs`); `predict` writes --out only once every
-answer is computed, by one `ChunkReaderModel.answers` call that bounds
-its own inference batches.
+flag of the command), 2 data error (an input that cannot be read or an
+output that cannot be written, found before any work; malformed files,
+empty trainable set, checkpoint mismatch, a checkpoint whose answers are
+not finite), 3 gradient verification failure. The library raises
+`corpus.DataError` or `CheckpointError` where it finds unusable input,
+and `main` alone turns a failure into its exit code and one line. Each
+output is probed before any file is read (`_require_outputs`); an input
+is checked by its reader's own open, so it may be a pipe. `predict`
+writes --out only once every answer is computed, by one
+`ChunkReaderModel.answers` call that bounds its own inference batches.
 
 A command that reads a dataset prints each dropped record's line and
 reason on stderr and exits 2 when the file holds no usable example.
 
 Settings, datasets and embedding files are parsed only by the library;
-this module checks paths and flags and wires the library's readers:
+this module checks output paths and flags and wires the library's readers:
 `trainer.load_train_config` for the --config file and every --set
 KEY=VALUE (every setting, the seed included, resolves by precedence:
 --set, then the file, then the TrainConfig default),
@@ -41,7 +41,7 @@ from collections import Counter
 import numpy as np
 
 from . import numerics as nm
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, temporary_path
 from .chunker import CANDIDATE_MODES, build_pos_trie, candidate_recall
 from .chunker import enumerate_candidates, generate_candidates
 from .corpus import (
@@ -54,7 +54,7 @@ from .corpus import (
     load_embeddings,
     parse_id,
 )
-from .evaluator import breakdown_by_answer_length, breakdown_by_head_word, evaluate
+from .evaluator import breakdown_by_answer_length, breakdown_by_head_word, check_gold, evaluate
 from .model import ChunkReaderModel, ModelConfig, Prediction, _pad
 from .trainer import load_train_config, train
 
@@ -126,39 +126,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require_file(path, what: str):
-    if not os.path.isfile(path):
-        raise DataError(f"{what} not found: {path}")
-
-
-def _require_outputs(args, inputs: tuple[str, ...], outputs: tuple[str, ...]):
-    """Checks made before any file is read, over the path flags named by
-    their argparse dests. Each output must name a file in an existing
-    directory (else a DataError), and no output may name the file of
-    another path flag, input or output, by os.path.realpath (else a
-    UsageError naming both flags), as writing it would destroy that file.
-    Only the write itself can still fail (a name too long, no permission,
-    a full disk): an OSError, exit 2, at the end of `predict` and
-    `evaluate`, and in `train` at each best-epoch checkpoint save and, for
-    --log, after the last epoch."""
-    paths = {f"--{dest.replace('_', '-')}": getattr(args, dest) for dest in inputs + outputs}
-    real = {flag: os.path.realpath(path) for flag, path in paths.items() if path is not None}
-    for flag, path in list(paths.items())[len(inputs):]:
-        if path is None:
-            continue
-        if os.path.isdir(path):
-            raise DataError(f"{flag} is a directory: {path}")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise DataError(f"{flag}: directory not found: {os.path.dirname(path)}")
-        for other, other_real in real.items():
-            if other != flag and other_real == real[flag]:
+def _require_outputs(args, inputs: tuple[str, ...], outputs: tuple[str, ...], *more):
+    """Before any file is read: no output (a path flag named by its dest in
+    outputs, or a (flag, path) in more) may name the file of another path
+    by os.path.realpath, else a UsageError, and each output must open for
+    append (a file the probe created is removed), else a DataError."""
+    pairs = [(f"--{dest.replace('_', '-')}", getattr(args, dest)) for dest in inputs + outputs]
+    named = [(flag, path) for flag, path in pairs + list(more) if path is not None]
+    written = named[sum(getattr(args, dest) is not None for dest in inputs):]
+    real = [os.path.realpath(path) for _, path in named]
+    for i, (flag, path) in enumerate(written, start=len(named) - len(written)):
+        for j, (other, _) in enumerate(named):
+            if j != i and real[j] == real[i]:
                 raise UsageError(f"{flag} and {other} name the same file: {path}")
+    for flag, path in written:
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise DataError(f"{flag}: cannot write {path}: {exc.strerror}") from None
+        if not existed:
+            os.remove(path)
 
 
-def _load_examples(path, what: str) -> list[Example]:
+def _load_examples(path) -> list[Example]:
     """The usable examples of one dataset file. Each dropped record's line
     and reason go to stderr; a file with no usable example is a DataError."""
-    _require_file(path, what)
     loaded = load_dataset(path)
     for line_no, reason in loaded.dropped:
         print(f"{path}: dropped line {line_no}: {reason}", file=sys.stderr)
@@ -172,10 +165,8 @@ def _checkpoint_answers(args, examples: list[Example]) -> list[Prediction]:
     with the --embeddings table, which must be as wide as the checkpoint's.
     An example whose probabilities are not finite (a finite checkpoint with
     huge weights) is a DataError naming it."""
-    _require_file(args.checkpoint, "checkpoint")
     model = load_checkpoint(args.checkpoint)
     cfg = model.config
-    _require_file(args.embeddings, "embedding file")
     table = load_embeddings(args.embeddings)
     if table.dim != cfg.embedding_dim:
         raise DataError(
@@ -189,17 +180,15 @@ def _checkpoint_answers(args, examples: list[Example]) -> list[Prediction]:
 
 
 def cmd_train(args) -> int:
-    _require_outputs(args, ("config", "train", "dev", "embeddings"), ("out_checkpoint", "log"))
-    if args.config:
-        _require_file(args.config, "config file")
+    _require_outputs(args, ("config", "train", "dev", "embeddings"), ("out_checkpoint", "log"),
+                     ("--out-checkpoint", temporary_path(args.out_checkpoint)))
     try:
         config = load_train_config(args.config, args.set)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    train_examples = _load_examples(args.train, "training dataset")
-    dev_examples = _load_examples(args.dev, "dev dataset")
-    _require_file(args.embeddings, "embedding file")
+    train_examples = _load_examples(args.train)
+    dev_examples = _load_examples(args.dev)
     table = load_embeddings(args.embeddings)
     pos_tags, ne_tags = build_tag_inventories(train_examples)
     trie = None
@@ -234,7 +223,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     _require_outputs(args, ("checkpoint", "data", "embeddings"), ("out",))
-    examples = _load_examples(args.data, "dataset")
+    examples = _load_examples(args.data)
     answers = _checkpoint_answers(args, examples)
     lines = [json.dumps(dataclasses.asdict(got), allow_nan=False) for got in answers]
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -244,7 +233,6 @@ def cmd_predict(args) -> int:
 
 
 def _read_predictions_file(path) -> dict[str, str]:
-    _require_file(path, "predictions file")
     out = {}
     ids: dict[str, int] = {}
     for line_no, obj in json_lines(path):
@@ -265,7 +253,8 @@ def cmd_evaluate(args) -> int:
     if not (args.predictions or (args.checkpoint and args.embeddings)):
         raise UsageError("evaluate needs --predictions, or --checkpoint with --embeddings")
     _require_outputs(args, ("data", "predictions", "checkpoint", "embeddings"), ("json_out",))
-    examples = _load_examples(args.data, "dataset")
+    examples = _load_examples(args.data)
+    check_gold(examples)
     if args.predictions:
         predictions = _read_predictions_file(args.predictions)
     else:
@@ -298,10 +287,10 @@ def cmd_evaluate(args) -> int:
 def cmd_chunk_stats(args) -> int:
     if args.trie_data and args.mode != "trie":
         raise UsageError("--trie-data needs --mode trie")
-    examples = _load_examples(args.data, "dataset")
+    examples = _load_examples(args.data)
     trie = None
     if args.mode == "trie":
-        source = _load_examples(args.trie_data, "trie dataset") if args.trie_data else examples
+        source = _load_examples(args.trie_data) if args.trie_data else examples
         trie = build_pos_trie(source, args.max_len)
     lists = [generate_candidates(ex.passage, args.mode, trie, args.max_len) for ex in examples]
     recall = candidate_recall(examples, lists)

@@ -407,10 +407,15 @@ def train(
 
     Before parameters are initialized, a dev set that `evaluate` cannot
     score (`check_gold`) or a training set with no trainable example
-    raises DataError, so neither fails after an epoch of work.
+    raises DataError, so neither fails after an epoch of work. A config
+    field that model.config also holds must equal it, else ValueError.
     """
     echo = echo if echo is not None else (lambda s: print(s, file=sys.stderr))
 
+    for name in ("hidden_size", "candidate_mode", "max_chunk_len"):
+        given, built = getattr(config, name), getattr(model.config, name)
+        if given != built:
+            raise ValueError(f"config {name} {given!r} differs from the model's {built!r}")
     check_gold(dev_examples)
     truncated, dropped_truncation = truncate_for_training(train_examples, config.max_passage_len)
     prepared, dropped_filter = prepare_examples(truncated, model, featurizer)

@@ -5,7 +5,10 @@ import dataclasses
 import errno
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,50 +365,29 @@ def _output_flag_args(world, tmp_path, command, flag, path):
         ("evaluate", "--json-out"),
     ],
 )
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "name-too-long"])
 def test_bad_output_path_exits_two_before_any_work(
     world, tmp_path, capsys, monkeypatch, command, flag, where
 ):
-    if where == "directory":
-        path, message = str(tmp_path), f"{flag} is a directory: {tmp_path}"
-    else:
-        path = str(tmp_path / "absent" / "out")
-        message = f"{flag}: directory not found: {tmp_path / 'absent'}"
+    # one probe per output, before any file is read: a name too long for
+    # the file system used to pass the checks and fail at the write, for
+    # train --log only after every epoch
+    path, code = {
+        "missing-directory": (tmp_path / "absent" / "out", errno.ENOENT),
+        "directory": (tmp_path, errno.EISDIR),
+        "name-too-long": (tmp_path / ("a" * 300), errno.ENAMETOOLONG),
+    }[where]
 
     def no_work(*args, **kwargs):
         raise AssertionError("a dataset was read before the output paths were checked")
 
     monkeypatch.setattr(cli, "_load_examples", no_work)
-    assert cli.main(_output_flag_args(world, tmp_path, command, flag, path)) == 2
-    assert capsys.readouterr().err == f"data error: {message}\n"
-
-
-def _not_epoch_lines(err):
-    """stderr without train's per-epoch lines (`<epoch>\t<loss>...`)."""
-    return [line for line in err.splitlines() if not line.split("\t")[0].isdigit()]
-
-
-@pytest.mark.parametrize(
-    "command, flag",
-    [
-        ("train", "--out-checkpoint"),
-        ("train", "--log"),
-        ("predict", "--out"),
-        ("evaluate", "--json-out"),
-    ],
-)
-def test_unwritable_output_exits_two_with_one_line(world, tmp_path, capsys, command, flag):
-    # a name too long for the file system passes the checks made before the
-    # work and fails at the write: an OSError, which used to end in a
-    # traceback for every output but a missing directory
-    path = str(tmp_path / ("a" * 300))
-    assert cli.main(_output_flag_args(world, tmp_path, command, flag, path)) == 2
-    err = capsys.readouterr().err
-    written = path + ".tmp" if flag == "--out-checkpoint" else path  # saves go through <path>.tmp
-    reason = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
-    assert "Traceback" not in err
-    assert _not_epoch_lines(err) == [f"data error: {reason}: {written!r}"]
-    assert [p.name for p in tmp_path.iterdir()] == (["p.jsonl"] if command == "evaluate" else [])
+    argv = _output_flag_args(world, tmp_path, command, flag, str(path))
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(argv) == 2
+    expected = f"data error: {flag}: cannot write {path}: {os.strerror(code)}\n"
+    assert capsys.readouterr().err == expected
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize(
@@ -443,6 +425,48 @@ def test_output_naming_another_path_exits_one_before_any_work(
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {flag} and {other} name the same file: {spelled}\n"
     assert kept.read_bytes() == b"any bytes\n"
+
+
+def test_checkpoint_temporary_file_naming_an_input_exits_one_before_any_work(
+    world, tmp_path, capsys, monkeypatch
+):
+    # every save writes <checkpoint>.tmp first: it used to overwrite a
+    # training file of that name, then rename it onto the checkpoint
+    kept = tmp_path / "m.ckpt.tmp"
+    kept.write_bytes(b"any bytes\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a file was read before the output paths were checked")
+
+    monkeypatch.setattr(cli, "_load_examples", no_work)
+    monkeypatch.setattr(cli, "load_train_config", no_work)
+    argv = train_args(dict(world, train=str(kept), checkpoint=str(tmp_path / "m.ckpt"),
+                           log=str(tmp_path / "m.log")))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out-checkpoint and --train name the same file: {kept}\n"
+    )
+    assert sorted(tmp_path.iterdir()) == [kept] and kept.read_bytes() == b"any bytes\n"
+
+
+def test_output_probe_keeps_an_existing_file_and_inputs_fail_at_their_open(
+    world, tmp_path, capsys
+):
+    # the probe opens an existing output for append and writes nothing;
+    # a missing input is then reported by its reader's own open
+    log, ckpt = tmp_path / "m.log", tmp_path / "m.ckpt"
+    for path in (log, ckpt):
+        path.write_bytes(b"earlier run\n")
+        os.utime(path, ns=(10**18, 10**18))
+    absent = str(tmp_path / "absent.jsonl")
+    argv = train_args(dict(world, train=absent, checkpoint=str(ckpt), log=str(log)))
+    assert cli.main(argv) == 2
+    reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+    assert capsys.readouterr().err == f"data error: {reason}: {absent!r}\n"
+    assert sorted(tmp_path.iterdir()) == [ckpt, log]
+    for path in (log, ckpt):
+        assert path.read_bytes() == b"earlier run\n"
+        assert path.stat().st_mtime_ns == 10**18
 
 
 @pytest.mark.parametrize("case", ["dev-without-answers", "tag-with-whitespace"])
@@ -510,6 +534,22 @@ def test_predict_rerun_is_byte_identical(world, tmp_path):
         with open(out, "rb") as fh:
             blobs.append(fh.read())
     assert blobs[0] == blobs[1]
+
+
+def test_predict_reads_a_piped_dataset(world, tmp_path):
+    # an input is checked only by its reader's open: /dev/stdin used to be
+    # refused as "dataset not found" for not being a regular file
+    from_file = tmp_path / "file.jsonl"
+    assert cli.main(predict_args(world, str(from_file))) == 0
+    piped = tmp_path / "piped.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "chunkreader.cli",
+         *predict_args(dict(world, dev="/dev/stdin"), str(piped))],
+        input=Path(world["dev"]).read_bytes(), capture_output=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert piped.read_bytes() == from_file.read_bytes()
 
 
 def test_predict_missing_checkpoint_exits_two(world, tmp_path, capsys):
@@ -919,6 +959,26 @@ def test_evaluate_with_checkpoint_matches_prediction_route(world, tmp_path, caps
     with open(routed, encoding="utf-8") as fh:
         b = json.load(fh)
     assert a == b
+
+
+def test_evaluate_dataset_it_cannot_score_exits_two_before_any_answer(
+    world, tmp_path, capsys, monkeypatch
+):
+    # the checkpoint used to answer every example before the record
+    # without gold answers was found
+    def no_answers(*args, **kwargs):
+        raise AssertionError("the model answered before the dataset was checked")
+
+    monkeypatch.setattr(M.ChunkReaderModel, "answers", no_answers)
+    with open(world["dev"], encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    records[1].update(id="noans", answers=[])
+    data = tmp_path / "dev.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    argv = ["evaluate", "--data", str(data),
+            "--checkpoint", world["checkpoint"], "--embeddings", world["emb"]]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "data error: example 'noans' has no gold answers\n"
 
 
 def test_evaluate_without_source_exits_one(world, capsys):

@@ -259,6 +259,26 @@ def test_rejected_input_leaves_out_path_as_it_was(tmp_path, existing):
         assert out.read_text(encoding="utf-8") == existing
 
 
+@pytest.mark.parametrize("which", ["squad", "annotations"])
+def test_out_naming_an_input_stops_before_any_read(tmp_path, monkeypatch, which):
+    # writing --out used to replace the input it names with the converted JSONL
+    def no_read(path):
+        raise AssertionError("an input was read before --out was checked")
+
+    monkeypatch.setattr(convert_squad, "load_squad", no_read)
+    squad = {"data": [{"paragraphs": [paragraph([qa("q1", ("Alice", 0))])]}]}
+    paths = {"squad": tmp_path / "squad.json", "annotations": tmp_path / "anno.jsonl"}
+    paths["squad"].write_text(json.dumps(squad), encoding="utf-8")
+    paths["annotations"].write_text(json.dumps(annotation("q1")) + "\n", encoding="utf-8")
+    kept = {name: path.read_bytes() for name, path in paths.items()}
+    (tmp_path / "sub").mkdir()
+    out = str(tmp_path / "sub" / ".." / paths[which].name)
+    with pytest.raises(SystemExit) as info:
+        convert_squad.convert(str(paths["squad"]), str(paths["annotations"]), out)
+    assert str(info.value) == f"--out and --{which} name the same file: {out}"
+    assert {name: path.read_bytes() for name, path in paths.items()} == kept
+
+
 def run_script(squad, annotations, out):
     env = dict(os.environ, PYTHONPATH=str(SCRIPT.parents[1] / "src"))
     return subprocess.run(

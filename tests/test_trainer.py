@@ -468,6 +468,23 @@ def test_train_failures_are_data_errors_raised_before_any_epoch(tmp_path, monkey
     assert echoed == [] and not ckpt.exists()
 
 
+@pytest.mark.parametrize(
+    "name, value", [("hidden_size", 5), ("candidate_mode", "trie"), ("max_chunk_len", 3)]
+)
+def test_train_rejects_a_config_that_disagrees_with_the_model(monkeypatch, name, value):
+    # training reads these fields from model.config: a config that said
+    # otherwise used to train the model's values without a word
+    def no_init(*args, **kwargs):
+        raise AssertionError("parameters were initialized before the config was checked")
+
+    monkeypatch.setattr(tr, "init_parameters", no_init)
+    model, fz, examples = tiny_setup()
+    built = getattr(model.config, name)
+    with pytest.raises(ValueError) as info:
+        tr.train(model, fz, examples, examples, tiny_config(**{name: value}), echo=lambda s: None)
+    assert str(info.value) == f"config {name} {value!r} differs from the model's {built!r}"
+
+
 def test_train_loss_decreases_on_fixed_batch():
     model, fz, examples = tiny_setup(n=4, seed=1)
     cfg = tiny_config(batch_size=4, learning_rate=0.001, max_epochs=1)

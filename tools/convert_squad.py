@@ -36,12 +36,16 @@ record the loader would reject, a SQuAD file missing
 `id` that is not a string or repeats an earlier one, an answer without
 a string `text` or an integer `answer_start`), or an `--out` that
 cannot be written, stops it with one `path: reason` line. `--out` is
-opened only once all else succeeded.
+opened only once all else succeeded. An `--out` that names the file of
+`--squad` or `--annotations` (compared by `os.path.realpath`) would
+destroy that input, so it stops the conversion before any read with
+`--out and --squad name the same file: <path>`.
 
 Needs `chunkreader` importable: `pip install -e .`, or `PYTHONPATH=src`.
 """
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 
@@ -150,6 +154,9 @@ def char_span_to_tokens(tokens, start_char, text):
 
 
 def convert(squad_path, annotations_path, out_path):
+    for flag, path in (("--squad", squad_path), ("--annotations", annotations_path)):
+        if os.path.realpath(path) == os.path.realpath(out_path):
+            raise SystemExit(f"--out and {flag} name the same file: {out_path}")
     with stop_on_error(squad_path):
         squad = load_squad(squad_path)
     with stop_on_error(annotations_path):
