@@ -35,6 +35,7 @@ from .model import ChunkReaderModel, ModelConfig
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "temporary_path"]
 
 _MAGIC = "chunkreader-checkpoint 1"
+_PIECE = 1 << 20  # bytes per manifest read: a header's size is not trusted
 _FIXED = {"format_version": "1", "precision": "float64"}
 
 
@@ -123,6 +124,20 @@ def _read_line(fh: io.BufferedReader) -> str:
     return _decode(raw[:-1], "header")
 
 
+def _read_manifest(fh: io.BufferedReader, size: int) -> bytes:
+    """The next size bytes, read at most _PIECE at a time, so a header that
+    claims more than the file holds is a short read, not one huge
+    allocation; a pipe has no size to check the claim against first."""
+    pieces = []
+    while size > 0:
+        piece = fh.read(min(size, _PIECE))
+        if not piece:
+            raise CheckpointError("truncated manifest")
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
+
+
 def load_checkpoint(path) -> ChunkReaderModel:
     with open(path, "rb") as fh:
         if _read_line(fh) != _MAGIC:
@@ -130,10 +145,7 @@ def load_checkpoint(path) -> ChunkReaderModel:
         head = _read_line(fh).split(" ")
         if len(head) != 2 or head[0] != "manifest_bytes":
             raise CheckpointError("missing manifest_bytes header")
-        manifest_len = _int(head[1], "manifest_bytes")
-        manifest = fh.read(manifest_len)
-        if len(manifest) != manifest_len:
-            raise CheckpointError("truncated manifest")
+        manifest = _read_manifest(fh, _int(head[1], "manifest_bytes"))
 
         values: dict[str, str] = {}
         trie_patterns: list[tuple[int, tuple[str, ...]]] = []

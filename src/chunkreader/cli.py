@@ -1,29 +1,35 @@
 """Command-line entry points.
 
-Subcommands: train, evaluate, predict, chunk-stats, gradcheck. Exit
-codes: 0 success, 1 usage or configuration error (settings too large to
-allocate included, and an output that names the file of another path
-flag of the command), 2 data error (an input that cannot be read or an
-output that cannot be written, found before any work; malformed files,
-empty trainable set, checkpoint mismatch, a checkpoint whose answers are
-not finite), 3 gradient verification failure. The library raises
-`corpus.DataError` or `CheckpointError` where it finds unusable input,
-and `main` alone turns a failure into its exit code and one line. Each
-output is probed before any file is read (`_require_outputs`); an input
-is checked by its reader's own open, so it may be a pipe. `predict`
-writes --out only once every answer is computed, by one
-`ChunkReaderModel.answers` call that bounds its own inference batches.
+Subcommands: train, evaluate, predict, chunk-stats, gradcheck,
+convert-squad. Exit codes: 0 success, 1 usage or configuration error
+(settings too large to allocate included, and an output that names the
+file of another path flag of the command), 2 data error (an input that
+cannot be read or an output that cannot be written, found before any
+work; malformed files, empty trainable set, checkpoint mismatch, a
+checkpoint whose answers are not finite), 3 gradient verification
+failure. The library raises `corpus.DataError` or `CheckpointError`
+where it finds unusable input, `_citing` prefixes one raised while a
+file is read with that file's path (an `OSError` names its file
+already), and `main` alone turns a failure into its exit code and one
+line. Each output is probed before any file is read
+(`_require_outputs`); an input is checked by its reader's own open, so
+it may be a pipe. `predict` writes --out only once every answer is
+computed, by one `ChunkReaderModel.answers` call that bounds its own
+inference batches, and `convert-squad` writes --out only once the whole
+conversion (`squad.convert_squad`) has succeeded.
 
 A command that reads a dataset prints each dropped record's line and
 reason on stderr and exits 2 when the file holds no usable example.
 
-Settings, datasets and embedding files are parsed only by the library;
-this module checks output paths and flags and wires the library's readers:
+Settings, datasets, embedding files and SQuAD files are parsed only by
+the library; this module checks output paths and flags and wires the
+library's readers:
 `trainer.load_train_config` for the --config file and every --set
 KEY=VALUE (every setting, the seed included, resolves by precedence:
 --set, then the file, then the TrainConfig default),
-`corpus.load_dataset`, and `corpus.load_embeddings`, which reads the
-width off the first line. A flag that would be ignored is a usage
+`corpus.load_dataset`, `corpus.load_embeddings`, which reads the
+width off the first line, and `squad`'s `load_squad` and
+`load_annotations`. A flag that would be ignored is a usage
 error: `evaluate --predictions` with --checkpoint or --embeddings,
 `chunk-stats --trie-data` without --mode trie.
 """
@@ -37,6 +43,7 @@ import math
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -56,6 +63,8 @@ from .corpus import (
 )
 from .evaluator import breakdown_by_answer_length, breakdown_by_head_word, check_gold, evaluate
 from .model import ChunkReaderModel, ModelConfig, Prediction, _pad
+from .squad import convert_squad, load_annotations, load_squad
+from .synthetic import write_dataset_jsonl
 from .trainer import load_train_config, train
 
 
@@ -123,6 +132,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--hidden-size", type=_bounded(int), default=3)
     p.add_argument("--step", type=_bounded(float), default=1e-4)
     p.add_argument("--tolerance", type=_bounded(float), default=1e-4)
+
+    p = sub.add_parser("convert-squad", help="join SQuAD JSON and token annotations into a dataset")
+    p.add_argument("--squad", required=True, help="raw SQuAD v1.1 JSON")
+    p.add_argument("--annotations", required=True, help="token annotation JSONL")
+    p.add_argument("--out", required=True, help="output dataset JSONL")
     return parser
 
 
@@ -149,14 +163,25 @@ def _require_outputs(args, inputs: tuple[str, ...], outputs: tuple[str, ...], *m
             os.remove(path)
 
 
+@contextmanager
+def _citing(path):
+    """Re-raise a DataError or CheckpointError from reading the file at
+    path as `<path>: <reason>`."""
+    try:
+        yield
+    except (DataError, CheckpointError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _load_examples(path) -> list[Example]:
     """The usable examples of one dataset file. Each dropped record's line
     and reason go to stderr; a file with no usable example is a DataError."""
-    loaded = load_dataset(path)
-    for line_no, reason in loaded.dropped:
-        print(f"{path}: dropped line {line_no}: {reason}", file=sys.stderr)
-    if not loaded.examples:
-        raise DataError(f"no usable examples in {path}")
+    with _citing(path):
+        loaded = load_dataset(path)
+        for line_no, reason in loaded.dropped:
+            print(f"{path}: dropped line {line_no}: {reason}", file=sys.stderr)
+        if not loaded.examples:
+            raise DataError("no usable examples")
     return loaded.examples
 
 
@@ -165,9 +190,11 @@ def _checkpoint_answers(args, examples: list[Example]) -> list[Prediction]:
     with the --embeddings table, which must be as wide as the checkpoint's.
     An example whose probabilities are not finite (a finite checkpoint with
     huge weights) is a DataError naming it."""
-    model = load_checkpoint(args.checkpoint)
+    with _citing(args.checkpoint):
+        model = load_checkpoint(args.checkpoint)
     cfg = model.config
-    table = load_embeddings(args.embeddings)
+    with _citing(args.embeddings):
+        table = load_embeddings(args.embeddings)
     if table.dim != cfg.embedding_dim:
         raise DataError(
             f"embedding width {table.dim} does not match the checkpoint's {cfg.embedding_dim}"
@@ -189,7 +216,8 @@ def cmd_train(args) -> int:
 
     train_examples = _load_examples(args.train)
     dev_examples = _load_examples(args.dev)
-    table = load_embeddings(args.embeddings)
+    with _citing(args.embeddings):
+        table = load_embeddings(args.embeddings)
     pos_tags, ne_tags = build_tag_inventories(train_examples)
     trie = None
     if config.candidate_mode == "trie":
@@ -256,7 +284,8 @@ def cmd_evaluate(args) -> int:
     examples = _load_examples(args.data)
     check_gold(examples)
     if args.predictions:
-        predictions = _read_predictions_file(args.predictions)
+        with _citing(args.predictions):
+            predictions = _read_predictions_file(args.predictions)
     else:
         predictions = {got.id: got.answer for got in _checkpoint_answers(args, examples)}
     report = evaluate(predictions, examples)
@@ -344,16 +373,34 @@ def cmd_gradcheck(args) -> int:
     names = list(model.parameters())
     params = list(model.parameters().values())
     errors = nm.finite_difference_errors(build, params, args.step)
-    worst = 0.0
     for name, err in zip(names, errors):
         status = "ok" if err < args.tolerance else "BAD"
         print(f"{name}\t{err:.3e}\t{status}")
-        worst = max(worst, err)
+    worst = max(errors)
     if worst < args.tolerance:
         print(f"PASS\tmax relative error {worst:.3e} < {args.tolerance:.0e}")
         return 0
     print(f"FAIL\tmax relative error {worst:.3e} >= {args.tolerance:.0e}")
     return 3
+
+
+def cmd_convert_squad(args) -> int:
+    _require_outputs(args, ("squad", "annotations"), ("out",))
+    with _citing(args.squad):
+        squad = load_squad(args.squad)
+    with _citing(args.annotations):
+        annotations = load_annotations(args.annotations)
+    with _citing(args.squad):
+        examples, no_annotation, no_answers, skipped_answers = convert_squad(squad, annotations)
+    write_dataset_jsonl(examples, args.out)
+    print(f"wrote {len(examples)} examples to {args.out}", file=sys.stderr)
+    if no_annotation:
+        print(f"dropped {no_annotation} questions with no annotation entry", file=sys.stderr)
+    if no_answers:
+        print(f"dropped {no_answers} questions with no mappable answer", file=sys.stderr)
+    if skipped_answers:
+        print(f"skipped {skipped_answers} individual unmappable answers", file=sys.stderr)
+    return 0
 
 
 _COMMANDS = {
@@ -362,6 +409,7 @@ _COMMANDS = {
     "evaluate": cmd_evaluate,
     "chunk-stats": cmd_chunk_stats,
     "gradcheck": cmd_gradcheck,
+    "convert-squad": cmd_convert_squad,
 }
 
 

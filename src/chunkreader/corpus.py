@@ -319,7 +319,7 @@ def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
             raise DataError(f"line {line_no}: non-finite embedding value")
         entries.setdefault(parts[0], vec)
     if dim is None:
-        raise DataError(f"embedding file is empty: {path}")
+        raise DataError("embedding file is empty")
     return EmbeddingTable(dim, entries)
 
 

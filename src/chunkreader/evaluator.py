@@ -57,8 +57,6 @@ def exact_match(prediction: str, references: Sequence[str]) -> int:
 
 
 def _f1_single(pred_tokens: list[str], ref_tokens: list[str]) -> float:
-    if not pred_tokens and not ref_tokens:
-        return 1.0
     overlap = sum((Counter(pred_tokens) & Counter(ref_tokens)).values())
     if overlap == 0:
         return 0.0
@@ -68,7 +66,9 @@ def _f1_single(pred_tokens: list[str], ref_tokens: list[str]) -> float:
 
 
 def f1_score(prediction: str, references: Sequence[str]) -> float:
-    """Best token-overlap F1 over the references."""
+    """Best token-overlap F1 over the references. No overlap scores 0,
+    even when both answers normalize to no tokens, as in the official
+    SQuAD v1.1 script."""
     if not references:
         raise ValueError("f1_score needs at least one reference")
     pred_tokens = normalize_answer(prediction)

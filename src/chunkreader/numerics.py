@@ -33,6 +33,7 @@ run backward into the same parameter race on its `grad`.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Sequence
 
@@ -461,7 +462,9 @@ def finite_difference_errors(
 
     f() must rebuild its graph from the current parameter values on every
     call and be deterministic. Relative error per coordinate is
-    |analytic - numeric| / max(1e-12, |analytic| + |numeric|).
+    |analytic - numeric| / max(1e-12, |analytic| + |numeric|); a coordinate
+    whose error is not finite (a NaN or infinite gradient or loss) makes
+    its parameter's error inf.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -485,10 +488,9 @@ def finite_difference_errors(
             f_minus = float(f().data)
             flat[i] = saved
             numeric = (f_plus - f_minus) / (2.0 * step)
-            a = gflat[i]
+            a = float(gflat[i])  # a Python float: inf / inf is NaN without a warning
             err = abs(a - numeric) / max(1e-12, abs(a) + abs(numeric))
-            if err > worst:
-                worst = err
+            worst = max(worst, err if math.isfinite(err) else math.inf)
         errors.append(worst)
     return errors
 

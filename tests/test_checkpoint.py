@@ -3,7 +3,9 @@
 import ast
 import dataclasses
 import inspect
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -92,6 +94,32 @@ def test_truncated_blob_rejected(tmp_path):
         ckpt.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("huge", [False, True], ids=["whole", "huge-manifest-size"])
+def test_checkpoint_loads_through_a_pipe(tmp_path, huge):
+    # a pipe has no size to check a header's manifest size against, so the
+    # manifest is read in bounded pieces until it is whole or the data ends
+    m = seeded_model(seed=5)
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(m, path)
+    raw = path.read_bytes()
+    if huge:
+        raw = raw.replace(b"manifest_bytes ", b"manifest_bytes 99999999999999", 1)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,))
+    writer.start()
+    try:
+        if huge:
+            with pytest.raises(ckpt.CheckpointError, match="^truncated manifest$"):
+                ckpt.load_checkpoint(fifo)
+        else:
+            loaded = ckpt.load_checkpoint(fifo)
+            for name, p in m.parameters().items():
+                assert np.array_equal(loaded.parameters()[name].data, p.data)
+    finally:
+        writer.join()
+
+
 @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
 def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, error):
     # training saves every improving epoch onto one path; a write that
@@ -156,6 +184,9 @@ def test_manifest_shape_mismatch_rejected(tmp_path):
         # manifest length still holds
         (b"manifest_bytes ", b"manifest_bytes x", "manifest_bytes"),
         (b"manifest_bytes ", b"manifest_bytes -", "manifest_bytes"),
+        # a size far beyond the file used to be allocated at once: out of
+        # memory, with an empty reason
+        (b"manifest_bytes ", b"manifest_bytes 99999999999999", "^truncated manifest$"),
         (b"hidden_size 3", b"hidden_size x", "hidden_size"),
         (b"hidden_size 3", b"hidden_size 0", "hidden_size"),
         (b"candidate_mode window", b"candidate_mode wibble", "candidate mode"),

@@ -140,6 +140,25 @@ def test_train_missing_dataset_exits_two_naming_path(world, capsys, tmp_path):
     assert "absent.jsonl" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, raw, reason",
+    [
+        ("dev", b"[\n", "line 1: invalid JSON: Expecting value"),
+        ("emb", b"w1 0.5 0.5\nw2 0.5\n", "line 2: expected word + 2 values, got 2 fields"),
+    ],
+    ids=["dev", "embeddings"],
+)
+def test_train_malformed_input_exits_two_naming_its_path(world, tmp_path, capsys, key, raw, reason):
+    # the message used to start at "line N", so a bad --dev could not be
+    # told from a bad --train
+    bad = tmp_path / "bad"
+    bad.write_bytes(raw)
+    paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
+    assert cli.main(train_args(dict(paths, **{key: str(bad)}))) == 2
+    assert capsys.readouterr().err == f"data error: {bad}: {reason}\n"
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_train_unknown_config_key_exits_one(world, tmp_path, capsys):
     paths = dict(
         world,
@@ -588,7 +607,7 @@ def test_predict_malformed_data_exits_two_with_one_line(world, tmp_path, capsys,
     paths, _ = _corrupt_first_dev_record(world, tmp_path, corrupt)
     assert cli.main(predict_args(paths, str(tmp_path / "p.jsonl"))) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: line 1:") and err.count("\n") == 1
+    assert err.startswith(f"data error: {paths['dev']}: line 1:") and err.count("\n") == 1
 
 
 def test_predict_repeated_dataset_id_exits_two_with_one_line(world, tmp_path, capsys):
@@ -598,7 +617,7 @@ def test_predict_repeated_dataset_id_exits_two_with_one_line(world, tmp_path, ca
     path.write_text(lines[0] + lines[0] + "".join(lines[1:]), encoding="utf-8")
     assert cli.main(predict_args(dict(world, dev=str(path)), str(tmp_path / "p.jsonl"))) == 2
     first_id = json.loads(lines[0])["id"]
-    assert capsys.readouterr().err == f"data error: line 2: id {first_id!r} repeats line 1\n"
+    assert capsys.readouterr().err == f"data error: {path}: line 2: id {first_id!r} repeats line 1\n"
 
 
 @pytest.mark.parametrize("side", ["passage", "question"])
@@ -633,6 +652,8 @@ def test_predict_skips_empty_passage_or_question(world, tmp_path, capsys, side):
         (b"scoring dot\n", b"scoring dot\nscoring cosine\n"),
         # a second tag inventory used to win silently, permuting the one-hot columns
         (b"ne_tags ", b"pos_tags VERB PROPN NOUN DET ADJ\nne_tags "),
+        # a manifest size far beyond the file used to exit 1 out of memory
+        (b"manifest_bytes ", b"manifest_bytes 99999999999999"),
     ],
 )
 def test_predict_malformed_checkpoint_exits_two_with_one_line(world, tmp_path, capsys, old, new):
@@ -644,7 +665,7 @@ def test_predict_malformed_checkpoint_exits_two_with_one_line(world, tmp_path, c
     args = predict_args(dict(world, checkpoint=str(path)), str(tmp_path / "p.jsonl"))
     assert cli.main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -683,7 +704,7 @@ def test_predict_trie_checkpoint_beyond_its_cap_exits_two_with_one_line(
     path.write_bytes(edit_checkpoint(trie_checkpoint_bytes, old, new))
     out = tmp_path / "p.jsonl"
     assert cli.main(predict_args(dict(world, checkpoint=str(path)), str(out))) == 2
-    assert capsys.readouterr().err == f"data error: invalid model settings: {reason}\n"
+    assert capsys.readouterr().err == f"data error: {path}: invalid model settings: {reason}\n"
     assert not out.exists()
 
 
@@ -697,7 +718,7 @@ def test_predict_nan_weight_checkpoint_exits_two_without_output(world, tmp_path,
     out = tmp_path / "p.jsonl"
     assert cli.main(predict_args(dict(world, checkpoint=str(path)), str(out))) == 2
     err = capsys.readouterr().err
-    assert err == "data error: parameter shared.fwd.U holds a non-finite value\n"
+    assert err == f"data error: {path}: parameter shared.fwd.U holds a non-finite value\n"
     assert not out.exists()
 
 
@@ -765,7 +786,7 @@ def test_non_utf8_dataset_exits_two_with_one_line(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe{}\n")
     assert cli.main(["chunk-stats", "--data", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err == "data error: line 1: not valid UTF-8\n"
+    assert err == f"data error: {path}: line 1: not valid UTF-8\n"
 
 
 def test_non_utf8_embedding_word_exits_two_with_one_line(world, tmp_path, capsys):
@@ -776,7 +797,7 @@ def test_non_utf8_embedding_word_exits_two_with_one_line(world, tmp_path, capsys
     args = predict_args(dict(world, emb=str(path)), str(tmp_path / "p.jsonl"))
     assert cli.main(args) == 2
     err = capsys.readouterr().err
-    assert err == "data error: line 2: not valid UTF-8\n"
+    assert err == f"data error: {path}: line 2: not valid UTF-8\n"
 
 
 def test_non_utf8_first_embedding_line_exits_two_with_one_line(world, tmp_path, capsys):
@@ -786,7 +807,7 @@ def test_non_utf8_first_embedding_line_exits_two_with_one_line(world, tmp_path, 
     path = tmp_path / "emb.txt"
     path.write_bytes(b"\xff" + raw)
     assert cli.main(predict_args(dict(world, emb=str(path)), str(tmp_path / "p.jsonl"))) == 2
-    assert capsys.readouterr().err == "data error: line 1: not valid UTF-8\n"
+    assert capsys.readouterr().err == f"data error: {path}: line 1: not valid UTF-8\n"
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -879,7 +900,7 @@ def test_dropped_records_reported_and_empty_set_exits_two(world, tmp_path, capsy
         f"{none}: dropped line 1: empty passage",
         f"{none}: dropped line 2: empty question",
     ]
-    assert err[-1] == f"data error: no usable examples in {none}"
+    assert err[-1] == f"data error: {none}: no usable examples"
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +933,7 @@ def test_evaluate_malformed_predictions_exits_two_with_one_line(world, tmp_path,
     path = tmp_path / "p.jsonl"
     path.write_bytes(raw)
     assert cli.main(["evaluate", "--data", world["dev"], "--predictions", str(path)]) == 2
-    assert capsys.readouterr().err == f"data error: {reason}\n"
+    assert capsys.readouterr().err == f"data error: {path}: {reason}\n"
 
 
 def test_evaluate_from_predictions_file(world, tmp_path, capsys):
@@ -1096,6 +1117,24 @@ def test_gradcheck_detects_corrupted_backward(capsys, monkeypatch):
     assert cli.main(["gradcheck"]) == 3
     out = capsys.readouterr().out
     assert out.splitlines()[-1].startswith("FAIL")
+
+
+def test_gradcheck_detects_a_nan_gradient(capsys, monkeypatch):
+    """A NaN in one coordinate of one weight's gradient must trip the gate:
+    its error is inf, where it used to be dropped by `max` and pass."""
+    backprop = GruCell.backprop
+
+    def nan_backprop(self, *args, **kwargs):
+        dX, grads = backprop(self, *args, **kwargs)
+        grads[5] = grads[5].copy()
+        grads[5].flat[0] = np.nan  # dU
+        return dX, grads
+
+    monkeypatch.setattr(GruCell, "backprop", nan_backprop)
+    assert cli.main(["gradcheck"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAIL\tmax relative error inf >= 1e-04"
+    assert {line.split("\t")[1] for line in lines[:-1] if line.endswith("\tBAD")} == {"inf"}
 
 
 def test_gradcheck_detects_a_backward_wrong_only_on_shorter_rows(capsys, monkeypatch):

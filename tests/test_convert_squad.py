@@ -1,7 +1,7 @@
-"""tools/convert_squad.py: SQuAD JSON plus token annotations in, a dataset
-that the corpus loader accepts out."""
+"""`chunkreader convert-squad` and `chunkreader.squad`: SQuAD JSON plus
+token annotations in, a dataset that the corpus loader accepts out."""
 
-import importlib.util
+import errno
 import json
 import os
 import subprocess
@@ -13,19 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chunkreader import cli, squad
 from chunkreader.corpus import DataError, load_dataset
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "convert_squad.py"
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("convert_squad", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-convert_squad = load_script()
+SRC = Path(cli.__file__).resolve().parents[1]
 
 CONTEXT = "Alice met Bob in Paris."
 QUESTION = "Who met Bob?"
@@ -55,19 +46,32 @@ def annotation(qa_id):
     return {"id": qa_id, "passage": tokens(CONTEXT), "question": tokens(QUESTION)}
 
 
+def convert(squad_path, annotations_path, out):
+    """The exit code of `chunkreader convert-squad` over the three paths."""
+    return cli.main(["convert-squad", "--squad", str(squad_path),
+                     "--annotations", str(annotations_path), "--out", str(out)])
+
+
 def run(tmp_path, qas, annotations):
+    """The exit code of a conversion of a one-paragraph SQuAD file holding
+    qas and an annotation file of these records (a str is a raw line) into
+    out.jsonl, all under tmp_path."""
     squad = {"data": [{"title": "t", "paragraphs": [{"context": CONTEXT, "qas": qas}]}]}
     (tmp_path / "squad.json").write_text(json.dumps(squad), encoding="utf-8")
     anno_path = tmp_path / "anno.jsonl"
     lines = (a if isinstance(a, str) else json.dumps(a) for a in annotations)  # a str is a raw line
     anno_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    out = tmp_path / "out.jsonl"
-    convert_squad.convert(str(tmp_path / "squad.json"), str(anno_path), str(out))
-    return load_dataset(out), anno_path
+    return convert(tmp_path / "squad.json", anno_path, tmp_path / "out.jsonl")
+
+
+def converted(tmp_path, qas, annotations):
+    """The loaded output of a conversion that must succeed."""
+    assert run(tmp_path, qas, annotations) == 0
+    return load_dataset(tmp_path / "out.jsonl")
 
 
 def test_output_loads_with_expected_spans(tmp_path):
-    got, _ = run(
+    got = converted(
         tmp_path,
         [qa("q1", ("Alice", 0)), qa("q2", ("Bob in Paris", 10), ("Paris", 17))],
         [annotation("q1"), annotation("q2")],
@@ -79,20 +83,37 @@ def test_output_loads_with_expected_spans(tmp_path):
 
 
 def test_duplicate_answer_written_once(tmp_path):
-    got, _ = run(tmp_path, [qa("q1", ("Bob", 10), ("Bob", 10))], [annotation("q1")])
+    got = converted(tmp_path, [qa("q1", ("Bob", 10), ("Bob", 10))], [annotation("q1")])
     assert [(a.start, a.end) for a in got.examples[0].answers] == [(3, 3)]
 
 
 def test_answer_off_token_boundaries_is_skipped(tmp_path, capsys):
-    got, _ = run(tmp_path, [qa("q1", ("lice", 1), ("Alice", 0))], [annotation("q1")])
+    got = converted(tmp_path, [qa("q1", ("lice", 1), ("Alice", 0))], [annotation("q1")])
     assert [(a.start, a.end) for a in got.examples[0].answers] == [(1, 1)]
     assert "skipped 1 individual unmappable answers" in capsys.readouterr().err
 
 
 def test_question_without_annotation_is_dropped(tmp_path, capsys):
-    got, _ = run(tmp_path, [qa("q1", ("Alice", 0)), qa("q2", ("Bob", 10))], [annotation("q1")])
+    got = converted(tmp_path, [qa("q1", ("Alice", 0)), qa("q2", ("Bob", 10))], [annotation("q1")])
     assert [ex.id for ex in got.examples] == ["q1"]
     assert "dropped 1 questions with no annotation entry" in capsys.readouterr().err
+
+
+def test_convert_squad_returns_examples_and_drop_counts_and_prints_nothing(tmp_path, capsys):
+    # q1 keeps one answer and skips one, q2 has no annotation entry, and
+    # q3's only answer does not line up with the tokens
+    (tmp_path / "anno.jsonl").write_text(
+        "".join(json.dumps(annotation(i)) + "\n" for i in ("q1", "q3")), encoding="utf-8"
+    )
+    questions = [qa("q1", ("Alice", 0), ("lice", 1)), qa("q2", ("Bob", 10)), qa("q3", ("ice", 2))]
+    got = squad.convert_squad({"data": [{"paragraphs": [paragraph(questions)]}]},
+                              squad.load_annotations(tmp_path / "anno.jsonl"))
+    examples, no_annotation, no_answers, skipped_answers = got
+    assert [(ex.id, [(a.start, a.end) for a in ex.answers]) for ex in examples] == [
+        ("q1", [(1, 1)])
+    ]
+    assert (no_annotation, no_answers, skipped_answers) == (1, 1, 2)
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize(
@@ -105,14 +126,14 @@ def test_question_without_annotation_is_dropped(tmp_path, capsys):
         (lambda tok: tok.update(ne=["O"]), "passage token ne must be a string, got ['O']"),
     ],
 )
-def test_malformed_annotation_token_is_rejected_with_its_line(tmp_path, edit, reason):
+def test_malformed_annotation_token_is_rejected_with_its_line(tmp_path, capsys, edit, reason):
     # the loader rejects the whole output for such a token, so the
     # converter must not write it
     bad = annotation("q2")
     edit(bad["passage"][0])
-    with pytest.raises(SystemExit) as info:
-        run(tmp_path, [qa("q1", ("Alice", 0)), qa("q2", ("Alice", 0))], [annotation("q1"), bad])
-    assert str(info.value) == f"{tmp_path / 'anno.jsonl'}: line 2: {reason}"
+    assert run(tmp_path, [qa("q1", ("Alice", 0)), qa("q2", ("Alice", 0))],
+               [annotation("q1"), bad]) == 2
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'anno.jsonl'}: line 2: {reason}\n"
     assert not (tmp_path / "out.jsonl").exists()
 
 
@@ -123,10 +144,11 @@ def test_malformed_annotation_token_is_rejected_with_its_line(tmp_path, edit, re
         ('["q2"]', "record is not an object"),
     ],
 )
-def test_annotation_line_that_is_not_a_json_object_is_rejected_with_its_line(tmp_path, line, reason):
-    with pytest.raises(SystemExit) as info:
-        run(tmp_path, [qa("q1", ("Alice", 0))], [annotation("q1"), line])
-    assert str(info.value) == f"{tmp_path / 'anno.jsonl'}: line 2: {reason}"
+def test_annotation_line_that_is_not_a_json_object_is_rejected_with_its_line(
+    tmp_path, capsys, line, reason
+):
+    assert run(tmp_path, [qa("q1", ("Alice", 0))], [annotation("q1"), line]) == 2
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'anno.jsonl'}: line 2: {reason}\n"
 
 
 @pytest.mark.parametrize(
@@ -143,7 +165,7 @@ def test_annotation_line_that_is_not_a_json_object_is_rejected_with_its_line(tmp
     ids=["array", "no-id", "no-passage", "no-question", "string-passage", "object-question",
          "int-id"],
 )
-def test_converter_and_loader_reject_a_record_with_one_message(tmp_path, edit):
+def test_converter_and_loader_reject_a_record_with_one_message(tmp_path, capsys, edit):
     # both read the id, passage and question through corpus.parse_record
     record = edit(annotation("q2"))
     with_answers = [dict(annotation("q1"), answers=[]),
@@ -152,9 +174,8 @@ def test_converter_and_loader_reject_a_record_with_one_message(tmp_path, edit):
     data.write_text("".join(json.dumps(r) + "\n" for r in with_answers), encoding="utf-8")
     with pytest.raises(DataError) as loader:
         load_dataset(data)
-    with pytest.raises(SystemExit) as converter:
-        run(tmp_path, [qa("q1", ("Alice", 0))], [annotation("q1"), record])
-    assert str(converter.value) == f"{tmp_path / 'anno.jsonl'}: {loader.value}"
+    assert run(tmp_path, [qa("q1", ("Alice", 0))], [annotation("q1"), record]) == 2
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'anno.jsonl'}: {loader.value}\n"
     assert str(loader.value).startswith("line 2: ")
 
 
@@ -164,34 +185,34 @@ def test_converter_and_loader_reject_a_record_with_one_message(tmp_path, edit):
      ("q1", "id 'q1' repeats line 1")],
     ids=["null-id", "int-id", "repeated-id"],
 )
-def test_annotation_id_that_is_not_a_new_string_is_rejected_with_its_line(tmp_path, anno_id, reason):
+def test_annotation_id_that_is_not_a_new_string_is_rejected_with_its_line(
+    tmp_path, capsys, anno_id, reason
+):
     # a null id used to be stored as "None", and a repeated one to replace
     # the first line's tokens
     bad = dict(annotation("q2"), id=anno_id)
-    with pytest.raises(SystemExit) as info:
-        run(tmp_path, [qa("q1", ("Alice", 0))], [annotation("q1"), bad])
-    assert str(info.value) == f"{tmp_path / 'anno.jsonl'}: line 2: {reason}"
+    assert run(tmp_path, [qa("q1", ("Alice", 0))], [annotation("q1"), bad]) == 2
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'anno.jsonl'}: line 2: {reason}\n"
     assert not (tmp_path / "out.jsonl").exists()
 
 
 @pytest.mark.parametrize("key", ["answer_start", "text"])
-def test_squad_answer_without_a_field_is_rejected_with_its_question(tmp_path, key):
+def test_squad_answer_without_a_field_is_rejected_with_its_question(tmp_path, capsys, key):
     broken = qa("q2", ("Bob", 10))
     del broken["answers"][0][key]
-    with pytest.raises(SystemExit) as info:
-        run(tmp_path, [qa("q1", ("Alice", 0)), broken], [annotation("q1"), annotation("q2")])
-    assert str(info.value) == f"{tmp_path / 'squad.json'}: question q2: answer missing {key!r}"
+    assert run(tmp_path, [qa("q1", ("Alice", 0)), broken], [annotation("q1"), annotation("q2")]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'squad.json'}: question q2: answer missing {key!r}\n"
+    )
 
 
 def convert_raw_squad(tmp_path, squad):
-    """Convert a SQuAD file holding `squad` (a str is written as is) with
-    one well-formed annotation line."""
+    """The exit code of a conversion of a SQuAD file holding `squad` (a
+    str is written as is) with one well-formed annotation line."""
     text = squad if isinstance(squad, str) else json.dumps(squad)
     (tmp_path / "squad.json").write_text(text, encoding="utf-8")
     (tmp_path / "anno.jsonl").write_text(json.dumps(annotation("q1")) + "\n", encoding="utf-8")
-    convert_squad.convert(
-        str(tmp_path / "squad.json"), str(tmp_path / "anno.jsonl"), str(tmp_path / "out.jsonl")
-    )
+    return convert(tmp_path / "squad.json", tmp_path / "anno.jsonl", tmp_path / "out.jsonl")
 
 
 def paragraph(qas):
@@ -218,10 +239,9 @@ def paragraph(qas):
     ids=["not-json", "not-json-on-line-3", "no-data", "not-an-object", "no-paragraphs", "no-qas", "no-id", "no-answers",
          "null-id", "repeated-id"],
 )
-def test_malformed_squad_file_is_rejected_with_its_path(tmp_path, squad, reason):
-    with pytest.raises(SystemExit) as info:
-        convert_raw_squad(tmp_path, squad)
-    assert str(info.value) == f"{tmp_path / 'squad.json'}: {reason}"
+def test_malformed_squad_file_is_rejected_with_its_path(tmp_path, capsys, squad, reason):
+    assert convert_raw_squad(tmp_path, squad) == 2
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'squad.json'}: {reason}\n"
 
 
 @pytest.mark.parametrize(
@@ -234,38 +254,37 @@ def test_malformed_squad_file_is_rejected_with_its_path(tmp_path, squad, reason)
     ],
     ids=["string-start", "float-start", "number-text", "string-answer"],
 )
-def test_malformed_squad_answer_is_rejected_with_its_question(tmp_path, answer, reason):
+def test_malformed_squad_answer_is_rejected_with_its_question(tmp_path, capsys, answer, reason):
     squad = {"data": [{"paragraphs": [paragraph([{"id": "q1", "answers": [answer]}])]}]}
-    with pytest.raises(SystemExit) as info:
-        convert_raw_squad(tmp_path, squad)
-    assert str(info.value) == f"{tmp_path / 'squad.json'}: question q1: {reason}"
+    assert convert_raw_squad(tmp_path, squad) == 2
+    squad_path = tmp_path / "squad.json"
+    assert capsys.readouterr().err == f"data error: {squad_path}: question q1: {reason}\n"
 
 
 @pytest.mark.parametrize("existing", [None, "kept\n"], ids=["no-file", "existing-file"])
-def test_rejected_input_leaves_out_path_as_it_was(tmp_path, existing):
+def test_rejected_input_leaves_out_path_as_it_was(tmp_path, capsys, existing):
     out = tmp_path / "out.jsonl"
     if existing is not None:
         out.write_text(existing, encoding="utf-8")
     broken = qa("q2", ("Bob", 10))
     broken["answers"][0]["answer_start"] = "x"
-    with pytest.raises(SystemExit) as info:
-        run(tmp_path, [qa("q1", ("Alice", 0)), broken], [annotation("q1"), annotation("q2")])
-    assert str(info.value) == (
-        f"{tmp_path / 'squad.json'}: question q2: answer_start must be an integer, got 'x'"
-    )
+    assert run(tmp_path, [qa("q1", ("Alice", 0)), broken], [annotation("q1"), annotation("q2")]) == 2
+    reason = "question q2: answer_start must be an integer, got 'x'"
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'squad.json'}: {reason}\n"
     if existing is None:
         assert not out.exists()
     else:
         assert out.read_text(encoding="utf-8") == existing
 
 
-@pytest.mark.parametrize("which", ["squad", "annotations"])
-def test_out_naming_an_input_stops_before_any_read(tmp_path, monkeypatch, which):
-    # writing --out used to replace the input it names with the converted JSONL
-    def no_read(path):
-        raise AssertionError("an input was read before --out was checked")
+def no_read(path):
+    raise AssertionError("an input was read before --out was checked")
 
-    monkeypatch.setattr(convert_squad, "load_squad", no_read)
+
+@pytest.mark.parametrize("which", ["squad", "annotations"])
+def test_out_naming_an_input_stops_before_any_read(tmp_path, capsys, monkeypatch, which):
+    # writing --out used to replace the input it names with the converted JSONL
+    monkeypatch.setattr(cli, "load_squad", no_read)
     squad = {"data": [{"paragraphs": [paragraph([qa("q1", ("Alice", 0))])]}]}
     paths = {"squad": tmp_path / "squad.json", "annotations": tmp_path / "anno.jsonl"}
     paths["squad"].write_text(json.dumps(squad), encoding="utf-8")
@@ -273,19 +292,9 @@ def test_out_naming_an_input_stops_before_any_read(tmp_path, monkeypatch, which)
     kept = {name: path.read_bytes() for name, path in paths.items()}
     (tmp_path / "sub").mkdir()
     out = str(tmp_path / "sub" / ".." / paths[which].name)
-    with pytest.raises(SystemExit) as info:
-        convert_squad.convert(str(paths["squad"]), str(paths["annotations"]), out)
-    assert str(info.value) == f"--out and --{which} name the same file: {out}"
+    assert convert(paths["squad"], paths["annotations"], out) == 1
+    assert capsys.readouterr().err == f"error: --out and --{which} name the same file: {out}\n"
     assert {name: path.read_bytes() for name, path in paths.items()} == kept
-
-
-def run_script(squad, annotations, out):
-    env = dict(os.environ, PYTHONPATH=str(SCRIPT.parents[1] / "src"))
-    return subprocess.run(
-        [sys.executable, str(SCRIPT), "--squad", str(squad), "--annotations", str(annotations),
-         "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
 
 
 BAD_BYTES = {
@@ -300,30 +309,32 @@ BAD_BYTES = {
     ["missing-squad", "missing-annotations", "out-is-directory", "out-in-missing-directory"]
     + [f"{which}-{bad}" for which in ("squad", "annotations") for bad in BAD_BYTES],
 )
-def test_script_stops_with_one_line_and_no_traceback(tmp_path, case):
+def test_script_stops_with_one_line_and_no_traceback(tmp_path, capsys, monkeypatch, case):
     squad = {"data": [{"paragraphs": [paragraph([qa("q1", ("Alice", 0))])]}]}
     paths = {"squad": tmp_path / "squad.json", "annotations": tmp_path / "anno.jsonl",
              "out": tmp_path / "out.jsonl"}
     paths["squad"].write_text(json.dumps(squad), encoding="utf-8")
     paths["annotations"].write_text(json.dumps(annotation("q1")) + "\n", encoding="utf-8")
     if case.startswith("missing-"):
+        # an OSError names its file itself
         which = case.removeprefix("missing-")
         paths[which] = tmp_path / "absent"
-        culprit, reason = paths[which], "No such file or directory"
-    elif case == "out-is-directory":
-        culprit, reason = tmp_path, "Is a directory"
-        paths["out"] = tmp_path
-    elif case == "out-in-missing-directory":
-        paths["out"] = culprit = tmp_path / "absent" / "out.jsonl"
-        reason = "No such file or directory"
+        line = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(paths[which])!r}"
+    elif case.startswith("out-"):
+        # --out used to be opened only after both inputs were read and converted
+        monkeypatch.setattr(cli, "load_squad", no_read)
+        paths["out"], code = {
+            "out-is-directory": (tmp_path, errno.EISDIR),
+            "out-in-missing-directory": (tmp_path / "absent" / "out.jsonl", errno.ENOENT),
+        }[case]
+        line = f"--out: cannot write {paths['out']}: {os.strerror(code)}"
     else:
         which, bad = case.split("-", 1)
         raw, reason = BAD_BYTES[bad]
-        culprit = paths[which]
-        culprit.write_bytes(raw)
-    done = run_script(paths["squad"], paths["annotations"], paths["out"])
-    assert done.returncode != 0
-    assert done.stderr == f"{culprit}: {reason}\n"
+        paths[which].write_bytes(raw)
+        line = f"{paths[which]}: {reason}"
+    assert convert(paths["squad"], paths["annotations"], paths["out"]) == 2
+    assert capsys.readouterr().err == f"data error: {line}\n"
     assert not (tmp_path / "out.jsonl").exists()
 
 
@@ -331,7 +342,12 @@ def test_script_converts_well_formed_input(tmp_path):
     squad = {"data": [{"paragraphs": [paragraph([qa("q1", ("Alice", 0))])]}]}
     (tmp_path / "squad.json").write_text(json.dumps(squad), encoding="utf-8")
     (tmp_path / "anno.jsonl").write_text(json.dumps(annotation("q1")) + "\n", encoding="utf-8")
-    done = run_script(tmp_path / "squad.json", tmp_path / "anno.jsonl", tmp_path / "out.jsonl")
+    done = subprocess.run(
+        [sys.executable, "-m", "chunkreader.cli", "convert-squad",
+         "--squad", str(tmp_path / "squad.json"), "--annotations", str(tmp_path / "anno.jsonl"),
+         "--out", str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+    )
     assert (done.returncode, done.stderr) == (0, f"wrote 1 examples to {tmp_path / 'out.jsonl'}\n")
     assert [ex.id for ex in load_dataset(tmp_path / "out.jsonl").examples] == ["q1"]
 
@@ -363,9 +379,6 @@ def test_converter_accepts_a_token_exactly_when_the_loader_does(token):
         except DataError:
             loader_accepts = False
         anno = {"id": "q1", "passage": [token], "question": [good]}
-        try:
-            run(root, [qa("q1", ("Alice", 0))], [anno])
-            converter_accepts = True
-        except SystemExit:
-            converter_accepts = False
-    assert converter_accepts == loader_accepts
+        code = run(root, [qa("q1", ("Alice", 0))], [anno])
+    assert code in (0, 2)
+    assert (code == 0) == loader_accepts

@@ -270,7 +270,7 @@ def test_load_embeddings_of_an_empty_file(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("")
     assert corpus.load_embeddings(path, dim=2).dim == 2
-    with pytest.raises(corpus.DataError, match=r"^embedding file is empty: "):
+    with pytest.raises(corpus.DataError, match=r"^embedding file is empty$"):
         corpus.load_embeddings(path)
 
 

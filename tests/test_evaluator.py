@@ -48,6 +48,13 @@ def test_golden_metric_values(case):
     assert f1 == pytest.approx(case["f1"], abs=1e-9)
 
 
+def test_f1_of_answers_with_no_tokens_is_zero():
+    # the official SQuAD v1.1 script scores no overlap 0 even when both
+    # sides normalize to nothing; both used to score F1 1
+    assert ev.f1_score("", ["the"]) == 0.0
+    assert ev.exact_match("", ["the"]) == 1
+
+
 def test_empty_reference_list_rejected():
     with pytest.raises(ValueError):
         ev.exact_match("x", [])
@@ -232,8 +239,9 @@ _text = st.text(
 @settings(max_examples=100, deadline=None)
 @given(x=_text)
 def test_property_self_match_is_perfect(x):
+    # an answer with no tokens after normalizing ("a", " ") overlaps nothing
     assert ev.exact_match(x, [x]) == 1
-    assert ev.f1_score(x, [x]) == 1.0
+    assert ev.f1_score(x, [x]) == (1.0 if ev.normalize_answer(x) else 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -260,4 +268,7 @@ def test_property_em_bounded_by_f1(pred, refs):
     em = ev.exact_match(pred, refs)
     f1 = ev.f1_score(pred, refs)
     assert 0.0 <= f1 <= 1.0
-    assert em <= f1 + 1e-12
+    if ev.normalize_answer(pred):
+        assert em <= f1 + 1e-12
+    else:  # no tokens overlap nothing, even an exact match
+        assert f1 == 0.0

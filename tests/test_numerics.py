@@ -23,6 +23,24 @@ def check_grads(build, params, tol=GRAD_TOL, step=FD_STEP):
     assert err < tol, f"max relative gradient error {err:.3e} >= {tol}"
 
 
+@pytest.mark.parametrize("planted", [np.nan, np.inf])
+def test_non_finite_analytic_gradient_is_an_infinite_error(planted):
+    # `err > worst` is never true for NaN: a NaN in one coordinate of the
+    # taped gradient of p.p used to report 5.0e-13 and pass any tolerance
+    p = nm.parameter(np.array([0.5, -1.5, 2.0]))
+
+    def squares():
+        def backward_fn(g):
+            grad = 2.0 * p.data * g
+            grad[0] = planted
+            nm.accumulate(p, grad, owned=True)
+
+        return nm.record(nm.Tensor(np.dot(p.data, p.data)), (p,), backward_fn)
+
+    (err,) = nm.finite_difference_errors(squares, [p], FD_STEP)
+    assert err == np.inf and not err < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # per-op gradient checks
 
