@@ -9,14 +9,14 @@ work; malformed files, empty trainable set, checkpoint mismatch, a
 checkpoint whose answers are not finite), 3 gradient verification
 failure. The library raises `corpus.DataError` or `CheckpointError`
 where it finds unusable input, `_citing` prefixes one raised while a
-file is read with that file's path (an `OSError` names its file
-already), and `main` alone turns a failure into its exit code and one
-line. Each output is probed before any file is read
-(`_require_outputs`); an input is checked by its reader's own open, so
-it may be a pipe. `predict` writes --out only once every answer is
-computed, by one `ChunkReaderModel.answers` call that bounds its own
-inference batches, and `convert-squad` writes --out only once the whole
-conversion (`squad.convert_squad`) has succeeded.
+file is read, or its examples checked, with that file's path (an
+`OSError` names its file already), and `main` alone turns a failure
+into its exit code and one line. Each output is probed before any file
+is read (`_require_outputs`); an input is checked by its reader's own
+open, so it may be a pipe. `predict` writes --out only once every
+answer is computed, by one `ChunkReaderModel.answers` call that bounds
+its own inference batches, and `convert-squad` writes --out only once
+the whole conversion (`squad.convert_squad`) has succeeded.
 
 A command that reads a dataset prints each dropped record's line and
 reason on stderr and exits 2 when the file holds no usable example.
@@ -173,15 +173,18 @@ def _citing(path):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _load_examples(path) -> list[Example]:
+def _load_examples(path, scored: bool = False) -> list[Example]:
     """The usable examples of one dataset file. Each dropped record's line
-    and reason go to stderr; a file with no usable example is a DataError."""
+    and reason go to stderr; a file with no usable example, or (`scored`)
+    one `evaluate` cannot score (`check_gold`), is a DataError."""
     with _citing(path):
         loaded = load_dataset(path)
         for line_no, reason in loaded.dropped:
             print(f"{path}: dropped line {line_no}: {reason}", file=sys.stderr)
         if not loaded.examples:
             raise DataError("no usable examples")
+        if scored:
+            check_gold(loaded.examples)
     return loaded.examples
 
 
@@ -215,10 +218,11 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from None
 
     train_examples = _load_examples(args.train)
-    dev_examples = _load_examples(args.dev)
+    dev_examples = _load_examples(args.dev, scored=True)
     with _citing(args.embeddings):
         table = load_embeddings(args.embeddings)
-    pos_tags, ne_tags = build_tag_inventories(train_examples)
+    with _citing(args.train):
+        pos_tags, ne_tags = build_tag_inventories(train_examples)
     trie = None
     if config.candidate_mode == "trie":
         trie = build_pos_trie(train_examples, config.max_chunk_len)
@@ -281,8 +285,7 @@ def cmd_evaluate(args) -> int:
     if not (args.predictions or (args.checkpoint and args.embeddings)):
         raise UsageError("evaluate needs --predictions, or --checkpoint with --embeddings")
     _require_outputs(args, ("data", "predictions", "checkpoint", "embeddings"), ("json_out",))
-    examples = _load_examples(args.data)
-    check_gold(examples)
+    examples = _load_examples(args.data, scored=True)
     if args.predictions:
         with _citing(args.predictions):
             predictions = _read_predictions_file(args.predictions)

@@ -15,32 +15,33 @@ two state sequences per position.
 One pass of a cell over a batch of sequences is a single tape node
 (`GruCell.run`). The input is a (B, T, n_in) block whose row b is real
 for its first L_b positions; a (T, n_in) block is the B = 1 case and runs
-the same code. The forward (`GruCell.scan`) projects every input row
-through W_r, W_u and W with three GEMMs before the loop, then steps all
-rows at once, each step one (n_k, d) x (d, d) product per recurrent
-matrix. An unrecorded call instead projects each row over its own L_b
-positions and forms each step's products as n_k stacked (1, d) x (d, d)
-products, one numpy call per product: OpenBLAS gives a row of a GEMM
-bits that depend on how many rows share it, and this way every row gets
-exactly the bits of its own batch-of-one run. It costs more per step
-(about 50 against 32 us for two rows at d = 300, OpenBLAS on two shared
-vCPUs), so the recorded path keeps the GEMMs. Rows are sorted once by
-decreasing length (a stable sort), so the n_k rows still active at step
-k are a prefix of the state block and the loop needs no masks; the
-forward direction visits position k of each active row, the reverse
-direction position L_b - 1 - k. No weight matrix is copied or
-concatenated: a copy of [U_r|U_u] for one wider product saves no time
-and raises peak memory. When the node is recorded, the forward keeps,
-for each of the N = sum_b L_b real steps, flat in step order, r, u and
-hbar, and after the loop gathers the state before each step, h_prev,
-from its output; each is an (N, d) array. An unrecorded (inference)
-call keeps nothing, and holds at most four (N, d) arrays at once, plus
-one row's or one step's temporaries: the three input projections, each
-row's product written straight into its own steps (no (B*T, d) product
-or gathered copy is built), and the states in step order. The projections are freed when the step loop
-ends, before the states are scattered into the zero-padded (B, T, d)
-output. The backward (`GruCell.backprop`) walks
-the steps in reverse over the same prefixes, with dh the gradient
+the same code. The forward (`GruCell.scan`), recorded or not, projects
+each row over its own L_b positions through W_r, W_u and W, the products
+of its batch-of-one run, straight into the row's steps: no padded row is
+projected and no (B*T, d) product is built. Then it steps all rows at
+once. Rows are sorted once by decreasing length (a stable sort), so the
+n_k rows still active at step k are a prefix of the state block and the
+loop needs no masks; the forward direction visits position k of each
+active row, the reverse direction position L_b - 1 - k. A recorded call
+forms each step's products as one (n_k, d) x (d, d) GEMM per recurrent
+matrix, an unrecorded call as n_k stacked (1, d) x (d, d) products:
+OpenBLAS gives a row of a GEMM bits that depend on how many rows share
+it, and this way every row gets exactly the bits of its own batch-of-one
+run. That costs more per step (about 50 against 32 us for two rows at
+d = 300, OpenBLAS on two shared vCPUs), so training keeps the GEMMs. No
+weight matrix is copied or concatenated: a copy of [U_r|U_u] for one
+wider product saves no time and raises peak memory.
+
+Besides what it keeps, a call over N = sum_b L_b real steps holds at
+most four (N, d) arrays at once, plus one row's or one step's
+temporaries: the three input projections, freed when the step loop
+ends, and the states in step order, then scattered into the zero-padded
+(B, T, d) output. An unrecorded (inference) call keeps nothing; a
+recorded one keeps r, u and hbar, one (N, d) array each in step order,
+beside its output. The backward (`GruCell.backprop`) reads the state
+before each step, h_prev, back from that output through the step plan,
+forms the step-local factors (two in the storage of u and hbar), and
+walks the steps in reverse over the same prefixes, with dh the gradient
 reaching h' (its upstream row plus the carry from the row's next step):
 
     g_c = dh * u * (1 - hbar^2)                      pre-tanh gradient
@@ -53,16 +54,17 @@ It stores the pre-activation gradients G = [g_r|g_u|g_c] (N, 3d), and
 after the loop forms every weight gradient as one GEMM over all rows'
 steps: dW_* = X_s^T G_* over the stepped input rows X_s,
 d[U_r|U_u] = H_prev^T [G_r|G_u], dU = (R * H_prev)^T G_c, and
-dX_s = sum_* G_* W_*^T. The step-local factors of the equations, one
-(N, d) array each, are freed when the loop ends, and X_s once the
-weight gradients are formed.
+dX_s = sum_* G_* W_*^T. The factors with storage of their own are freed
+when the loop ends, and X_s once the weight gradients are formed. dX_s fills a zeroed
+(B, T, n_in) gradient on the input's first touch and is otherwise added
+into it in place, so a second pass over one input builds no second block.
 
 Padding contract, per row: positions at or beyond a row's length produce
 all-zero output rows, leave its recurrent state untouched and receive no
 gradient, so a batch of variable-length sequences is one block with
 trailing zero pads. Rows mix only in a recorded call, and there only
-through the rounding of the batched products; an unrecorded call gives
-each row bit for bit the states it gets alone.
+through the rounding of the batched step products; an unrecorded call
+gives each row bit for bit the states it gets alone.
 """
 
 from __future__ import annotations
@@ -80,14 +82,14 @@ _CELL_FIELDS = ("W_r", "W_u", "W", "U_r", "U_u", "U")
 
 
 class StepStates(NamedTuple):
-    """What one scan keeps for its backward, one row per real step, flat
-    in step order: the row of the flattened (B*T, n_in) input it read, the
-    state before the step, and the reset gate, update gate and candidate
-    state the step computed. Step k covers `counts[k]` consecutive rows."""
+    """What one scan keeps for its backward: its own output and, one row
+    per real step, flat in step order, the row of the flattened (B*T,
+    n_in) input it read and the gates and candidate state it computed.
+    Step k covers `counts[k]` consecutive rows."""
 
     index: np.ndarray  # (N,) rows of the flattened input, in step order
     counts: np.ndarray  # (L_max,) rows still active at each step, non-increasing
-    h_prev: np.ndarray  # (N, d)
+    H: np.ndarray  # (B, T, d) the scan's output
     r: np.ndarray  # (N, d)
     u: np.ndarray  # (N, d)
     hbar: np.ndarray  # (N, d)
@@ -106,31 +108,21 @@ def _step_plan(lengths: np.ndarray, T: int, reverse: bool) -> tuple[np.ndarray, 
     return order[ranks] * T + positions, active.sum(axis=1)
 
 
-def _rowwise_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b for an (m, k) block a, as m stacked (1, k) x (k, n) products:
-    each row gets exactly the bits of its own batch-of-one product, which
-    one (m, k) x (k, n) GEMM does not promise."""
-    if out is None:
-        return np.matmul(a[:, None], b)[:, 0]
-    np.matmul(a[:, None], b, out=out[:, None])
-    return out
+def _matmul_each_row(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into out for an (m, k) block a, as m stacked (1, k) x (k, n)
+    products: each row gets exactly the bits of its own batch-of-one
+    product, which one (m, k) x (k, n) GEMM does not promise."""
+    return np.matmul(a[:, None], b, out=out[:, None])[:, 0]
 
 
-def _project(
-    X: np.ndarray, lengths: np.ndarray, index: np.ndarray, weights, rowwise: bool
-) -> np.ndarray:
+def _project(X: np.ndarray, lengths: np.ndarray, index: np.ndarray, weights) -> np.ndarray:
     """X W for each of `weights`, stacked, at the rows `index` of the
-    flattened (B*T, n_in) block, in step order. Either one GEMM per weight
-    over the whole block, or (rowwise) one product per row and weight over
-    the row's first L_b positions, the same product as a batch of one,
-    written straight into that row's steps: no (B*T, d) product is built."""
-    B, T, n_in = X.shape
+    flattened (B*T, n_in) block, in step order: one product per row and
+    weight over the row's first L_b positions, the same product as a batch
+    of one, written straight into that row's steps. No (B*T, d) product
+    is built, and no padded row is projected."""
+    B, T, _ = X.shape
     out = np.empty((len(weights), len(index), weights[0].shape[1]))
-    if not rowwise:
-        for W, o in zip(weights, out):
-            # every index is in range, so "clip" only skips take's buffer
-            np.take(X.reshape(B * T, n_in) @ W, index, axis=0, out=o, mode="clip")
-        return out
     step_of = np.empty(B * T, dtype=np.intp)  # the step row of each position
     step_of[index] = np.arange(len(index))
     for b, length in enumerate(lengths.tolist()):
@@ -189,9 +181,15 @@ class GruCell:
             return out
 
         def backward_fn(g):
-            dX, grads = self.backprop(g, X3, states, input_grad=X.requires_grad)
-            if dX is not None:
-                nm.accumulate(X, dX.reshape(Xd.shape), owned=True)
+            dXs, grads = self.backprop(g, X3, states, input_grad=X.requires_grad)
+            if dXs is not None:
+                if X.grad is None:  # first touch: a zero at every padded row
+                    dX = np.zeros((X3.shape[0] * T, self.n_in))
+                    dX[states.index] = dXs
+                    nm.accumulate(X, dX.reshape(Xd.shape), owned=True)
+                else:  # the stepped rows are unique, so a plain fancy add
+                    grad = X.grad[None] if X.grad.ndim == 2 else X.grad
+                    grad[np.divmod(states.index, T)] += dXs
             # the two halves of dU_ru are views of one product: copied
             for p, dp in zip(params, grads):
                 nm.accumulate(p, dp, owned=dp.base is None)
@@ -210,12 +208,12 @@ class GruCell:
         n = int(counts.sum())
         # X W_r and X W_u side by side, so each step adds both in one op;
         # X W apart, which keeps the largest block, and so peak memory,
-        # small. An unrecorded call runs every product row by row.
-        proj_ru = _project(X, lengths, index, (self.W_r.data, self.W_u.data), rowwise=not keep)
-        proj_c = _project(X, lengths, index, (self.W.data,), rowwise=not keep)[0]
+        # small
+        proj_ru = _project(X, lengths, index, (self.W_r.data, self.W_u.data))
+        proj_c = _project(X, lengths, index, (self.W.data,))[0]
         U_r, U_u, U = self.U_r.data, self.U_u.data, self.U.data
         # a batch of one is already row by row
-        matmul = np.matmul if keep or B == 1 else _rowwise_matmul
+        matmul = np.matmul if keep or B == 1 else _matmul_each_row
         if keep:
             gates, hbars = np.empty((2, n, d)), np.empty((n, d))
         Hs = np.empty((n, d))  # the state after each step, in step order
@@ -228,7 +226,7 @@ class GruCell:
             matmul(h, U_u, out=a[1])
             a += proj_ru[:, s : s + m]
             r, u = ru = nm.logistic(a)
-            c = matmul(r * h, U)
+            c = matmul(r * h, U, out=np.empty((m, d)))
             c += proj_c[s : s + m]
             hbar = np.tanh(c, out=c)
             if keep:
@@ -241,26 +239,31 @@ class GruCell:
         H = H.reshape(B, T, d)
         if not keep:
             return H, None
-        # the state before a step is the same row's state one step earlier,
-        # counts[k-1] rows back in step order; the first step starts at zero
-        h_prev = np.zeros((n, d))
-        h_prev[counts[0] :] = Hs[np.arange(counts[0], n) - np.repeat(counts[:-1], counts[1:])]
-        return H, StepStates(index, counts, h_prev, gates[0], gates[1], hbars)
+        return H, StepStates(index, counts, H, gates[0], gates[1], hbars)
 
     def backprop(
         self, g: np.ndarray, X: np.ndarray, states: StepStates, input_grad: bool
     ) -> tuple[np.ndarray | None, list[np.ndarray]]:
         """Backpropagation through time for one scan of the (B, T, n_in)
-        block X, given the gradient g on its output. Returns dX (None
-        unless input_grad) and the six weight gradients in parameter order."""
-        index, counts, h_prev, rs, us, hbars = states
-        n, d = h_prev.shape
+        block X, given the gradient g on its output. Returns dX_s, the
+        input gradient at the stepped rows in step order (None unless
+        input_grad), and the six weight gradients in parameter order. It
+        overwrites the states' u and hbar, so it runs once per scan."""
+        index, counts, H, rs, us, hbars = states
+        n, d = rs.shape
         U_r_T, U_u_T, U_T = self.U_r.data.T, self.U_u.data.T, self.U.data.T
-        # the step-local factors of the equations, for all steps at once
-        c_factor = us * (1.0 - hbars * hbars)
+        # the state before a step is the same row's state one step earlier,
+        # counts[k-1] rows back in step order; the first step starts at zero
+        h_prev = np.zeros((n, d))
+        back = np.arange(counts[0], n) - np.repeat(counts[:-1], counts[1:])
+        h_prev[counts[0] :] = H.reshape(-1, d)[index[back]]
+        # the step-local factors of the equations, for all steps at once;
+        # c_factor and carry take the storage of hbar and u, read only here
         u_factor = (hbars - h_prev) * us * (1.0 - us)
         r_factor = h_prev * rs * (1.0 - rs)
-        carry = 1.0 - us
+        c_factor = np.subtract(1.0, np.multiply(hbars, hbars, out=hbars), out=hbars)
+        c_factor *= us
+        carry = np.subtract(1.0, us, out=us)
         G = np.empty((n, 3 * d))  # pre-activation gradients [g_r | g_u | g_c]
         G_r, G_u, G_c = G[:, :d], G[:, d : 2 * d], G[:, 2 * d :]
         g_rows = g.reshape(-1, d)[index]
@@ -294,16 +297,13 @@ class GruCell:
             (rs * h_prev).T @ G_c,
         ]
         del Xs
-        dX = None
-        if input_grad:
-            # the three input products summed into one buffer, left to right
-            dXs = G_r @ self.W_r.data.T
-            dXs += G_u @ self.W_u.data.T
-            dXs += G_c @ self.W.data.T
-            dX = np.zeros_like(X2)
-            dX[index] = dXs
-            dX = dX.reshape(X.shape)
-        return dX, grads
+        if not input_grad:
+            return None, grads
+        # the three input products summed into one buffer, left to right
+        dXs = G_r @ self.W_r.data.T
+        dXs += G_u @ self.W_u.data.T
+        dXs += G_c @ self.W.data.T
+        return dXs, grads
 
 
 class BiGruEncoder:

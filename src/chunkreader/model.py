@@ -15,9 +15,9 @@ because candidate counts differ, gathering its chunk and question rows
 straight from the batched states. `forward` is the batch-of-one call of
 the same code. The attention, recorded or not, fuses each example over
 its real rows only. Training calls `forward_batch` once per batch,
-recorded, and there the batched encoder products let the rows of a batch
-differ in their last bits from a run alone. An unrecorded call keeps the
-rows apart: the encoders run every product row by row (see `encoder`).
+recorded, and there the batched recurrent products let the rows of a
+batch differ in their last bits from a run alone. An unrecorded call keeps
+the rows apart: the encoders run every product row by row (see `encoder`).
 So `answers`, which the dev loop, `predict` and `evaluate` call once on
 all their examples, can score ANSWER_BATCH of them per call, a bound on
 inference memory no caller sets, and give each the answer it gets alone,

@@ -207,12 +207,12 @@ def accumulate(
     t: Tensor, g: np.ndarray, index: tuple | None = None, owned: bool = False
 ) -> None:
     """Add a gradient contribution to a tensor, allocating on first touch.
-    With `index` (ints and int arrays, one per leading axis), add g into
-    those positions only, in place; np.add.at for arrays, so a position
-    selected twice receives both contributions, in index order. With
-    `owned`, the caller hands g over: a first touch keeps an ndarray g
-    itself instead of a copy. Pass it only for a float64 array the caller
-    built and never reads again, never for a view or an alias."""
+    With `index` (leading ints, then an int or a 1-D int array), add g
+    into those positions only, in place; np.add.at for an array, so a
+    position selected twice receives both contributions, in index order.
+    With `owned`, the caller hands g over: a first touch keeps an ndarray
+    g itself instead of a copy. Pass it only for a float64 array the
+    caller built and never reads again, never for a view or an alias."""
     if not t.requires_grad:
         return
     if index is not None:
@@ -374,14 +374,17 @@ GATHER_SLICE = 512
 
 
 def _row_index(a: Tensor, index, op: str) -> tuple:
-    """`index` as a tuple of ints and intp arrays, one per leading axis of
-    a, each checked against its axis; a row out of range raises IndexError."""
+    """`index` as a tuple of leading ints, then one int or one 1-D intp
+    array, one part per leading axis of a, each checked against its axis;
+    a row out of range, or an index of any other form, raises IndexError."""
     parts = index if isinstance(index, tuple) else (index,)
     if not 0 < len(parts) < a.data.ndim:
         raise ShapeError(f"{op}: {len(parts)} index axes for shape {a.data.shape}")
-    idx = tuple(
-        int(p) if isinstance(p, (int, np.integer)) else np.asarray(p, dtype=np.intp) for p in parts
-    )
+    *lead, rows = parts
+    rows = int(rows) if isinstance(rows, (int, np.integer)) else np.asarray(rows, dtype=np.intp)
+    if np.ndim(rows) > 1 or not all(isinstance(p, (int, np.integer)) for p in lead):
+        raise IndexError(f"{op}: {index!r} is not leading ints, then an int or a 1-D sequence")
+    idx = (*map(int, lead), rows)
     for axis, part in enumerate(idx):
         size = a.data.shape[axis]
         if isinstance(part, int):
@@ -395,10 +398,10 @@ def _row_index(a: Tensor, index, op: str) -> tuple:
 
 def gather_rows(a: Tensor, index) -> Tensor:
     """Select `a.data[index]` along leading axes, keeping the last whole.
-    `index` is an int, a sequence of ints (repeats allowed), or a tuple of
-    those, one per leading axis: `(b, starts)` reads rows of example b
-    straight from a (B, T, d) block. Backward adds into the selected
-    positions of the gradient in place, through accumulate."""
+    `index` is an int, a 1-D sequence of ints (repeats allowed), or a
+    tuple of leading ints then one of those: `(b, starts)` reads rows of
+    example b straight from a (B, T, d) block. Backward adds into the
+    selected positions of the gradient in place, through accumulate."""
     idx = _row_index(a, index, "gather_rows")
     out = Tensor(a.data[idx])
 
@@ -416,12 +419,10 @@ def gather_pair(a: Tensor, a_index, b: Tensor, b_index) -> Tensor:
     not a whole-size copy of either side. Backward adds the b half of the
     gradient into b's rows, then the a half into a's, the order and the
     adds of the three nodes it replaces."""
-    a_idx = _row_index(a, a_index, "gather_pair")
-    b_idx = _row_index(b, b_index, "gather_pair")
+    a_idx, b_idx = _row_index(a, a_index, "gather_pair"), _row_index(b, b_index, "gather_pair")
     ad, bd = a.data, b.data
-    a_rows = np.broadcast_shapes(*(np.shape(p) for p in a_idx))
-    b_rows = np.broadcast_shapes(*(np.shape(p) for p in b_idx))
-    a_lead, b_lead = a_rows + ad.shape[len(a_idx) : -1], b_rows + bd.shape[len(b_idx) : -1]
+    a_lead = np.shape(a_idx[-1]) + ad.shape[len(a_idx) : -1]
+    b_lead = np.shape(b_idx[-1]) + bd.shape[len(b_idx) : -1]
     if a_lead != b_lead:
         raise ShapeError(f"gather_pair: {a_lead} rows of {ad.shape} against {b_lead} of {bd.shape}")
     split = ad.shape[-1]
@@ -429,25 +430,20 @@ def gather_pair(a: Tensor, a_index, b: Tensor, b_index) -> Tensor:
     if not a_lead:  # one row
         block[:split], block[split:] = ad[a_idx], bd[b_idx]
     else:
+
+        def rows_of(data, idx, rows):  # rows `rows` of data[idx]
+            return data[idx][rows] if isinstance(idx[-1], int) else data[(*idx[:-1], idx[-1][rows])]
+
         for start in range(0, a_lead[0], GATHER_SLICE):
             rows = slice(start, start + GATHER_SLICE)
-            block[rows, ..., :split] = ad[_sliced(a_idx, a_rows, rows)]
-            block[rows, ..., split:] = bd[_sliced(b_idx, b_rows, rows)]
+            block[rows, ..., :split] = rows_of(ad, a_idx, rows)
+            block[rows, ..., split:] = rows_of(bd, b_idx, rows)
 
     def backward_fn(g):
         accumulate(b, g[..., split:], b_idx)
         accumulate(a, g[..., :split], a_idx)
 
     return record(Tensor(block), (a, b), backward_fn)
-
-
-def _sliced(idx: tuple, rows_shape: tuple, rows: slice) -> tuple:
-    """`idx` narrowed to `rows` of the first axis of what it selects: of
-    the broadcast index arrays, or, when every part is an int, of the
-    first axis it leaves whole."""
-    if not rows_shape:
-        return idx + (rows,)
-    return tuple(p if isinstance(p, int) else np.broadcast_to(p, rows_shape)[rows] for p in idx)
 
 
 # ---------------------------------------------------------------------------

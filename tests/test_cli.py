@@ -501,13 +501,14 @@ def test_train_input_it_cannot_use_exits_two_before_the_first_epoch(
     side = "dev" if case == "dev-without-answers" else "train"
     with open(world[side], encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
+    data = tmp_path / f"{side}.jsonl"
+    # each message names the file that holds the fault
     if side == "dev":
         records[1].update(id="noans", answers=[])
-        expected = "data error: example 'noans' has no gold answers"
+        expected = f"data error: {data}: example 'noans' has no gold answers"
     else:
         records[1]["passage"][0]["pos"] = "PROPER NOUN"
-        expected = "data error: tag 'PROPER NOUN' cannot be serialized (whitespace)"
-    data = tmp_path / f"{side}.jsonl"
+        expected = f"data error: {data}: tag 'PROPER NOUN' cannot be serialized (whitespace)"
     data.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
     assert cli.main(train_args(dict(paths, **{side: str(data)}))) == 2
@@ -999,7 +1000,7 @@ def test_evaluate_dataset_it_cannot_score_exits_two_before_any_answer(
     argv = ["evaluate", "--data", str(data),
             "--checkpoint", world["checkpoint"], "--embeddings", world["emb"]]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "data error: example 'noans' has no gold answers\n"
+    assert capsys.readouterr().err == f"data error: {data}: example 'noans' has no gold answers\n"
 
 
 def test_evaluate_without_source_exits_one(world, capsys):
@@ -1145,11 +1146,12 @@ def test_gradcheck_detects_a_backward_wrong_only_on_shorter_rows(capsys, monkeyp
     backprop = GruCell.backprop
 
     def crooked_backprop(self, g, X, states, input_grad):
-        dX, grads = backprop(self, g, X, states, input_grad)
-        lengths = np.bincount(states.index // X.shape[1], minlength=X.shape[0])
-        if dX is not None:
-            dX[lengths < X.shape[1]] *= 1.01
-        return dX, grads
+        dXs, grads = backprop(self, g, X, states, input_grad)
+        rows = states.index // X.shape[1]  # the row of each stepped input row
+        lengths = np.bincount(rows, minlength=X.shape[0])
+        if dXs is not None:
+            dXs[(lengths < X.shape[1])[rows]] *= 1.01
+        return dXs, grads
 
     monkeypatch.setattr(GruCell, "backprop", crooked_backprop)
     assert cli.main(["gradcheck"]) == 3

@@ -364,12 +364,15 @@ def test_batched_encode_rows_match_single_row_encodes():
 
 def batched_gemm_states(cell, X, lengths, reverse):
     """The recorded scan's arithmetic spelled out: each input weight applied
-    to the whole flattened (B*T, n_in) block in one GEMM, and each step's
+    to each row's own real positions in one product, and each step's
     recurrent products over all rows still active in one (m, d) x (d, d)
     GEMM, rows ordered by decreasing length. Returns the (B, T, d) states."""
     B, T, _ = X.shape
     d = cell.hidden_size
-    proj = [(X.reshape(B * T, -1) @ w.data).reshape(B, T, d) for w in (cell.W_r, cell.W_u, cell.W)]
+    proj = np.zeros((3, B, T, d))
+    for b, length in enumerate(lengths):
+        for p, w in zip(proj, (cell.W_r, cell.W_u, cell.W)):
+            p[b, :length] = X[b, :length] @ w.data
     order = np.argsort(-np.asarray(lengths), kind="stable")
     H = np.zeros((B, T, d))
     h = np.zeros((B, d))
@@ -413,33 +416,99 @@ def test_paper_width_rows_never_mix_in_inference(direction):
     assert np.array_equal(recorded.data, batched_gemm_states(cell, X, lengths, reverse))
 
 
+@pytest.mark.parametrize("keep", [False, True], ids=["unrecorded", "recorded"])
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_streamed_projection_is_each_row_alone_and_builds_no_block_product(direction):
-    # an unrecorded scan's input products, row by row: each row's steps get
-    # bit for bit its own batch-of-one product, and beyond its output the
-    # projection holds one row's product, not a (B*T, d) block and a
-    # gathered copy of it
+def test_streamed_projection_is_each_row_alone_and_builds_no_block_product(
+    direction, keep, monkeypatch
+):
+    # a scan's input products, recorded or not, row by row: each row's
+    # steps get bit for bit its own batch-of-one product, and beyond its
+    # output a projection holds one row's product, not a (B*T, d) block
+    # and a gathered copy of it
     reverse = direction == "backward"
     rng = np.random.default_rng(29)
     lengths = np.array([17, 40, 5, 33, 1])
     X = rng.normal(size=(5, 40, 40))  # positions past a row's length are junk
-    weights = [rng.normal(size=(40, 300)) for _ in range(3)]
-    index, _ = encoder._step_plan(lengths, 40, reverse)
+    cell = seeded_cell(40, 300, seed=29, scale=0.1)
+    project, calls = encoder._project, []
+
+    def measured(X, lengths, index, weights):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        proj = project(X, lengths, index, weights)
+        calls.append((weights, proj, tracemalloc.get_traced_memory()[1] - start))
+        return proj
+
+    monkeypatch.setattr(encoder, "_project", measured)
     tracemalloc.start()
     try:
-        proj = encoder._project(X, lengths, index, weights, rowwise=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        cell.scan(X, lengths, reverse, keep=keep)
     finally:
         tracemalloc.stop()
-    extra = 40 * 300 * 8 + 5 * 40 * 8  # one row's product and the step map
-    assert peak <= proj.nbytes + extra + 16384, f"{peak - proj.nbytes} B beyond the output"
+    assert [len(weights) for weights, _, _ in calls] == [2, 1]
+    index, _ = encoder._step_plan(lengths, 40, reverse)
     rows, positions = np.divmod(index, 40)
-    for b, length in enumerate(lengths):
-        mine = rows == b
-        assert sorted(positions[mine]) == list(range(length))
-        for W, p in zip(weights, proj):
-            alone = X[b, :length] @ W
-            assert np.array_equal(p[mine], alone[positions[mine]]), b
+    extra = 40 * 300 * 8 + 5 * 40 * 8  # one row's product and the step map
+    for weights, proj, peak in calls:
+        assert peak <= proj.nbytes + extra + 16384, f"{peak - proj.nbytes} B beyond the output"
+        for b, length in enumerate(lengths):
+            mine = rows == b
+            assert sorted(positions[mine]) == list(range(length))
+            for W, p in zip(weights, proj):
+                alone = X[b, :length] @ W
+                assert np.array_equal(p[mine], alone[positions[mine]]), b
+
+
+def test_recorded_scan_keeps_three_step_arrays_beside_its_output():
+    # the state before each step is read back from the output, so what a
+    # recorded pass holds for its backward is r, u and hbar, one (N, d)
+    # array each, plus its output and the step plan
+    cell = seeded_cell(8, 64, seed=30)
+    X = nm.parameter(np.random.default_rng(31).normal(size=(2, 50, 8)))
+    lengths = [50, 30]
+    step_array = sum(lengths) * 64 * 8
+    with nm.Tape() as tape:
+        tracemalloc.start()
+        try:
+            H = cell.run(X, lengths)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tape.backward(total(H))
+    assert kept <= H.data.nbytes + 3 * step_array + 8192, f"{kept - H.data.nbytes} B beside H"
+    assert np.all(X.grad[1, 30:] == 0.0) and np.all(X.grad[1, :30] != 0.0)
+
+
+def test_second_pass_over_one_input_adds_its_gradient_in_place():
+    # the backward cell's pass runs backward first and allocates the
+    # input's gradient; the forward cell's adds its stepped rows into it in
+    # place, so the backward never holds a second (B, T, n_in) block
+    enc = seeded_encoder(600, 2, seed=32)
+    X = nm.parameter(np.random.default_rng(33).normal(size=(2, 40, 600)))
+    lengths = [40, 4]  # padding makes a block larger than the stepped rows
+
+    def input_grads(*cells):
+        X.grad = None
+        with nm.Tape() as tape:
+            outs = [cell.run(X, lengths, reverse=cell is enc.backward_cell) for cell in cells]
+            loss = total(outs[0]) if len(outs) == 1 else nm.add(total(outs[0]), total(outs[1]))
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return X.grad, peak
+
+    dX, peak = input_grads(enc.forward_cell, enc.backward_cell)
+    stepped = sum(lengths) * 600 * 8
+    weights = sum(p.data.nbytes for p in enc.parameters().values())
+    # the input's and the weights' gradients, dX_s and one more product of
+    # the stepped rows, which a second block would exceed by 36 rows
+    assert peak <= X.data.nbytes + weights + 2 * stepped + 32768, f"{peak} B"
+    alone = [input_grads(cell)[0] for cell in (enc.backward_cell, enc.forward_cell)]
+    assert np.array_equal(dX, alone[0] + alone[1])
+    assert np.array_equal(dX[1, 4:], np.zeros((36, 600)))
 
 
 def test_untaped_run_keeps_no_step_states():

@@ -258,8 +258,6 @@ def test_gather_rows_reads_rows_of_one_example_of_a_stack():
             tape.backward(total(mul(picked, nm.tensor(g))))
     assert np.array_equal(a.grad[1], alone.grad)
     assert np.array_equal(a.grad[[0, 2]], np.zeros((2, 5, 2)))
-    # one index array per axis: row t_i of example b_i
-    assert np.array_equal(nm.gather_rows(a, ([0, 2], [3, 1])).data, a.data[[0, 2], [3, 1]])
 
 
 def test_gather_rows_bounds():
@@ -274,6 +272,14 @@ def test_gather_rows_bounds():
     with pytest.raises(IndexError):
         nm.gather_rows(s, (1, [0, 3]))
     assert nm.gather_rows(s, (1, [])).shape == (0, 2)
+    # one form only: leading ints, then one int or one 1-D sequence
+    with pytest.raises(IndexError, match="not leading ints"):
+        nm.gather_rows(a, [[0, 1], [1, 0]])  # a 2-D index array
+    with pytest.raises(IndexError, match="not leading ints"):
+        nm.gather_rows(s, ([0, 1], [2, 0]))  # an index array on a leading axis
+    with pytest.raises(IndexError, match="not leading ints"):
+        nm.gather_rows(s, (0.0, 1))  # a leading part that is not an int
+    assert np.array_equal(nm.gather_rows(s, (np.int64(1), np.array([2]))).data, s.data[1, [2]])
 
 
 def _pair_operands(stack):
@@ -362,6 +368,10 @@ def test_gather_pair_bounds_and_shapes():
         nm.gather_pair(a, (0, [1, 2, 3]), b, (0, [1, 2]))
     with pytest.raises(nm.ShapeError):  # no axis left whole
         nm.gather_pair(a, (0, 1, 2), b, (0, 1))
+    with pytest.raises(IndexError, match="not leading ints"):
+        nm.gather_pair(a, ([0, 1], [1, 2]), b, (0, [1, 2]))
+    with pytest.raises(IndexError, match="not leading ints"):
+        nm.gather_pair(a, (0, [1, 2]), b, (0, [[1, 2]]))
     assert nm.gather_pair(a, (1, []), b, (1, [])).shape == (0, 5)
 
 
