@@ -7,7 +7,9 @@ The cell is bias-free: with row-vector inputs x (n_in) and state h (d),
     hbar = tanh(x W + (r * h) U)        candidate state
     h' = (1 - u) * h + u * hbar
 
-All six matrices are tape-tracked parameters; there are no bias vectors.
+All six matrices are tape-tracked parameters, views of a cell's two
+stacked blocks, the input block [W_r; W_u; W] (3, n_in, d) and the
+recurrent block [U_r; U_u; U] (3, d, d); there are no bias vectors.
 The bi-directional encoder runs one cell left-to-right and an independent
 cell right-to-left, both from a zero initial state, and concatenates the
 two state sequences per position.
@@ -16,25 +18,32 @@ One pass of a cell over a batch of sequences is a single tape node
 (`GruCell.run`). The input is a (B, T, n_in) block whose row b is real
 for its first L_b positions; a (T, n_in) block is the B = 1 case and runs
 the same code. The forward (`GruCell.scan`), recorded or not, projects
-each row over its own L_b positions through W_r, W_u and W, the products
-of its batch-of-one run, straight into the row's steps: no padded row is
-projected and no (B*T, d) product is built. Then it steps all rows at
-once. Rows are sorted once by decreasing length (a stable sort), so the
-n_k rows still active at step k are a prefix of the state block and the
-loop needs no masks; the forward direction visits position k of each
-active row, the reverse direction position L_b - 1 - k. A recorded call
-forms each step's products as one (n_k, d) x (d, d) GEMM per recurrent
-matrix, an unrecorded call as n_k stacked (1, d) x (d, d) products:
-OpenBLAS gives a row of a GEMM bits that depend on how many rows share
-it, and this way every row gets exactly the bits of its own batch-of-one
-run. That costs more per step (about 50 against 32 us for two rows at
-d = 300, OpenBLAS on two shared vCPUs), so training keeps the GEMMs. No
-weight matrix is copied or concatenated: a copy of [U_r|U_u] for one
-wider product saves no time and raises peak memory.
+each row over its own L_b positions through the input block straight
+into the row's steps: no padded row is projected and no (B*T, d) product
+is built. Then it steps all rows at once. Rows are sorted once by
+decreasing length (a stable sort), so the n_k rows still active at step
+k are a prefix of the state block and the loop needs no masks; the
+forward direction visits position k of each active row, the reverse
+direction position L_b - 1 - k. Each step forms its reset and update
+products as one call over the recurrent block's first two slices,
+straight into the storage r and u are kept in. A recorded call forms
+each step product as an (n_k, d) x (d, d) GEMM, an unrecorded call as
+n_k stacked (1, d) x (d, d) products: OpenBLAS gives a row of a GEMM
+bits that depend on how many rows share it, and this way every row gets
+exactly the bits of its own batch-of-one run. That costs more per step
+(about 50 against 32 us for two rows at d = 300, OpenBLAS on two shared
+vCPUs), so training keeps the GEMMs.
+
+A call over a block runs one BLAS product per slice, so each gate keeps
+the bits of its own product. Kept per gate: the projection, one product
+per row and gate, so its temporary is one row's product; the candidate
+product and dU, which read r * h; and dX_s, three products summed left
+to right into one buffer, not a (3, N, n_in) stack. d[U_r|U_u] stays one
+(d, 2d) product: two (d, d) products round otherwise at d = 300.
 
 Besides what it keeps, a call over N = sum_b L_b real steps holds at
 most four (N, d) arrays at once, plus one row's or one step's
-temporaries: the three input projections, freed when the step loop
+temporaries: the (3, N, d) input projections, freed when the step loop
 ends, and the states in step order, then scattered into the zero-padded
 (B, T, d) output. An unrecorded (inference) call keeps nothing; a
 recorded one keeps r, u and hbar, one (N, d) array each in step order,
@@ -50,14 +59,16 @@ reaching h' (its upstream row plus the carry from the row's next step):
     g_r = e * h_prev * r * (1 - r)                   pre-sigmoid, reset
     dh_prev = dh * (1 - u) + e * r + g_r U_r^T + g_u U_u^T
 
-It stores the pre-activation gradients G = [g_r|g_u|g_c] (N, 3d), and
-after the loop forms every weight gradient as one GEMM over all rows'
-steps: dW_* = X_s^T G_* over the stepped input rows X_s,
+with g_r U_r^T and g_u U_u^T one call over the recurrent block. It
+stores the pre-activation gradients G = [g_r|g_u|g_c] (N, 3d), and after
+the loop forms every weight gradient over all rows' steps, each handed
+over as its own view of a fresh product: dW_* = X_s^T G_* over the
+stepped input rows X_s, one call over a (3, N, d) view of G,
 d[U_r|U_u] = H_prev^T [G_r|G_u], dU = (R * H_prev)^T G_c, and
-dX_s = sum_* G_* W_*^T. The factors with storage of their own are freed
-when the loop ends, and X_s once the weight gradients are formed. dX_s fills a zeroed
-(B, T, n_in) gradient on the input's first touch and is otherwise added
-into it in place, so a second pass over one input builds no second block.
+dX_s = sum_* G_* W_*^T. The factors with storage of their own are freed when the loop ends, and
+X_s once the weight gradients are formed. dX_s fills a zeroed (B, T,
+n_in) gradient on the input's first touch and is otherwise added into it
+in place, so a second pass over one input builds no second block.
 
 Padding contract, per row: positions at or beyond a row's length produce
 all-zero output rows, leave its recurrent state untouched and receive no
@@ -109,20 +120,21 @@ def _step_plan(lengths: np.ndarray, T: int, reverse: bool) -> tuple[np.ndarray, 
 
 
 def _matmul_each_row(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a @ b into out for an (m, k) block a, as m stacked (1, k) x (k, n)
-    products: each row gets exactly the bits of its own batch-of-one
-    product, which one (m, k) x (k, n) GEMM does not promise."""
-    return np.matmul(a[:, None], b, out=out[:, None])[:, 0]
+    """a @ b into out for an (m, k) block a and a (k, n) matrix or a
+    (g, k, n) stack b, as m stacked (1, k) x (k, n) products per matrix:
+    each row gets exactly the bits of its own batch-of-one product, which
+    one (m, k) x (k, n) GEMM does not promise."""
+    return np.matmul(a[:, None], b[..., None, :, :], out=out[..., None, :])[..., 0, :]
 
 
 def _project(X: np.ndarray, lengths: np.ndarray, index: np.ndarray, weights) -> np.ndarray:
-    """X W for each of `weights`, stacked, at the rows `index` of the
-    flattened (B*T, n_in) block, in step order: one product per row and
-    weight over the row's first L_b positions, the same product as a batch
-    of one, written straight into that row's steps. No (B*T, d) product
-    is built, and no padded row is projected."""
+    """X W for each W of the (g, n_in, d) stack `weights`, at the rows
+    `index` of the flattened (B*T, n_in) block, in step order: one product
+    per row and weight over the row's first L_b positions, the same
+    product as a batch of one, written straight into that row's steps. No
+    (B*T, d) product is built, and no padded row is projected."""
     B, T, _ = X.shape
-    out = np.empty((len(weights), len(index), weights[0].shape[1]))
+    out = np.empty((len(weights), len(index), weights.shape[-1]))
     step_of = np.empty(B * T, dtype=np.intp)  # the step row of each position
     step_of[index] = np.arange(len(index))
     for b, length in enumerate(lengths.tolist()):
@@ -141,12 +153,11 @@ class GruCell:
         self.n_in = n_in
         self.hidden_size = hidden_size
         self.name = name
-        self.W_r = nm.parameter(np.zeros((n_in, hidden_size)))
-        self.W_u = nm.parameter(np.zeros((n_in, hidden_size)))
-        self.W = nm.parameter(np.zeros((n_in, hidden_size)))
-        self.U_r = nm.parameter(np.zeros((hidden_size, hidden_size)))
-        self.U_u = nm.parameter(np.zeros((hidden_size, hidden_size)))
-        self.U = nm.parameter(np.zeros((hidden_size, hidden_size)))
+        # [W_r; W_u; W] and [U_r; U_u; U]; each parameter views one slice
+        self.W_block = np.zeros((3, n_in, hidden_size))
+        self.U_block = np.zeros((3, hidden_size, hidden_size))
+        self.W_r, self.W_u, self.W = map(nm.parameter, self.W_block)
+        self.U_r, self.U_u, self.U = map(nm.parameter, self.U_block)
 
     def parameters(self) -> dict[str, Tensor]:
         """Name -> tensor, in a fixed order shared by init and checkpoints."""
@@ -157,8 +168,8 @@ class GruCell:
         row b over its first lengths[b] positions, left to right or (with
         `reverse`) right to left; returns the (B, T, d) states, a zero row
         at every padded position. A (T, n_in) block with one int length
-        (None: all T) is the B = 1 case and gives (T, d). A length outside
-        1..T raises ValueError. One tape node."""
+        (None: all T) is the B = 1 case and gives (T, d). A length that is
+        not an int in 1..T raises ValueError. One tape node."""
         Xd = X.data
         if Xd.ndim not in (2, 3) or Xd.shape[-1] != self.n_in:
             raise nm.ShapeError(
@@ -166,13 +177,13 @@ class GruCell:
             )
         X3 = Xd[None] if Xd.ndim == 2 else Xd
         T = X3.shape[1]
-        if lengths is None:
-            lengths = [T] * X3.shape[0]
-        lengths = np.array(lengths, dtype=np.intp).reshape(-1)
+        lengths = np.asarray([T] * X3.shape[0] if lengths is None else lengths).reshape(-1)
         if lengths.shape != X3.shape[:1]:
             raise nm.ShapeError(f"{self.name}: {lengths.size} lengths for {X3.shape[0]} rows")
-        if lengths.size == 0 or lengths.min() < 1 or lengths.max() > T:
-            raise ValueError(f"{self.name}: lengths {lengths} out of range for {T} positions")
+        ints = lengths.dtype.kind in "iu" and lengths.size
+        if not ints or lengths.min() < 1 or lengths.max() > T:
+            raise ValueError(f"{self.name}: lengths {lengths} are not ints in 1..{T}")
+        lengths = lengths.astype(np.intp)
         params = [getattr(self, f) for f in _CELL_FIELDS]
         taped = nm.recording([X] + params)
         H, states = self.scan(X3, lengths, reverse, keep=taped)
@@ -190,9 +201,8 @@ class GruCell:
                 else:  # the stepped rows are unique, so a plain fancy add
                     grad = X.grad[None] if X.grad.ndim == 2 else X.grad
                     grad[np.divmod(states.index, T)] += dXs
-            # the two halves of dU_ru are views of one product: copied
-            for p, dp in zip(params, grads):
-                nm.accumulate(p, dp, owned=dp.base is None)
+            for p, dp in zip(params, grads):  # each its own view of a fresh product
+                nm.accumulate(p, dp, owned=True)
 
         return nm.record(out, [X] + params, backward_fn)
 
@@ -206,12 +216,8 @@ class GruCell:
         d = self.hidden_size
         index, counts = _step_plan(lengths, T, reverse)
         n = int(counts.sum())
-        # X W_r and X W_u side by side, so each step adds both in one op;
-        # X W apart, which keeps the largest block, and so peak memory,
-        # small
-        proj_ru = _project(X, lengths, index, (self.W_r.data, self.W_u.data))
-        proj_c = _project(X, lengths, index, (self.W.data,))[0]
-        U_r, U_u, U = self.U_r.data, self.U_u.data, self.U.data
+        proj = _project(X, lengths, index, self.W_block)  # X W_r, X W_u, X W
+        U_ru, U = self.U_block[:2], self.U_block[2]
         # a batch of one is already row by row
         matmul = np.matmul if keep or B == 1 else _matmul_each_row
         if keep:
@@ -221,19 +227,17 @@ class GruCell:
         s = 0
         for m in counts.tolist():
             h = h[:m]
-            a = np.empty((2, m, d))  # the gate pre-activations, side by side
-            matmul(h, U_r, out=a[0])
-            matmul(h, U_u, out=a[1])
-            a += proj_ru[:, s : s + m]
-            r, u = ru = nm.logistic(a)
-            c = matmul(r * h, U, out=np.empty((m, d)))
-            c += proj_c[s : s + m]
+            a = gates[:, s : s + m] if keep else np.empty((2, m, d))  # pre-activations, then r, u
+            c = hbars[s : s + m] if keep else np.empty((m, d))
+            matmul(h, U_ru, out=a)
+            a += proj[:2, s : s + m]
+            r, u = nm.logistic(a, out=a)
+            matmul(r * h, U, out=c)
+            c += proj[2, s : s + m]
             hbar = np.tanh(c, out=c)
-            if keep:
-                gates[:, s : s + m], hbars[s : s + m] = ru, hbar
             h = np.add(h, u * (hbar - h), out=Hs[s : s + m])
             s += m
-        del proj_ru, proj_c  # read by the loop only; freed before H is built
+        del proj  # read by the loop only; freed before H is built
         H = np.zeros((B * T, d))
         H[index] = Hs
         H = H.reshape(B, T, d)
@@ -251,7 +255,7 @@ class GruCell:
         overwrites the states' u and hbar, so it runs once per scan."""
         index, counts, H, rs, us, hbars = states
         n, d = rs.shape
-        U_r_T, U_u_T, U_T = self.U_r.data.T, self.U_u.data.T, self.U.data.T
+        U_ru_T, U_T = self.U_block[:2].transpose(0, 2, 1), self.U_block[2].T
         # the state before a step is the same row's state one step earlier,
         # counts[k-1] rows back in step order; the first step starts at zero
         h_prev = np.zeros((n, d))
@@ -265,7 +269,8 @@ class GruCell:
         c_factor *= us
         carry = np.subtract(1.0, us, out=us)
         G = np.empty((n, 3 * d))  # pre-activation gradients [g_r | g_u | g_c]
-        G_r, G_u, G_c = G[:, :d], G[:, d : 2 * d], G[:, 2 * d :]
+        G3 = G.reshape(n, 3, d).transpose(1, 0, 2)  # the same, as (3, N, d)
+        G_r, G_u, G_c = G3
         g_rows = g.reshape(-1, d)[index]
         dh = np.zeros((counts[0], d))  # per row, the gradient on its state
         s = n
@@ -280,22 +285,14 @@ class GruCell:
             np.multiply(e, r_factor[k], out=G_r[k])
             dh_k *= carry[k]
             e *= rs[k]
-            dh_k += e
-            dh_k += G_r[k] @ U_r_T
-            dh_k += G_u[k] @ U_u_T
+            for term in (e, *np.matmul(G3[:2, k], U_ru_T)):  # e * r, g_r U_r^T, g_u U_u^T
+                dh_k += term
         del c_factor, u_factor, r_factor, carry, g_rows
 
         X2 = X.reshape(-1, X.shape[-1])
         Xs = np.ascontiguousarray(X2[index])
         dU_ru = h_prev.T @ G[:, : 2 * d]
-        grads = [
-            Xs.T @ G_r,
-            Xs.T @ G_u,
-            Xs.T @ G_c,
-            dU_ru[:, :d],
-            dU_ru[:, d:],
-            (rs * h_prev).T @ G_c,
-        ]
+        grads = [*np.matmul(Xs.T, G3), dU_ru[:, :d], dU_ru[:, d:], (rs * h_prev).T @ G_c]
         del Xs
         if not input_grad:
             return None, grads

@@ -198,10 +198,11 @@ def attend(
 
 def _real_rows(lens, shape: tuple[int, int], side: str) -> list[int]:
     """Per-example real row counts for `attend`, from an int, one count per
-    example or None (all rows); each in 1..rows, for at least one example."""
+    example or None (all rows); ints in 1..rows, for at least one example."""
     B, rows = shape
     counts = [rows if lens is None else lens] * B if np.ndim(lens) == 0 else list(lens)
-    if not counts or len(counts) != B or not all(1 <= n <= rows for n in counts):
+    ints = np.asarray(counts).dtype.kind in "iu"
+    if not counts or len(counts) != B or not ints or not all(1 <= n <= rows for n in counts):
         raise nm.ShapeError(f"{side} lengths {counts} do not fit {B} examples of 1..{rows} rows")
     return [int(n) for n in counts]
 

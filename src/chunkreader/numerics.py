@@ -15,14 +15,15 @@ still holds keeps its value and its `grad`; any other is freed.
 
 The module holds only the ops the model and the benchmark run. The
 training objective is one node per batch, `mean_nll` (`add` and `scale`
-serve the benchmark's own reference loss). Its
-row-selection ops, `gather_rows` and `gather_pair`, read rows straight
-from batched (B, T, d) blocks. `accumulate` alone allocates a gradient
-on first touch: it copies the contribution, unless the closure hands it
-over with `owned=True`, which a closure may do only for a float64
-ndarray it built itself and never reads again. A view or alias (a slice
-of the upstream gradient, or the upstream gradient passed through) is
-always copied, so no two gradients share memory.
+serve the benchmark's own reference loss). Its row-selection ops,
+`gather_rows` and `gather_pair`, read rows straight from batched
+(B, T, d) blocks. `accumulate` alone allocates a gradient on first
+touch: it copies the contribution, unless the closure hands it over with
+`owned=True`, which a closure may do only for a float64 ndarray it built
+itself and never reads again, or for disjoint views of one, each handed
+to a different tensor. Any other view or alias (a slice of the upstream
+gradient, or the gradient passed through) is copied, so no two
+gradients share memory.
 
 The stack of active tapes is per thread: an op records on the innermost
 tape its own thread entered, so threads that each enter their own tape
@@ -212,7 +213,8 @@ def accumulate(
     position selected twice receives both contributions, in index order.
     With `owned`, the caller hands g over: a first touch keeps an ndarray
     g itself instead of a copy. Pass it only for a float64 array the
-    caller built and never reads again, never for a view or an alias."""
+    caller built and never reads again, or for disjoint views of one, each
+    handed to a different tensor; never for any other view or an alias."""
     if not t.requires_grad:
         return
     if index is not None:
@@ -276,12 +278,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 
-def logistic(x: np.ndarray) -> np.ndarray:
+def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) on a plain array, computed without overflow for
     large |x|: with e = exp(-|x|), it is 1 / (1 + e) where x >= 0 and
-    e / (1 + e) elsewhere."""
+    e / (1 + e) elsewhere. Written into `out` if given, which may be x."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), np.add(1.0, e, out=e), out=out)
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -376,15 +378,15 @@ GATHER_SLICE = 512
 def _row_index(a: Tensor, index, op: str) -> tuple:
     """`index` as a tuple of leading ints, then one int or one 1-D intp
     array, one part per leading axis of a, each checked against its axis;
-    a row out of range, or an index of any other form, raises IndexError."""
+    a row out of range, or any other index (a float, a bool), raises IndexError."""
     parts = index if isinstance(index, tuple) else (index,)
     if not 0 < len(parts) < a.data.ndim:
         raise ShapeError(f"{op}: {len(parts)} index axes for shape {a.data.shape}")
-    *lead, rows = parts
-    rows = int(rows) if isinstance(rows, (int, np.integer)) else np.asarray(rows, dtype=np.intp)
-    if np.ndim(rows) > 1 or not all(isinstance(p, (int, np.integer)) for p in lead):
+    *lead, rows = map(np.asarray, parts)
+    ints = all(p.dtype.kind in "iu" for p in (*lead, rows) if p.size)  # an empty list is a float
+    if not ints or rows.ndim > 1 or any(p.ndim for p in lead):
         raise IndexError(f"{op}: {index!r} is not leading ints, then an int or a 1-D sequence")
-    idx = (*map(int, lead), rows)
+    idx = (*map(int, lead), int(rows) if rows.ndim == 0 else rows.astype(np.intp, copy=False))
     for axis, part in enumerate(idx):
         size = a.data.shape[axis]
         if isinstance(part, int):

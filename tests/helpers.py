@@ -87,3 +87,10 @@ def edit_checkpoint(raw, old, new):
         return raw.replace(old, new, 1)
     manifest = manifest.replace(old, new, 1)
     return b"\n".join([magic, b"manifest_bytes %d" % len(manifest), manifest + blob])
+
+
+def assert_views_of_blocks(cell):
+    """Each of a GRU cell's six parameters is exactly its slice of the
+    cell's two stacked blocks: same memory, shape, strides and dtype."""
+    for p, part in zip(cell.parameters().values(), [*cell.W_block, *cell.U_block]):
+        assert p.data.__array_interface__ == part.__array_interface__

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkreader import encoder, numerics as nm
+from helpers import assert_views_of_blocks
 from reference_ops import mul, sigmoid, tanh, total
 
 
@@ -99,6 +100,20 @@ def test_step_gradients_match_finite_differences():
 
         err = max(nm.finite_difference_errors(build, params + [X], 1e-6))
         assert err < 1e-5, T
+
+
+def test_gradcheck_perturbs_the_blocks_the_scan_reads():
+    # finite differences perturb each parameter through p.data.reshape(-1),
+    # a view only of a contiguous slice: had it copied, the scan would not
+    # see the step and every numeric gradient would read zero
+    cell = seeded_cell(3, 4, seed=36)
+    for p in cell.parameters().values():
+        assert p.data.flags.c_contiguous
+    X = nm.tensor(np.random.default_rng(37).normal(size=(2, 5, 3)))
+    params = list(cell.parameters().values())
+    errors = nm.finite_difference_errors(lambda: total(cell.run(X, [5, 3])), params, 1e-6)
+    assert max(errors) < 1e-5, errors
+    assert_views_of_blocks(cell)
 
 
 def test_step_gradient_flows_to_input_and_state():
@@ -220,6 +235,18 @@ def test_encode_rejects_empty_and_bad_length():
         enc.encode(nm.tensor(X), 5)
     with pytest.raises(ValueError):
         enc.encode(nm.tensor(np.zeros((2, 4, 3))), [4, 0])
+
+
+def test_run_rejects_lengths_that_are_not_ints():
+    # a length of 2.7 stepped 2 positions, and True stepped 1
+    cell = seeded_cell(3, 4)
+    X = nm.tensor(np.ones((2, 4, 3)))
+    for lengths in ([2.7, 4], [True, True], np.array([2.0, 4.0])):
+        with pytest.raises(ValueError, match="not ints"):
+            cell.run(X, lengths)
+    with pytest.raises(ValueError, match="not ints"):
+        cell.run(nm.tensor(np.ones((4, 3))), 3.0)
+    assert cell.run(X, np.array([2, 4], dtype=np.uint8)).shape == (2, 4, 4)
 
 
 def test_padding_rows_are_zero_and_inert():
@@ -362,36 +389,77 @@ def test_batched_encode_rows_match_single_row_encodes():
         assert np.array_equal(dX[b, length:], np.zeros((5 - length, 3)))
 
 
-def batched_gemm_states(cell, X, lengths, reverse):
-    """The recorded scan's arithmetic spelled out: each input weight applied
-    to each row's own real positions in one product, and each step's
-    recurrent products over all rows still active in one (m, d) x (d, d)
-    GEMM, rows ordered by decreasing length. Returns the (B, T, d) states."""
+def batched_gemm_states(cell, X, lengths, reverse, g=None):
+    """The recorded scan's arithmetic spelled out gate by gate: each input
+    weight applied to each row's own real positions in one product, and
+    each step's recurrent products over all rows still active in one
+    (m, d) x (d, d) GEMM per matrix, rows ordered by decreasing length.
+    Returns the (B, T, d) states. Given the gradient g on them, also
+    returns the input gradient and the six weight gradients of the
+    backward through time written out the same way: step by step, each
+    gate's pre-activation gradient its own array and each recurrent term
+    its own product, then each weight gradient one product over all
+    steps. Only d[U_r|U_u] is one (d, 2d) product, as the cell forms it:
+    two (d, d) products round otherwise at d = 300."""
     B, T, _ = X.shape
     d = cell.hidden_size
+    W_r, W_u, W, U_r, U_u, U = (p.data for p in cell.parameters().values())
     proj = np.zeros((3, B, T, d))
     for b, length in enumerate(lengths):
-        for p, w in zip(proj, (cell.W_r, cell.W_u, cell.W)):
-            p[b, :length] = X[b, :length] @ w.data
+        for p, w in zip(proj, (W_r, W_u, W)):
+            p[b, :length] = X[b, :length] @ w
     order = np.argsort(-np.asarray(lengths), kind="stable")
     H = np.zeros((B, T, d))
     h = np.zeros((B, d))
+    steps = []  # per step: the positions it visits, h_prev, r, u and hbar
     for k in range(max(lengths)):
         rows = [b for b in order if lengths[b] > k]
         m = len(rows)
         at = (rows, [lengths[b] - 1 - k if reverse else k for b in rows])
         h = h[:m]
         a = np.empty((2, m, d))
-        np.matmul(h, cell.U_r.data, out=a[0])
-        np.matmul(h, cell.U_u.data, out=a[1])
+        np.matmul(h, U_r, out=a[0])
+        np.matmul(h, U_u, out=a[1])
         a += np.stack([proj[0][at], proj[1][at]])
         r, u = nm.logistic(a)
-        c = (r * h) @ cell.U.data
+        c = (r * h) @ U
         c += proj[2][at]
         hbar = np.tanh(c)
+        steps.append((at, h, r, u, hbar))
         h = h + u * (hbar - h)
         H[at] = h
-    return H
+    if g is None:
+        return H
+    dh = np.zeros((B, d))
+    pre = []  # per step, in step order: g_r, g_u and g_c
+    for at, h_prev, r, u, hbar in reversed(steps):
+        dh_k = dh[: len(at[0])]
+        dh_k += g[at]
+        g_c = dh_k * ((1.0 - hbar * hbar) * u)
+        g_u = dh_k * ((hbar - h_prev) * u * (1.0 - u))
+        e = g_c @ U.T
+        g_r = e * (h_prev * r * (1.0 - r))
+        dh_k *= 1.0 - u
+        e *= r
+        dh_k += e
+        dh_k += g_r @ U_r.T
+        dh_k += g_u @ U_u.T
+        pre.insert(0, (g_r, g_u, g_c))
+    G_r, G_u, G_c = (np.concatenate(gate) for gate in zip(*pre))
+    Xs = np.concatenate([X[at] for at, *_ in steps])
+    H_prev = np.concatenate([h_prev for _, h_prev, *_ in steps])
+    R = np.concatenate([r for _, _, r, _, _ in steps])
+    dU_ru = H_prev.T @ np.concatenate([G_r, G_u], axis=1)
+    grads = [Xs.T @ G_r, Xs.T @ G_u, Xs.T @ G_c, dU_ru[:, :d], dU_ru[:, d:], (R * H_prev).T @ G_c]
+    dXs = G_r @ W_r.T
+    dXs += G_u @ W_u.T
+    dXs += G_c @ W.T
+    dX = np.zeros(X.shape)
+    s = 0
+    for at, *_ in steps:
+        dX[at] = dXs[s : s + len(at[0])]
+        s += len(at[0])
+    return H, dX, grads
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -416,15 +484,37 @@ def test_paper_width_rows_never_mix_in_inference(direction):
     assert np.array_equal(recorded.data, batched_gemm_states(cell, X, lengths, reverse))
 
 
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_recorded_backward_is_the_per_gate_backward_bit_for_bit(direction):
+    # the stacked products over the cell's blocks give each gate exactly
+    # the bits of its own product: states, input gradient and every weight
+    # gradient equal the per-gate reference over mixed lengths at d = 300
+    reverse = direction == "backward"
+    cell = seeded_cell(40, 300, seed=34, scale=0.1)
+    rng = np.random.default_rng(35)
+    lengths = [17, 40, 5, 33, 1]
+    X = nm.parameter(rng.normal(size=(5, 40, 40)))  # positions past a row's length are junk
+    weights = rng.normal(size=(5, 40, 300))
+    with nm.Tape() as tape:
+        H = cell.run(X, lengths, reverse)
+        tape.backward(total(mul(H, nm.tensor(weights))))
+    ref_H, ref_dX, ref_grads = batched_gemm_states(cell, X.data, lengths, reverse, weights)
+    assert np.array_equal(H.data, ref_H)
+    assert np.array_equal(X.grad, ref_dX)
+    for (name, p), ref in zip(cell.parameters().items(), ref_grads):
+        assert np.array_equal(p.grad, ref), name
+
+
 @pytest.mark.parametrize("keep", [False, True], ids=["unrecorded", "recorded"])
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_streamed_projection_is_each_row_alone_and_builds_no_block_product(
     direction, keep, monkeypatch
 ):
-    # a scan's input products, recorded or not, row by row: each row's
-    # steps get bit for bit its own batch-of-one product, and beyond its
-    # output a projection holds one row's product, not a (B*T, d) block
-    # and a gathered copy of it
+    # a scan's input products, recorded or not, are one call over the
+    # cell's input block, row by row and gate by gate: each row's steps get
+    # bit for bit its own batch-of-one product, and beyond its output the
+    # projection holds one row's product, not a (B*T, d) block and a
+    # gathered copy of it
     reverse = direction == "backward"
     rng = np.random.default_rng(29)
     lengths = np.array([17, 40, 5, 33, 1])
@@ -445,7 +535,7 @@ def test_streamed_projection_is_each_row_alone_and_builds_no_block_product(
         cell.scan(X, lengths, reverse, keep=keep)
     finally:
         tracemalloc.stop()
-    assert [len(weights) for weights, _, _ in calls] == [2, 1]
+    assert len(calls) == 1 and calls[0][0] is cell.W_block
     index, _ = encoder._step_plan(lengths, 40, reverse)
     rows, positions = np.divmod(index, 40)
     extra = 40 * 300 * 8 + 5 * 40 * 8  # one row's product and the step map

@@ -198,6 +198,21 @@ def test_attend_rejects_lengths_outside_the_rows():
         M.attend(nm.tensor(np.ones((4, 3))), nm.tensor(np.ones((3, 3))), question_lens=0)
 
 
+def test_attend_rejects_lengths_that_are_not_ints():
+    # a count of 2.5 attended over 2 rows, and True over 1
+    P, Q = nm.tensor(np.ones((2, 4, 3))), nm.tensor(np.ones((2, 3, 3)))
+    for lens in (
+        {"passage_lens": [2.5, 4]},
+        {"passage_lens": 2.0},
+        {"question_lens": [True, True]},
+        {"question_lens": np.array([1.0, 3.0])},
+    ):
+        with pytest.raises(nm.ShapeError):
+            M.attend(P, Q, True, **lens)
+    out = M.attend(P, Q, True, passage_lens=np.array([2, 4], dtype=np.uint8), question_lens=[3, 1])
+    assert np.array_equal(out.data[0, 2:], np.zeros((2, 6)))
+
+
 # ---------------------------------------------------------------------------
 # attention pass and chunk/question representations
 

@@ -99,6 +99,10 @@ def test_logistic_is_the_two_branch_formula():
         expected = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
     assert np.array_equal(nm.logistic(x), expected, equal_nan=True)
     assert np.array_equal(sigmoid(nm.tensor(x)).data, expected, equal_nan=True)
+    # written in place, as the GRU step writes its gates into kept storage
+    y = x.copy()
+    assert nm.logistic(y, out=y) is y
+    assert np.array_equal(y, expected, equal_nan=True)
 
 
 def test_concat_grad_and_shapes():
@@ -280,6 +284,23 @@ def test_gather_rows_bounds():
     with pytest.raises(IndexError, match="not leading ints"):
         nm.gather_rows(s, (0.0, 1))  # a leading part that is not an int
     assert np.array_equal(nm.gather_rows(s, (np.int64(1), np.array([2]))).data, s.data[1, [2]])
+
+
+def test_row_indices_must_be_integers():
+    # a float or a bool index is not rounded, cast or read as a mask: a
+    # row list of 1.5 read row 1, and [True, False] read rows 1 and 0
+    a = nm.parameter(np.arange(6.0).reshape(3, 2))
+    s = nm.parameter(np.zeros((2, 3, 2)))
+    for index in ([1.5], [True, False], 1.5, True, np.array([1.0]), (s, (True, [0]))):
+        operand, index = index if isinstance(index, tuple) else (a, index)
+        with pytest.raises(IndexError, match="not leading ints"):
+            nm.gather_rows(operand, index)
+        with pytest.raises(IndexError, match="not leading ints"):
+            nm.gather_pair(operand, index, operand, index)
+    # an empty row list, whatever numpy makes of it, and unsigned ints stay legal
+    assert nm.gather_rows(a, []).shape == (0, 2)
+    assert nm.gather_rows(a, np.array([], dtype=float)).shape == (0, 2)
+    assert np.array_equal(nm.gather_rows(a, np.array([2, 0], dtype=np.uint8)).data, a.data[[2, 0]])
 
 
 def _pair_operands(stack):

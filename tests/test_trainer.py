@@ -16,7 +16,8 @@ from chunkreader.chunker import CandidateChunk, enumerate_candidates
 from chunkreader.corpus import DataError, EmbeddingTable, Featurizer
 from chunkreader.model import ChunkReaderModel, ModelConfig, nll_loss
 from chunkreader.synthetic import SyntheticSpec, generate
-from helpers import make_example
+from chunkreader.checkpoint import load_checkpoint, save_checkpoint
+from helpers import assert_views_of_blocks, make_example
 
 
 def tiny_setup(n=8, seed=0, hidden=6, max_chunk_len=4):
@@ -650,6 +651,57 @@ def test_backward_peak_memory_stays_near_the_forward_state():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * live, f"backward peak {peak} B against {live} B live after the forward"
+
+
+def test_recorded_forward_holds_memory_linear_in_batch_and_length():
+    # what the tape holds after one recorded forward, per example, grows at
+    # most in proportion to the passage length and not with the batch
+    held = {}
+    for B in (2, 4):
+        for T in (40, 80):
+            model, cfg, batch, _ = random_batch([(T, 5)] * B, d=8, max_chunk_len=10, seed=8)
+            tracemalloc.start()
+            try:
+                with nm.Tape():
+                    start = tracemalloc.get_traced_memory()[0]
+                    loss = tr._batch_loss(model, batch, cfg, nm.SeededRng(1))
+                    held[B, T] = (tracemalloc.get_traced_memory()[0] - start) / B
+            finally:
+                tracemalloc.stop()
+            del loss
+    for (B, T), per_example in held.items():
+        bound = 1.1 * T / 40 * held[2, 40]
+        assert per_example <= bound, f"B={B} T={T}: {per_example:.0f} B per example, bound {bound:.0f}"
+
+
+def test_cell_parameters_stay_views_of_their_blocks(tmp_path):
+    # a scan reads a cell's stacked blocks, so every way weights are
+    # written (init, clipping and ADAM, a checkpoint load) must fill the
+    # parameters' arrays in place, never replace them
+    model, cfg, batch, _ = random_batch([(7, 3), (4, 5)], seed=9)
+
+    def cells(m):
+        return [c for e in (m.shared_encoder, m.attention_encoder) for c in (e.forward_cell, e.backward_cell)]
+
+    tr.init_parameters(model, nm.SeededRng(1), 0.1)
+    for cell in cells(model):
+        assert_views_of_blocks(cell)
+    params = model.parameters()
+    before = {k: p.data.copy() for k, p in params.items()}
+    with nm.Tape() as tape:
+        tape.backward(tr._batch_loss(model, batch, cfg, nm.SeededRng(2)))
+    grads = {k: p.grad for k, p in params.items()}
+    assert tr.clip_gradients(list(grads.values()), 1e-3) > 1e-3
+    tr.adam_step(params, grads, tr.AdamState(params), 0.01)
+    for cell in cells(model):
+        assert_views_of_blocks(cell)
+    assert not any(np.array_equal(p.data, before[k]) for k, p in params.items())
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    for cell in cells(loaded):
+        assert_views_of_blocks(cell)
+    for p, q in zip(params.values(), loaded.parameters().values()):
+        assert np.array_equal(p.data, q.data)
 
 
 @pytest.mark.parametrize("scoring", ["dot", "cosine"])
