@@ -19,7 +19,8 @@ its own inference batches, and `convert-squad` writes --out only once
 the whole conversion (`squad.convert_squad`) has succeeded.
 
 A command that reads a dataset prints each dropped record's line and
-reason on stderr and exits 2 when the file holds no usable example.
+reason on stderr and exits 2 when the file holds no usable example;
+`convert-squad` exits 2, writing nothing, when it converts no question.
 
 Settings, datasets, embedding files and SQuAD files are parsed only by
 the library; this module checks output paths and flags and wires the
@@ -395,6 +396,11 @@ def cmd_convert_squad(args) -> int:
         annotations = load_annotations(args.annotations)
     with _citing(args.squad):
         examples, no_annotation, no_answers, skipped_answers = convert_squad(squad, annotations)
+        if not examples:  # every other command would reject the empty --out
+            raise DataError(
+                f"no question converted: {no_annotation} with no annotation entry, "
+                f"{no_answers} with no mappable answer"
+            )
     write_dataset_jsonl(examples, args.out)
     print(f"wrote {len(examples)} examples to {args.out}", file=sys.stderr)
     if no_annotation:

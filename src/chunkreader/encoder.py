@@ -167,9 +167,9 @@ class GruCell:
         """Step from a zero state over each row of the (B, T, n_in) block X,
         row b over its first lengths[b] positions, left to right or (with
         `reverse`) right to left; returns the (B, T, d) states, a zero row
-        at every padded position. A (T, n_in) block with one int length
-        (None: all T) is the B = 1 case and gives (T, d). A length that is
-        not an int in 1..T raises ValueError. One tape node."""
+        at every padded position. A (T, n_in) block is the B = 1 case, giving
+        (T, d). `lengths` is None (all T), one int for every row or one per
+        row, else ShapeError (`nm.row_counts`). One tape node."""
         Xd = X.data
         if Xd.ndim not in (2, 3) or Xd.shape[-1] != self.n_in:
             raise nm.ShapeError(
@@ -177,13 +177,7 @@ class GruCell:
             )
         X3 = Xd[None] if Xd.ndim == 2 else Xd
         T = X3.shape[1]
-        lengths = np.asarray([T] * X3.shape[0] if lengths is None else lengths).reshape(-1)
-        if lengths.shape != X3.shape[:1]:
-            raise nm.ShapeError(f"{self.name}: {lengths.size} lengths for {X3.shape[0]} rows")
-        ints = lengths.dtype.kind in "iu" and lengths.size
-        if not ints or lengths.min() < 1 or lengths.max() > T:
-            raise ValueError(f"{self.name}: lengths {lengths} are not ints in 1..{T}")
-        lengths = lengths.astype(np.intp)
+        lengths = nm.row_counts(lengths, X3.shape[0], T, f"{self.name} lengths")
         params = [getattr(self, f) for f in _CELL_FIELDS]
         taped = nm.recording([X] + params)
         H, states = self.scan(X3, lengths, reverse, keep=taped)
@@ -317,8 +311,8 @@ class BiGruEncoder:
 
     def encode(self, X: Tensor, lengths=None) -> tuple[Tensor, Tensor, Tensor]:
         """Encode a (B, T, n_in) block, row b over its first lengths[b]
-        positions, or a (T, n_in) block over its first `lengths` rows (an
-        int; None means all T). Later positions are padding.
+        positions, or a (T, n_in) block; `lengths` is as `GruCell.run`
+        takes it. Later positions are padding.
 
         Returns (forward states, backward states, per-position concatenation),
         shapes (B, T, d), (B, T, d), (B, T, 2d), or without the B axis for

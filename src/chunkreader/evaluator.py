@@ -145,8 +145,10 @@ def evaluate(predictions: Mapping[str, str], examples: Sequence[Example]) -> Eva
 
 
 def _rows(groups: dict, total: int) -> dict:
+    """One row per group, int keys (answer lengths) by value before str
+    keys (the overflow bucket, head words) by their text."""
     out = {}
-    for key in sorted(groups, key=str):
+    for key in sorted(groups, key=lambda k: (isinstance(k, str), k)):
         rs = groups[key]
         out[key] = BreakdownRow(
             count=len(rs),

@@ -151,8 +151,10 @@ def attend(
 
     The states are (T, 2d) and (K, 2d) matrices or (B, T, 2d) and
     (B, K, 2d) stacks. Example b attends over its first passage_lens[b]
-    and question_lens[b] rows only (an int, or one per example; None: all
-    rows), so padding changes neither its values nor their rounding. For
+    and question_lens[b] rows only, so padding changes neither its values
+    nor their rounding. Each is None (all rows), one int for every
+    example, or one int per example (`nm.row_counts`); anything else
+    raises ShapeError. For
     real rows p and q: weights a = p q^T, row-softmaxed when normalize is
     set, and output rows [p ; a q]; padded output rows are zero.
 
@@ -164,8 +166,8 @@ def attend(
     if P.ndim not in (2, 3) or (P.ndim, P.shape[:-2], P.shape[-1]) != (Q.ndim, Q.shape[:-2], Q.shape[-1]):
         raise nm.ShapeError(f"attend: {P.shape} and {Q.shape} are not matrices or stacks of one width")
     P3, Q3 = (P, Q) if P.ndim == 3 else (P[None], Q[None])
-    plens = _real_rows(passage_lens, P3.shape[:2], "passage")
-    qlens = _real_rows(question_lens, Q3.shape[:2], "question")
+    plens = nm.row_counts(passage_lens, *P3.shape[:2], "passage lengths")
+    qlens = nm.row_counts(question_lens, *Q3.shape[:2], "question lengths")
     width = P.shape[-1]
     out = np.zeros(P3.shape[:-1] + (2 * width,))
     weights = []
@@ -196,17 +198,6 @@ def attend(
     return nm.record(fused, (passage_states, question_states), backward_fn)
 
 
-def _real_rows(lens, shape: tuple[int, int], side: str) -> list[int]:
-    """Per-example real row counts for `attend`, from an int, one count per
-    example or None (all rows); ints in 1..rows, for at least one example."""
-    B, rows = shape
-    counts = [rows if lens is None else lens] * B if np.ndim(lens) == 0 else list(lens)
-    ints = np.asarray(counts).dtype.kind in "iu"
-    if not counts or len(counts) != B or not ints or not all(1 <= n <= rows for n in counts):
-        raise nm.ShapeError(f"{side} lengths {counts} do not fit {B} examples of 1..{rows} rows")
-    return [int(n) for n in counts]
-
-
 def chunk_repr(
     fwd_states: Tensor,
     bwd_states: Tensor,
@@ -218,8 +209,9 @@ def chunk_repr(
     states or from row `example` of (B, T, d) stacks. A candidate
     reaching past the state rows raises IndexError."""
     at = () if example is None else (example,)
-    starts = at + ([c.start - 1 for c in candidates],)
-    ends = at + ([c.end - 1 for c in candidates],)
+    # arrays, judged by dtype, not entry by entry (np.fromiter casts floats)
+    starts = at + (np.array([c.start - 1 for c in candidates]),)
+    ends = at + (np.array([c.end - 1 for c in candidates]),)
     return nm.gather_pair(fwd_states, starts, bwd_states, ends)
 
 
@@ -227,10 +219,10 @@ def question_repr(
     fwd_states: Tensor, bwd_states: Tensor, length: int | None = None, example: int | None = None
 ) -> Tensor:
     """Question summary: last real forward state plus first backward state,
-    from (K, d) states or from row `example` of (B, K, d) stacks."""
+    from (K, d) states or from row `example` of (B, K, d) stacks, whose
+    first `length` rows are real (None: all K; `nm.row_counts`)."""
     at = () if example is None else (example,)
-    if length is None:
-        length = fwd_states.data.shape[-2]
+    (length,) = nm.row_counts(length, 1, fwd_states.data.shape[-2], "question length")
     return nm.gather_pair(fwd_states, at + (length - 1,), bwd_states, at + (0,))
 
 
@@ -304,6 +296,9 @@ class ChunkReaderModel:
             raise ValueError(f"unknown candidate mode: {config.candidate_mode!r}")
         if config.scoring not in ("dot", "cosine"):
             raise ValueError(f"unknown scoring: {config.scoring!r}")
+        for name in ("hidden_size", "embedding_dim", "max_chunk_len"):
+            if not nm.is_int([getattr(config, name)]):  # one int, not a sequence of them
+                raise ValueError(f"{name} must be an int, got {getattr(config, name)!r}")
         if config.max_chunk_len < 1:
             raise ValueError(f"max_chunk_len must be >= 1, got {config.max_chunk_len}")
         if config.candidate_mode == "trie" and trie is None:
@@ -352,14 +347,7 @@ class ChunkReaderModel:
         """
         P, Q = np.asarray(passage_features), np.asarray(question_features)
         (scored,) = self.forward_batch(
-            P[None],
-            Q[None],
-            [candidates],
-            [P.shape[0] if passage_len is None else passage_len],
-            [Q.shape[0] if question_len is None else question_len],
-            dropout_rate,
-            rng,
-            training,
+            P[None], Q[None], [candidates], passage_len, question_len, dropout_rate, rng, training
         )
         return scored
 
@@ -368,8 +356,8 @@ class ChunkReaderModel:
         passages: np.ndarray,
         questions: np.ndarray,
         candidates: Sequence[Sequence[CandidateChunk]],
-        passage_lens: Sequence[int],
-        question_lens: Sequence[int],
+        passage_lens: int | Sequence[int] | None,
+        question_lens: int | Sequence[int] | None,
         dropout_rate: float = 0.0,
         rng: nm.SeededRng | None = None,
         training: bool = False,
@@ -377,9 +365,10 @@ class ChunkReaderModel:
         """Score the candidates of each example of a batch.
 
         passages (B, T, width) and questions (B, K, width) hold each
-        example's features in one row, zero-padded past its true length.
-        Both encoders and the attention run over the whole batch at once,
-        the attention over each example's real rows; each example is then
+        example's features in one row, zero-padded past its true length;
+        the lengths are checked once, in the forms `attend` takes. Both
+        encoders and the attention run over the whole batch at once, the
+        attention over each example's real rows; each example is then
         scored on its own, because candidate counts differ. Dropout, when
         active, hits the input features, drawn example by example, the
         passage before the question: the order in which scoring the
@@ -397,7 +386,9 @@ class ChunkReaderModel:
             raise nm.ShapeError(
                 f"{B} candidate lists for {passages.shape[0]} passages and {questions.shape[0]} questions"
             )
-        for cands, plen in zip(candidates, passage_lens):
+        passage_lens = nm.row_counts(passage_lens, B, passages.shape[1], "passage lengths")
+        question_lens = nm.row_counts(question_lens, B, questions.shape[1], "question lengths")
+        for cands, plen in zip(candidates, passage_lens.tolist()):
             if len(cands) == 0:
                 raise ValueError("cannot score an empty candidate set")
             for c in cands:

@@ -42,6 +42,8 @@ import numpy as np
 
 __all__ = [
     "ShapeError",
+    "is_int",
+    "row_counts",
     "SeededRng",
     "Tensor",
     "Tape",
@@ -66,6 +68,28 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Raised when operand shapes do not conform."""
+
+
+def is_int(value) -> bool:
+    """Whether value is an int or holds only ints: an ndarray by its dtype
+    (an empty one by none), anything else entry by entry, where a Python
+    or numpy integer passes and a bool or a numpy bool never does."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iu" or value.size == 0
+    entries = value if isinstance(value, (list, tuple)) else (value,)
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries)
+
+
+def row_counts(values, n: int, high: int, what: str) -> np.ndarray:
+    """Per-example row counts, an (n,) intp array, from None (`high` for
+    every example), one int for every example, or a 1-D sequence of n
+    ints, each in 1..high; anything else raises ShapeError naming `what`."""
+    if not isinstance(values, (list, tuple, np.ndarray)):  # None, or one count for all
+        values = [high if values is None else values] * n
+    counts = np.asarray(values) if is_int(values) else np.empty(0)
+    if n and counts.shape == (n,) and all(1 <= c <= high for c in counts.tolist()):
+        return counts.astype(np.intp, copy=False)
+    raise ShapeError(f"{what} {values!r} are not ints in 1..{high} for a batch of {n}")
 
 
 class SeededRng:
@@ -313,10 +337,11 @@ def mean_nll(scores: Sequence[Tensor], golds: Sequence[int]) -> Tensor:
     """The training objective as one node: the mean over B score vectors
     of -log softmax(s_b)[golds[b]]. Each term is logsumexp(s_b) -
     s_b[gold] from max-shifted scores, so it is finite for any finite
-    scores; the terms are summed left to right and the sum multiplied by
-    1/B. Backward: vector b gets g (1/B) (softmax(s_b) - onehot(gold_b)),
-    recomputed from the scores, so the node keeps only its inputs."""
-    scores, golds = tuple(scores), [int(gold) for gold in golds]
+    scores; a gold not an int in range raises IndexError. The terms are
+    summed left to right and the sum multiplied by 1/B. Backward: vector
+    b gets g (1/B) (softmax(s_b) - onehot(gold_b)), recomputed from the
+    scores, so the node keeps only its inputs."""
+    scores, golds = tuple(scores), list(golds)
     if not scores or len(scores) != len(golds):
         raise ValueError(f"mean_nll needs one gold per score vector, got {len(scores)} and {len(golds)}")
     total = None  # plain adds, left to right: sum() compensates from Python 3.12
@@ -324,8 +349,8 @@ def mean_nll(scores: Sequence[Tensor], golds: Sequence[int]) -> Tensor:
         x = s.data
         if x.ndim != 1 or x.size == 0:
             raise ShapeError(f"mean_nll needs non-empty vectors, got shape {x.shape}")
-        if not 0 <= gold < x.size:
-            raise IndexError(f"gold {gold} out of range for shape {x.shape}")
+        if not (is_int([gold]) and 0 <= gold < x.size):  # one int, not a sequence
+            raise IndexError(f"gold {gold!r} is not an int in range for shape {x.shape}")
         shifted = x - x.max()
         term = np.log(np.exp(shifted).sum()) - shifted[gold]
         total = term if total is None else total + term
@@ -378,13 +403,12 @@ GATHER_SLICE = 512
 def _row_index(a: Tensor, index, op: str) -> tuple:
     """`index` as a tuple of leading ints, then one int or one 1-D intp
     array, one part per leading axis of a, each checked against its axis;
-    a row out of range, or any other index (a float, a bool), raises IndexError."""
+    a row out of range, or any other index (a float, a bool: is_int), raises IndexError."""
     parts = index if isinstance(index, tuple) else (index,)
     if not 0 < len(parts) < a.data.ndim:
         raise ShapeError(f"{op}: {len(parts)} index axes for shape {a.data.shape}")
     *lead, rows = map(np.asarray, parts)
-    ints = all(p.dtype.kind in "iu" for p in (*lead, rows) if p.size)  # an empty list is a float
-    if not ints or rows.ndim > 1 or any(p.ndim for p in lead):
+    if not all(map(is_int, parts)) or rows.ndim > 1 or any(p.ndim for p in lead):
         raise IndexError(f"{op}: {index!r} is not leading ints, then an int or a 1-D sequence")
     idx = (*map(int, lead), int(rows) if rows.ndim == 0 else rows.astype(np.intp, copy=False))
     for axis, part in enumerate(idx):

@@ -67,6 +67,12 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            # one int (`nm.is_int`), not a sequence; a float setting takes an int too
+            if f.type in ("int", "float") and not (
+                nm.is_int([value]) or (f.type == "float" and isinstance(value, float))
+            ):
+                wanted = "an int" if f.type == "int" else "a number"
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not math.isfinite(2 * self.init_range):  # the width of the init draw

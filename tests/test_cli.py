@@ -26,7 +26,7 @@ from chunkreader.synthetic import (
     write_dataset_jsonl,
     write_embeddings_file,
 )
-from helpers import edit_checkpoint
+from helpers import edit_checkpoint, make_example
 
 CONFIG_TEXT = """\
 hidden_size 4
@@ -780,6 +780,24 @@ def test_batched_predict_and_evaluate_equal_answers_one_at_a_time(
         reports.append(report.read_bytes())
     capsys.readouterr()
     assert reports[0] == reports[1]
+
+
+def test_evaluate_prints_answer_length_rows_in_numeric_order(tmp_path, capsys):
+    # the rows were sorted as text: 1, 10, 2, 3, ..., 9, >10
+    words = [f"w{i}" for i in range(14)]
+    examples = [make_example(f"e{n}", words, [q, "x"], [(1, n)])
+                for n, q in zip(range(12, 0, -1), ["who", "what", "when"] * 4)]
+    data, predictions, report = tmp_path / "data.jsonl", tmp_path / "pred.jsonl", tmp_path / "r.json"
+    write_dataset_jsonl(examples, data)
+    predictions.write_text("".join(json.dumps({"id": ex.id, "answer": "w0"}) + "\n" for ex in examples),
+                           encoding="utf-8")
+    argv = ["evaluate", "--data", str(data), "--predictions", str(predictions), "--json-out", str(report)]
+    assert cli.main(argv) == 0
+    rows = [line.split("\t")[:2] for line in capsys.readouterr().out.splitlines()]
+    assert [key for kind, key in rows if kind == "length"] == [str(n) for n in range(1, 11)] + [">10"]
+    assert [key for kind, key in rows if kind == "head"] == ["what", "when", "who"]
+    text = report.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_non_utf8_dataset_exits_two_with_one_line(tmp_path, capsys):

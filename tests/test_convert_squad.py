@@ -99,6 +99,23 @@ def test_question_without_annotation_is_dropped(tmp_path, capsys):
     assert "dropped 1 questions with no annotation entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("existing", [None, "kept\n"], ids=["no-file", "existing-file"])
+def test_converting_no_question_exits_two_and_leaves_out_as_it_was(tmp_path, capsys, existing):
+    # an empty --out was written with exit 0, and every other command then
+    # rejected it
+    out = tmp_path / "out.jsonl"
+    if existing is not None:
+        out.write_text(existing, encoding="utf-8")
+    qas = [qa("q1", ("Alice", 0)), qa("q2", ("ice", 2))]
+    assert run(tmp_path, qas, [annotation("q2"), annotation("q9")]) == 2
+    reason = "no question converted: 1 with no annotation entry, 1 with no mappable answer"
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'squad.json'}: {reason}\n"
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_text(encoding="utf-8") == existing
+
+
 def test_convert_squad_returns_examples_and_drop_counts_and_prints_nothing(tmp_path, capsys):
     # q1 keeps one answer and skips one, q2 has no annotation entry, and
     # q3's only answer does not line up with the tokens

@@ -249,6 +249,18 @@ def test_run_rejects_lengths_that_are_not_ints():
     assert cell.run(X, np.array([2, 4], dtype=np.uint8)).shape == (2, 4, 4)
 
 
+def test_run_takes_lengths_as_every_other_entry_point_does():
+    # [True, 4] stepped row 0 over one position, a 2-D length array was
+    # flattened, and one int meant B = 1, so it raised for B = 2
+    cell = seeded_cell(3, 4)
+    X = nm.tensor(np.random.default_rng(3).normal(size=(2, 4, 3)))
+    for lengths in ([True, 4], [np.True_, 4], np.array([[2], [3]]), [[2], [3]]):
+        with pytest.raises(nm.ShapeError, match="not ints"):
+            cell.run(X, lengths)
+    assert np.array_equal(cell.run(X, 3).data, cell.run(X, [3, 3]).data)
+    assert np.array_equal(cell.run(X).data, cell.run(X, np.array([4, 4])).data)
+
+
 def test_padding_rows_are_zero_and_inert():
     enc = seeded_encoder(3, 4, seed=11)
     rng = np.random.default_rng(12)

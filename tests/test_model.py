@@ -213,6 +213,48 @@ def test_attend_rejects_lengths_that_are_not_ints():
     assert np.array_equal(out.data[0, 2:], np.zeros((2, 6)))
 
 
+def test_attend_rejects_a_bool_among_int_lengths_and_a_2d_length_array():
+    # [True, 4] attended over one row; a 2-D array raised numpy's own TypeError
+    P, Q = nm.tensor(np.ones((2, 4, 3))), nm.tensor(np.ones((2, 3, 3)))
+    for lens in ({"passage_lens": [True, 4]}, {"question_lens": [3, np.True_]},
+                 {"passage_lens": np.array([[2], [3]])}):
+        with pytest.raises(nm.ShapeError, match="(?s)lengths .* are not ints"):
+            M.attend(P, Q, **lens)
+
+
+def test_forward_batch_checks_its_lengths_once_as_attend_does():
+    # passage_lens=[True, 4] encoded and scored example 0 over one position
+    m = toy_model()
+    rng = np.random.default_rng(8)
+    width = m.config.input_width
+    passages, questions = rng.normal(size=(2, 4, width)), rng.normal(size=(2, 3, width))
+    cands = [[CandidateChunk(1, 1)], [CandidateChunk(1, 2)]]
+    for plens, qlens in (([True, 4], [3, 3]), ([1, 4], [3, np.True_]), (np.array([[1], [4]]), 3)):
+        with pytest.raises(nm.ShapeError, match="(?s)lengths .* are not ints"):
+            m.forward_batch(passages, questions, cands, plens, qlens)
+    one = [s.scores.data for s in m.forward_batch(passages, questions, cands, 4, None)]
+    per_example = [s.scores.data for s in m.forward_batch(passages, questions, cands, [4, 4], [3, 3])]
+    assert all(np.array_equal(a, b) for a, b in zip(one, per_example))
+
+
+def test_question_repr_rejects_a_length_that_is_not_an_int():
+    # a length of True read row 0 as the last real state
+    F, B = nm.tensor(np.ones((2, 3, 2))), nm.tensor(np.ones((2, 3, 2)))
+    for length in (True, np.True_, 2.0, 0, 4, [2, 2]):
+        with pytest.raises(nm.ShapeError, match="question length"):
+            M.question_repr(F, B, length, 1)
+    assert M.question_repr(F, B, None, 1).shape == (4,)
+
+
+def test_model_sizes_must_be_ints():
+    # max_chunk_len=2.5 built a model, and hidden_size=True failed in numpy
+    for name, kw in (("hidden_size", {"d": True}), ("embedding_dim", {"emb": 2.0}),
+                     ("max_chunk_len", {"max_chunk_len": 2.5}), ("max_chunk_len", {"max_chunk_len": np.True_})):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            M.ChunkReaderModel(toy_config(**kw))
+    assert M.ChunkReaderModel(toy_config(d=np.int64(3))).config.hidden_size == 3
+
+
 # ---------------------------------------------------------------------------
 # attention pass and chunk/question representations
 

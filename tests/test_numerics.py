@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chunkreader import numerics as nm
 from chunkreader.model import attend
@@ -170,6 +171,9 @@ def test_mean_nll_rejects_bad_inputs():
     for bad in (np.zeros(0), np.zeros((2, 3)), np.zeros(())):
         with pytest.raises(nm.ShapeError):
             nm.mean_nll([s, nm.tensor(bad)], [0, 0])
+    for gold in (1.7, True, "1", np.True_, [1]):  # each was cast with int() to gold 1
+        with pytest.raises(IndexError, match="is not an int"):
+            nm.mean_nll([s], [gold])
 
 
 def test_mean_nll_is_the_chain_of_per_example_nodes_bit_for_bit():
@@ -301,6 +305,71 @@ def test_row_indices_must_be_integers():
     assert nm.gather_rows(a, []).shape == (0, 2)
     assert nm.gather_rows(a, np.array([], dtype=float)).shape == (0, 2)
     assert np.array_equal(nm.gather_rows(a, np.array([2, 0], dtype=np.uint8)).data, a.data[[2, 0]])
+
+
+def test_a_bool_among_int_rows_is_not_an_int():
+    # numpy makes [True, 2] an int64 array, so its dtype passed: the rows
+    # read were 1 and 2
+    a = nm.parameter(np.arange(6.0).reshape(3, 2))
+    for index in ([True, 2], [np.True_, 2], [2, False], (np.True_, [0])):
+        operand = nm.parameter(np.zeros((2, 3, 2))) if isinstance(index, tuple) else a
+        with pytest.raises(IndexError, match="not leading ints"):
+            nm.gather_rows(operand, index)
+        with pytest.raises(IndexError, match="not leading ints"):
+            nm.gather_pair(operand, index, operand, index)
+    assert np.array_equal(nm.gather_rows(a, [np.int32(1), 2]).data, a.data[[1, 2]])
+
+
+# count-list entries: the ints of _COUNT_INTS, then bools, numpy bools,
+# floats and strs
+_COUNT_INTS = st.one_of(
+    st.integers(-1, 5), st.integers(-1, 5).map(np.int32), st.integers(0, 5).map(np.uint8)
+)
+_COUNT_ENTRIES = st.one_of(
+    _COUNT_INTS,
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.floats(-1, 5),
+    st.sampled_from(["1", "x"]),
+)
+_COUNT_ARRAYS = st.sampled_from(
+    [(np.int64, st.integers(-1, 5)), (np.uint8, st.integers(0, 5)), (np.bool_, st.booleans()),
+     (np.float64, st.floats(-1, 5))]
+).flatmap(lambda kind: hnp.arrays(kind[0], hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                                             max_side=4), elements=kind[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(st.lists(_COUNT_INTS, max_size=4), st.lists(_COUNT_ENTRIES, max_size=4), _COUNT_ARRAYS),
+    extra=st.sampled_from([0, 0, 1]),
+)
+def test_row_counts_take_exactly_one_dimensional_int_sequences_in_range(values, extra):
+    # n is mostly the number of entries, so that in-range int inputs occur
+    high, n = 4, int(np.size(values)) + extra
+    if isinstance(values, list):
+        ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+        ok = ints and len(values) == n
+    else:
+        ok = values.ndim == 1 and values.dtype.kind in "iu" and values.shape == (n,)
+    ok = ok and n > 0 and all(1 <= v <= high for v in values)
+    if ok:
+        got = nm.row_counts(values, n, high, "counts")
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.asarray(values).astype(np.intp))
+    else:
+        with pytest.raises(nm.ShapeError, match="(?s)^counts .* are not ints"):
+            nm.row_counts(values, n, high, "counts")
+
+
+def test_row_counts_take_none_or_one_int_for_every_example():
+    assert nm.row_counts(None, 3, 4, "counts").tolist() == [4, 4, 4]
+    for one in (2, np.int8(2), np.uint64(2)):
+        got = nm.row_counts(one, 3, 4, "counts")
+        assert got.dtype == np.intp and got.tolist() == [2, 2, 2]
+    for bad in (True, np.True_, 2.0, "2", 0, 5, np.array(2), None):
+        with pytest.raises(nm.ShapeError, match="^lengths .* are not ints in 1..4 for a batch of"):
+            nm.row_counts(bad, 0 if bad is None else 3, 4, "lengths")
 
 
 def _pair_operands(stack):

@@ -431,6 +431,19 @@ def test_config_positive_settings_and_the_first_error():
         tr.TrainConfig(max_chunk_len=0, batch_size=-2)
 
 
+def test_config_numbers_are_ints_where_the_field_is_an_int():
+    # batch_size=True and max_epochs=2.5 were accepted, and seed=1.5 trained
+    # with seed 1
+    for name, value in (("batch_size", True), ("max_epochs", 2.5), ("hidden_size", 3.0),
+                        ("seed", 1.5), ("patience", np.True_), ("max_chunk_len", "3")):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+            tr.TrainConfig(**{name: value})
+    for value in (True, "0.1"):  # a float setting takes an int, not a bool or a str
+        with pytest.raises(ValueError, match="^learning_rate must be a number, got "):
+            tr.TrainConfig(learning_rate=value)
+    assert tr.TrainConfig(learning_rate=1, seed=np.int64(2)).learning_rate == 1
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
