@@ -29,7 +29,6 @@ from dataclasses import fields
 import numpy as np
 
 from .chunker import PosPatternTrie
-from .corpus import serializable_tag
 from .model import ChunkReaderModel, ModelConfig
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "temporary_path"]
@@ -55,19 +54,12 @@ def _bool(text: str, what: str) -> bool:
     return text == "1"
 
 
-def _tags_text(tags: tuple[str, ...]) -> str:
-    for tag in tags:
-        if not serializable_tag(tag):
-            raise CheckpointError(f"tag {tag!r} cannot be serialized (whitespace)")
-    return " ".join(tags)
-
-
 # ModelConfig field type -> (value to manifest text, manifest text to value)
 _CODECS = {
     "int": (str, _int),
-    "bool": (lambda value: str(int(value)), _bool),
+    "bool": (lambda value: "1" if value else "0", _bool),
     "str": (str, lambda text, what: text),
-    "tuple[str, ...]": (_tags_text, lambda text, what: tuple(t for t in text.split(" ") if t)),
+    "tuple[str, ...]": (" ".join, lambda text, what: tuple(t for t in text.split(" ") if t)),
 }
 
 
@@ -180,8 +172,9 @@ def load_checkpoint(path) -> ChunkReaderModel:
             if values[key] != expected:
                 raise CheckpointError(f"unsupported {key} {values[key][:40]!r}")
 
-        config = ModelConfig(**{f.name: _CODECS[f.type][1](values[f.name], f.name) for f in settings})
+        decoded = {f.name: _CODECS[f.type][1](values[f.name], f.name) for f in settings}
         try:
+            config = ModelConfig(**decoded)
             trie = None
             if config.candidate_mode == "trie":
                 trie = PosPatternTrie(_int(values["trie_depth_cap"], "trie_depth_cap"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from . import numerics as nm
 from .corpus import AnnotatedToken, Example
 
 __all__ = [
@@ -61,17 +62,20 @@ class PosPatternTrie:
     """Set of POS tag sequences with multiplicities, stored as a trie.
 
     A pattern longer than depth_cap is refused at insert with ValueError;
-    build_pos_trie leaves such answers out instead.
+    build_pos_trie leaves such answers out instead. The cap and every count
+    are ints (`nm.is_int`), else ValueError.
     """
 
     def __init__(self, depth_cap: int):
-        if depth_cap < 1:
-            raise ValueError("depth_cap must be >= 1")
-        self.depth_cap = int(depth_cap)
+        if not (nm.is_int([depth_cap]) and depth_cap >= 1):
+            raise ValueError(f"depth_cap must be an int >= 1, got {depth_cap!r}")
+        self.depth_cap = depth_cap
         self.root = _TrieNode()
 
     def insert(self, pattern: Sequence[str], count: int = 1) -> None:
         """Add a pattern with multiplicity."""
+        if not nm.is_int([count]):
+            raise ValueError(f"count must be an int, got {count!r}")
         if len(pattern) == 0:
             raise ValueError("empty pattern")
         if len(pattern) > self.depth_cap:
@@ -80,7 +84,7 @@ class PosPatternTrie:
         for tag in pattern:
             node = node.children.setdefault(tag, _TrieNode())
         node.terminal = True
-        node.count += int(count)
+        node.count += count
 
     def patterns(self) -> Iterator[tuple[tuple[str, ...], int]]:
         """Yield (pattern, count) pairs in sorted pattern order, which makes
@@ -128,8 +132,8 @@ def trie_candidates(passage: Sequence[AnnotatedToken], trie: PosPatternTrie) -> 
 
 def enumerate_candidates(passage_length: int, max_len: int) -> list[CandidateChunk]:
     """Every span of at most max_len tokens, ordered by (start, end)."""
-    if passage_length < 1 or max_len < 1:
-        raise ValueError("passage_length and max_len must be >= 1")
+    if not (nm.is_int([passage_length, max_len]) and passage_length >= 1 and max_len >= 1):
+        raise ValueError(f"passage_length and max_len must be ints >= 1, got {(passage_length, max_len)}")
     out = []
     for start in range(1, passage_length + 1):
         last = min(start + max_len - 1, passage_length)

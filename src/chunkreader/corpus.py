@@ -24,6 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .numerics import is_int
+
 __all__ = [
     "DataError",
     "AnnotatedToken",
@@ -77,8 +79,8 @@ class AnswerSpan:
     text: str
 
     def __post_init__(self):
-        if self.start < 1 or self.end < self.start:
-            raise DataError(f"invalid span [{self.start}, {self.end}]")
+        if not (is_int([self.start, self.end]) and 1 <= self.start <= self.end):
+            raise DataError(f"invalid span [{self.start!r}, {self.end!r}]")
 
     @property
     def length(self) -> int:
@@ -280,7 +282,9 @@ class EmbeddingTable:
     """
 
     def __init__(self, dim: int, entries: dict[str, np.ndarray]):
-        self.dim = int(dim)
+        if not is_int([dim]):
+            raise ValueError(f"dim must be an int, got {dim!r}")
+        self.dim = dim
         self.entries = entries
         self._zero = np.zeros(self.dim)
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import numerics as nm
 from .chunker import CANDIDATE_MODES, CandidateChunk, PosPatternTrie, generate_candidates
-from .corpus import AnswerSpan, DataError, Example, Featurizer, detokenize
+from .corpus import AnswerSpan, DataError, Example, Featurizer, detokenize, serializable_tag
 from .encoder import BiGruEncoder
 from .numerics import Tensor
 
@@ -77,7 +77,9 @@ class ModelConfig:
     order (so the tag inventories come last), and every line is required
     on load: adding a field makes older checkpoints fail with
     `manifest missing <field>`. A field's type must be one the checkpoint
-    module can write: int, bool, str or tuple[str, ...].
+    module can write: int, bool, str or tuple[str, ...]. A value of
+    another type (`nm.check_settings`), an unknown mode or scoring, a
+    chunk cap below 1 or a tag the manifest cannot store raises ValueError.
     """
 
     hidden_size: int
@@ -88,6 +90,18 @@ class ModelConfig:
     normalize_attention: bool = False
     pos_tags: tuple[str, ...]
     ne_tags: tuple[str, ...]
+
+    def __post_init__(self):
+        nm.check_settings(self)
+        if self.candidate_mode not in CANDIDATE_MODES:
+            raise ValueError(f"unknown candidate mode: {self.candidate_mode!r}")
+        if self.scoring not in ("dot", "cosine"):
+            raise ValueError(f"unknown scoring: {self.scoring!r}")
+        if self.max_chunk_len < 1:
+            raise ValueError(f"max_chunk_len must be >= 1, got {self.max_chunk_len}")
+        for tag in self.pos_tags + self.ne_tags:
+            if not serializable_tag(tag):
+                raise ValueError(f"tag {tag!r} cannot be serialized (whitespace)")
 
     @property
     def input_width(self) -> int:
@@ -292,15 +306,6 @@ class ChunkReaderModel:
     """Holds both encoders plus the candidate-generation setup."""
 
     def __init__(self, config: ModelConfig, trie: PosPatternTrie | None = None):
-        if config.candidate_mode not in CANDIDATE_MODES:
-            raise ValueError(f"unknown candidate mode: {config.candidate_mode!r}")
-        if config.scoring not in ("dot", "cosine"):
-            raise ValueError(f"unknown scoring: {config.scoring!r}")
-        for name in ("hidden_size", "embedding_dim", "max_chunk_len"):
-            if not nm.is_int([getattr(config, name)]):  # one int, not a sequence of them
-                raise ValueError(f"{name} must be an int, got {getattr(config, name)!r}")
-        if config.max_chunk_len < 1:
-            raise ValueError(f"max_chunk_len must be >= 1, got {config.max_chunk_len}")
         if config.candidate_mode == "trie" and trie is None:
             raise ValueError("trie candidate mode needs a built trie")
         if config.candidate_mode != "trie" and trie is not None:
@@ -323,6 +328,17 @@ class ChunkReaderModel:
     def zero_grads(self) -> None:
         for p in self.parameters().values():
             p.grad = None
+
+    def check_featurizer(self, featurizer: Featurizer) -> None:
+        """Raise ValueError unless the featurizer lays out the rows this
+        model reads: the config's embedding width and tag inventories."""
+        for name, given, built in (
+            ("embedding width", featurizer.table.dim, self.config.embedding_dim),
+            ("pos_tags", featurizer.pos_tags, self.config.pos_tags),
+            ("ne_tags", featurizer.ne_tags, self.config.ne_tags),
+        ):
+            if given != built:
+                raise ValueError(f"featurizer {name} {given!r} differs from the model's {built!r}")
 
     def candidates_for(self, passage) -> list[CandidateChunk]:
         return generate_candidates(
@@ -443,8 +459,11 @@ class ChunkReaderModel:
         time, each batch's examples that have candidates by one
         `forward_batch`. Outside a Tape that call is unrecorded, and each
         answer is bit for bit the one the example gets alone. An example
-        whose probabilities are not finite raises DataError naming it.
+        whose probabilities are not finite raises DataError naming it, and
+        a featurizer that does not fit the model ValueError
+        (`check_featurizer`), before any work.
         """
+        self.check_featurizer(featurizer)
         got = []
         for start in range(0, len(examples), ANSWER_BATCH):
             got.extend(self._answer_batch(examples[start : start + ANSWER_BATCH], featurizer))

@@ -34,7 +34,9 @@ run backward into the same parameter race on its `grad`.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import operator
 import threading
 from typing import Callable, Sequence
 
@@ -43,6 +45,7 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "is_int",
+    "check_settings",
     "row_counts",
     "SeededRng",
     "Tensor",
@@ -80,6 +83,36 @@ def is_int(value) -> bool:
     return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries)
 
 
+def check_settings(settings) -> None:
+    """Raise ValueError naming the first field of the dataclass instance
+    `settings` whose value is not of its declared type, read as annotation
+    text (its module postpones annotations): an int is one int (`is_int`),
+    a float such an int or a float, finite as a float, and a tuple[T, ...]
+    or tuple[T, U] a tuple of T or of a T and a U."""
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
+        if wanted := _wanted(f.type, value):
+            raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
+
+
+def _wanted(kind: str, value) -> str | None:
+    """What a value of the type named `kind` must be, when `value` is not that; else None."""
+    if kind.startswith("tuple["):
+        kinds, n = kind[len("tuple[") : -1].split(", "), len(value) if isinstance(value, tuple) else -1
+        kinds = kinds[:1] * n if kinds[-1] == "..." else kinds  # tuple[T, ...]: n of T
+        return None if n == len(kinds) and not any(map(_wanted, kinds, value)) else f"a {kind}"
+    if kind == "float":
+        if not (is_int([value]) or isinstance(value, float)):
+            return "a number"
+        try:
+            return None if math.isfinite(value) else "finite"
+        except OverflowError:  # an int beyond the float range
+            return "finite"
+    if kind == "int":
+        return None if is_int([value]) else "an int"
+    return None if isinstance(value, {"bool": bool, "str": str}[kind]) else f"a {kind}"
+
+
 def row_counts(values, n: int, high: int, what: str) -> np.ndarray:
     """Per-example row counts, an (n,) intp array, from None (`high` for
     every example), one int for every example, or a 1-D sequence of n
@@ -96,7 +129,9 @@ class SeededRng:
     """Reproducible random stream: same seed gives the same draws, bit-exact."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        if not is_int([seed]):  # a bool or a float would draw another seed's stream
+            raise ValueError(f"seed must be an int, got {seed!r}")
+        self.seed = operator.index(seed)  # a numpy int becomes the same Python int
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, low: float, high: float, size=None):
@@ -410,7 +445,8 @@ def _row_index(a: Tensor, index, op: str) -> tuple:
     *lead, rows = map(np.asarray, parts)
     if not all(map(is_int, parts)) or rows.ndim > 1 or any(p.ndim for p in lead):
         raise IndexError(f"{op}: {index!r} is not leading ints, then an int or a 1-D sequence")
-    idx = (*map(int, lead), int(rows) if rows.ndim == 0 else rows.astype(np.intp, copy=False))
+    last = operator.index(rows) if rows.ndim == 0 else rows.astype(np.intp, copy=False)
+    idx = (*map(operator.index, lead), last)
     for axis, part in enumerate(idx):
         size = a.data.shape[axis]
         if isinstance(part, int):

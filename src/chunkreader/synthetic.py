@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics as nm
 from .corpus import AnnotatedToken, AnswerSpan, EmbeddingTable, Example
 
 __all__ = ["SyntheticSpec", "generate", "write_dataset_jsonl", "write_embeddings_file"]
@@ -34,6 +35,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        nm.check_settings(self)
         lo, hi = self.passage_len
         alo, ahi = self.answer_len
         if self.n_examples < 1 or self.vocab_size < 2:

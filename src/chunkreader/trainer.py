@@ -65,17 +65,8 @@ class TrainConfig:
     max_chunk_len: int = ModelConfig.max_chunk_len
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # one int (`nm.is_int`), not a sequence; a float setting takes an int too
-            if f.type in ("int", "float") and not (
-                nm.is_int([value]) or (f.type == "float" and isinstance(value, float))
-            ):
-                wanted = "an int" if f.type == "int" else "a number"
-                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if not math.isfinite(2 * self.init_range):  # the width of the init draw
+        nm.check_settings(self)
+        if not math.isfinite(2.0 * self.init_range):  # the width of the init draw
             raise ValueError(f"init_range is too large, got {self.init_range}")
         # every number but the dropout rate and the seed must be positive
         for f in fields(self):
@@ -414,7 +405,8 @@ def train(
     Before parameters are initialized, a dev set that `evaluate` cannot
     score (`check_gold`) or a training set with no trainable example
     raises DataError, so neither fails after an epoch of work. A config
-    field that model.config also holds must equal it, else ValueError.
+    field that model.config also holds must equal it, and the featurizer
+    must fit the model (`model.check_featurizer`), else ValueError.
     """
     echo = echo if echo is not None else (lambda s: print(s, file=sys.stderr))
 
@@ -422,6 +414,7 @@ def train(
         given, built = getattr(config, name), getattr(model.config, name)
         if given != built:
             raise ValueError(f"config {name} {given!r} differs from the model's {built!r}")
+    model.check_featurizer(featurizer)
     check_gold(dev_examples)
     truncated, dropped_truncation = truncate_for_training(train_examples, config.max_passage_len)
     prepared, dropped_filter = prepare_examples(truncated, model, featurizer)

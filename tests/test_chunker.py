@@ -50,10 +50,10 @@ def test_enumerate_width_one():
 
 
 def test_enumerate_rejects_degenerate_sizes():
-    with pytest.raises(ValueError):
-        chunker.enumerate_candidates(0, 5)
-    with pytest.raises(ValueError):
-        chunker.enumerate_candidates(5, 0)
+    # (True, 2) returned the one candidate of a one-token passage
+    for sizes in ((0, 5), (5, 0), (True, 2), (2, np.True_), (2.0, 2), (3, 1.5), ("3", 2)):
+        with pytest.raises(ValueError, match="^passage_length and max_len must be ints >= 1"):
+            chunker.enumerate_candidates(*sizes)
 
 
 @settings(max_examples=150, deadline=None)
@@ -106,6 +106,23 @@ def test_trie_cap_rejects_long_patterns():
         trie.insert(["A", "B", "C"])
     trie.insert(["A", "B"])
     assert dict(trie.patterns()) == {("A", "B"): 1}
+
+
+def test_trie_cap_and_counts_are_ints():
+    # a cap of 2.5 was read as 2 and True as 1, and insert(["A"], 1.9)
+    # stored count 1
+    ex = make_example("a", ["Alice", "Smith", "ran"], ["who"], [(1, 2)], pos=["NNP", "NNP", "VBD"])
+    for cap in (2.5, True, np.True_, "2"):
+        with pytest.raises(ValueError, match="^depth_cap must be an int >= 1, got "):
+            chunker.PosPatternTrie(cap)
+        with pytest.raises(ValueError, match="^depth_cap must be an int >= 1, got "):
+            chunker.build_pos_trie([ex], cap)
+    trie = chunker.PosPatternTrie(np.int64(2))
+    for count in (1.9, True, "1"):
+        with pytest.raises(ValueError, match="^count must be an int, got "):
+            trie.insert(["A"], count)
+    trie.insert(["A"], np.int64(2))
+    assert dict(trie.patterns()) == {("A",): 2}
 
 
 def test_trie_rejects_empty_pattern():

@@ -214,11 +214,19 @@ def test_load_skips_blank_lines(tmp_path):
 
 
 def test_answer_span_invariant():
-    with pytest.raises(corpus.DataError):
-        corpus.AnswerSpan(3, 2, "x")
-    with pytest.raises(corpus.DataError):
-        corpus.AnswerSpan(0, 1, "x")
+    # (True, 2) and (1.0, 2) built spans
+    for start, end in ((3, 2), (0, 1), (True, 2), (1.0, 2), (1, 2.0), (np.True_, 1), ("1", 2)):
+        with pytest.raises(corpus.DataError, match=r"^invalid span \["):
+            corpus.AnswerSpan(start, end, "x")
     assert corpus.AnswerSpan(2, 4, "x").length == 3
+    assert corpus.AnswerSpan(np.int64(1), 2, "x").length == 2
+
+
+def test_embedding_width_is_an_int():
+    # a width of 3.7 was read as 3, True as 1 and "3" as 3
+    for dim in (3.7, True, "3"):
+        with pytest.raises(ValueError, match="^dim must be an int, got "):
+            corpus.EmbeddingTable(dim, {})
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,25 @@ def test_question_repr_rejects_a_length_that_is_not_an_int():
     assert M.question_repr(F, B, None, 1).shape == (4,)
 
 
+def test_model_config_checks_its_own_settings():
+    # normalize_attention="no" built a model that ran normalized attention,
+    # a tag holding a space trained and failed only at save_checkpoint, and
+    # hidden_size=2.5 built a ModelConfig
+    base = dict(hidden_size=3, embedding_dim=2, pos_tags=("A", "B"), ne_tags=("O",))
+    for kw, message in (
+        (dict(normalize_attention="no"), "^normalize_attention must be a bool, got 'no'$"),
+        (dict(pos_tags=("A B",)), r"^tag 'A B' cannot be serialized \(whitespace\)$"),
+        (dict(ne_tags=("",)), r"^tag '' cannot be serialized \(whitespace\)$"),
+        (dict(hidden_size=2.5), "^hidden_size must be an int, got 2.5$"),
+        (dict(pos_tags=["A", "B"]), r"^pos_tags must be a tuple\[str, ...\], got \['A', 'B'\]$"),
+        (dict(scoring="dit"), "^unknown scoring: 'dit'$"),
+        (dict(candidate_mode="wibble"), "^unknown candidate mode: 'wibble'$"),
+        (dict(max_chunk_len=0), "^max_chunk_len must be >= 1, got 0$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            M.ModelConfig(**dict(base, **kw))
+
+
 def test_model_sizes_must_be_ints():
     # max_chunk_len=2.5 built a model, and hidden_size=True failed in numpy
     for name, kw in (("hidden_size", {"d": True}), ("embedding_dim", {"emb": 2.0}),

@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+import typing
 from functools import reduce
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chunkreader import numerics as nm
-from chunkreader.model import attend
+from chunkreader.model import ModelConfig, attend
+from chunkreader.synthetic import SyntheticSpec
+from chunkreader.trainer import TrainConfig
 from reference_ops import mul, sigmoid, tanh, total
 
 GRAD_TOL = 1e-7
@@ -372,6 +375,61 @@ def test_row_counts_take_none_or_one_int_for_every_example():
             nm.row_counts(bad, 0 if bad is None else 3, 4, "lengths")
 
 
+# each settings dataclass, with the fields a valid instance needs
+_SETTINGS = {
+    ModelConfig: dict(hidden_size=3, embedding_dim=2, pos_tags=("A", "B"), ne_tags=("O",)),
+    TrainConfig: {},
+    SyntheticSpec: {},
+}
+_SETTING_FIELDS = [
+    (cls, name, kind) for cls in _SETTINGS for name, kind in typing.get_type_hints(cls).items()
+]
+_NOT_OF_TYPE = {  # declared type -> values of other types
+    int: st.one_of(st.booleans(), st.just(np.True_), st.floats(), st.text(max_size=2), st.none()),
+    float: st.one_of(
+        st.booleans(), st.text(max_size=2), st.none(),
+        st.sampled_from([10**400, -(10**400), float("nan"), float("inf"), -float("inf")]),
+    ),
+    bool: st.one_of(st.integers(0, 1), st.just(np.True_), st.text(max_size=2), st.none()),
+    str: st.one_of(st.integers(), st.booleans(), st.binary(max_size=2), st.none()),
+    tuple[str, ...]: st.one_of(
+        st.lists(st.sampled_from(["A", "O"]), max_size=2), st.tuples(st.integers()), st.just("A"),
+    ),
+    tuple[int, int]: st.one_of(
+        st.lists(st.integers(1, 9), min_size=2, max_size=2),
+        st.tuples(st.floats(1, 9), st.floats(1, 9)),
+        st.tuples(st.booleans(), st.integers(1, 9)),
+        st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), field=st.sampled_from(_SETTING_FIELDS))
+def test_every_settings_field_refuses_a_value_of_another_type(data, field):
+    # ModelConfig took normalize_attention="no" as True and hidden_size=2.5,
+    # SyntheticSpec seed=True, and TrainConfig learning_rate=10**400 raised
+    # OverflowError
+    cls, name, kind = field
+    bad = data.draw(_NOT_OF_TYPE[kind], label=name)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        cls(**dict(_SETTINGS[cls], **{name: bad}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), field=st.sampled_from(_SETTING_FIELDS))
+def test_every_settings_field_takes_its_canonical_values(data, field):
+    cls, name, kind = field
+    value = _SETTINGS[cls].get(name, cls.__dataclass_fields__[name].default)
+    forms = [value]  # values equal to it that the field takes as they are
+    if kind is int:
+        forms += [np.int64(value), np.uint16(value)]
+    elif kind is float:
+        forms += [np.float64(value)] + ([round(value)] if value == round(value) else [])
+    form = data.draw(st.sampled_from(forms), label=name)
+    assert getattr(cls(**dict(_SETTINGS[cls], **{name: form})), name) == value
+
+
 def _pair_operands(stack):
     rng = np.random.default_rng(15)
     lead = (2, 5) if stack else (5,)
@@ -674,6 +732,15 @@ def test_seeded_rng_reproducible():
     assert np.array_equal(r1.uniform(-1, 1, 50), r2.uniform(-1, 1, 50))
     assert np.array_equal(r1.permutation(20), r2.permutation(20))
     assert np.array_equal(r1.random(5), r2.random(5))
+
+
+def test_seeded_rng_takes_one_int_seed():
+    # 1.5 and True drew seed 1's stream, and "3" seed 3's
+    for bad in (1.5, True, np.True_, "3", [3]):
+        with pytest.raises(ValueError, match="^seed must be an int, got "):
+            nm.SeededRng(bad)
+    assert type(nm.SeededRng(np.int64(3)).seed) is int
+    assert np.array_equal(nm.SeededRng(np.int64(3)).random(4), nm.SeededRng(3).random(4))
 
 
 def test_seeded_rng_seed_sensitivity():

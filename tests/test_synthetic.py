@@ -78,3 +78,8 @@ def test_spec_validation():
         synthetic.SyntheticSpec(passage_len=(2, 10), answer_len=(1, 3))
     with pytest.raises(ValueError):
         synthetic.SyntheticSpec(n_examples=0)
+    # seed=True built a spec that drew seed 1's data
+    with pytest.raises(ValueError, match="^seed must be an int, got True$"):
+        synthetic.SyntheticSpec(seed=True)
+    with pytest.raises(ValueError, match=r"^passage_len must be a tuple\[int, int\], got \[8, 14\]$"):
+        synthetic.SyntheticSpec(passage_len=[8, 14])

@@ -407,13 +407,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         tr.TrainConfig(candidate_mode="magic")
     # nan passes `value <= 0`; inf and an init draw of width 2 * init_range
-    # that overflows must fail here, not as NaN parameters or a traceback
+    # that overflows must fail here, not as NaN parameters or a traceback;
+    # an int beyond the float range raised OverflowError
     for field in ("learning_rate", "clip_norm", "dropout_rate", "init_range"):
-        for value in (float("nan"), float("inf"), float("-inf")):
+        for value in (float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)):
             with pytest.raises(ValueError, match=field):
                 tr.TrainConfig(**{field: value})
-    with pytest.raises(ValueError, match="init_range"):
-        tr.TrainConfig(init_range=1e308)
+    for value in (1e308, 10**308):
+        with pytest.raises(ValueError, match="init_range"):
+            tr.TrainConfig(init_range=value)
     tr.TrainConfig(init_range=1e307)
 
 
@@ -497,6 +499,32 @@ def test_train_rejects_a_config_that_disagrees_with_the_model(monkeypatch, name,
     with pytest.raises(ValueError) as info:
         tr.train(model, fz, examples, examples, tiny_config(**{name: value}), echo=lambda s: None)
     assert str(info.value) == f"config {name} {value!r} differs from the model's {built!r}"
+
+
+def test_train_and_answers_reject_a_featurizer_that_does_not_fit_the_model(monkeypatch):
+    # a featurizer given the model's POS tags in reverse order (same width)
+    # trained an epoch and answered, with permuted one-hot columns
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the featurizer was checked")
+
+    model, fz, examples = tiny_setup()
+    pos, ne, table = fz.pos_tags, fz.ne_tags, fz.table
+    wider = EmbeddingTable(table.dim + 1, {})
+    for bad, name, given, built in (
+        (Featurizer(table, pos[::-1], ne), "pos_tags", pos[::-1], pos),
+        (Featurizer(table, pos, ne[:-1]), "ne_tags", ne[:-1], ne),
+        (Featurizer(wider, pos, ne), "embedding width", table.dim + 1, table.dim),
+    ):
+        message = f"featurizer {name} {given!r} differs from the model's {built!r}"
+        with monkeypatch.context() as m:
+            m.setattr(tr, "prepare_examples", no_work)
+            with pytest.raises(ValueError) as info:
+                tr.train(model, bad, examples, examples, tiny_config(max_epochs=1))
+            assert str(info.value) == message
+            m.setattr(model, "forward_batch", no_work)
+            with pytest.raises(ValueError) as info:
+                model.answers(examples, bad)
+            assert str(info.value) == message
 
 
 def test_train_loss_decreases_on_fixed_batch():
