@@ -11,12 +11,13 @@ The manifest pins everything needed to rebuild the model object: the
 fixed `format_version 1` and `precision float64` lines, then the
 settings lines, one `name value` line per `ModelConfig` field in
 declaration order (tag inventories last; an int as digits, a bool as 0
-or 1, tags space-joined), then the learned trie in trie mode and the
-name and shape of every parameter tensor. Saving the same model twice
-produces identical bytes. Loading requires each settings line exactly
-once, rejects a key it does not know and a parameter holding a NaN or an
-infinity, and ignores the trie lines older versions wrote for window
-models.
+or 1, tags space-joined), then in trie mode `trie_depth_cap` (always
+max_chunk_len) and a `trie_pattern <count> <tags>` line per pattern in
+sorted order, then the name and shape of every parameter tensor. Saving
+the same model twice produces identical bytes. Loading requires each
+settings line once and the cap to be max_chunk_len, rejects an unknown
+key, a repeated pattern and a parameter holding a NaN or an infinity,
+and ignores the trie lines older versions wrote for window models.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from .chunker import PosPatternTrie
 from .model import ChunkReaderModel, ModelConfig
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "temporary_path"]
@@ -68,8 +68,8 @@ def _build_manifest(model: ChunkReaderModel) -> str:
     for f in fields(ModelConfig):
         lines.append(f"{f.name} {_CODECS[f.type][0](getattr(model.config, f.name))}")
     if model.trie is not None:
-        lines.append(f"trie_depth_cap {model.trie.depth_cap}")
-        for pattern, count in model.trie.patterns():
+        lines.append(f"trie_depth_cap {model.config.max_chunk_len}")
+        for pattern, count in sorted(model.trie.items()):
             lines.append(f"trie_pattern {count} " + " ".join(pattern))
     for name, p in model.parameters().items():
         dims = " ".join(str(s) for s in p.data.shape)
@@ -140,7 +140,7 @@ def load_checkpoint(path) -> ChunkReaderModel:
         manifest = _read_manifest(fh, _int(head[1], "manifest_bytes"))
 
         values: dict[str, str] = {}
-        trie_patterns: list[tuple[int, tuple[str, ...]]] = []
+        trie: dict[tuple[str, ...], int] = {}
         params: list[tuple[str, tuple[int, ...]]] = []
         for line in _decode(manifest, "manifest").splitlines():
             parts = line.split(" ")
@@ -148,7 +148,9 @@ def load_checkpoint(path) -> ChunkReaderModel:
             if key == "trie_pattern":
                 if len(parts) < 3:
                     raise CheckpointError(f"malformed trie pattern line: {line!r}")
-                trie_patterns.append((_int(parts[1], "trie pattern count"), tuple(parts[2:])))
+                if (pattern := tuple(parts[2:])) in trie:
+                    raise CheckpointError(f"manifest repeats trie pattern {pattern!r}")
+                trie[pattern] = _int(parts[1], "trie pattern count")
             elif key == "param":
                 if len(parts) < 3:
                     raise CheckpointError(f"malformed param line: {line!r}")
@@ -175,11 +177,10 @@ def load_checkpoint(path) -> ChunkReaderModel:
         decoded = {f.name: _CODECS[f.type][1](values[f.name], f.name) for f in settings}
         try:
             config = ModelConfig(**decoded)
-            trie = None
-            if config.candidate_mode == "trie":
-                trie = PosPatternTrie(_int(values["trie_depth_cap"], "trie_depth_cap"))
-                for count, pattern in trie_patterns:
-                    trie.insert(pattern, count)
+            if config.candidate_mode != "trie":
+                trie = None  # the trie lines older versions wrote for window models
+            elif (cap := _int(values["trie_depth_cap"], "trie_depth_cap")) != config.max_chunk_len:
+                raise ValueError(f"trie depth cap {cap} differs from max_chunk_len {config.max_chunk_len}")
             model = ChunkReaderModel(config, trie)
         except (ValueError, MemoryError) as exc:  # settings no model accepts or fits
             raise CheckpointError(f"invalid model settings: {exc}") from None

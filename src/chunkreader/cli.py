@@ -325,7 +325,7 @@ def cmd_chunk_stats(args) -> int:
     if args.mode == "trie":
         source = _load_examples(args.trie_data) if args.trie_data else examples
         trie = build_pos_trie(source, args.max_len)
-    lists = [generate_candidates(ex.passage, args.mode, trie, args.max_len) for ex in examples]
+    lists = [generate_candidates(ex.passage, trie, args.max_len) for ex in examples]
     recall = candidate_recall(examples, lists)
     counts = [len(c) for c in lists]
     hist = Counter(c.length for cands in lists for c in cands)

@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .chunker import CANDIDATE_MODES, CandidateChunk, PosPatternTrie, generate_candidates
+from .chunker import CANDIDATE_MODES, CandidateChunk, generate_candidates
 from .corpus import AnswerSpan, DataError, Example, Featurizer, detokenize, serializable_tag
 from .encoder import BiGruEncoder
 from .numerics import Tensor
@@ -79,7 +79,8 @@ class ModelConfig:
     `manifest missing <field>`. A field's type must be one the checkpoint
     module can write: int, bool, str or tuple[str, ...]. A value of
     another type (`nm.check_settings`), an unknown mode or scoring, a
-    chunk cap below 1 or a tag the manifest cannot store raises ValueError.
+    chunk cap below 1, a negative embedding width or a tag the manifest
+    cannot store raises ValueError.
     """
 
     hidden_size: int
@@ -99,6 +100,8 @@ class ModelConfig:
             raise ValueError(f"unknown scoring: {self.scoring!r}")
         if self.max_chunk_len < 1:
             raise ValueError(f"max_chunk_len must be >= 1, got {self.max_chunk_len}")
+        if self.embedding_dim < 0:
+            raise ValueError(f"embedding_dim must be >= 0, got {self.embedding_dim}")
         for tag in self.pos_tags + self.ne_tags:
             if not serializable_tag(tag):
                 raise ValueError(f"tag {tag!r} cannot be serialized (whitespace)")
@@ -303,19 +306,30 @@ def nll_loss(score_set: ChunkScoreSet, gold: CandidateChunk) -> Tensor:
 
 
 class ChunkReaderModel:
-    """Holds both encoders plus the candidate-generation setup."""
+    """Holds both encoders plus the candidate-generation setup: in trie
+    mode its own copy of `trie`, the table of answer tag patterns
+    (`chunker.build_pos_trie`), whose keys must each be 1 to max_chunk_len
+    tags a checkpoint can store and whose counts ints >= 0 (`nm.is_int`)."""
 
-    def __init__(self, config: ModelConfig, trie: PosPatternTrie | None = None):
+    def __init__(self, config: ModelConfig, trie: dict[tuple[str, ...], int] | None = None):
         if config.candidate_mode == "trie" and trie is None:
             raise ValueError("trie candidate mode needs a built trie")
         if config.candidate_mode != "trie" and trie is not None:
             raise ValueError(f"{config.candidate_mode} candidate mode takes no trie")
-        if trie is not None and trie.depth_cap != config.max_chunk_len:
-            raise ValueError(
-                f"trie depth cap {trie.depth_cap} differs from max_chunk_len {config.max_chunk_len}"
-            )
         self.config = config
-        self.trie = trie
+        self.trie = None if trie is None else dict(trie)
+        for pattern, count in (self.trie or {}).items():
+            if not (
+                isinstance(pattern, tuple)
+                and 1 <= len(pattern) <= config.max_chunk_len
+                and all(isinstance(tag, str) and serializable_tag(tag) for tag in pattern)
+                and nm.is_int([count])
+                and count >= 0
+            ):
+                raise ValueError(
+                    f"bad trie pattern {pattern!r} (count {count!r}): need 1 to "
+                    f"{config.max_chunk_len} non-empty tags without whitespace and an int count >= 0"
+                )
         d = config.hidden_size
         self.shared_encoder = BiGruEncoder(config.input_width, d, "shared")
         self.attention_encoder = BiGruEncoder(4 * d, d, "attention")
@@ -341,9 +355,7 @@ class ChunkReaderModel:
                 raise ValueError(f"featurizer {name} {given!r} differs from the model's {built!r}")
 
     def candidates_for(self, passage) -> list[CandidateChunk]:
-        return generate_candidates(
-            passage, self.config.candidate_mode, self.trie, self.config.max_chunk_len
-        )
+        return generate_candidates(passage, self.trie, self.config.max_chunk_len)
 
     def forward(
         self,

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from chunkreader import checkpoint as ckpt, model as M
-from chunkreader.chunker import PosPatternTrie
 from chunkreader.corpus import Featurizer
 from helpers import edit_checkpoint, make_example, toy_embedding_table
 
@@ -24,11 +23,7 @@ def seeded_model(seed=0, **kw):
         ne_tags=("O",),
         **kw,
     )
-    trie = None
-    if kw.get("candidate_mode") == "trie":
-        trie = PosPatternTrie(kw.get("max_chunk_len", 10))
-        trie.insert(["A"], 3)
-        trie.insert(["A", "B"], 1)
+    trie = {("A",): 3, ("A", "B"): 1} if kw.get("candidate_mode") == "trie" else None
     m = M.ChunkReaderModel(cfg, trie)
     rng = np.random.default_rng(seed)
     for p in m.parameters().values():
@@ -59,9 +54,8 @@ def test_roundtrip_trie_mode_preserves_patterns(tmp_path):
     path = tmp_path / "trie.ckpt"
     ckpt.save_checkpoint(m, path)
     loaded = ckpt.load_checkpoint(path)
-    assert loaded.trie is not None
-    assert dict(loaded.trie.patterns()) == dict(m.trie.patterns())
-    assert loaded.trie.depth_cap == m.trie.depth_cap
+    assert loaded.trie == m.trie == {("A",): 3, ("A", "B"): 1}
+    assert loaded.config.max_chunk_len == m.config.max_chunk_len
 
 
 def test_roundtrip_preserves_predictions(tmp_path):
@@ -269,6 +263,26 @@ def test_trie_checkpoint_requires_depth_cap(tmp_path):
         ckpt.load_checkpoint(path)
 
 
+def test_trie_checkpoint_refuses_a_repeated_pattern(tmp_path):
+    # the loader used to add up the counts: this file loaded as {("A",): 5}
+    path = tmp_path / "trie.ckpt"
+    ckpt.save_checkpoint(seeded_model(seed=10, candidate_mode="trie"), path)
+    old = b"trie_pattern 3 A\n"
+    path.write_bytes(edit_checkpoint(path.read_bytes(), old, old + b"trie_pattern 2 A\n"))
+    with pytest.raises(ckpt.CheckpointError, match=r"^manifest repeats trie pattern \('A',\)$"):
+        ckpt.load_checkpoint(path)
+
+
+def test_trie_checkpoint_refuses_a_pattern_no_model_holds(tmp_path):
+    # a doubled space reads as an empty tag, which the model's table refuses
+    path = tmp_path / "trie.ckpt"
+    ckpt.save_checkpoint(seeded_model(seed=10, candidate_mode="trie"), path)
+    old = b"trie_pattern 1 A B\n"
+    path.write_bytes(edit_checkpoint(path.read_bytes(), old, b"trie_pattern 1 A  B\n"))
+    with pytest.raises(ckpt.CheckpointError, match=r"^invalid model settings: bad trie pattern \('A', '', 'B'\) "):
+        ckpt.load_checkpoint(path)
+
+
 def manifest_text(raw):
     _magic, head, rest = raw.split(b"\n", 2)
     return rest[: int(head.split(b" ")[1])].decode("utf-8")
@@ -355,8 +369,9 @@ def test_tag_that_would_split_cannot_be_saved(field, tag):
 
 def test_checkpoint_module_names_no_setting_but_candidate_mode():
     # the manifest's settings lines come from dataclasses.fields(ModelConfig);
-    # only candidate_mode, which decides whether a trie is read, is named
-    others = {f.name for f in dataclasses.fields(M.ModelConfig)} - {"candidate_mode"}
+    # only candidate_mode, which decides whether a trie is read, and
+    # max_chunk_len, which the trie_depth_cap line repeats, are named
+    others = {f.name for f in dataclasses.fields(M.ModelConfig)} - {"candidate_mode", "max_chunk_len"}
     named = set()
     for node in ast.walk(ast.parse(inspect.getsource(ckpt))):
         if isinstance(node, ast.Name):

@@ -681,7 +681,7 @@ def trie_checkpoint_bytes(world, tmp_path_factory):
         p.data[...] = model.parameters()[name].data
     path = tmp_path_factory.mktemp("trieckpt") / "trie.ckpt"
     save_checkpoint(trie_model, path)
-    assert load_checkpoint(path).trie.depth_cap == 3  # loads as saved, before any edit
+    assert load_checkpoint(path).trie == trie  # loads as saved, before any edit
     return path.read_bytes()
 
 
@@ -690,7 +690,8 @@ def trie_checkpoint_bytes(world, tmp_path_factory):
     [
         # a pattern longer than the cap used to load with the pattern dropped
         (b"trie_depth_cap 3\n", b"trie_depth_cap 3\ntrie_pattern 1 X X X X\n",
-         "pattern of 4 tags exceeds the depth cap 3"),
+         "bad trie pattern ('X', 'X', 'X', 'X') (count 1): need 1 to 3 non-empty tags without whitespace"
+         " and an int count >= 0"),
         # a cap other than max_chunk_len used to load and propose longer chunks
         (b"trie_depth_cap 3\n", b"trie_depth_cap 9\n",
          "trie depth cap 9 differs from max_chunk_len 3"),

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chunkreader import checkpoint as ckpt, model as M
-from chunkreader.chunker import PosPatternTrie
 from chunkreader.corpus import DataError, load_dataset
 from helpers import example_dict, make_example
 
@@ -49,10 +48,7 @@ def _checkpoint_bytes(candidate_mode) -> bytes:
         hidden_size=2, embedding_dim=2, pos_tags=("A", "B"), ne_tags=("O",),
         candidate_mode=candidate_mode, max_chunk_len=3,
     )
-    trie = None
-    if candidate_mode == "trie":
-        trie = PosPatternTrie(3)
-        trie.insert(["A", "B"], 2)
+    trie = {("A", "B"): 2} if candidate_mode == "trie" else None
     model = M.ChunkReaderModel(cfg, trie)
     rng = np.random.default_rng(0)
     for p in model.parameters().values():

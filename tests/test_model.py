@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkreader import model as M, numerics as nm
-from chunkreader.chunker import CandidateChunk, PosPatternTrie, build_pos_trie, enumerate_candidates
+from chunkreader.chunker import CandidateChunk, build_pos_trie, enumerate_candidates
 from chunkreader.corpus import DataError, Featurizer
 from chunkreader.synthetic import NE_TAGS, POS_TAGS, SyntheticSpec, generate
 from helpers import make_example, toy_embedding_table
@@ -260,6 +260,8 @@ def test_model_config_checks_its_own_settings():
         (dict(scoring="dit"), "^unknown scoring: 'dit'$"),
         (dict(candidate_mode="wibble"), "^unknown candidate mode: 'wibble'$"),
         (dict(max_chunk_len=0), "^max_chunk_len must be >= 1, got 0$"),
+        # a negative width built a model whose checkpoint could not be loaded
+        (dict(embedding_dim=-2), "^embedding_dim must be >= 0, got -2$"),
     ):
         with pytest.raises(ValueError, match=message):
             M.ModelConfig(**dict(base, **kw))
@@ -681,8 +683,7 @@ def test_predict_tie_breaks_to_earliest_span():
 def test_predict_no_candidates_names_example():
     # no candidate is no answer: the empty string, which scores as a miss
     ex, table = example_fixture()
-    empty_trie = PosPatternTrie(10)
-    m = M.ChunkReaderModel(toy_config(candidate_mode="trie"), trie=empty_trie)
+    m = M.ChunkReaderModel(toy_config(candidate_mode="trie"), trie={})
     fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
     assert m.predict_example(ex, fz) is None
     assert m.answers([ex], fz)[0] == M.Prediction("ex1", "", None, None, None)
@@ -833,10 +834,7 @@ def test_end_to_end_gradients_all_parameters():
 
 def test_end_to_end_gradients_trie_mode():
     ex, table = example_fixture()
-    trie = PosPatternTrie(10)
-    trie.insert(["A"])
-    trie.insert(["A", "B"])
-    m = M.ChunkReaderModel(toy_config(d=2, candidate_mode="trie"), trie=trie)
+    m = M.ChunkReaderModel(toy_config(d=2, candidate_mode="trie"), trie={("A",): 1, ("A", "B"): 1})
     seed_params(m, 7)
     fz = Featurizer(table, m.config.pos_tags, m.config.ne_tags)
     params = list(m.parameters().values())
@@ -857,13 +855,33 @@ def test_model_config_validation():
         M.ChunkReaderModel(toy_config(scoring="euclid"))
     with pytest.raises(ValueError, match="max_chunk_len"):
         M.ChunkReaderModel(toy_config(max_chunk_len=0))
-    # one length cap for both strategies: the trie's must be the config's
-    with pytest.raises(ValueError, match="trie depth cap 9 differs from max_chunk_len 3"):
-        M.ChunkReaderModel(toy_config(candidate_mode="trie", max_chunk_len=3), PosPatternTrie(9))
+    # one length cap for both strategies: the config's bounds the table's keys
+    with pytest.raises(ValueError, match=r"^bad trie pattern \('A', 'A', 'A', 'A'\) \(count 1\): need 1 to 3 "):
+        M.ChunkReaderModel(toy_config(candidate_mode="trie", max_chunk_len=3), {("A",) * 4: 1})
+    m = M.ChunkReaderModel(toy_config(candidate_mode="trie", max_chunk_len=3), {("A",) * 3: 1})
+    assert m.trie == {("A", "A", "A"): 1}
     # a window model used to keep a trie nothing read, and checkpoints
     # saved its lines
-    with pytest.raises(ValueError, match="^window candidate mode takes no trie$"):
-        M.ChunkReaderModel(toy_config(), PosPatternTrie(10))
+    for table in ({}, {("A",): 1}):
+        with pytest.raises(ValueError, match="^window candidate mode takes no trie$"):
+            M.ChunkReaderModel(toy_config(), table)
+
+
+def test_trie_patterns_are_tags_a_checkpoint_can_store():
+    # a pattern tag holding a space saved a checkpoint that loaded as two
+    # tags, and one holding a newline saved one that could not be loaded
+    # ("A" is a str key, not a tuple of tags)
+    for table in ({("A B",): 1}, {("A\nB",): 1}, {("",): 1}, {("A", ""): 1}, {("A", 1): 1}, {"A": 1}):
+        with pytest.raises(ValueError, match="^bad trie pattern "):
+            M.ChunkReaderModel(toy_config(candidate_mode="trie"), table)
+
+
+def test_model_keeps_its_own_copy_of_the_table():
+    # an edit to the caller's dict after the check cannot reach the model
+    table = {("A",): 1}
+    m = M.ChunkReaderModel(toy_config(candidate_mode="trie"), table)
+    table[("A B",)] = -1
+    assert m.trie == {("A",): 1}
 
 
 def test_parameter_catalog_covers_both_encoders():
