@@ -29,6 +29,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from . import numerics as nm
 from .model import ChunkReaderModel, ModelConfig
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "temporary_path"]
@@ -43,8 +44,10 @@ class CheckpointError(ValueError):
 
 
 def _int(text: str, what: str) -> int:
-    if not (text.isascii() and text.isdigit() and len(text) <= 18):
-        raise CheckpointError(f"{what} must be a non-negative integer below 10**18, got {text[:40]!r}")
+    if not (text.isascii() and text.isdigit() and len(text) <= nm.INT_DIGITS):
+        raise CheckpointError(
+            f"{what} must be a non-negative integer below 10**{nm.INT_DIGITS}, got {text[:40]!r}"
+        )
     return int(text)
 
 

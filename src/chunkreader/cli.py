@@ -57,6 +57,7 @@ from .corpus import (
     Example,
     Featurizer,
     build_tag_inventories,
+    json_field,
     json_lines,
     load_dataset,
     load_embeddings,
@@ -266,15 +267,13 @@ def cmd_predict(args) -> int:
 
 
 def _read_predictions_file(path) -> dict[str, str]:
+    """Id -> answer from a JSONL file of objects with a new string `id`
+    (`parse_id`) and a string `answer` (`json_field`)."""
     out = {}
     ids: dict[str, int] = {}
     for line_no, obj in json_lines(path):
-        if not isinstance(obj, dict) or "id" not in obj or "answer" not in obj:
-            raise DataError(f"line {line_no}: prediction needs id and answer")
-        answer = obj["answer"]
-        if not isinstance(answer, str):
-            raise DataError(f"line {line_no}: prediction answer must be a string, got {answer!r}")
-        out[parse_id(obj["id"], line_no, ids)] = answer
+        where = f"line {line_no}: prediction"
+        out[parse_id(obj, line_no, ids, where)] = json_field(obj, "answer", str, where)
     return out
 
 
@@ -353,13 +352,16 @@ def cmd_gradcheck(args) -> int:
     """
     pos_tags = ("ADJ", "NOUN", "VERB")
     ne_tags = ("LOC", "O", "PER")
-    config = ModelConfig(
-        hidden_size=args.hidden_size,
-        embedding_dim=4,
-        pos_tags=pos_tags,
-        ne_tags=ne_tags,
-        max_chunk_len=3,
-    )
+    try:
+        config = ModelConfig(
+            hidden_size=args.hidden_size,
+            embedding_dim=4,
+            pos_tags=pos_tags,
+            ne_tags=ne_tags,
+            max_chunk_len=3,
+        )
+    except ValueError as exc:  # a --hidden-size no model accepts
+        raise UsageError(str(exc)) from None
     model = ChunkReaderModel(config)
     rng = np.random.default_rng(args.seed)
     for p in model.parameters().values():

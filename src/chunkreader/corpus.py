@@ -7,9 +7,12 @@ indicators (surface match against the question, lemma match against the
 question, first-letter capitalization).
 
 Every JSON input is parsed by `parse_json` (line by line through
-`json_lines`), every annotated token is checked by `parse_token`, every
-record id by `parse_id`, and the id, passage and question of every
-annotated record by `parse_record`.
+`json_lines`), and every field of a parsed object is read by one checked
+accessor, `json_field(obj, key, kind, where)`, whose DataError takes one
+of three one-line forms: `<where> is not an object`, `<where> missing
+'<key>'` or `<where> <key> must be <kind>, got <value>`. On it rest
+`parse_token` (an annotated token), `parse_id` (a record id) and
+`parse_record` (the id, passage and question of an annotated record).
 
 All structures are immutable after load and safe to share across workers.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -39,6 +43,7 @@ __all__ = [
     "text_lines",
     "parse_json",
     "json_lines",
+    "json_field",
     "parse_token",
     "parse_id",
     "parse_record",
@@ -151,49 +156,52 @@ def squeeze(text: str) -> str:
     return "".join(text.split())
 
 
-_TOKEN_KEYS = ("surface", "lemma", "pos", "ne", "offset")
-_TOKEN_KEY_SET = frozenset(_TOKEN_KEYS)
-_token_fields = itemgetter(*_TOKEN_KEYS)
+_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 
 
-def _json_int(value, line_no: int, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError(f"line {line_no}: {what} must be an integer, got {value!r}")
+def json_field(obj, key: str, kind: type, where: str):
+    """obj[key] when obj is a parsed JSON object (a dict) holding a `kind`
+    value there: dict, list, str or int, where a bool is never an int.
+    Anything else raises DataError: `<where> is not an object`, `<where>
+    missing '<key>'` or `<where> <key> must be <kind>, got <value>`, the
+    value cut short by reprlib (a whole SQuAD article list, say)."""
+    if type(obj) is not dict:
+        raise DataError(f"{where} is not an object")
+    if key not in obj:
+        raise DataError(f"{where} missing {key!r}")
+    value = obj[key]
+    if type(value) is not kind:  # a parsed value is exactly one of the JSON types
+        raise DataError(f"{where} {key} must be {_KINDS[kind]}, got {reprlib.repr(value)}")
     return value
 
 
-def _json_str(value, line_no: int, what: str) -> str:
-    if not isinstance(value, str):
-        raise DataError(f"line {line_no}: {what} must be a string, got {value!r}")
-    return value
-
-
-def parse_id(value, line_no: int, seen: dict[str, int]) -> str:
-    """The `id` of the record on line line_no, which must be a string no
-    earlier record of its file used; `seen` maps each id read so far to
-    its line and gains this one. Anything else raises DataError."""
-    first = seen.setdefault(_json_str(value, line_no, "id"), line_no)
+def parse_id(obj, line_no: int, seen: dict[str, int], where: str) -> str:
+    """The string `id` of the object on line line_no (`json_field`, citing
+    `where`), which no earlier record of its file may have used; `seen`
+    maps each id read so far to its line and gains this one."""
+    value = json_field(obj, "id", str, where)
+    first = seen.setdefault(value, line_no)
     if first != line_no:
         raise DataError(f"line {line_no}: id {value!r} repeats line {first}")
     return value
 
 
-def parse_token(obj, line_no: int, where: str) -> AnnotatedToken:
+_TOKEN_FIELDS = (("surface", str), ("lemma", str), ("pos", str), ("ne", str), ("offset", int))
+_TOKEN_KEYS = frozenset(key for key, _ in _TOKEN_FIELDS)
+_token_values = itemgetter(*(key for key, _ in _TOKEN_FIELDS))
+
+
+def parse_token(obj, line_no: int, side: str) -> AnnotatedToken:
     """The token of a parsed JSON object with string `surface`, `lemma`,
     `pos` and `ne` and an integer `offset` (other keys are ignored); any
-    other value raises DataError citing line_no and `where`, its side."""
-    if not isinstance(obj, dict):
-        raise DataError(f"line {line_no}: {where} token is not an object")
-    if not _TOKEN_KEY_SET <= obj.keys():
-        missing = [k for k in _TOKEN_KEYS if k not in obj]
-        raise DataError(f"line {line_no}: {where} token missing keys {missing}")
-    surface, lemma, pos, ne, offset = _token_fields(obj)
-    if not (isinstance(surface, str) and isinstance(lemma, str) and isinstance(pos, str)
-            and isinstance(ne, str) and isinstance(offset, int) and not isinstance(offset, bool)):
-        for key in _TOKEN_KEYS[:4]:
-            _json_str(obj[key], line_no, f"{where} token {key}")
-        _json_int(offset, line_no, f"{where} token offset")
-    return AnnotatedToken(surface, lemma, pos, ne, offset)
+    other value raises json_field's DataError citing `line <line_no>:
+    <side> token`."""
+    if type(obj) is dict and _TOKEN_KEYS <= obj.keys():
+        surface, lemma, pos, ne, offset = values = _token_values(obj)
+        if type(surface) is type(lemma) is type(pos) is type(ne) is str and type(offset) is int:
+            return AnnotatedToken(*values)
+    where = f"line {line_no}: {side} token"
+    return AnnotatedToken(*[json_field(obj, key, kind, where) for key, kind in _TOKEN_FIELDS])
 
 
 def parse_record(
@@ -202,17 +210,13 @@ def parse_record(
     """The (id, passage, question) of the record on line line_no: an object
     whose `id` parse_id accepts and whose `passage` and `question` are
     arrays of tokens parse_token accepts; else DataError citing the line."""
-    if not isinstance(obj, dict):
-        raise DataError(f"line {line_no}: record is not an object")
-    for key in ("id", "passage", "question"):
-        if key not in obj:
-            raise DataError(f"line {line_no}: record missing key {key!r}")
-    sides = []
-    for side in ("passage", "question"):
-        if not isinstance(obj[side], list):
-            raise DataError(f"line {line_no}: {side} must be an array")
-        sides.append(tuple([parse_token(t, line_no, side) for t in obj[side]]))
-    return parse_id(obj["id"], line_no, seen), sides[0], sides[1]
+    where = f"line {line_no}: record"
+    ex_id = parse_id(obj, line_no, seen, where)
+    passage, question = (
+        tuple([parse_token(t, line_no, side) for t in json_field(obj, side, list, where)])
+        for side in ("passage", "question")
+    )
+    return ex_id, passage, question
 
 
 def _validate_example(ex_id: str, passage, question, raw_answers) -> Example | str:
@@ -241,8 +245,8 @@ def load_dataset(path) -> LoadResult:
 
     Schema violations (bad JSON, bytes that are not UTF-8, a record that
     parse_record rejects, a missing or non-array `answers`, an answer
-    without an integer `start` and `end` and a string `text`) raise
-    DataError citing the line. Content
+    without an integer `start` and `end` and a string `text`, each field
+    read by json_field) raise DataError citing the line. Content
     violations (empty passage or question, span out of range, span text
     not matching the tokens, empty surfaces) drop the record and log the
     reason in LoadResult.dropped instead of failing the whole load.
@@ -252,19 +256,12 @@ def load_dataset(path) -> LoadResult:
     ids: dict[str, int] = {}
     for line_no, obj in json_lines(path):
         ex_id, passage, question = parse_record(obj, line_no, ids)
-        if "answers" not in obj:
-            raise DataError(f"line {line_no}: record missing key 'answers'")
-        if not isinstance(obj["answers"], list):
-            raise DataError(f"line {line_no}: answers must be an array")
-        raw_answers = []
-        for a in obj["answers"]:
-            if not isinstance(a, dict) or not {"start", "end", "text"} <= a.keys():
-                raise DataError(f"line {line_no}: answer missing start/end/text")
-            raw_answers.append((
-                _json_int(a["start"], line_no, "answer start"),
-                _json_int(a["end"], line_no, "answer end"),
-                _json_str(a["text"], line_no, "answer text"),
-            ))
+        where = f"line {line_no}: answer"
+        raw_answers = [
+            (json_field(a, "start", int, where), json_field(a, "end", int, where),
+             json_field(a, "text", str, where))
+            for a in json_field(obj, "answers", list, f"line {line_no}: record")
+        ]
         got = _validate_example(ex_id, passage, question, raw_answers)
         if isinstance(got, str):
             dropped.append((line_no, got))

@@ -154,8 +154,11 @@ class GruCell:
         self.hidden_size = hidden_size
         self.name = name
         # [W_r; W_u; W] and [U_r; U_u; U]; each parameter views one slice
-        self.W_block = np.zeros((3, n_in, hidden_size))
-        self.U_block = np.zeros((3, hidden_size, hidden_size))
+        try:
+            self.W_block = np.zeros((3, n_in, hidden_size))
+            self.U_block = np.zeros((3, hidden_size, hidden_size))
+        except ValueError as exc:  # "array is too big": beyond what numpy can even size
+            raise MemoryError(str(exc)) from None
         self.W_r, self.W_u, self.W = map(nm.parameter, self.W_block)
         self.U_r, self.U_u, self.U = map(nm.parameter, self.U_block)
 

@@ -78,7 +78,8 @@ class ModelConfig:
     on load: adding a field makes older checkpoints fail with
     `manifest missing <field>`. A field's type must be one the checkpoint
     module can write: int, bool, str or tuple[str, ...]. A value of
-    another type (`nm.check_settings`), an unknown mode or scoring, a
+    another type or an int of 10**18 or more, which no manifest line holds
+    (`nm.check_settings`), an unknown mode or scoring, a
     chunk cap below 1, a negative embedding width or a tag the manifest
     cannot store raises ValueError.
     """
@@ -309,7 +310,8 @@ class ChunkReaderModel:
     """Holds both encoders plus the candidate-generation setup: in trie
     mode its own copy of `trie`, the table of answer tag patterns
     (`chunker.build_pos_trie`), whose keys must each be 1 to max_chunk_len
-    tags a checkpoint can store and whose counts ints >= 0 (`nm.is_int`)."""
+    tags a checkpoint can store and whose counts ints >= 0 (`nm.is_int`)
+    below 10**`nm.INT_DIGITS`."""
 
     def __init__(self, config: ModelConfig, trie: dict[tuple[str, ...], int] | None = None):
         if config.candidate_mode == "trie" and trie is None:
@@ -324,11 +326,12 @@ class ChunkReaderModel:
                 and 1 <= len(pattern) <= config.max_chunk_len
                 and all(isinstance(tag, str) and serializable_tag(tag) for tag in pattern)
                 and nm.is_int([count])
-                and count >= 0
+                and 0 <= count < 10**nm.INT_DIGITS
             ):
                 raise ValueError(
                     f"bad trie pattern {pattern!r} (count {count!r}): need 1 to "
-                    f"{config.max_chunk_len} non-empty tags without whitespace and an int count >= 0"
+                    f"{config.max_chunk_len} non-empty tags without whitespace and an int count "
+                    f">= 0 below 10**{nm.INT_DIGITS}"
                 )
         d = config.hidden_size
         self.shared_encoder = BiGruEncoder(config.input_width, d, "shared")

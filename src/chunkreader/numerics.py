@@ -44,6 +44,7 @@ import numpy as np
 
 __all__ = [
     "ShapeError",
+    "INT_DIGITS",
     "is_int",
     "check_settings",
     "row_counts",
@@ -73,6 +74,12 @@ class ShapeError(ValueError):
     """Raised when operand shapes do not conform."""
 
 
+# An int setting, a pattern count and a checkpoint manifest number stay
+# below 10**INT_DIGITS, so a model that `check_settings` and its own checks
+# accept saves a checkpoint that loads.
+INT_DIGITS = 18
+
+
 def is_int(value) -> bool:
     """Whether value is an int or holds only ints: an ndarray by its dtype
     (an empty one by none), anything else entry by entry, where a Python
@@ -86,9 +93,9 @@ def is_int(value) -> bool:
 def check_settings(settings) -> None:
     """Raise ValueError naming the first field of the dataclass instance
     `settings` whose value is not of its declared type, read as annotation
-    text (its module postpones annotations): an int is one int (`is_int`),
-    a float such an int or a float, finite as a float, and a tuple[T, ...]
-    or tuple[T, U] a tuple of T or of a T and a U."""
+    text (its module postpones annotations): an int is one int (`is_int`)
+    below 10**INT_DIGITS, a float any int or a float, finite as a float, and a
+    tuple[T, ...] or tuple[T, U] a tuple of T or of a T and a U."""
     for f in dataclasses.fields(settings):
         value = getattr(settings, f.name)
         if wanted := _wanted(f.type, value):
@@ -109,7 +116,9 @@ def _wanted(kind: str, value) -> str | None:
         except OverflowError:  # an int beyond the float range
             return "finite"
     if kind == "int":
-        return None if is_int([value]) else "an int"
+        if not is_int([value]):
+            return "an int"
+        return None if value < 10**INT_DIGITS else f"below 10**{INT_DIGITS}"
     return None if isinstance(value, {"bool": bool, "str": str}[kind]) else f"a {kind}"
 
 

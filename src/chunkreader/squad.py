@@ -9,21 +9,23 @@ as JSONL with one object per question id:
 where a token is the dataset schema's {"surface", "lemma", "pos", "ne",
 "offset"}, and `offset` is its character offset into the raw context or
 question string, which is how gold character spans map to token spans.
-Both files are read by `corpus`'s own readers, and each annotation record
-is checked by the loader's own `parse_record`; any malformed input raises
-`DataError` naming its line or question. `convert_squad` skips an answer
-that does not line up with token boundaries (whitespace ignored), drops a
-question with no mappable answer or no annotation entry, counts both, and
-prints nothing.
+Both files are read by `corpus`'s own readers: each annotation record is
+checked by the loader's own `parse_record`, and every field of the SQuAD
+file is read by `corpus.json_field`, so a malformed input raises one of
+its three one-line `DataError`s (`<where> is not an object`, `<where>
+missing '<key>'`, `<where> <key> must be <kind>, got <value>`), naming
+its line or question. `convert_squad` skips an answer that does not line
+up with token boundaries (whitespace ignored), drops a question with no
+mappable answer or no annotation entry, counts both, and prints nothing.
 """
 
 from __future__ import annotations
 
-from .corpus import AnswerSpan, DataError, Example, json_lines, parse_json, parse_record
-from .corpus import squeeze, text_lines
+from .corpus import AnswerSpan, DataError, Example, json_field, json_lines, parse_json
+from .corpus import parse_record, squeeze, text_lines
 
-__all__ = ["load_squad", "iter_squad_questions", "load_annotations", "answer_problem",
-           "char_span_to_tokens", "convert_squad"]
+__all__ = ["load_squad", "iter_squad_questions", "load_annotations", "char_span_to_tokens",
+           "convert_squad"]
 
 
 def load_squad(path):
@@ -31,39 +33,19 @@ def load_squad(path):
     return parse_json("".join(line for _, line in text_lines(path)), 1)
 
 
-def _list_under(obj, key):
-    """obj[key] when obj is an object holding a list there, else None."""
-    value = obj.get(key) if isinstance(obj, dict) else None
-    return value if isinstance(value, list) else None
-
-
 def iter_squad_questions(squad):
-    """Every question of the file, each an object with a string `id` that
-    no earlier question used and an `answers` list; anything else on the
-    way raises DataError."""
+    """(id, answers) for every question of the file, each an object with a
+    string `id` that no earlier question used and an `answers` array;
+    anything else on the way raises json_field's DataError."""
     seen = set()
-    articles = _list_under(squad, "data")
-    if articles is None:
-        raise DataError("missing 'data' list")
-    for article in articles:
-        paragraphs = _list_under(article, "paragraphs")
-        if paragraphs is None:
-            raise DataError("article missing 'paragraphs' list")
-        for paragraph in paragraphs:
-            qas = _list_under(paragraph, "qas")
-            if qas is None:
-                raise DataError("paragraph missing 'qas' list")
-            for qa in qas:
-                if not isinstance(qa, dict) or "id" not in qa:
-                    raise DataError("question missing 'id'")
-                if not isinstance(qa["id"], str):
-                    raise DataError(f"question id must be a string, got {qa['id']!r}")
-                if qa["id"] in seen:
-                    raise DataError(f"question {qa['id']}: id repeats an earlier question")
-                seen.add(qa["id"])
-                if _list_under(qa, "answers") is None:
-                    raise DataError(f"question {qa['id']}: missing 'answers' list")
-                yield qa
+    for article in json_field(squad, "data", list, "file"):
+        for paragraph in json_field(article, "paragraphs", list, "article"):
+            for qa in json_field(paragraph, "qas", list, "paragraph"):
+                qa_id = json_field(qa, "id", str, "question")
+                if qa_id in seen:
+                    raise DataError(f"question {qa_id}: id repeats an earlier question")
+                seen.add(qa_id)
+                yield qa_id, json_field(qa, "answers", list, f"question {qa_id}")
 
 
 def load_annotations(path):
@@ -75,21 +57,6 @@ def load_annotations(path):
         qa_id, passage, question = parse_record(obj, line_no, ids)
         table[qa_id] = (passage, question)
     return table
-
-
-def answer_problem(gold):
-    """Why a SQuAD answer cannot be aligned, or None when it is well formed."""
-    if not isinstance(gold, dict):
-        return "answer is not an object"
-    for key in ("text", "answer_start"):
-        if key not in gold:
-            return f"answer missing {key!r}"
-    if not isinstance(gold["text"], str):
-        return f"answer text must be a string, got {gold['text']!r}"
-    start = gold["answer_start"]
-    if isinstance(start, bool) or not isinstance(start, int):
-        return f"answer_start must be an integer, got {start!r}"
-    return None
 
 
 def char_span_to_tokens(tokens, start_char, text):
@@ -120,23 +87,21 @@ def convert_squad(squad, annotations):
     A malformed question or answer raises DataError naming its question."""
     examples = []
     no_annotation = no_answers = skipped_answers = 0
-    for qa in iter_squad_questions(squad):
-        qa_id = qa["id"]
+    for qa_id, golds in iter_squad_questions(squad):
         tokens = annotations.get(qa_id)
         if tokens is None:
             no_annotation += 1
             continue
         passage, question = tokens
         answers = []
-        for gold in qa["answers"]:
-            problem = answer_problem(gold)
-            if problem:
-                raise DataError(f"question {qa_id}: {problem}")
-            span = char_span_to_tokens(passage, gold["answer_start"], gold["text"])
+        where = f"question {qa_id}: answer"
+        for gold in golds:
+            text = json_field(gold, "text", str, where)
+            span = char_span_to_tokens(passage, json_field(gold, "answer_start", int, where), text)
             if span is None:
                 skipped_answers += 1
                 continue
-            answer = AnswerSpan(span[0], span[1], gold["text"])
+            answer = AnswerSpan(span[0], span[1], text)
             if answer not in answers:
                 answers.append(answer)
         if not answers:

@@ -214,10 +214,17 @@ def test_malformed_manifest_raises_checkpoint_error(tmp_path, old, new, message)
         (b"ne_tags O\n", b"ne_tags O\nne_tags O\n", "^manifest repeats 'ne_tags'$"),
         (b"pos_tags A B\n", b"", "^manifest missing pos_tags$"),
         (b"ne_tags O\n", b"", "^manifest missing ne_tags$"),
+        (b"hidden_size 3", b"hidden_size 3\ntrie_pattern 3", "^malformed trie pattern line: 'trie_pattern 3'$"),
+        (b"param shared.fwd.U 3 3", b"param shared.fwd.U", "^malformed param line: 'param shared.fwd.U'$"),
+        (b"format_version 1", b"format_version 2", "^unsupported format_version '2'$"),
+        (b"precision float64", b"precision float32", "^unsupported precision 'float32'$"),
+        (b"param shared.fwd.U 3 3", b"param shared.fwd.V 3 3",
+         "^parameter catalog does not match the architecture$"),
     ],
     ids=[
         "long-integer", "too-big", "out-of-memory", "repeated", "unknown",
         "repeated-pos-tags", "repeated-ne-tags", "missing-pos-tags", "missing-ne-tags",
+        "short-trie-pattern", "short-param", "format-version", "precision", "param-catalog",
     ],
 )
 def test_manifest_sizes_and_keys_raise_checkpoint_error(tmp_path, old, new, message):
@@ -241,6 +248,22 @@ def test_manifest_tag_the_config_refuses_is_invalid_settings(tmp_path, old, new)
     path.write_bytes(edit_checkpoint(path.read_bytes(), old, new))
     with pytest.raises(ckpt.CheckpointError, match="^invalid model settings: tag .* cannot be serialized"):
         ckpt.load_checkpoint(path)
+
+
+def test_ints_below_10_to_the_18_save_and_load_and_larger_ones_are_refused(tmp_path):
+    # max_chunk_len=10**18 in window mode, and a trie count of 10**18,
+    # each built a model whose checkpoint load_checkpoint refused
+    with pytest.raises(ValueError, match=r"^max_chunk_len must be below 10\*\*18, got 10{18}$"):
+        seeded_model(max_chunk_len=10**18)
+    trie_config = dataclasses.replace(seeded_model().config, candidate_mode="trie")
+    with pytest.raises(ValueError, match=r"^bad trie pattern \('A',\) \(count 10{18}\): .* below 10\*\*18$"):
+        M.ChunkReaderModel(trie_config, {("A",): 10**18})
+    for model in (seeded_model(max_chunk_len=10**18 - 1),
+                  M.ChunkReaderModel(trie_config, {("A",): 10**18 - 1})):
+        path = tmp_path / "model.ckpt"
+        ckpt.save_checkpoint(model, path)
+        loaded = ckpt.load_checkpoint(path)
+        assert (loaded.config, loaded.trie) == (model.config, model.trie)
 
 
 def test_inventories_roundtrip_exactly(tmp_path):

@@ -352,15 +352,32 @@ def test_gradcheck_negative_seed_exits_one_with_one_line(capsys):
 @pytest.mark.parametrize("command", ["train", "gradcheck"])
 def test_model_too_large_to_allocate_exits_one_with_one_line(world, tmp_path, capsys, command):
     # 10**9 hidden units ask for terabytes: the allocation fails at once,
-    # before any page is touched
-    if command == "train":
-        paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
-        argv = train_args(paths, set=f"hidden_size={10**9}")
-    else:
-        argv = ["gradcheck", "--hidden-size", str(10**9)]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1
+    # before any page is touched. numpy cannot even size 10**17 units, and
+    # its ValueError escaped main; 10**18 is beyond every checkpoint, and
+    # gradcheck leaked ModelConfig's ValueError
+    for size, message in (
+        (10**9, "error: out of memory: Unable to allocate "),
+        (10**17, "error: out of memory: array is too big"),
+        (10**18, "error: hidden_size must be below 10**18, got 1000000000000000000"),
+    ):
+        if command == "train":
+            paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
+            argv = train_args(paths, set=f"hidden_size={size}")
+        else:
+            argv = ["gradcheck", "--hidden-size", str(size)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, size
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_train_max_chunk_len_beyond_the_checkpoint_range_exits_one_with_one_line(
+    world, tmp_path, capsys
+):
+    # it trained and wrote a checkpoint that predict then refused
+    paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
+    assert cli.main(train_args(paths, set=f"max_chunk_len={10**18}")) == 1
+    assert capsys.readouterr().err == "error: max_chunk_len must be below 10**18, got 1000000000000000000\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -691,7 +708,7 @@ def trie_checkpoint_bytes(world, tmp_path_factory):
         # a pattern longer than the cap used to load with the pattern dropped
         (b"trie_depth_cap 3\n", b"trie_depth_cap 3\ntrie_pattern 1 X X X X\n",
          "bad trie pattern ('X', 'X', 'X', 'X') (count 1): need 1 to 3 non-empty tags without whitespace"
-         " and an int count >= 0"),
+         " and an int count >= 0 below 10**18"),
         # a cap other than max_chunk_len used to load and propose longer chunks
         (b"trie_depth_cap 3\n", b"trie_depth_cap 9\n",
          "trie depth cap 9 differs from max_chunk_len 3"),
@@ -938,16 +955,18 @@ def write_predictions(path, pairs):
     "raw, reason",
     [
         (b'{"id": "a", "answer": "x"}\n\xff\n', "line 2: not valid UTF-8"),
-        (b'{"id": "a", "answer": "x"}\n5\n', "line 2: prediction needs id and answer"),
-        (b'["id", "answer"]\n', "line 1: prediction needs id and answer"),
+        (b'{"id": "a", "answer": "x"}\n5\n', "line 2: prediction is not an object"),
+        (b'["id", "answer"]\n', "line 1: prediction is not an object"),
         (b"[" * 100_000 + b"\n", "line 1: invalid JSON: beyond the parser's limits"),
         (b'{"id": "a", "answer": null}\n', "line 1: prediction answer must be a string, got None"),
-        (b'{"id": null, "answer": "x"}\n', "line 1: id must be a string, got None"),
-        (b'{"id": 5, "answer": "x"}\n', "line 1: id must be a string, got 5"),
+        (b'{"id": null, "answer": "x"}\n', "line 1: prediction id must be a string, got None"),
+        (b'{"id": 5, "answer": "x"}\n', "line 1: prediction id must be a string, got 5"),
         (b'{"id": "a", "answer": "x"}\n{"id": "a", "answer": "y"}\n', "line 2: id 'a' repeats line 1"),
+        (b'{"id": "a"}\n', "line 1: prediction missing 'answer'"),
+        (b'{"answer": "x"}\n', "line 1: prediction missing 'id'"),
     ],
     ids=["non-utf8", "number", "array", "deep-nesting", "non-string-answer", "null-id", "int-id",
-         "repeated-id"],
+         "repeated-id", "no-answer", "no-id"],
 )
 def test_evaluate_malformed_predictions_exits_two_with_one_line(world, tmp_path, capsys, raw, reason):
     path = tmp_path / "p.jsonl"

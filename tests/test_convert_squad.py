@@ -101,6 +101,17 @@ def test_question_without_annotation_is_dropped(tmp_path, capsys):
     assert "dropped 1 questions with no annotation entry" in capsys.readouterr().err
 
 
+def test_question_without_a_mappable_answer_is_dropped(tmp_path, capsys):
+    got = converted(tmp_path, [qa("q1", ("Alice", 0)), qa("q2", ("ice", 2))],
+                    [annotation("q1"), annotation("q2")])
+    assert [ex.id for ex in got.examples] == ["q1"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"wrote 1 examples to {tmp_path / 'out.jsonl'}",
+        "dropped 1 questions with no mappable answer",
+        "skipped 1 individual unmappable answers",
+    ]
+
+
 @pytest.mark.parametrize("existing", [None, "kept\n"], ids=["no-file", "existing-file"])
 def test_converting_no_question_exits_two_and_leaves_out_as_it_was(tmp_path, capsys, existing):
     # an empty --out was written with exit 0, and every other command then
@@ -139,7 +150,7 @@ def test_convert_squad_returns_examples_and_drop_counts_and_prints_nothing(tmp_p
     "edit, reason",
     [
         (lambda tok: tok.update(offset="0"), "passage token offset must be an integer, got '0'"),
-        (lambda tok: tok.pop("lemma"), "passage token missing keys ['lemma']"),
+        (lambda tok: tok.pop("lemma"), "passage token missing 'lemma'"),
         (lambda tok: tok.update(surface=5), "passage token surface must be a string, got 5"),
         (lambda tok: tok.update(pos=None), "passage token pos must be a string, got None"),
         (lambda tok: tok.update(ne=["O"]), "passage token ne must be a string, got ['O']"),
@@ -200,7 +211,7 @@ def test_converter_and_loader_reject_a_record_with_one_message(tmp_path, capsys,
 
 @pytest.mark.parametrize(
     "anno_id, reason",
-    [(None, "id must be a string, got None"), (2, "id must be a string, got 2"),
+    [(None, "record id must be a string, got None"), (2, "record id must be a string, got 2"),
      ("q1", "id 'q1' repeats line 1")],
     ids=["null-id", "int-id", "repeated-id"],
 )
@@ -243,19 +254,25 @@ def paragraph(qas):
     [
         ('{"data": [', "line 1: invalid JSON: Expecting value"),
         ('{\n  "data": [\n', "line 3: invalid JSON: Expecting value"),
-        ({"version": "1.1"}, "missing 'data' list"),
-        ([], "missing 'data' list"),
-        ({"data": [{"title": "t"}]}, "article missing 'paragraphs' list"),
-        ({"data": [{"paragraphs": [{"context": CONTEXT}]}]}, "paragraph missing 'qas' list"),
+        ({"version": "1.1"}, "file missing 'data'"),
+        ([], "file is not an object"),
+        ({"data": [{"title": "t"}]}, "article missing 'paragraphs'"),
+        ({"data": {"title": "t"}}, "file data must be an array, got {'title': 't'}"),
+        ({"data": ["t"]}, "article is not an object"),
+        ({"data": [{"paragraphs": [{"context": CONTEXT}]}]}, "paragraph missing 'qas'"),
+        ({"data": [{"paragraphs": [paragraph(["q1"])]}]}, "question is not an object"),
         ({"data": [{"paragraphs": [paragraph([{"answers": []}])]}]}, "question missing 'id'"),
-        ({"data": [{"paragraphs": [paragraph([{"id": "q1"}])]}]}, "question q1: missing 'answers' list"),
+        ({"data": [{"paragraphs": [paragraph([{"id": "q1"}])]}]}, "question q1 missing 'answers'"),
+        ({"data": [{"paragraphs": [paragraph([{"id": "q1", "answers": None}])]}]},
+         "question q1 answers must be an array, got None"),
         # a null id used to become "None"; a repeated one gave output the loader rejects
         ({"data": [{"paragraphs": [paragraph([qa(None, ("Alice", 0))])]}]},
          "question id must be a string, got None"),
         ({"data": [{"paragraphs": [paragraph([qa("q1", ("Alice", 0)), qa("q1", ("Bob", 10))])]}]},
          "question q1: id repeats an earlier question"),
     ],
-    ids=["not-json", "not-json-on-line-3", "no-data", "not-an-object", "no-paragraphs", "no-qas", "no-id", "no-answers",
+    ids=["not-json", "not-json-on-line-3", "no-data", "not-an-object", "no-paragraphs",
+         "object-data", "string-article", "no-qas", "string-question", "no-id", "no-answers", "null-answers",
          "null-id", "repeated-id"],
 )
 def test_malformed_squad_file_is_rejected_with_its_path(tmp_path, capsys, squad, reason):
@@ -266,8 +283,8 @@ def test_malformed_squad_file_is_rejected_with_its_path(tmp_path, capsys, squad,
 @pytest.mark.parametrize(
     "answer, reason",
     [
-        ({"text": "Bob", "answer_start": "ten"}, "answer_start must be an integer, got 'ten'"),
-        ({"text": "Bob", "answer_start": 10.0}, "answer_start must be an integer, got 10.0"),
+        ({"text": "Bob", "answer_start": "ten"}, "answer answer_start must be an integer, got 'ten'"),
+        ({"text": "Bob", "answer_start": 10.0}, "answer answer_start must be an integer, got 10.0"),
         ({"text": 5, "answer_start": 10}, "answer text must be a string, got 5"),
         ("Bob", "answer is not an object"),
     ],
@@ -288,7 +305,7 @@ def test_rejected_input_leaves_out_path_as_it_was(tmp_path, capsys, existing):
     broken = qa("q2", ("Bob", 10))
     broken["answers"][0]["answer_start"] = "x"
     assert run(tmp_path, [qa("q1", ("Alice", 0)), broken], [annotation("q1"), annotation("q2")]) == 2
-    reason = "question q2: answer_start must be an integer, got 'x'"
+    reason = "question q2: answer answer_start must be an integer, got 'x'"
     assert capsys.readouterr().err == f"data error: {tmp_path / 'squad.json'}: {reason}\n"
     if existing is None:
         assert not out.exists()

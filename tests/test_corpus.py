@@ -165,12 +165,22 @@ def test_load_non_string_token_field_cites_line(tmp_path, side, key, value):
 @pytest.mark.parametrize(
     "edit, reason",
     [
-        (lambda rec: rec.update(id=None), "id must be a string, got None"),
-        (lambda rec: rec.update(id=7), "id must be a string, got 7"),
+        (lambda rec: rec.update(id=None), "record id must be a string, got None"),
+        (lambda rec: rec.update(id=7), "record id must be a string, got 7"),
         (lambda rec: rec["answers"][0].update(text=None), "answer text must be a string, got None"),
         (lambda rec: rec.update(id="q0"), "id 'q0' repeats line 1"),
+        (lambda rec: rec["question"].append("q"), "question token is not an object"),
+        (lambda rec: rec.pop("answers"), "record missing 'answers'"),
+        (lambda rec: rec.update(answers={"start": 1}), "record answers must be an array, got {'start': 1}"),
+        (lambda rec: rec["answers"].append([1, 1, "a"]), "answer is not an object"),
+        (lambda rec: rec["answers"][0].pop("start"), "answer missing 'start'"),
+        (lambda rec: rec["answers"][0].pop("end"), "answer missing 'end'"),
+        (lambda rec: rec["answers"][0].pop("text"), "answer missing 'text'"),
+        (lambda rec: rec["answers"][0].update(end=True), "answer end must be an integer, got True"),
     ],
-    ids=["null-id", "int-id", "null-answer-text", "repeated-id"],
+    ids=["null-id", "int-id", "null-answer-text", "repeated-id", "array-token", "no-answers",
+         "object-answers", "array-answer", "no-answer-start", "no-answer-end", "no-answer-text",
+         "bool-answer-end"],
 )
 def test_load_non_string_or_repeated_id_cites_line(tmp_path, edit, reason):
     # each used to load: a null id or text as the string "None", and a
@@ -183,6 +193,27 @@ def test_load_non_string_or_repeated_id_cites_line(tmp_path, edit, reason):
     with pytest.raises(corpus.DataError) as info:
         corpus.load_dataset(path)
     assert str(info.value) == f"line 2: {reason}"
+
+
+@pytest.mark.parametrize(
+    "obj, kind, message",
+    [
+        (["n", 1], int, "line 1: answer is not an object"),
+        ({"m": 1}, int, "line 1: answer missing 'n'"),
+        ({"n": True}, int, "line 1: answer n must be an integer, got True"),
+        ({"n": 1.0}, int, "line 1: answer n must be an integer, got 1.0"),
+        ({"n": 1}, str, "line 1: answer n must be a string, got 1"),
+        ({"n": None}, list, "line 1: answer n must be an array, got None"),
+        ({"n": []}, dict, "line 1: answer n must be an object, got []"),
+        # a huge value is cut short, so the message stays readable
+        ({"n": "x" * 1000}, int, "line 1: answer n must be an integer, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ],
+)
+def test_json_field_raises_one_of_three_one_line_forms(obj, kind, message):
+    with pytest.raises(corpus.DataError) as info:
+        corpus.json_field(obj, "n", kind, "line 1: answer")
+    assert str(info.value) == message
+    assert corpus.json_field({"n": 5, "m": "x"}, "n", int, "unused") == 5
 
 
 def test_load_rejects_id_of_a_dropped_record(tmp_path):

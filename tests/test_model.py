@@ -260,6 +260,8 @@ def test_model_config_checks_its_own_settings():
         (dict(scoring="dit"), "^unknown scoring: 'dit'$"),
         (dict(candidate_mode="wibble"), "^unknown candidate mode: 'wibble'$"),
         (dict(max_chunk_len=0), "^max_chunk_len must be >= 1, got 0$"),
+        # a cap of 10**18 saved a checkpoint whose manifest line no load accepts
+        (dict(max_chunk_len=10**18), r"^max_chunk_len must be below 10\*\*18, got 10{18}$"),
         # a negative width built a model whose checkpoint could not be loaded
         (dict(embedding_dim=-2), "^embedding_dim must be >= 0, got -2$"),
     ):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from chunkreader import model as M, numerics as nm, trainer as tr
 from chunkreader.chunker import CandidateChunk, enumerate_candidates
-from chunkreader.corpus import DataError, EmbeddingTable, Featurizer
+from chunkreader.corpus import AnswerSpan, DataError, EmbeddingTable, Featurizer, detokenize
 from chunkreader.model import ChunkReaderModel, ModelConfig, nll_loss
 from chunkreader.synthetic import SyntheticSpec, generate
 from chunkreader.checkpoint import load_checkpoint, save_checkpoint
@@ -358,6 +358,9 @@ def test_load_config_value_error_names_its_line_and_key(tmp_path):
     path = tmp_path / "bad_value.cfg"
     path.write_text("seed 1\nbatch_size 4 8\n")
     with pytest.raises(ValueError, match=r"^line 2: batch_size: invalid literal"):
+        tr.load_train_config(path)
+    path.write_text("seed 1\nbatch_size  # no value\n")
+    with pytest.raises(ValueError, match=r"^line 2: expected 'key value', got 'batch_size'$"):
         tr.load_train_config(path)
     with pytest.raises(ValueError, match=r"^--set learning_rate=fast: learning_rate: could not convert"):
         tr.load_train_config(sets=["learning_rate=fast"])
@@ -845,6 +848,16 @@ def test_train_stats_surface_filtering():
     assert result.stats["trainable"] == 6
     assert result.stats["dropped_by_truncation"] == 0
     assert result.stats["dropped_by_candidate_filter"] == 0
+    # a window example whose only answer is longer than max_chunk_len (4)
+    # has no gold candidate, so the filter drops it
+    passage = examples[0].passage
+    too_long = dataclasses.replace(
+        examples[0], id="too-long", answers=(AnswerSpan(1, 5, detokenize(passage[:5])),)
+    )
+    result = tr.train(model, fz, examples + [too_long], examples, cfg, echo=lambda s: None)
+    assert result.stats["train_examples"] == 7
+    assert result.stats["dropped_by_candidate_filter"] == 1
+    assert result.stats["trainable"] == 6
 
 
 def test_train_skips_non_finite_steps():
