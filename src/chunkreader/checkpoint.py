@@ -23,6 +23,7 @@ and ignores the trie lines older versions wrote for window models.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import os
 from dataclasses import fields
@@ -43,12 +44,7 @@ class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint file."""
 
 
-def _int(text: str, what: str) -> int:
-    if not (text.isascii() and text.isdigit() and len(text) <= nm.INT_DIGITS):
-        raise CheckpointError(
-            f"{what} must be a non-negative integer below 10**{nm.INT_DIGITS}, got {text[:40]!r}"
-        )
-    return int(text)
+_int = functools.partial(nm.read_int, error=CheckpointError)  # a manifest number
 
 
 def _bool(text: str, what: str) -> bool:

@@ -30,9 +30,10 @@ KEY=VALUE (every setting, the seed included, resolves by precedence:
 --set, then the file, then the TrainConfig default),
 `corpus.load_dataset`, `corpus.load_embeddings`, which reads the
 width off the first line, and `squad`'s `load_squad` and
-`load_annotations`. A flag that would be ignored is a usage
-error: `evaluate --predictions` with --checkpoint or --embeddings,
-`chunk-stats --trie-data` without --mode trie.
+`load_annotations`. `chunk-stats --max-len` is read by `nm.read_int`.
+A flag that would be ignored is a usage error: `evaluate --predictions`
+with --checkpoint or --embeddings. `chunk-stats --trie-data` picks the
+pattern table, as a model's table picks it, and `gradcheck` takes no flag.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import CheckpointError, load_checkpoint, temporary_path
-from .chunker import CANDIDATE_MODES, build_pos_trie, candidate_recall
+from .chunker import build_pos_trie, candidate_recall
 from .chunker import enumerate_candidates, generate_candidates
 from .corpus import (
     DataError,
@@ -79,21 +79,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _bounded(kind, zero_ok=False):
-    """argparse type: a finite `kind` number above zero, or at least zero
-    when zero_ok."""
-    wanted = "non-negative" if zero_ok else "positive"
-
-    def parse(text):
-        value = kind(text)
-        if isinstance(value, float) and not math.isfinite(value):  # inf would pass below
-            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-        if not (value >= 0 if zero_ok else value > 0):
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
-        return value
-
-    parse.__name__ = kind.__name__  # argparse names the type in its own errors
-    return parse
+def _max_len(text: str) -> int:
+    """argparse type of --max-len: `nm.read_int`'s digits, 1 or more."""
+    if (value := nm.read_int(text, "value", argparse.ArgumentTypeError)) < 1:
+        raise argparse.ArgumentTypeError(f"value must be 1 or more, got {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -125,15 +115,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("chunk-stats", help="candidate recall and count statistics")
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=CANDIDATE_MODES, default=ModelConfig.candidate_mode)
-    p.add_argument("--max-len", type=_bounded(int), default=ModelConfig.max_chunk_len)
-    p.add_argument("--trie-data", help="examples whose answers build the trie (default: --data)")
+    p.add_argument("--max-len", type=_max_len, default=ModelConfig.max_chunk_len)
+    p.add_argument("--trie-data", help="answers that build the pattern table (default: every span)")
 
-    p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    p.add_argument("--seed", type=_bounded(int, zero_ok=True), default=0)
-    p.add_argument("--hidden-size", type=_bounded(int), default=3)
-    p.add_argument("--step", type=_bounded(float), default=1e-4)
-    p.add_argument("--tolerance", type=_bounded(float), default=1e-4)
+    sub.add_parser("gradcheck", help="verify gradients against finite differences")
 
     p = sub.add_parser("convert-squad", help="join SQuAD JSON and token annotations into a dataset")
     p.add_argument("--squad", required=True, help="raw SQuAD v1.1 JSON")
@@ -317,19 +302,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_chunk_stats(args) -> int:
-    if args.trie_data and args.mode != "trie":
-        raise UsageError("--trie-data needs --mode trie")
     examples = _load_examples(args.data)
     trie = None
-    if args.mode == "trie":
-        source = _load_examples(args.trie_data) if args.trie_data else examples
-        trie = build_pos_trie(source, args.max_len)
+    if args.trie_data:  # the same path is read once, so it may be a pipe
+        trie = build_pos_trie(
+            examples if args.trie_data == args.data else _load_examples(args.trie_data), args.max_len
+        )
     lists = [generate_candidates(ex.passage, trie, args.max_len) for ex in examples]
     recall = candidate_recall(examples, lists)
     counts = [len(c) for c in lists]
     hist = Counter(c.length for cands in lists for c in cands)
     print(f"examples\t{len(examples)}")
-    print(f"mode\t{args.mode}")
+    print(f"mode\t{'window' if trie is None else 'trie'}")
     print(f"recall\t{recall:.6f}")
     print(f"mean_candidates\t{np.mean(counts):.4f}")
     for length in sorted(hist):
@@ -348,22 +332,16 @@ def cmd_gradcheck(args) -> int:
     +-1.2/sqrt(fan_in) rather than the training setup: near-zero weights
     or sparse one-hot features leave some gradient coordinates at the
     difference-quotient noise floor, where the relative error ratio
-    measures roundoff instead of correctness.
+    measures roundoff instead of correctness. The audit is fixed: seed 0,
+    hidden size 3, difference step 1e-4 and pass bound 1e-4 on the error.
     """
-    pos_tags = ("ADJ", "NOUN", "VERB")
-    ne_tags = ("LOC", "O", "PER")
-    try:
-        config = ModelConfig(
-            hidden_size=args.hidden_size,
-            embedding_dim=4,
-            pos_tags=pos_tags,
-            ne_tags=ne_tags,
-            max_chunk_len=3,
-        )
-    except ValueError as exc:  # a --hidden-size no model accepts
-        raise UsageError(str(exc)) from None
+    step, tolerance = 1e-4, 1e-4
+    config = ModelConfig(
+        hidden_size=3, embedding_dim=4, pos_tags=("ADJ", "NOUN", "VERB"), ne_tags=("LOC", "O", "PER"),
+        max_chunk_len=3,
+    )
     model = ChunkReaderModel(config)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(0)
     for p in model.parameters().values():
         bound = 1.2 / np.sqrt(p.data.shape[0])
         p.data[...] = rng.uniform(-bound, bound, size=p.data.shape)
@@ -378,15 +356,15 @@ def cmd_gradcheck(args) -> int:
 
     names = list(model.parameters())
     params = list(model.parameters().values())
-    errors = nm.finite_difference_errors(build, params, args.step)
+    errors = nm.finite_difference_errors(build, params, step)
     for name, err in zip(names, errors):
-        status = "ok" if err < args.tolerance else "BAD"
+        status = "ok" if err < tolerance else "BAD"
         print(f"{name}\t{err:.3e}\t{status}")
     worst = max(errors)
-    if worst < args.tolerance:
-        print(f"PASS\tmax relative error {worst:.3e} < {args.tolerance:.0e}")
+    if worst < tolerance:
+        print(f"PASS\tmax relative error {worst:.3e} < {tolerance:.0e}")
         return 0
-    print(f"FAIL\tmax relative error {worst:.3e} >= {args.tolerance:.0e}")
+    print(f"FAIL\tmax relative error {worst:.3e} >= {tolerance:.0e}")
     return 3
 
 

@@ -45,6 +45,7 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "INT_DIGITS",
+    "read_int",
     "is_int",
     "check_settings",
     "row_counts",
@@ -78,6 +79,14 @@ class ShapeError(ValueError):
 # below 10**INT_DIGITS, so a model that `check_settings` and its own checks
 # accept saves a checkpoint that loads.
 INT_DIGITS = 18
+
+
+def read_int(text: str, what: str, error: type[Exception] = ValueError) -> int:
+    """The int that text spells in at most INT_DIGITS ASCII digits, as a
+    checkpoint manifest writes it (no sign, `_` or space); else `error` naming what."""
+    if not (text.isascii() and text.isdigit() and len(text) <= INT_DIGITS):
+        raise error(f"{what} must be a non-negative integer below 10**{INT_DIGITS}, got {text[:40]!r}")
+    return int(text)
 
 
 def is_int(value) -> bool:

@@ -14,9 +14,10 @@ checked by the loader's own `parse_record`, and every field of the SQuAD
 file is read by `corpus.json_field`, so a malformed input raises one of
 its three one-line `DataError`s (`<where> is not an object`, `<where>
 missing '<key>'`, `<where> <key> must be <kind>, got <value>`), naming
-its line or question. `convert_squad` skips an answer that does not line
-up with token boundaries (whitespace ignored), drops a question with no
-mappable answer or no annotation entry, counts both, and prints nothing.
+its line, its 1-based article, paragraph and question, or its question
+id. `convert_squad` skips an answer that does not line up with token
+boundaries (whitespace ignored), drops a question with no mappable
+answer or no annotation entry, counts both, and prints nothing.
 """
 
 from __future__ import annotations
@@ -34,18 +35,23 @@ def load_squad(path):
 
 
 def iter_squad_questions(squad):
-    """(id, answers) for every question of the file, each an object with a
-    string `id` that no earlier question used and an `answers` array;
-    anything else on the way raises json_field's DataError."""
+    """(id, [(text, answer_start), ...]) for every question of the file,
+    annotated or not; anything malformed raises json_field's DataError,
+    naming `article N paragraph M question K` (1-based) or the id."""
     seen = set()
-    for article in json_field(squad, "data", list, "file"):
-        for paragraph in json_field(article, "paragraphs", list, "article"):
-            for qa in json_field(paragraph, "qas", list, "paragraph"):
-                qa_id = json_field(qa, "id", str, "question")
+    for a, article in enumerate(json_field(squad, "data", list, "file"), 1):
+        for p, paragraph in enumerate(json_field(article, "paragraphs", list, f"article {a}"), 1):
+            place = f"article {a} paragraph {p}"
+            for q, qa in enumerate(json_field(paragraph, "qas", list, place), 1):
+                qa_id = json_field(qa, "id", str, f"{place} question {q}")
                 if qa_id in seen:
                     raise DataError(f"question {qa_id}: id repeats an earlier question")
                 seen.add(qa_id)
-                yield qa_id, json_field(qa, "answers", list, f"question {qa_id}")
+                where = f"question {qa_id}: answer"
+                yield qa_id, [
+                    (json_field(gold, "text", str, where), json_field(gold, "answer_start", int, where))
+                    for gold in json_field(qa, "answers", list, f"question {qa_id}")
+                ]
 
 
 def load_annotations(path):
@@ -94,10 +100,8 @@ def convert_squad(squad, annotations):
             continue
         passage, question = tokens
         answers = []
-        where = f"question {qa_id}: answer"
-        for gold in golds:
-            text = json_field(gold, "text", str, where)
-            span = char_span_to_tokens(passage, json_field(gold, "answer_start", int, where), text)
+        for text, start in golds:
+            span = char_span_to_tokens(passage, start, text)
             if span is None:
                 skipped_answers += 1
                 continue

@@ -14,6 +14,7 @@ earlier epochs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 import time
@@ -85,7 +86,8 @@ def load_train_config(path=None, sets: Sequence[str] = ()) -> TrainConfig:
     """Resolve each TrainConfig field from a `KEY=VALUE` string of `sets`,
     else from the flat config file at `path` (`key value` lines, '#'
     comments allowed, read by corpus.text_lines), else its default. Each key
-    is given at most once by each source; an error (a ValueError) names its
+    is given at most once by each source, an int as `nm.read_int` reads it
+    and a float as `_read_float` does; an error (a ValueError) names its
     `line N` or `--set k=v`, and its key."""
     spec = {f.name: f.type for f in fields(TrainConfig)}
     from_file, from_sets = [], []  # (where, key, raw value) triples
@@ -114,12 +116,20 @@ def load_train_config(path=None, sets: Sequence[str] = ()) -> TrainConfig:
             values[key] = (raw, where)
     kwargs = {}
     for key, (raw, where) in values.items():
-        parse = {"int": int, "float": float}.get(spec[key], str)
+        read = {"int": nm.read_int, "float": _read_float}.get(spec[key], lambda text, what: text)
         try:
-            kwargs[key] = parse(raw)
+            kwargs[key] = read(raw, key)
         except ValueError as exc:
-            raise ValueError(f"{where}: {key}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
     return TrainConfig(**kwargs)
+
+
+def _read_float(text: str, what: str) -> float:
+    """float(text) for ASCII text with no `_` or surrounding whitespace; else ValueError naming what."""
+    if text.isascii() and "_" not in text and text == text.strip():
+        with contextlib.suppress(ValueError):
+            return float(text)
+    raise ValueError(f"{what} must be a number, got {text[:40]!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from chunkreader import cli, trainer
 from chunkreader import model as M
 from chunkreader.checkpoint import load_checkpoint, save_checkpoint
-from chunkreader.chunker import build_pos_trie, enumerate_candidates
+from chunkreader.chunker import build_pos_trie, enumerate_candidates, generate_candidates
 from chunkreader.corpus import Featurizer, load_dataset, load_embeddings
 from chunkreader.encoder import GruCell
 from chunkreader.model import ChunkReaderModel
@@ -174,7 +174,8 @@ def test_train_unknown_config_key_exits_one(world, tmp_path, capsys):
     "text, message",
     [
         ("batch_size 4\nbatch_size 6\n", "error: line 1 and line 2: batch_size is repeated"),
-        ("hidden_size 4\nbatch_size 4 8\n", "error: line 2: batch_size: invalid literal"),
+        ("hidden_size 4\nbatch_size 4 8\n",
+         "error: line 2: batch_size must be a non-negative integer below 10**18, got '4 8'"),
     ],
     ids=["repeated", "bad_value"],
 )
@@ -214,9 +215,32 @@ def test_train_bad_set_value_exits_one_naming_the_set_string(world, tmp_path, ca
     paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
     assert cli.main(train_args(paths, set="learning_rate=fast")) == 1
     assert capsys.readouterr().err == (
-        "error: --set learning_rate=fast: learning_rate: "
-        "could not convert string to float: 'fast'\n"
+        "error: --set learning_rate=fast: learning_rate must be a number, got 'fast'\n"
     )
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["batch_size=1_0", "max_epochs=\u0663", "seed= 3", "seed=3 ", "seed=+3", "seed=-0", "seed=" + "0" * 19,
+     "learning_rate=1_0.5", "clip_norm=\u0665", "init_range=0.01 ", "dropout_rate=\u0660.\u0661"],
+)
+def test_train_setting_spelled_otherwise_than_a_checkpoint_writes_it_exits_one(
+    world, tmp_path, capsys, setting
+):
+    # int() and float() read each of these as the number it spells (batch
+    # size 10, 3 epochs, seed 3 or 0, learning rate 10.5, ...) and trained
+    key, value = setting.split("=")
+    floats = ("learning_rate", "clip_norm", "init_range", "dropout_rate")
+    wanted = "a number" if key in floats else "a non-negative integer below 10**18"
+    message = f"{key} must be {wanted}, got {value!r}"
+    paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
+    assert cli.main(train_args(paths, set=setting)) == 1
+    assert capsys.readouterr() == ("", f"error: --set {setting}: {message}\n")
+    if value == value.strip():  # a file line's value has no surrounding space
+        paths["config"] = write_config(tmp_path / "s.cfg", f"hidden_size 4\n{key} {value}\n")
+        assert cli.main(train_args(paths)) == 1
+        assert capsys.readouterr() == ("", f"error: line 2: {message}\n")
     assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -307,65 +331,40 @@ def test_unknown_subcommand_exits_one(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["chunk-stats", "--data", "{dev}", "--max-len", "0"],
-        ["chunk-stats", "--data", "{dev}", "--max-len", "-1"],
-        ["chunk-stats", "--data", "{dev}", "--mode", "trie", "--max-len", "0"],
-        ["gradcheck", "--hidden-size", "0"],
-        ["gradcheck", "--step", "0"],
-        ["gradcheck", "--step", "-1"],
-        ["gradcheck", "--tolerance", "0"],
+        (["--max-len", "0"], "value must be 1 or more, got '0'"),
+        (["--max-len", "-1"], "value must be a non-negative integer below 10**18, got '-1'"),
+        (["--trie-data", "{dev}", "--max-len", "0"], "value must be 1 or more, got '0'"),
     ],
-    ids=[
-        "max-len-0", "max-len-negative", "trie-max-len-0", "hidden-size-0", "step-0",
-        "step-negative", "tolerance-0",
-    ],
+    ids=["max-len-0", "max-len-negative", "trie-max-len-0"],
 )
-def test_non_positive_size_or_step_exits_one_with_one_line(world, capsys, argv):
-    assert cli.main([arg.format(dev=world["dev"]) for arg in argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: argument {argv[-2]}: must be positive") and err.count("\n") == 1
+def test_non_positive_size_or_step_exits_one_with_one_line(world, capsys, argv, message):
+    argv = ["chunk-stats", "--data", world["dev"]] + [arg.format(dev=world["dev"]) for arg in argv]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: argument --max-len: {message}\n")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["--tolerance", "inf"], ["--step", "inf"], ["--step", "nan"], ["--step=-inf"]],
-    ids=["tolerance-inf", "step-inf", "step-nan", "step-minus-inf"],
-)
-def test_gradcheck_non_finite_float_exits_one_with_one_line(capsys, argv):
-    # an infinite tolerance would pass any gradient, and an infinite step
-    # would run the audit into numpy warnings and a FAIL
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["gradcheck"] + argv) == 1
-    flag, value = argv[0].split("=") if "=" in argv[0] else argv
-    assert capsys.readouterr() == ("", f"error: argument {flag}: must be finite, got {value}\n")
+@pytest.mark.parametrize("value", ["1_0", "\u0663", " 3", "+3", "3.0", "1" + "0" * 18])
+def test_max_len_is_read_as_a_checkpoint_writes_an_int(world, capsys, value):
+    # int() read the first four as 10, 3, 3 and 3; the last is beyond every checkpoint
+    assert cli.main(["chunk-stats", "--data", world["dev"], "--max-len", value]) == 1
+    message = f"value must be a non-negative integer below 10**18, got {value!r}"
+    assert capsys.readouterr() == ("", f"error: argument --max-len: {message}\n")
 
 
-def test_gradcheck_negative_seed_exits_one_with_one_line(capsys):
-    assert cli.main(["gradcheck", "--seed", "-1"]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: argument --seed: must be non-negative, got -1\n"
-
-
-@pytest.mark.parametrize("command", ["train", "gradcheck"])
-def test_model_too_large_to_allocate_exits_one_with_one_line(world, tmp_path, capsys, command):
+def test_model_too_large_to_allocate_exits_one_with_one_line(world, tmp_path, capsys):
     # 10**9 hidden units ask for terabytes: the allocation fails at once,
     # before any page is touched. numpy cannot even size 10**17 units, and
-    # its ValueError escaped main; 10**18 is beyond every checkpoint, and
-    # gradcheck leaked ModelConfig's ValueError
+    # its ValueError escaped main; 10**18 is beyond every checkpoint
     for size, message in (
         (10**9, "error: out of memory: Unable to allocate "),
         (10**17, "error: out of memory: array is too big"),
-        (10**18, "error: hidden_size must be below 10**18, got 1000000000000000000"),
+        (10**18, "error: --set hidden_size=1000000000000000000: hidden_size must be a non-negative"
+                 " integer below 10**18, got '1000000000000000000'"),
     ):
-        if command == "train":
-            paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
-            argv = train_args(paths, set=f"hidden_size={size}")
-        else:
-            argv = ["gradcheck", "--hidden-size", str(size)]
-        assert cli.main(argv) == 1
+        paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
+        assert cli.main(train_args(paths, set=f"hidden_size={size}")) == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, size
         assert list(tmp_path.iterdir()) == []
@@ -377,7 +376,10 @@ def test_train_max_chunk_len_beyond_the_checkpoint_range_exits_one_with_one_line
     # it trained and wrote a checkpoint that predict then refused
     paths = dict(world, checkpoint=str(tmp_path / "m.ckpt"), log=str(tmp_path / "m.log"))
     assert cli.main(train_args(paths, set=f"max_chunk_len={10**18}")) == 1
-    assert capsys.readouterr().err == "error: max_chunk_len must be below 10**18, got 1000000000000000000\n"
+    assert capsys.readouterr().err == (
+        "error: --set max_chunk_len=1000000000000000000: max_chunk_len must be a non-negative"
+        " integer below 10**18, got '1000000000000000000'\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 
@@ -919,7 +921,7 @@ def _args_reading(command, data, world, tmp_path):
             "evaluate", "--data", data,
             "--checkpoint", world["checkpoint"], "--embeddings", world["emb"],
         ]
-    return ["chunk-stats", "--data", world["dev"], "--mode", "trie", "--trie-data", data]
+    return ["chunk-stats", "--data", world["dev"], "--trie-data", data]
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "chunk-stats"])
@@ -1087,9 +1089,7 @@ def test_evaluate_id_mismatch_exits_two(world, tmp_path, capsys):
 
 
 def test_chunk_stats_window_reports_expected_numbers(world, capsys):
-    assert cli.main([
-        "chunk-stats", "--data", world["dev"], "--mode", "window", "--max-len", "3",
-    ]) == 0
+    assert cli.main(["chunk-stats", "--data", world["dev"], "--max-len", "3"]) == 0
     out = capsys.readouterr().out
     rows = dict()
     hist = {}
@@ -1102,6 +1102,7 @@ def test_chunk_stats_window_reports_expected_numbers(world, capsys):
     examples = world["dev_examples"]
     counts = [len(enumerate_candidates(len(ex.passage), 3)) for ex in examples]
     assert rows["examples"] == str(len(examples))
+    assert rows["mode"] == "window"
     assert rows["recall"] == "1.000000"
     assert float(rows["mean_candidates"]) == pytest.approx(np.mean(counts), abs=1e-4)
     assert set(hist) <= {1, 2, 3}
@@ -1109,28 +1110,44 @@ def test_chunk_stats_window_reports_expected_numbers(world, capsys):
 
 
 def test_chunk_stats_trie_mode_runs(world, capsys):
-    assert cli.main(["chunk-stats", "--data", world["dev"], "--mode", "trie"]) == 0
+    # --trie-data naming the --data file is what `--mode trie` alone did
+    assert cli.main(["chunk-stats", "--data", world["dev"], "--trie-data", world["dev"]]) == 0
     out = capsys.readouterr().out
     assert "mode\ttrie" in out
     assert "recall\t1.000000" in out
 
 
-def test_chunk_stats_trie_data_without_trie_mode_exits_one(world, capsys):
-    # the trie data used to be ignored without a word in window mode
-    args = ["chunk-stats", "--data", world["dev"], "--trie-data", world["train"]]
-    assert cli.main(args) == 1
-    assert capsys.readouterr() == ("", "error: --trie-data needs --mode trie\n")
-    assert cli.main(args + ["--mode", "window"]) == 1
-    assert cli.main(args + ["--mode", "trie"]) == 0
+def test_chunk_stats_trie_data_picks_the_table_built_from_it(world, capsys):
+    table = build_pos_trie(load_dataset(world["train"]).examples, 4)
+    counts = [len(generate_candidates(ex.passage, table, 4)) for ex in world["dev_examples"]]
+    args = ["chunk-stats", "--data", world["dev"], "--max-len", "4"]
+    assert cli.main(args + ["--trie-data", world["train"]]) == 0
+    out = capsys.readouterr().out
+    assert "mode\ttrie\n" in out and f"mean_candidates\t{np.mean(counts):.4f}\n" in out
+    assert cli.main(args) == 0
+    assert "mode\twindow\n" in capsys.readouterr().out
 
 
 def test_chunk_stats_unknown_mode_exits_one(world, capsys):
-    assert cli.main(["chunk-stats", "--data", world["dev"], "--mode", "sideways"]) == 1
-    assert "sideways" in capsys.readouterr().err
+    # the table's presence picks the strategy, so no --mode is known
+    for mode in ("sideways", "window", "trie"):
+        assert cli.main(["chunk-stats", "--data", world["dev"], "--mode", mode]) == 1
+        assert capsys.readouterr() == ("", f"error: unrecognized arguments: --mode {mode}\n")
 
 
 # ---------------------------------------------------------------------------
 # gradcheck
+
+
+def test_gradcheck_takes_no_flag(capsys):
+    # seed 0, hidden size 3, step 1e-4 and bound 1e-4 are the audit's own
+    with pytest.raises(SystemExit):
+        cli.main(["gradcheck", "--help"])
+    help_lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in help_lines if line.startswith("  -")] == ["-h,"]
+    for flag in ("--seed", "--hidden-size", "--step", "--tolerance"):
+        assert cli.main(["gradcheck", flag, "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: unrecognized arguments: {flag} 1\n")
 
 
 def test_gradcheck_passes_and_lists_every_parameter(capsys):

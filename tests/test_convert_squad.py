@@ -112,6 +112,20 @@ def test_question_without_a_mappable_answer_is_dropped(tmp_path, capsys):
     ]
 
 
+def test_malformed_answer_of_a_question_without_annotation_is_rejected(tmp_path, capsys):
+    # the question was counted as `no annotation entry` before its answers were read
+    got = {"data": [{"paragraphs": [{"context": "A b", "qas": [
+        {"id": "q1", "answers": [{"text": 5, "answer_start": "ten"}, "junk"]}]}]}]}
+    with pytest.raises(DataError, match=r"^question q1: answer text must be a string, got 5$"):
+        squad.convert_squad(got, {})
+    broken = qa("q2", ("Bob", 10))
+    broken["answers"].append("junk")
+    assert run(tmp_path, [qa("q1", ("Alice", 0)), broken], [annotation("q1")]) == 2
+    reason = "question q2: answer is not an object"
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'squad.json'}: {reason}\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize("existing", [None, "kept\n"], ids=["no-file", "existing-file"])
 def test_converting_no_question_exits_two_and_leaves_out_as_it_was(tmp_path, capsys, existing):
     # an empty --out was written with exit 0, and every other command then
@@ -256,24 +270,32 @@ def paragraph(qas):
         ('{\n  "data": [\n', "line 3: invalid JSON: Expecting value"),
         ({"version": "1.1"}, "file missing 'data'"),
         ([], "file is not an object"),
-        ({"data": [{"title": "t"}]}, "article missing 'paragraphs'"),
+        ({"data": [{"title": "t"}]}, "article 1 missing 'paragraphs'"),
         ({"data": {"title": "t"}}, "file data must be an array, got {'title': 't'}"),
-        ({"data": ["t"]}, "article is not an object"),
-        ({"data": [{"paragraphs": [{"context": CONTEXT}]}]}, "paragraph missing 'qas'"),
-        ({"data": [{"paragraphs": [paragraph(["q1"])]}]}, "question is not an object"),
-        ({"data": [{"paragraphs": [paragraph([{"answers": []}])]}]}, "question missing 'id'"),
+        ({"data": ["t"]}, "article 1 is not an object"),
+        ({"data": [{"paragraphs": [{"context": CONTEXT}]}]}, "article 1 paragraph 1 missing 'qas'"),
+        ({"data": [{"paragraphs": [paragraph(["q1"])]}]}, "article 1 paragraph 1 question 1 is not an object"),
+        ({"data": [{"paragraphs": [paragraph([{"answers": []}])]}]},
+         "article 1 paragraph 1 question 1 missing 'id'"),
         ({"data": [{"paragraphs": [paragraph([{"id": "q1"}])]}]}, "question q1 missing 'answers'"),
         ({"data": [{"paragraphs": [paragraph([{"id": "q1", "answers": None}])]}]},
          "question q1 answers must be an array, got None"),
         # a null id used to become "None"; a repeated one gave output the loader rejects
         ({"data": [{"paragraphs": [paragraph([qa(None, ("Alice", 0))])]}]},
-         "question id must be a string, got None"),
+         "article 1 paragraph 1 question 1 id must be a string, got None"),
         ({"data": [{"paragraphs": [paragraph([qa("q1", ("Alice", 0)), qa("q1", ("Bob", 10))])]}]},
          "question q1: id repeats an earlier question"),
+        # each place counts from 1 in its own list, so the user can find the fault
+        ({"data": [{"paragraphs": []}, 5]}, "article 2 is not an object"),
+        ({"data": [{"paragraphs": []}, {"paragraphs": [paragraph([]), {}]}]},
+         "article 2 paragraph 2 missing 'qas'"),
+        ({"data": [{"paragraphs": [paragraph([qa("q1", ("Alice", 0))])]},
+                   {"paragraphs": [paragraph([]), paragraph([qa("q2", ("Bob", 10)), "q3"])]}]},
+         "article 2 paragraph 2 question 2 is not an object"),
     ],
     ids=["not-json", "not-json-on-line-3", "no-data", "not-an-object", "no-paragraphs",
          "object-data", "string-article", "no-qas", "string-question", "no-id", "no-answers", "null-answers",
-         "null-id", "repeated-id"],
+         "null-id", "repeated-id", "second-article", "second-paragraph", "second-question"],
 )
 def test_malformed_squad_file_is_rejected_with_its_path(tmp_path, capsys, squad, reason):
     assert convert_raw_squad(tmp_path, squad) == 2
@@ -295,6 +317,20 @@ def test_malformed_squad_answer_is_rejected_with_its_question(tmp_path, capsys, 
     assert convert_raw_squad(tmp_path, squad) == 2
     squad_path = tmp_path / "squad.json"
     assert capsys.readouterr().err == f"data error: {squad_path}: question q1: {reason}\n"
+
+
+def test_malformed_answer_of_a_question_without_annotation_is_rejected(tmp_path, capsys):
+    # the question was counted as `no annotation entry` before its answers were read
+    got = {"data": [{"paragraphs": [{"context": "A b", "qas": [
+        {"id": "q1", "answers": [{"text": 5, "answer_start": "ten"}, "junk"]}]}]}]}
+    with pytest.raises(DataError, match=r"^question q1: answer text must be a string, got 5$"):
+        squad.convert_squad(got, {})
+    broken = qa("q2", ("Bob", 10))
+    broken["answers"].append("junk")
+    assert run(tmp_path, [qa("q1", ("Alice", 0)), broken], [annotation("q1")]) == 2
+    reason = "question q2: answer is not an object"
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'squad.json'}: {reason}\n"
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 @pytest.mark.parametrize("existing", [None, "kept\n"], ids=["no-file", "existing-file"])

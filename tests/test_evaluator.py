@@ -208,6 +208,17 @@ def test_breakdown_by_head_word_buckets():
     assert bigrams == {}  # no "what" questions at all
 
 
+def test_breakdown_by_head_word_leaves_out_an_empty_question():
+    # the example still counts toward the fractions' total
+    exs = [
+        make_example("a", ["x"], [], [(1, 1)]),
+        make_example("b", ["y"], ["Who", "won"], [(1, 1)]),
+    ]
+    heads, bigrams = ev.breakdown_by_head_word(ev.evaluate({"a": "x", "b": "z"}, exs))
+    assert heads == {"who": ev.BreakdownRow(count=1, fraction=0.5, em=0.0, f1=0.0)}
+    assert bigrams == {}
+
+
 def test_breakdown_what_bigrams_threshold():
     exs = []
     preds = {}

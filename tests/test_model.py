@@ -237,6 +237,20 @@ def test_forward_batch_checks_its_lengths_once_as_attend_does():
     assert all(np.array_equal(a, b) for a, b in zip(one, per_example))
 
 
+def test_forward_batch_rejects_candidates_that_do_not_fit_the_batch():
+    m = toy_model()
+    rng = np.random.default_rng(9)
+    width = m.config.input_width
+    passages, questions = rng.normal(size=(2, 4, width)), rng.normal(size=(2, 3, width))
+    cands = [[CandidateChunk(1, 1)], [CandidateChunk(1, 2)]]
+    with pytest.raises(nm.ShapeError, match="^3 candidate lists for 2 passages and 2 questions$"):
+        m.forward_batch(passages, questions, cands + cands[:1], 4, 3)
+    with pytest.raises(ValueError, match="^cannot score an empty candidate set$"):
+        m.forward_batch(passages, questions, [cands[0], []], 4, 3)
+    with pytest.raises(ValueError, match="^dropout needs an rng$"):
+        m.forward_batch(passages, questions, cands, 4, 3, dropout_rate=0.5, training=True)
+
+
 def test_question_repr_rejects_a_length_that_is_not_an_int():
     # a length of True read row 0 as the last real state
     F, B = nm.tensor(np.ones((2, 3, 2))), nm.tensor(np.ones((2, 3, 2)))

@@ -80,8 +80,32 @@ def test_matmul_grad_1d_1d():
 def test_matmul_shape_mismatch():
     a = nm.parameter(np.zeros((3, 4)))
     b = nm.parameter(np.zeros((5, 2)))
-    with pytest.raises(nm.ShapeError):
+    with pytest.raises(nm.ShapeError, match=r"^matmul: inner dimensions disagree"):
         nm.matmul(a, b)
+    with pytest.raises(nm.ShapeError, match=r"^matmul supports 1-D/2-D operands, got \(2, 3, 4\) x"):
+        nm.matmul(nm.parameter(np.zeros((2, 3, 4))), nm.parameter(np.zeros((4, 2))))
+
+
+def test_add_shape_mismatch():
+    with pytest.raises(nm.ShapeError, match=r"^add: shapes disagree: \(2, 3\) vs \(3,\)$"):
+        nm.add(nm.parameter(np.zeros((2, 3))), nm.parameter(np.zeros(3)))
+
+
+def test_finite_difference_step_must_be_positive():
+    p = nm.parameter(np.ones(2))
+    for step in (0.0, -1e-4):
+        with pytest.raises(ValueError, match="^step must be positive$"):
+            nm.finite_difference_errors(lambda: nm.matmul(p, p), [p], step)
+
+
+def test_tape_exited_out_of_order_raises():
+    outer, inner = nm.Tape(), nm.Tape()
+    outer.__enter__()
+    inner.__enter__()
+    with pytest.raises(RuntimeError, match="^tape stack corrupted$"):
+        outer.__exit__(None, None, None)  # pops inner, which outer does not own
+    outer.__exit__(None, None, None)  # pops outer, leaving the stack as it was
+    assert not nm.recording([nm.parameter(np.ones(1))])
 
 
 def test_add_mul_grads():

@@ -78,6 +78,12 @@ def test_spec_validation():
         synthetic.SyntheticSpec(passage_len=(2, 10), answer_len=(1, 3))
     with pytest.raises(ValueError):
         synthetic.SyntheticSpec(n_examples=0)
+    for passage_len in ((1, 10), (9, 8)):
+        with pytest.raises(ValueError, match=r"^passage length range must satisfy 2 <= lo <= hi$"):
+            synthetic.SyntheticSpec(passage_len=passage_len)
+    for bad in ({"embedding_dim": 0}, {"question_fillers": -1}):
+        with pytest.raises(ValueError, match="^embedding_dim must be >= 1, question_fillers >= 0$"):
+            synthetic.SyntheticSpec(**bad)
     # seed=True built a spec that drew seed 1's data
     with pytest.raises(ValueError, match="^seed must be an int, got True$"):
         synthetic.SyntheticSpec(seed=True)

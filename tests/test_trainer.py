@@ -357,12 +357,14 @@ def test_load_config_rejects_a_repeated_key_naming_both_lines(tmp_path):
 def test_load_config_value_error_names_its_line_and_key(tmp_path):
     path = tmp_path / "bad_value.cfg"
     path.write_text("seed 1\nbatch_size 4 8\n")
-    with pytest.raises(ValueError, match=r"^line 2: batch_size: invalid literal"):
+    message = r"^line 2: batch_size must be a non-negative integer below 10\*\*18, got '4 8'$"
+    with pytest.raises(ValueError, match=message):
         tr.load_train_config(path)
     path.write_text("seed 1\nbatch_size  # no value\n")
     with pytest.raises(ValueError, match=r"^line 2: expected 'key value', got 'batch_size'$"):
         tr.load_train_config(path)
-    with pytest.raises(ValueError, match=r"^--set learning_rate=fast: learning_rate: could not convert"):
+    message = r"^--set learning_rate=fast: learning_rate must be a number, got 'fast'$"
+    with pytest.raises(ValueError, match=message):
         tr.load_train_config(sets=["learning_rate=fast"])
 
 
@@ -372,6 +374,10 @@ def test_load_config_overrides(tmp_path):
     cfg = tr.load_train_config(path, sets=["seed=99"])
     assert cfg.seed == 99 and cfg.batch_size == 8
     assert tr.load_train_config(sets=["seed=3"]) == tr.TrainConfig(seed=3)
+    sets = ["learning_rate=1e-3", "clip_norm=5", "init_range=.5", "dropout_rate=0"]
+    assert tr.load_train_config(sets=sets) == tr.TrainConfig(
+        learning_rate=1e-3, clip_norm=5.0, init_range=0.5, dropout_rate=0.0
+    )
     assert tr.load_train_config() == tr.TrainConfig()
 
 
