@@ -14,10 +14,15 @@ declaration order (tag inventories last; an int as digits, a bool as 0
 or 1, tags space-joined), then in trie mode `trie_depth_cap` (always
 max_chunk_len) and a `trie_pattern <count> <tags>` line per pattern in
 sorted order, then the name and shape of every parameter tensor. Saving
-the same model twice produces identical bytes. Loading requires each
-settings line once and the cap to be max_chunk_len, rejects an unknown
-key, a repeated pattern and a parameter holding a NaN or an infinity,
-and ignores the trie lines older versions wrote for window models.
+the same model twice produces identical bytes.
+
+Loading has one rule: a file loads only if its manifest is the one its
+model writes. The loader reads the settings lines (each required) and, in
+trie mode, the trie_pattern lines, builds that model, refuses the file at
+the first line where the model's manifest differs, then reads the blob by
+the model's parameter catalog, refusing a NaN or an infinity. So only
+`_build_manifest` knows the layout, and a spelling it does not write (a
+leading zero, a doubled space, a repeated or unknown line) does not load.
 """
 
 from __future__ import annotations
@@ -25,7 +30,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import itertools
 import os
+import re
+import reprlib
 from dataclasses import fields
 
 import numpy as np
@@ -37,7 +45,7 @@ __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "temporary_p
 
 _MAGIC = "chunkreader-checkpoint 1"
 _PIECE = 1 << 20  # bytes per manifest read: a header's size is not trusted
-_FIXED = {"format_version": "1", "precision": "float64"}
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")  # a manifest line with its newline, or a last unended one
 
 
 class CheckpointError(ValueError):
@@ -46,24 +54,19 @@ class CheckpointError(ValueError):
 
 _int = functools.partial(nm.read_int, error=CheckpointError)  # a manifest number
 
-
-def _bool(text: str, what: str) -> bool:
-    if text not in ("0", "1"):
-        raise CheckpointError(f"{what} must be 0 or 1, got {text[:40]!r}")
-    return text == "1"
-
-
-# ModelConfig field type -> (value to manifest text, manifest text to value)
+# ModelConfig field type -> (value to manifest text, manifest text to value);
+# a decoder may be lax, since a spelling the encoder would not write fails
+# the comparison with the loaded model's own manifest
 _CODECS = {
     "int": (str, _int),
-    "bool": (lambda value: "1" if value else "0", _bool),
+    "bool": (lambda value: "1" if value else "0", lambda text, what: text == "1"),
     "str": (str, lambda text, what: text),
     "tuple[str, ...]": (" ".join, lambda text, what: tuple(t for t in text.split(" ") if t)),
 }
 
 
 def _build_manifest(model: ChunkReaderModel) -> str:
-    lines = [f"{key} {value}" for key, value in _FIXED.items()]
+    lines = ["format_version 1", "precision float64"]
     for f in fields(ModelConfig):
         lines.append(f"{f.name} {_CODECS[f.type][0](getattr(model.config, f.name))}")
     if model.trie is not None:
@@ -129,6 +132,40 @@ def _read_manifest(fh: io.BufferedReader, size: int) -> bytes:
     return b"".join(pieces)
 
 
+def _read_model(manifest: str) -> ChunkReaderModel:
+    """The model that the manifest's settings lines and, in trie mode, its
+    trie_pattern lines describe; `_require_canonical` checks the rest."""
+    lines = [line.partition(" ")[::2] for line in manifest.split("\n")]
+    values = dict(reversed(lines))  # each key's first line; the comparison refuses a second
+    settings = {}
+    for f in fields(ModelConfig):
+        if f.name not in values:
+            raise CheckpointError(f"manifest missing {f.name}")
+        settings[f.name] = _CODECS[f.type][1](values[f.name], f.name)
+    trie = None
+    if settings["candidate_mode"] == "trie":
+        trie = {}
+        for key, value in reversed(lines):  # a repeated pattern's first line, as above
+            if key == "trie_pattern":
+                count, _, tags = value.partition(" ")
+                trie[tuple(tags.split(" "))] = _int(count, "trie pattern count")
+    try:
+        return ChunkReaderModel(ModelConfig(**settings), trie)
+    except (ValueError, MemoryError) as exc:  # settings no model accepts or fits
+        raise CheckpointError(f"invalid model settings: {exc}") from None
+
+
+def _require_canonical(manifest: str, written: str) -> None:
+    """Raise CheckpointError at the first line where the manifest differs
+    from the one its model writes, naming its 1-based number, the line
+    found and the line expected (with its newline, cut by reprlib)."""
+    pairs = itertools.zip_longest(_LINE.findall(manifest), _LINE.findall(written))
+    for number, pair in enumerate(pairs, start=1):
+        if pair[0] != pair[1]:
+            found, expected = ("the end of the manifest" if ln is None else reprlib.repr(ln) for ln in pair)
+            raise CheckpointError(f"manifest line {number}: found {found}, expected {expected}")
+
+
 def load_checkpoint(path) -> ChunkReaderModel:
     with open(path, "rb") as fh:
         if _read_line(fh) != _MAGIC:
@@ -136,71 +173,18 @@ def load_checkpoint(path) -> ChunkReaderModel:
         head = _read_line(fh).split(" ")
         if len(head) != 2 or head[0] != "manifest_bytes":
             raise CheckpointError("missing manifest_bytes header")
-        manifest = _read_manifest(fh, _int(head[1], "manifest_bytes"))
-
-        values: dict[str, str] = {}
-        trie: dict[tuple[str, ...], int] = {}
-        params: list[tuple[str, tuple[int, ...]]] = []
-        for line in _decode(manifest, "manifest").splitlines():
-            parts = line.split(" ")
-            key = parts[0]
-            if key == "trie_pattern":
-                if len(parts) < 3:
-                    raise CheckpointError(f"malformed trie pattern line: {line!r}")
-                if (pattern := tuple(parts[2:])) in trie:
-                    raise CheckpointError(f"manifest repeats trie pattern {pattern!r}")
-                trie[pattern] = _int(parts[1], "trie pattern count")
-            elif key == "param":
-                if len(parts) < 3:
-                    raise CheckpointError(f"malformed param line: {line!r}")
-                params.append((parts[1], tuple(_int(d, f"{parts[1]} shape") for d in parts[2:])))
-            elif key in values:
-                raise CheckpointError(f"manifest repeats {key!r}")
-            else:
-                values[key] = " ".join(parts[1:])
-
-        settings = fields(ModelConfig)
-        required = [*_FIXED, *(f.name for f in settings)]
-        if values.get("candidate_mode") == "trie":
-            required.append("trie_depth_cap")
-        for key in required:
-            if key not in values:
-                raise CheckpointError(f"manifest missing {key}")
-        for key in values:
-            if key not in required and key != "trie_depth_cap":  # the cap is ignored in window mode
-                raise CheckpointError(f"unknown manifest key {key!r}")
-        for key, expected in _FIXED.items():
-            if values[key] != expected:
-                raise CheckpointError(f"unsupported {key} {values[key][:40]!r}")
-
-        decoded = {f.name: _CODECS[f.type][1](values[f.name], f.name) for f in settings}
-        try:
-            config = ModelConfig(**decoded)
-            if config.candidate_mode != "trie":
-                trie = None  # the trie lines older versions wrote for window models
-            elif (cap := _int(values["trie_depth_cap"], "trie_depth_cap")) != config.max_chunk_len:
-                raise ValueError(f"trie depth cap {cap} differs from max_chunk_len {config.max_chunk_len}")
-            model = ChunkReaderModel(config, trie)
-        except (ValueError, MemoryError) as exc:  # settings no model accepts or fits
-            raise CheckpointError(f"invalid model settings: {exc}") from None
-
-        expected = model.parameters()
-        if [n for n, _ in params] != list(expected):
-            raise CheckpointError("parameter catalog does not match the architecture")
-        for name, shape in params:
-            p = expected[name]
-            if p.data.shape != shape:
-                raise CheckpointError(
-                    f"parameter {name}: manifest shape {shape} vs model shape {p.data.shape}"
-                )
-            n_bytes = int(np.prod(shape)) * 8
+        manifest = _decode(_read_manifest(fh, _int(head[1], "manifest_bytes")), "manifest")
+        model = _read_model(manifest)
+        _require_canonical(manifest, _build_manifest(model))
+        for name, p in model.parameters().items():
+            n_bytes = p.data.size * 8
             raw = fh.read(n_bytes)
             if len(raw) != n_bytes:
                 raise CheckpointError(f"blob truncated at parameter {name}")
             values = np.frombuffer(raw, dtype="<f8")
             if not np.all(np.isfinite(values)):
                 raise CheckpointError(f"parameter {name} holds a non-finite value")
-            p.data[...] = values.reshape(shape)
+            p.data[...] = values.reshape(p.data.shape)
         if fh.read(1):
             raise CheckpointError("trailing bytes after parameter blob")
     return model

@@ -298,13 +298,15 @@ def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
     A line whose field count disagrees with dim (None: the first line's
     width, which must hold a value), or with a value that is not a finite
     number (nan and inf parse as floats but would poison every feature row
-    of the word), raises DataError citing the line, as does an empty file
-    without dim. Every line is checked; a repeated word keeps its first
-    vector.
+    of the word) read from ASCII text without `_` or whitespace other than
+    the separating spaces, the rule of a float setting, raises DataError
+    citing the line, as does an empty file without dim. Every line is
+    checked; a repeated word keeps its first vector.
     """
     entries: dict[str, np.ndarray] = {}
     for line_no, line in text_lines(path):
-        parts = line.rstrip("\n").split(" ")
+        text = line.rstrip("\n")
+        parts = text.split(" ")
         if len(parts) - 1 != dim:
             if dim is not None or len(parts) < 2:
                 wanted = "some" if dim is None else dim
@@ -312,6 +314,9 @@ def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
                     f"line {line_no}: expected word + {wanted} values, got {len(parts)} fields"
                 )
             dim = len(parts) - 1  # the first line sets the width
+        values = text[len(parts[0]) :]  # checked once per line: float() reads `1_0`, `٣` and `\t3`
+        if not values.isascii() or any(ch in values for ch in "_\t\r\x0b\x0c"):
+            raise DataError(f"line {line_no}: non-numeric embedding value")
         try:
             vec = np.array([float(v) for v in parts[1:]])
         except ValueError:

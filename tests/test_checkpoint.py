@@ -5,13 +5,17 @@ import dataclasses
 import inspect
 import os
 import re
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkreader import checkpoint as ckpt, model as M
-from chunkreader.corpus import Featurizer
+from chunkreader.chunker import CANDIDATE_MODES
+from chunkreader.corpus import Featurizer, serializable_tag
 from helpers import edit_checkpoint, make_example, toy_embedding_table
 
 
@@ -205,21 +209,31 @@ def test_malformed_manifest_raises_checkpoint_error(tmp_path, old, new, message)
         (b"hidden_size 3", b"hidden_size 3" + b"0" * 5000, "hidden_size must be a non-negative integer"),
         (b"hidden_size 3", b"hidden_size 999999999999999999", "invalid model settings"),  # too big for numpy
         (b"hidden_size 3", b"hidden_size 100000000", "invalid model settings"),  # more than memory can hold
-        (b"hidden_size 3", b"hidden_size 3\nhidden_size 3", "repeats 'hidden_size'"),
-        (b"hidden_size 3", b"hidden_size 3\nhidden_sise 3", "unknown manifest key 'hidden_sise'"),
+        # each line the model would not write is refused, naming the
+        # first one with the line expected there
+        (b"hidden_size 3", b"hidden_size 3\nhidden_size 3",
+         r"^manifest line 4: found 'hidden_size 3\\n', expected 'embedding_dim 2\\n'$"),
+        (b"hidden_size 3", b"hidden_size 3\nhidden_sise 3",
+         r"^manifest line 4: found 'hidden_sise 3\\n', expected 'embedding_dim 2\\n'$"),
         # the tag inventories fix the one-hot layout: a second line used to
         # win silently (here permuting the POS columns), a missing one to
         # load as an empty inventory
-        (b"pos_tags A B\n", b"pos_tags A B\npos_tags B A\n", "^manifest repeats 'pos_tags'$"),
-        (b"ne_tags O\n", b"ne_tags O\nne_tags O\n", "^manifest repeats 'ne_tags'$"),
+        (b"pos_tags A B\n", b"pos_tags A B\npos_tags B A\n",
+         r"^manifest line 10: found 'pos_tags B A\\n', expected 'ne_tags O\\n'$"),
+        (b"ne_tags O\n", b"ne_tags O\nne_tags O\n",
+         r"^manifest line 11: found 'ne_tags O\\n', expected 'param shared.fwd.W_r 8 3\\n'$"),
         (b"pos_tags A B\n", b"", "^manifest missing pos_tags$"),
         (b"ne_tags O\n", b"", "^manifest missing ne_tags$"),
-        (b"hidden_size 3", b"hidden_size 3\ntrie_pattern 3", "^malformed trie pattern line: 'trie_pattern 3'$"),
-        (b"param shared.fwd.U 3 3", b"param shared.fwd.U", "^malformed param line: 'param shared.fwd.U'$"),
-        (b"format_version 1", b"format_version 2", "^unsupported format_version '2'$"),
-        (b"precision float64", b"precision float32", "^unsupported precision 'float32'$"),
+        (b"hidden_size 3", b"hidden_size 3\ntrie_pattern 3",
+         r"^manifest line 4: found 'trie_pattern 3\\n', expected 'embedding_dim 2\\n'$"),
+        (b"param shared.fwd.U 3 3", b"param shared.fwd.U",
+         r"^manifest line 16: found 'param shared.fwd.U\\n', expected 'param shared.fwd.U 3 3\\n'$"),
+        (b"format_version 1", b"format_version 2",
+         r"^manifest line 1: found 'format_version 2\\n', expected 'format_version 1\\n'$"),
+        (b"precision float64", b"precision float32",
+         r"^manifest line 2: found 'precision float32\\n', expected 'precision float64\\n'$"),
         (b"param shared.fwd.U 3 3", b"param shared.fwd.V 3 3",
-         "^parameter catalog does not match the architecture$"),
+         r"^manifest line 16: found 'param shared.fwd.V 3 3\\n', expected 'param shared.fwd.U 3 3\\n'$"),
     ],
     ids=[
         "long-integer", "too-big", "out-of-memory", "repeated", "unknown",
@@ -266,6 +280,80 @@ def test_ints_below_10_to_the_18_save_and_load_and_larger_ones_are_refused(tmp_p
         assert (loaded.config, loaded.trie) == (model.config, model.trie)
 
 
+_tags = st.text(min_size=1, max_size=3).filter(serializable_tag)  # non-ASCII too
+
+
+@st.composite
+def models(draw):
+    """Any model the constructor accepts, at small sizes, with random
+    finite parameters (one entry drawn from every finite float)."""
+    config = M.ModelConfig(
+        hidden_size=draw(st.integers(1, 3)),
+        embedding_dim=draw(st.integers(0, 3)),
+        candidate_mode=draw(st.sampled_from(CANDIDATE_MODES)),
+        max_chunk_len=draw(st.integers(1, 4)),
+        scoring=draw(st.sampled_from(["dot", "cosine"])),
+        normalize_attention=draw(st.booleans()),
+        pos_tags=tuple(draw(st.lists(_tags, max_size=3))),
+        ne_tags=tuple(draw(st.lists(_tags, max_size=3))),
+    )
+    trie = None
+    if config.candidate_mode == "trie":
+        patterns = st.lists(_tags, min_size=1, max_size=config.max_chunk_len).map(tuple)
+        trie = draw(st.dictionaries(patterns, st.integers(0, 10**18 - 1), max_size=4))
+    model = M.ChunkReaderModel(config, trie)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for p in model.parameters().values():
+        p.data[...] = rng.normal(size=p.data.shape)
+    model.parameters()["shared.fwd.W_r"].data.flat[0] = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return model
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=models())
+def test_every_model_saves_bytes_that_load_and_save_again_identically(model):
+    # a file loads only if its manifest is the one its model writes, so a
+    # writer that is not canonical would lock a user out of their own file
+    with tempfile.TemporaryDirectory() as root:
+        first, second = os.path.join(root, "a.ckpt"), os.path.join(root, "b.ckpt")
+        ckpt.save_checkpoint(model, first)
+        loaded = ckpt.load_checkpoint(first)
+        ckpt.save_checkpoint(loaded, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    assert (loaded.config, loaded.trie) == (model.config, model.trie)
+    for name, p in model.parameters().items():
+        assert np.array_equal(loaded.parameters()[name].data, p.data), name
+
+
+@pytest.mark.parametrize(
+    "mode, old, new, message",
+    [
+        ("window", b"hidden_size 3\n", b"hidden_size 03\n",
+         r"^manifest line 3: found 'hidden_size 03\\n', expected 'hidden_size 3\\n'$"),
+        ("window", b"pos_tags A B\n", b"pos_tags A  B\n",
+         r"^manifest line 9: found 'pos_tags A  B\\n', expected 'pos_tags A B\\n'$"),
+        ("window", b"scoring dot\nnormalize_attention 0\n", b"normalize_attention 0\nscoring dot\n",
+         r"^manifest line 7: found 'normalize_attention 0\\n', expected 'scoring dot\\n'$"),
+        ("window", b"param shared.fwd.U 3 3\n", b"param shared.fwd.U 03 3\n",
+         r"^manifest line 16: found 'param shared.fwd.U 03 3\\n', expected 'param shared.fwd.U 3 3\\n'$"),
+        ("trie", b"trie_pattern 3 A\n", b"trie_pattern 03 A\n",
+         r"^manifest line 12: found 'trie_pattern 03 A\\n', expected 'trie_pattern 3 A\\n'$"),
+    ],
+    ids=["leading-zero", "doubled-space", "swapped-lines", "param-leading-zero", "pattern-leading-zero"],
+)
+def test_spelling_no_writer_produces_is_refused(tmp_path, mode, old, new, message):
+    # each file used to load as the saved model: the loader read every line
+    # by its own rule, not by the manifest the model writes
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(seeded_model(seed=14, candidate_mode=mode), path)
+    raw = path.read_bytes()
+    assert old in raw
+    path.write_bytes(edit_checkpoint(raw, old, new))
+    with pytest.raises(ckpt.CheckpointError, match=message):
+        ckpt.load_checkpoint(path)
+
+
 def test_inventories_roundtrip_exactly(tmp_path):
     m = seeded_model(seed=8)
     path = tmp_path / "model.ckpt"
@@ -292,7 +380,8 @@ def test_trie_checkpoint_refuses_a_repeated_pattern(tmp_path):
     ckpt.save_checkpoint(seeded_model(seed=10, candidate_mode="trie"), path)
     old = b"trie_pattern 3 A\n"
     path.write_bytes(edit_checkpoint(path.read_bytes(), old, old + b"trie_pattern 2 A\n"))
-    with pytest.raises(ckpt.CheckpointError, match=r"^manifest repeats trie pattern \('A',\)$"):
+    message = r"^manifest line 13: found 'trie_pattern 2 A\\n', expected 'trie_pattern 1 A B\\n'$"
+    with pytest.raises(ckpt.CheckpointError, match=message):
         ckpt.load_checkpoint(path)
 
 
@@ -408,16 +497,15 @@ def test_checkpoint_module_names_no_setting_but_candidate_mode():
     assert named & others == set()
 
 
-def test_window_checkpoint_with_trie_lines_loads_ignoring_them(tmp_path):
+def test_window_checkpoint_with_trie_lines_is_refused(tmp_path):
     # format-1 window files written before the model refused a window-mode
-    # trie carry trie lines; they load as before, with those lines dropped
-    m = seeded_model(seed=12)
+    # trie carry trie lines, which no model writes back: such a file used
+    # to load with those lines dropped, and now must be saved again by a
+    # version that loads it
     path = tmp_path / "model.ckpt"
-    ckpt.save_checkpoint(m, path)
-    raw = path.read_bytes()
+    ckpt.save_checkpoint(seeded_model(seed=12), path)
     old = b"ne_tags O\n"
-    path.write_bytes(edit_checkpoint(raw, old, old + b"trie_depth_cap 10\ntrie_pattern 2 A\n"))
-    loaded = ckpt.load_checkpoint(path)
-    assert loaded.config == m.config and loaded.trie is None
-    ckpt.save_checkpoint(loaded, tmp_path / "resaved.ckpt")
-    assert (tmp_path / "resaved.ckpt").read_bytes() == raw
+    path.write_bytes(edit_checkpoint(path.read_bytes(), old, old + b"trie_depth_cap 10\ntrie_pattern 2 A\n"))
+    message = r"^manifest line 11: found 'trie_depth_cap 10\\n', expected 'param shared.fwd.W_r 8 3\\n'$"
+    with pytest.raises(ckpt.CheckpointError, match=message):
+        ckpt.load_checkpoint(path)

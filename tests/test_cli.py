@@ -709,11 +709,11 @@ def trie_checkpoint_bytes(world, tmp_path_factory):
     [
         # a pattern longer than the cap used to load with the pattern dropped
         (b"trie_depth_cap 3\n", b"trie_depth_cap 3\ntrie_pattern 1 X X X X\n",
-         "bad trie pattern ('X', 'X', 'X', 'X') (count 1): need 1 to 3 non-empty tags without whitespace"
-         " and an int count >= 0 below 10**18"),
+         "invalid model settings: bad trie pattern ('X', 'X', 'X', 'X') (count 1): need 1 to 3 non-empty"
+         " tags without whitespace and an int count >= 0 below 10**18"),
         # a cap other than max_chunk_len used to load and propose longer chunks
         (b"trie_depth_cap 3\n", b"trie_depth_cap 9\n",
-         "trie depth cap 9 differs from max_chunk_len 3"),
+         "manifest line 11: found 'trie_depth_cap 9\\n', expected 'trie_depth_cap 3\\n'"),
     ],
     ids=["pattern-over-cap", "cap-differs"],
 )
@@ -725,7 +725,7 @@ def test_predict_trie_checkpoint_beyond_its_cap_exits_two_with_one_line(
     path.write_bytes(edit_checkpoint(trie_checkpoint_bytes, old, new))
     out = tmp_path / "p.jsonl"
     assert cli.main(predict_args(dict(world, checkpoint=str(path)), str(out))) == 2
-    assert capsys.readouterr().err == f"data error: {path}: invalid model settings: {reason}\n"
+    assert capsys.readouterr().err == f"data error: {path}: {reason}\n"
     assert not out.exists()
 
 
@@ -847,6 +847,19 @@ def test_non_utf8_first_embedding_line_exits_two_with_one_line(world, tmp_path, 
     path.write_bytes(b"\xff" + raw)
     assert cli.main(predict_args(dict(world, emb=str(path)), str(tmp_path / "p.jsonl"))) == 2
     assert capsys.readouterr().err == f"data error: {path}: line 1: not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "\t3", "3\x0b", "3\x0c", "3\u2003"])
+def test_embedding_value_no_float_setting_takes_exits_two_naming_its_line(world, tmp_path, capsys, value):
+    # float() read these as 10 and 3: an embedding value is now read as a
+    # float setting is, from ASCII text without `_` or other whitespace
+    with open(world["emb"], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    word, *values = lines[1].split(" ")
+    path = tmp_path / "emb.txt"
+    path.write_text("".join([lines[0], " ".join([word, value, *values[1:]]), *lines[2:]]), encoding="utf-8")
+    assert cli.main(predict_args(dict(world, emb=str(path)), str(tmp_path / "p.jsonl"))) == 2
+    assert capsys.readouterr().err == f"data error: {path}: line 2: non-numeric embedding value\n"
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])

@@ -313,6 +313,13 @@ def test_load_embeddings_of_an_empty_file(tmp_path):
         corpus.load_embeddings(path)
 
 
+def test_load_embeddings_reads_a_signed_value(tmp_path):
+    # as a float setting does: a sign is printable ASCII
+    path = tmp_path / "emb.txt"
+    path.write_text("cat +3 -1.5e2\n")
+    assert corpus.load_embeddings(path).lookup("cat").tolist() == [3.0, -150.0]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
 def test_load_embeddings_non_finite_value_cites_line(tmp_path, value):
     path = tmp_path / "emb.txt"

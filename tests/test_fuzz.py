@@ -43,6 +43,14 @@ def _dataset_bytes() -> bytes:
     return (json.dumps(example_dict(ex)) + "\n").encode("utf-8") * 2
 
 
+def _saved_bytes(model: M.ChunkReaderModel) -> bytes:
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "m.ckpt")
+        ckpt.save_checkpoint(model, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
 def _checkpoint_bytes(candidate_mode) -> bytes:
     cfg = M.ModelConfig(
         hidden_size=2, embedding_dim=2, pos_tags=("A", "B"), ne_tags=("O",),
@@ -53,26 +61,23 @@ def _checkpoint_bytes(candidate_mode) -> bytes:
     rng = np.random.default_rng(0)
     for p in model.parameters().values():
         p.data[...] = rng.normal(size=p.data.shape)
-    with tempfile.TemporaryDirectory() as root:
-        path = os.path.join(root, "m.ckpt")
-        ckpt.save_checkpoint(model, path)
-        with open(path, "rb") as fh:
-            return fh.read()
+    return _saved_bytes(model)
 
 
 DATASET = _dataset_bytes()
 CHECKPOINTS = {mode: _checkpoint_bytes(mode) for mode in ("window", "trie")}
 
 
-def loads_or_raises(load, raw: bytes, error) -> None:
+def loads_or_raises(load, raw: bytes, error):
+    """What load returns for a file holding raw, or None where it raises error."""
     fd, path = tempfile.mkstemp()
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(raw)
         try:
-            load(path)
+            return load(path)
         except error:
-            pass
+            return None
     finally:
         os.remove(path)
 
@@ -101,7 +106,10 @@ def test_fuzz_checkpoint_edited_manifest(mode, edits):
     raw = CHECKPOINTS[mode]
     head = raw.index(b"param ")  # aim the edits at the header and settings
     edits = [(op, pos % head, value) for op, pos, value in edits]
-    loads_or_raises(ckpt.load_checkpoint, mutate(raw, edits), ckpt.CheckpointError)
+    edited = mutate(raw, edits)
+    model = loads_or_raises(ckpt.load_checkpoint, edited, ckpt.CheckpointError)
+    if model is not None:  # only the manifest its model writes loads
+        assert _saved_bytes(model) == edited
 
 
 @pytest.mark.parametrize(
